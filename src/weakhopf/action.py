@@ -46,7 +46,7 @@ class ModuleAction:
         B = self.algebra
         spans = {}
         for m in self.groupoid.morphism_ids():
-            ech = Echelon(B.field, B.dim)
+            ech = Echelon(B.field)
             for b in B.basis:
                 ech.add(B.to_vector(self.table[(m, b)]))
             spans[m] = ech
@@ -143,10 +143,11 @@ def component_decomposition(B: FinAlgebra, kg: FinAlgebra, action: ModuleAction)
                 rep.add("orthogonal", [e, f], "idempotents for distinct objects overlap")
 
     components = {}
-    total = Echelon(F, B.dim)
+    spans = {}
+    total = Echelon(F)
     dim_sum = 0
     for e in g.objects:
-        ech = Echelon(F, B.dim)
+        ech = spans[e] = Echelon(F)
         for x in B.basis:
             ech.add(B.to_vector(B.multiply(B.basis_element(x), idem[e])))
         components[e] = list(ech.rows)
@@ -160,10 +161,6 @@ def component_decomposition(B: FinAlgebra, kg: FinAlgebra, action: ModuleAction)
 
     component_of = {}
     homogeneous = True
-    spans = {e: Echelon(F, B.dim) for e in g.objects}
-    for e in g.objects:
-        for v in components[e]:
-            spans[e].add(v)
     for x in B.basis:
         vx = B.to_vector(B.basis_element(x))
         homes = [e for e in g.objects if spans[e].contains(vx)]
@@ -199,7 +196,7 @@ def derive_dfap_action(B: FinAlgebra, kg: FinAlgebra, action: ModuleAction,
     g = action.groupoid
     rep = Report("derived groupoid action")
 
-    comp_span = {e: Echelon(F, B.dim) for e in decomp.components}
+    comp_span = {e: Echelon(F) for e in decomp.components}
     for e, vs in decomp.components.items():
         for v in vs:
             comp_span[e].add(v)
@@ -209,13 +206,13 @@ def derive_dfap_action(B: FinAlgebra, kg: FinAlgebra, action: ModuleAction,
     ideal_labels = {}
     for m in g.morphism_ids():
         e_g = decomp.components[g.src(m)]
-        ideal_bases[m] = [list(v) for v in e_g]
+        ideal_bases[m] = [dict(v) for v in e_g]
         labels = [x for x in B.basis if decomp.component_of.get(x) == g.src(m)]
         ideal_labels[m] = labels if len(labels) == len(e_g) else None
 
         domain = decomp.components[g.tgt(m)]
         images = []
-        img_span = Echelon(F, B.dim)
+        img_span = Echelon(F)
         for v in domain:
             img = action.act({m: F.one}, B.from_vector(v))
             images.append(B.to_vector(img))
@@ -259,7 +256,9 @@ def derive_dfap_action(B: FinAlgebra, kg: FinAlgebra, action: ModuleAction,
 
     # axiom (ii): beta_g beta_h == beta_{gh} on the component of tgt(h)
     for a, b in g.composable_pairs():
-        ab = g.comp[(a, b)]
+        ab = g.comp.get((a, b))
+        if ab is None:  # reported by the groupoid validator
+            continue
         for v in decomp.components[g.tgt(b)]:
             x = B.from_vector(v)
             lhs = action.act({a: F.one}, action.act({b: F.one}, x))
@@ -293,9 +292,9 @@ def skew_groupoid_ring(B: FinAlgebra, action: ModuleAction, dfap: DfapAction) ->
     mul = {}
     for (x, a) in basis:
         for (y, b) in basis:
-            if not g.composable(a, b):
+            ab = g.comp.get((a, b)) if g.composable(a, b) else None
+            if ab is None:
                 continue
-            ab = g.comp[(a, b)]
             beta = action.act({a: F.one}, B.basis_element(y))
             prod = B.multiply(B.basis_element(x), beta)
             out = {}

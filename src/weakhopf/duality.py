@@ -10,8 +10,9 @@ ring comparison).
 """
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
-from .exactmath import Echelon, Matrix, kernel_basis, subspace_equal
+from .exactmath import Echelon, null_space, subspace_equal
 from .report import Report
 from .walg import el_add, el_norm, el_scale
 
@@ -121,24 +122,12 @@ class LinearMapRep:
                         cur[row] = s
         return {col: img for col, img in out.items() if img}
 
-    def endo_to_vector(self, endo: dict):
-        """Flatten an endomorphism to length dim(codomain)^2, row-major."""
+    def endo_to_vector(self, endo: dict) -> dict:
+        """Sparse coordinates of an endomorphism: the entry in row r and
+        column c sits at index r * dim(codomain) + c."""
         n = len(self.codomain_basis)
-        v = [self.field.zero] * (n * n)
-        for col, img in endo.items():
-            j = self.cod_index[col]
-            for row, w in img.items():
-                v[self.cod_index[row] * n + j] = w
-        return v
-
-    def flatten(self) -> Matrix:
-        n = len(self.codomain_basis)
-        cols = [self.endo_to_vector(self.columns[lab]) for lab in self.domain_basis]
-        entries = []
-        for i in range(n * n):
-            for cv in cols:
-                entries.append(cv[i])
-        return Matrix(self.field, n * n, len(self.domain_basis), entries)
+        return {self.cod_index[row] * n + self.cod_index[col]: w
+                for col, img in endo.items() for row, w in img.items()}
 
 
 def compose_endos(phi: LinearMapRep, first: dict, second: dict) -> dict:
@@ -225,20 +214,18 @@ def _apply_endo_to_element(phi, endo, element):
 
 @dataclass
 class KernelImage:
-    kernel: list      # vectors over the domain basis
-    image: list       # flattened endomorphism vectors
+    kernel: list      # sparse vectors over the domain basis
+    image: list       # sparse endomorphism vectors
     image_labels: list
     dims: dict
 
 
 def kernel_and_image(phi: LinearMapRep) -> KernelImage:
-    flat = phi.flatten()
-    kernel = kernel_basis(flat)
-    n = len(phi.codomain_basis)
-    ech = Echelon(phi.field, n * n)
+    columns = [phi.endo_to_vector(phi.columns[lab]) for lab in phi.domain_basis]
+    kernel = null_space(phi.field, columns)
+    ech = Echelon(phi.field)
     image, image_labels = [], []
-    for lab in phi.domain_basis:
-        v = phi.endo_to_vector(phi.columns[lab])
+    for lab, v in zip(phi.domain_basis, columns):
         if ech.add(v):
             image.append(v)
             image_labels.append(lab)
@@ -309,32 +296,6 @@ def build_psi(skew, dsm, groupoid) -> PsiRep:
             raise ValueError(f"psi image {lab!r} is not a double-smash basis label")
         images[(sk, h)] = {lab: F.one}
     return PsiRep(domain, images)
-
-
-# -- subspace helper -------------------------------------------------------------
-
-
-class SubspaceTester:
-    """Membership tester with a fast path for coordinate subspaces (every
-    spanning vector supported on a single axis)."""
-
-    def __init__(self, field, vectors, dim):
-        self.field = field
-        self.dim = dim
-        self.axes = None
-        if all(sum(1 for x in v if x != field.zero) == 1 for v in vectors):
-            self.axes = {next(i for i, x in enumerate(v) if x != field.zero)
-                         for v in vectors}
-        else:
-            self.ech = Echelon(field, dim)
-            for v in vectors:
-                self.ech.add(v)
-
-    def contains(self, v):
-        if self.axes is not None:
-            return all(x == self.field.zero or i in self.axes
-                       for i, x in enumerate(v))
-        return self.ech.contains(v)
 
 
 # -- claim verification -----------------------------------------------------------
@@ -460,6 +421,14 @@ class VerificationContext:
         return [self.dsm.to_vector({lab: self.field.one})
                 for lab in self.stratum_labels(names)]
 
+    @cached_property
+    def kernel_echelon(self):
+        """Echelon of ker phi; callers that add to it work on a copy."""
+        ech = Echelon(self.field)
+        for v in self.ki.kernel:
+            ech.add(v)
+        return ech
+
     @property
     def classification_total(self):
         return self.strata_dims[UNCLASSIFIED] == 0
@@ -509,26 +478,23 @@ class VerificationContext:
         kernel = self.ki.kernel
         span_ker_strata = self.stratum_vectors(KERNEL_STRATA)
         eq = subspace_equal(F, kernel, span_ker_strata)
+        ker_ech = self.kernel_echelon
         witnesses = []
         if not eq:
-            tester = SubspaceTester(F, span_ker_strata, self.dsm.dim)
+            strata_ech = Echelon(F)
+            for v in span_ker_strata:
+                strata_ech.add(v)
             for v in kernel:
-                if not tester.contains(v):
+                if not strata_ech.contains(v):
                     witnesses.append({"kernel_vector_outside_strata":
                                       element_str(F, self.dsm.from_vector(v))})
-            ker_tester = SubspaceTester(F, kernel, self.dsm.dim)
             for v, lab in zip(span_ker_strata, self.stratum_labels(KERNEL_STRATA)):
-                if not ker_tester.contains(v):
+                if not ker_ech.contains(v):
                     witnesses.append({"stratum_vector_outside_kernel": label_str(lab)})
         disjoint = {}
-        ker_ech = Echelon(F, self.dsm.dim)
-        for v in kernel:
-            ker_ech.add(v)
         for name in IMAGE_STRATA:
             ok = True
-            probe = Echelon(F, self.dsm.dim)
-            for v in ker_ech.rows:
-                probe.add(v)
+            probe = ker_ech.copy()
             for lab in self.stratum_labels([name]):
                 v = self.dsm.to_vector({lab: F.one})
                 if not probe.add(v):
@@ -543,10 +509,11 @@ class VerificationContext:
         return self._result("thm2.2", holds, dims, witnesses, notes)
 
     def _closure_check(self, names):
-        allowed = set(self.stratum_labels(names))
+        labels = self.stratum_labels(names)
+        allowed = set(labels)
         witnesses = []
-        for x in allowed:
-            for y in allowed:
+        for x in labels:
+            for y in labels:
                 prod = self.dsm.basis_product(x, y)
                 bad = [lab for lab in prod if lab not in allowed]
                 if bad:
@@ -616,9 +583,7 @@ class VerificationContext:
         kernel = self.ki.kernel
         s_vectors = self.stratum_vectors(IMAGE_STRATA)
         dim = self.dsm.dim
-        ech = Echelon(F, dim)
-        for v in kernel:
-            ech.add(v)
+        ech = self.kernel_echelon.copy()
         enlarged = [ech.add(v) for v in s_vectors]
         decomposes = (all(enlarged) and ech.rank == dim
                       and len(kernel) + len(s_vectors) == dim)
@@ -635,14 +600,14 @@ class VerificationContext:
                 closed = False
                 witnesses.append({"summand": part, **w})
 
-        ker_tester = SubspaceTester(F, kernel, dim)
+        ker_ech = self.kernel_echelon
         ideal_ok = True
         for v in kernel:
             dv = self.dsm.from_vector(v)
             for z in self.dsm.basis:
                 ez = {z: F.one}
                 for prod in (self.dsm.multiply(dv, ez), self.dsm.multiply(ez, dv)):
-                    if prod and not ker_tester.contains(self.dsm.to_vector(prod)):
+                    if prod and not ker_ech.contains(self.dsm.to_vector(prod)):
                         ideal_ok = False
                         witnesses.append({"kernel_not_ideal_at": label_str(z)})
         dims = {"dim": dim, "kernel": len(kernel), "S": len(s_vectors),
@@ -658,11 +623,8 @@ class VerificationContext:
         F = self.field
         s_labels = self.stratum_labels(IMAGE_STRATA)
         phi_s = [self.phi.endo_to_vector(self.phi.columns[lab]) for lab in s_labels]
-        rank_phi_s = 0
-        ech = Echelon(F, len(self.phi.codomain_basis) ** 2)
-        for v in phi_s:
-            if ech.add(v):
-                rank_phi_s += 1
+        ech = Echelon(F)
+        rank_phi_s = sum(ech.add(v) for v in phi_s)
         exact = self.ki.dims["kernel"] + rank_phi_s == self.ki.dims["domain"]
         same_image = subspace_equal(F, phi_s, self.ki.image) if phi_s or self.ki.image else True
         dims = {"kernel": self.ki.dims["kernel"], "phi_of_S": rank_phi_s,
@@ -681,44 +643,27 @@ class VerificationContext:
         _, dfap_report = self.dfap()
         psi = build_psi(skew, self.dsm, self.groupoid)
         dom = psi.domain_basis
-        dom_index = {lab: i for i, lab in enumerate(dom)}
         n_dom = len(dom)
-
-        def dom_vector(labels):
-            out = []
-            for lab in labels:
-                v = [F.zero] * n_dom
-                v[dom_index[lab]] = F.one
-                out.append(v)
-            return out
-
-        d1_labels = [lab for lab in dom if not self.groupoid.composable(lab[0][1], lab[1])]
+        d1 = [i for i, lab in enumerate(dom)
+              if not self.groupoid.composable(lab[0][1], lab[1])]
         c_labels = [lab for lab in dom if self.groupoid.composable(lab[0][1], lab[1])]
 
         # kernel of phi o psi
-        ncod = len(self.phi.codomain_basis)
-        entries = []
-        cols = [self.phi.endo_to_vector(self.phi.apply(psi.images[lab])) for lab in dom]
-        for i in range(ncod * ncod):
-            for cv in cols:
-                entries.append(cv[i])
-        flat = Matrix(F, ncod * ncod, n_dom, entries)
-        ker = kernel_basis(flat)
-        d1_eq_kernel = subspace_equal(F, dom_vector(d1_labels), ker)
+        cols = {lab: self.phi.endo_to_vector(self.phi.apply(psi.images[lab]))
+                for lab in dom}
+        ker = null_space(F, list(cols.values()))
+        d1_eq_kernel = subspace_equal(F, [{i: F.one} for i in d1], ker)
 
         # whole = C (+) D1
-        whole_ok = len(d1_labels) + len(c_labels) == n_dom
+        whole_ok = len(d1) + len(c_labels) == n_dom
 
         # rank of phi(psi(C)) and exactness bookkeeping
-        ech = Echelon(F, ncod * ncod)
-        rank_c = 0
-        for lab in c_labels:
-            if ech.add(self.phi.endo_to_vector(self.phi.apply(psi.images[lab]))):
-                rank_c += 1
-        exact = len(d1_labels) + rank_c == n_dom
+        ech = Echelon(F)
+        rank_c = sum(ech.add(cols[lab]) for lab in c_labels)
+        exact = len(d1) + rank_c == n_dom
 
         # psi injective on C
-        ech_c = Echelon(F, self.dsm.dim)
+        ech_c = Echelon(F)
         inj = all(ech_c.add(self.dsm.to_vector(psi.images[lab])) for lab in c_labels)
 
         # psi(B0) == span(A1)
@@ -728,7 +673,7 @@ class VerificationContext:
         a1 = self.stratum_vectors(["A1"])
         b0_eq_a1 = subspace_equal(F, psi_b0, a1)
 
-        dims = {"skew_smash_dim": n_dom, "D1": len(d1_labels), "C": len(c_labels),
+        dims = {"skew_smash_dim": n_dom, "D1": len(d1), "C": len(c_labels),
                 "phi_psi_C": rank_c, "kernel_phi_psi": len(ker),
                 "B0": len(b0), "A1": len(a1)}
         witnesses = []

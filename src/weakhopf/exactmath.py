@@ -1,12 +1,11 @@
-"""Exact scalar arithmetic (rationals and prime fields) and the small dense
-linear algebra used everywhere else.
+"""Exact scalar arithmetic (rationals and prime fields) and sparse exact
+elimination over vectors stored as dicts {index: nonzero scalar}.
 
 No floats, no tolerances: equality of scalars, vectors and subspaces is
 literal equality in the field.  Gaussian elimination pivots on the first
 nonzero entry, so identical inputs give identical outputs bit for bit.
 """
 
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 MAX_PRIME = 2**31
@@ -136,210 +135,105 @@ def field_from_spec(spec: dict):
     raise ValueError(f"unknown field kind: {spec!r}")
 
 
-@dataclass
-class Matrix:
-    """Dense row-major matrix over an explicit field."""
-
-    field: object
-    rows: int
-    cols: int
-    entries: list = dc_field(default_factory=list)
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match shape")
-
-    @classmethod
-    def from_rows(cls, field, rows):
-        r = len(rows)
-        c = len(rows[0]) if rows else 0
-        flat = []
-        for row in rows:
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            flat.extend(row)
-        return cls(field, r, c, flat)
-
-    @classmethod
-    def zero(cls, field, rows, cols):
-        return cls(field, rows, cols, [field.zero] * (rows * cols))
-
-    def at(self, i, j):
-        return self.entries[i * self.cols + j]
-
-    def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_rows(self):
-        return [self.row(i) for i in range(self.rows)]
-
-    def mat_vec(self, v):
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        F = self.field
-        out = []
-        for i in range(self.rows):
-            acc = F.zero
-            base = i * self.cols
-            for j in range(self.cols):
-                e = self.entries[base + j]
-                if e != F.zero and v[j] != F.zero:
-                    acc = F.add(acc, F.mul(e, v[j]))
-            out.append(acc)
-        return out
-
-
-def rref(m: Matrix):
-    """Reduced row echelon form.  Returns (rows, pivot_cols)."""
-    F = m.field
-    rows = [list(r) for r in m.to_rows()]
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if rows[i][c] != F.zero:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != F.zero:
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
-
-
-def kernel_basis(m: Matrix):
-    """Basis of the right kernel, one vector per free column.
-
-    A matrix with zero rows has the full space as kernel, so the result is
-    the standard basis of K^cols.
-    """
-    F = m.field
-    rows, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [F.zero] * m.cols
-        v[f] = F.one
-        for i, pc in enumerate(pivots):
-            v[pc] = F.neg(rows[i][f])
-        basis.append(v)
-    return basis
-
-
-def solve(m: Matrix, rhs):
-    """One solution of m x = rhs (free variables zero), or None."""
-    if len(rhs) != m.rows:
-        raise ValueError("dimension mismatch")
-    F = m.field
-    aug = Matrix.from_rows(F, [m.row(i) + [rhs[i]] for i in range(m.rows)]) \
-        if m.cols else Matrix.from_rows(F, [[rhs[i]] for i in range(m.rows)])
-    rows, pivots = rref(aug)
-    if m.cols in pivots:
-        return None
-    x = [F.zero] * m.cols
-    for i, pc in enumerate(pivots):
-        x[pc] = rows[i][m.cols]
-    return x
-
-
 class Echelon:
-    """Incrementally reduced spanning set; the workhorse behind the
-    subspace predicates."""
+    """Incrementally reduced spanning set of sparse vectors.
 
-    def __init__(self, field, dim):
+    A vector is a dict {index: nonzero scalar}.  Each row has a leading one
+    at its pivot, its smallest index, and a zero at every other row's pivot.
+    Rows are replaced, never edited in place, so copy() shares them.
+    """
+
+    def __init__(self, field):
         self.field = field
-        self.dim = dim
-        self.rows = []       # reduced, each with leading one
-        self.pivots = []     # pivot index per row, strictly increasing order not required
+        self.rows = []       # in insertion order
+        self.pivots = {}     # pivot -> position of its row, in insertion order
+
+    def copy(self):
+        other = Echelon(self.field)
+        other.rows = list(self.rows)
+        other.pivots = dict(self.pivots)
+        return other
 
     def reduce(self, v):
-        F = self.field
-        v = list(v)
-        for piv, row in zip(self.pivots, self.rows):
-            if v[piv] != F.zero:
-                f = v[piv]
-                v = [F.sub(x, F.mul(f, y)) for x, y in zip(v, row)]
-        return v
+        # subtracting a row touches no other pivot, so one pass suffices
+        zero = self.field.zero
+        out = {c: x for c, x in v.items() if x != zero}
+        for p in [c for c in out if c in self.pivots]:
+            _subtract(self.field, out, out[p], self.rows[self.pivots[p]])
+        return out
 
     def contains(self, v):
-        return all(x == self.field.zero for x in self.reduce(v))
+        return not self.reduce(v)
 
     def add(self, v):
         """Insert v; returns True if it enlarged the span."""
         F = self.field
-        if len(v) != self.dim:
-            raise ValueError("dimension mismatch")
         v = self.reduce(v)
-        for j, x in enumerate(v):
-            if x != F.zero:
-                inv = F.inv(x)
-                v = [F.mul(inv, y) for y in v]
-                # back-substitute into existing rows
-                for k, row in enumerate(self.rows):
-                    if row[j] != F.zero:
-                        f = row[j]
-                        self.rows[k] = [F.sub(a, F.mul(f, b)) for a, b in zip(row, v)]
-                self.rows.append(v)
-                self.pivots.append(j)
-                return True
-        return False
+        if not v:
+            return False
+        j = min(v)
+        inv = F.inv(v[j])
+        v = {c: F.mul(inv, x) for c, x in v.items()}
+        for k, row in enumerate(self.rows):
+            if j in row:
+                row = dict(row)
+                _subtract(F, row, row[j], v)
+                self.rows[k] = row
+        self.pivots[j] = len(self.rows)
+        self.rows.append(v)
+        return True
 
     @property
     def rank(self):
         return len(self.rows)
 
 
-def span_echelon(field, vectors, dim=None):
-    if dim is None:
-        if not vectors:
-            raise ValueError("cannot infer dimension from an empty list")
-        dim = len(vectors[0])
-    ech = Echelon(field, dim)
-    for v in vectors:
-        ech.add(v)
-    return ech
+def _subtract(F, v, f, row):
+    """v -= f * row in place, dropping the entries that cancel."""
+    for c, y in row.items():
+        s = F.sub(v.get(c, F.zero), F.mul(f, y))
+        if s == F.zero:
+            v.pop(c, None)
+        else:
+            v[c] = s
 
 
-def _common_dim(a, b):
-    dims = {len(v) for v in a} | {len(v) for v in b}
-    if len(dims) > 1:
-        raise ValueError("vectors of mixed dimension")
-    return dims.pop() if dims else 0
+def rref(field, rows):
+    """Reduced row echelon form of sparse rows: (rows, pivots), sorted by
+    pivot, zero rows dropped.  Unique for a given row space."""
+    ech = Echelon(field)
+    for r in rows:
+        ech.add(r)
+    order = sorted(ech.pivots.items())
+    return [ech.rows[i] for _, i in order], [p for p, _ in order]
+
+
+def null_space(field, columns):
+    """Kernel basis of the map whose j-th column is the sparse vector
+    columns[j]: one vector per free column of the reduced row echelon
+    form, with a one there."""
+    rows = {}
+    for j, col in enumerate(columns):
+        for i, w in col.items():
+            rows.setdefault(i, {})[j] = w
+    red, pivots = rref(field, rows.values())
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(len(columns)):
+        if f not in pivot_set:
+            v = {f: field.one}
+            for row, pc in zip(red, pivots):
+                if f in row:
+                    v[pc] = field.neg(row[f])
+            basis.append(v)
+    return basis
 
 
 def subspace_equal(field, a, b) -> bool:
-    """span(a) == span(b), decided by rank comparisons."""
-    dim = _common_dim(a, b)
-    if dim == 0:
-        return True
-    ea = span_echelon(field, a, dim)
-    eb = span_echelon(field, b, dim)
-    if ea.rank != eb.rank:
-        return False
-    return all(ea.contains(v) for v in b)
-
-
-def subspace_contains(field, space, v) -> bool:
-    """v in span(space)."""
-    dim = len(v)
-    for w in space:
-        if len(w) != dim:
-            raise ValueError("vectors of mixed dimension")
-    return span_echelon(field, space, dim).contains(v)
+    """span(a) == span(b) for sparse vectors, decided by rank comparisons."""
+    ea, eb = Echelon(field), Echelon(field)
+    for v in a:
+        ea.add(v)
+    for v in b:
+        eb.add(v)
+    return ea.rank == eb.rank and all(ea.contains(v) for v in b)

@@ -35,7 +35,6 @@ class Groupoid:
         if len(set(self.objects)) != len(self.objects):
             raise GroupoidError("duplicate object ids")
         self._by_id = {m.id: m for m in self.morphisms}
-        self._index = {m.id: i for i, m in enumerate(self.morphisms)}
         for e in self.objects:
             if e not in self._by_id:
                 raise GroupoidError(f"object {e!r} has no identity morphism record")
@@ -55,9 +54,6 @@ class Groupoid:
     def morphism_ids(self):
         return [m.id for m in self.morphisms]
 
-    def index(self, mid):
-        return self._index[mid]
-
     def src(self, mid):
         return self._lookup(mid).src
 
@@ -66,9 +62,6 @@ class Groupoid:
 
     def inv(self, mid):
         return self._lookup(mid).inv
-
-    def is_object(self, mid):
-        return mid in set(self.objects)
 
     def _lookup(self, mid):
         try:

@@ -35,9 +35,6 @@ class Report:
     def add(self, check, witness=None, detail=""):
         self.findings.append(Finding(check, witness, detail))
 
-    def note(self, text):
-        self.notes.append(text)
-
     def merge(self, other: "Report"):
         self.findings.extend(other.findings)
         self.notes.extend(other.notes)
@@ -70,14 +67,3 @@ class Report:
             "notes": list(self.notes),
             "info": dict(self.info),
         }
-
-    def render(self) -> str:
-        lines = [f"{self.title}: {'ok' if self.ok else 'VIOLATIONS'}"]
-        for item in self.to_json()["findings"]:
-            lines.append(f"  {item['check']}: {item['count']} violation(s)")
-            for w in item["witnesses"][:4]:
-                detail = f" -- {w['detail']}" if "detail" in w else ""
-                lines.append(f"    witness {w.get('witness')!r}{detail}")
-        for n in self.notes:
-            lines.append(f"  note: {n}")
-        return "\n".join(lines)

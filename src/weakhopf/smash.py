@@ -1,12 +1,11 @@
-"""Smash products B#KG and B#KG#KG*, and the evaluation action of the
-dual on the middle leg.
+"""Smash products B#KG and B#KG#KG*, and the search for a unit.
 
 Basis labels are tuples: (b, g) for B#KG and (b, g, h) for the double
 smash, ordered lexicographically by (B index, morphism index, dual index).
 Neither product is assumed unital; find_unit reports one if it exists.
 """
 
-from .exactmath import Matrix, solve
+from . import exactmath
 from .walg import FinAlgebra, el_norm
 
 
@@ -27,12 +26,6 @@ def smash_product(B: FinAlgebra, kg: FinAlgebra, action) -> FinAlgebra:
                 mul[((a, s), (b, t))] = out
     return FinAlgebra(F, basis, mul, None, name="B#KG",
                       meta={"B": B, "kg": kg, "action": action, "groupoid": g})
-
-
-def harpoon(rho_label, z: dict) -> dict:
-    """Evaluation action of a dual basis vector on B#KG: keeps the terms
-    whose middle leg equals the given label."""
-    return {lab: c for lab, c in z.items() if lab[1] == rho_label}
 
 
 def double_smash(B: FinAlgebra, kg: FinAlgebra, kgstar: FinAlgebra,
@@ -81,41 +74,27 @@ def double_smash(B: FinAlgebra, kg: FinAlgebra, kgstar: FinAlgebra,
 def find_unit(alg: FinAlgebra):
     """Two-sided unit of a structure-constant algebra, or None.
 
-    Solves the linear system 'u x = x = x u for all basis x' exactly;
-    all-zero equations are dropped and duplicates folded, which keeps the
-    system small for the sparse product tables smash products produce.
+    Solves the linear system 'u x = x = x u for all basis x' exactly.  The
+    equations are read off the nonzero structure constants: the one for
+    (x, side, i) says that the coefficient of basis label i in
+    sum_b u_b (b x), or in sum_b u_b (x b), is 1 when i == x and 0 otherwise.
     """
     F = alg.field
     n = alg.dim
-    seen = {}
-    rows = []
-    rhs = []
+    eqs = {}
+    for (a, b), prod in alg.mul.items():
+        for lab, c in prod.items():
+            eqs.setdefault((b, 0, lab), {})[alg.index[a]] = c
+            eqs.setdefault((a, 1, lab), {})[alg.index[b]] = c
     for x in alg.basis:
-        # sum_b u_b (b * x) = x   and   sum_b u_b (x * b) = x
         for side in (0, 1):
-            cols = []
-            for b in alg.basis:
-                prod = alg.basis_product(b, x) if side == 0 else alg.basis_product(x, b)
-                cols.append(alg.to_vector(prod))
-            target = alg.to_vector(alg.basis_element(x))
-            for i in range(n):
-                row = tuple(cols[j][i] for j in range(n))
-                want = target[i]
-                if all(c == F.zero for c in row):
-                    if want != F.zero:
-                        return None
-                    continue
-                if seen.get(row, want) != want:
-                    return None
-                if row not in seen:
-                    seen[row] = want
-                    rows.append(list(row))
-                    rhs.append(want)
-    sol = solve(Matrix.from_rows(F, rows), rhs)
-    if sol is None:
+            eqs.setdefault((x, side, x), {})[n] = F.one  # index n: right-hand side
+    # the lookup through the module keeps rref visible to tracers
+    rows, pivots = exactmath.rref(F, eqs.values())
+    if n in pivots:
         return None
-    unit = alg.from_vector(sol)
-    # solve() returns one candidate; confirm it really is two-sided
+    unit = alg.from_vector({p: row[n] for p, row in zip(pivots, rows) if n in row})
+    # rref yields one candidate; confirm it really is two-sided
     for x in alg.basis:
         e = alg.basis_element(x)
         if alg.multiply(unit, e) != e or alg.multiply(e, unit) != e:

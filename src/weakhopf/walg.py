@@ -26,18 +26,10 @@ def el_add(field, a: dict, b: dict) -> dict:
     return out
 
 
-def el_sub(field, a: dict, b: dict) -> dict:
-    return el_add(field, a, el_scale(field, field.neg(field.one), b))
-
-
 def el_scale(field, c, a: dict) -> dict:
     if c == field.zero:
         return {}
     return {k: field.mul(c, v) for k, v in a.items()}
-
-
-def el_eq(a: dict, b: dict) -> bool:
-    return a == b  # both zero-normalized
 
 
 class FinAlgebra:
@@ -105,14 +97,12 @@ class FinAlgebra:
                         out[lab] = s
         return out
 
-    def to_vector(self, x: dict):
-        v = [self.field.zero] * self.dim
-        for lab, c in x.items():
-            v[self.index[lab]] = c
-        return v
+    def to_vector(self, x: dict) -> dict:
+        """Sparse coordinate vector {basis index: scalar}."""
+        return {self.index[lab]: c for lab, c in x.items()}
 
-    def from_vector(self, v) -> dict:
-        return el_norm(self.field, {self.basis[i]: c for i, c in enumerate(v)})
+    def from_vector(self, v: dict) -> dict:
+        return el_norm(self.field, {self.basis[i]: v[i] for i in sorted(v)})
 
     def associativity_violations(self):
         """Exhaustive check of (ab)c == a(bc) over basis triples."""
@@ -248,7 +238,8 @@ def groupoid_algebra(field, g):
     basis = g.morphism_ids()
     mul = {}
     for a, b in g.composable_pairs():
-        mul[(a, b)] = {g.comp[(a, b)]: field.one}
+        if (a, b) in g.comp:  # a missing entry is the validator's to report
+            mul[(a, b)] = {g.comp[(a, b)]: field.one}
     unit = {e: field.one for e in g.objects}
     alg = FinAlgebra(field, basis, mul, unit, name="KG", meta={"groupoid": g})
     delta = {m: [(m, m, field.one)] for m in basis}

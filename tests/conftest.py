@@ -6,6 +6,24 @@ from weakhopf.instances import builtin_instance
 _CACHE = {}
 
 
+def groupoid_doc(g, name, field=None):
+    """Instance document for groupoid g with B = K^objects, each morphism
+    s -> t carrying the idempotent at t onto the one at s."""
+    return {
+        "name": name,
+        "field": field or {"kind": "rational"},
+        "groupoid": {
+            "objects": list(g.objects),
+            "morphisms": [{"id": m.id, "src": m.src, "tgt": m.tgt, "inv": m.inv}
+                          for m in g.morphisms],
+            "composition": [[a, b, c] for (a, b), c in sorted(g.comp.items())],
+        },
+        "algebra": {"basis": list(g.objects), "unit": {e: "1" for e in g.objects},
+                    "multiplication": [[e, e, {e: "1"}] for e in g.objects]},
+        "action": [[m.id, m.tgt, {m.src: "1"}] for m in g.morphisms],
+    }
+
+
 def context(name) -> VerificationContext:
     if name not in _CACHE:
         _CACHE[name] = VerificationContext(builtin_instance(name))

@@ -8,9 +8,10 @@ import time
 import pytest
 
 from conftest import context
+from oracle import flatten, rank
 from weakhopf.cli import main
 from weakhopf.duality import KERNEL_STRATA, UNCLASSIFIED
-from weakhopf.exactmath import QQ, rank, subspace_equal
+from weakhopf.exactmath import QQ, subspace_equal
 from weakhopf.groupoid import (builtin_i2, cyclic_group, disjoint_union,
                                pair_groupoid, validate_groupoid)
 from weakhopf.walg import (check_antipode, check_weak_bialgebra,
@@ -60,7 +61,7 @@ def test_criterion_2_classical_duality(capsys):
             ok = ok and endo == want
             seen.add((g.compose(m, nn), nn))
         ok = ok and len(seen) == n * n
-        ok = ok and rank(ctx.phi.flatten()) == n * n
+        ok = ok and rank(flatten(ctx.phi)) == n * n
         ok = ok and ctx.ki.dims == {"domain": n * n, "kernel": 0, "image": n * n}
     with capsys.disabled():
         _line(2, ok, "phi is bijective onto the n^2-dim endomorphism space "

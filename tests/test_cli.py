@@ -156,3 +156,49 @@ def test_bad_field_spec_rejected():
     doc["field"] = {"kind": "prime", "p": 10}
     with pytest.raises(InstanceFormatError):
         parse_instance(doc)
+
+
+def test_missing_composition_entry_is_reported_not_raised(tmp_path, capsys):
+    # Z/2 with a*a left out of the table: every command analyses the
+    # instance, exits 1 and names the missing entry
+    doc = builtin_doc("z2-trivial")
+    doc["groupoid"]["composition"].remove(["a", "a", "e"])
+    p = tmp_path / "missing.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    report = tmp_path / "report.json"
+    for argv in (["validate", str(p)], ["hopf-check", str(p)],
+                 ["verify", str(p), "--json", str(report)]):
+        assert main(argv) == 1
+    out = capsys.readouterr().out
+    assert out.count("composition-missing") >= 2
+    findings = json.loads(report.read_text(encoding="utf-8"))["validation"]["groupoid"]
+    assert "composition-missing" in {f["check"] for f in findings["findings"]}
+
+
+def test_reports_are_byte_identical_across_hash_seeds(tmp_path):
+    # a wrong composition breaks multiplicative closure, so the prop2.3 and
+    # thm2.6 witness lists are long; their order must not follow the hash seed
+    import os
+    import subprocess
+    import sys
+    from conftest import groupoid_doc
+    from weakhopf.groupoid import pair_groupoid
+    doc = groupoid_doc(pair_groupoid(3), "pair3", {"kind": "prime", "p": 2**31 - 1})
+    for entry in doc["groupoid"]["composition"]:
+        if entry[:2] == ["m1_2", "m2_3"]:
+            entry[2] = "m1_2"
+    p = tmp_path / "wrong.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["weakhopf"].__file__)))
+    reports = []
+    for seed in ("1", "2"):
+        out = tmp_path / f"report-{seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src, WH_COLOR="0")
+        run = subprocess.run([sys.executable, "-m", "weakhopf", "verify", str(p),
+                              "--claim", "all", "--json", str(out)],
+                             env=env, capture_output=True, timeout=300)
+        assert run.returncode == 1, run.stderr
+        reports.append(out.read_bytes())
+    claims = {c["claim"]: c for c in json.loads(reports[0])["claims"]}
+    assert claims["prop2.3"]["witness_count"] > 1
+    assert reports[0] == reports[1]

@@ -4,31 +4,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakhopf.exactmath import (Matrix, PrimeField, QQ, kernel_basis, rank,
-                                solve, subspace_contains, subspace_equal)
+import oracle
+from oracle import Matrix, dense, solve, sparse
+from weakhopf.exactmath import (Echelon, PrimeField, QQ, null_space, rref,
+                                subspace_equal)
 
 F5 = PrimeField(5)
+F7 = PrimeField(7)
 
 
 def q(n, d=1):
     return Fraction(n, d)
 
 
-def qmat(rows):
-    return Matrix.from_rows(QQ, [[q(x) for x in row] for row in rows])
+def qvec(xs):
+    return sparse([q(x) for x in xs], QQ)
+
+
+def columns(field, rows, ncols):
+    """The columns of a dense row list, as sparse vectors."""
+    return [sparse([row[j] for row in rows], field) for j in range(ncols)]
+
+
+def rank(field, rows):
+    return len(rref(field, [sparse(r, field) for r in rows])[1])
 
 
 def test_identity_has_trivial_kernel():
-    m = qmat([[1, 0], [0, 1]])
-    assert kernel_basis(m) == []
+    assert null_space(QQ, [qvec([1, 0]), qvec([0, 1])]) == []
 
 
 def test_rank_one_row_kernel():
-    m = qmat([[1, 1]])
-    basis = kernel_basis(m)
+    basis = null_space(QQ, [qvec([1]), qvec([1])])
     assert len(basis) == 1
     # spans (1, -1)
-    assert subspace_equal(QQ, basis, [[q(1), q(-1)]])
+    assert subspace_equal(QQ, basis, [qvec([1, -1])])
 
 
 def test_kernel_of_known_rank_product():
@@ -38,41 +48,47 @@ def test_kernel_of_known_rank_product():
     prod = [[q(sum(a[i][k] * b[k][j] for k in range(3))) for j in range(6)]
             for i in range(4)]
     m = Matrix.from_rows(QQ, prod)
-    assert rank(m) == 3
-    basis = kernel_basis(m)
+    assert rank(QQ, prod) == 3
+    basis = null_space(QQ, columns(QQ, prod, 6))
     assert len(basis) == 3
     for v in basis:
-        assert all(x == 0 for x in m.mat_vec(v))
+        assert all(x == 0 for x in m.mat_vec(dense(v, 6, QQ)))
 
 
 def test_zero_row_matrix_kernel_is_everything():
-    m = Matrix(QQ, 0, 3, [])
-    basis = kernel_basis(m)
+    basis = null_space(QQ, [{}, {}, {}])
     assert len(basis) == 3
-    assert subspace_equal(QQ, basis, [[q(1), q(0), q(0)],
-                                      [q(0), q(1), q(0)],
-                                      [q(0), q(0), q(1)]])
+    assert subspace_equal(QQ, basis, [qvec([1, 0, 0]), qvec([0, 1, 0]),
+                                      qvec([0, 0, 1])])
 
 
 def test_subspace_equal_scaling():
-    assert subspace_equal(QQ, [[q(1), q(0)]], [[q(2), q(0)]])
-    assert not subspace_equal(QQ, [[q(1), q(0)]], [[q(0), q(1)]])
-    assert subspace_equal(QQ, [[q(1), q(1)], [q(1), q(0)]],
-                          [[q(0), q(1)], [q(1), q(0)]])
+    assert subspace_equal(QQ, [qvec([1, 0])], [qvec([2, 0])])
+    assert not subspace_equal(QQ, [qvec([1, 0])], [qvec([0, 1])])
+    assert subspace_equal(QQ, [qvec([1, 1]), qvec([1, 0])],
+                          [qvec([0, 1]), qvec([1, 0])])
 
 
 def test_subspace_dimension_mismatch():
+    # only dense vectors have a length to disagree on
     with pytest.raises(ValueError):
-        subspace_equal(QQ, [[q(1), q(0)]], [[q(1), q(0), q(0)]])
+        oracle.subspace_equal(QQ, [[q(1), q(0)]], [[q(1), q(0), q(0)]])
     with pytest.raises(ValueError):
-        subspace_contains(QQ, [[q(1), q(0), q(0)]], [q(1), q(0)])
+        oracle.subspace_contains(QQ, [[q(1), q(0), q(0)]], [q(1), q(0)])
+
+
+def _span(field, vectors):
+    ech = Echelon(field)
+    for v in vectors:
+        ech.add(v)
+    return ech
 
 
 def test_subspace_contains():
-    assert subspace_contains(QQ, [[q(1), q(0)]], [q(3), q(0)])
-    assert not subspace_contains(QQ, [[q(1), q(0)]], [q(0), q(1)])
+    assert _span(QQ, [qvec([1, 0])]).contains(qvec([3, 0]))
+    assert not _span(QQ, [qvec([1, 0])]).contains(qvec([0, 1]))
     # GF(5): 3 * (1, 2) = (3, 6) = (3, 1)
-    assert subspace_contains(F5, [[1, 2]], [3, 1])
+    assert _span(F5, [{0: 1, 1: 2}]).contains({0: 3, 1: 1})
 
 
 def test_gf5_arithmetic():
@@ -86,10 +102,10 @@ def test_gf5_arithmetic():
 
 
 def test_solve():
-    m = qmat([[1, 1], [0, 1]])
+    m = Matrix.from_rows(QQ, [[q(1), q(1)], [q(0), q(1)]])
     assert m.mat_vec(solve(m, [q(3), q(1)])) == [q(3), q(1)]
     # inconsistent system
-    m2 = qmat([[1, 1], [1, 1]])
+    m2 = Matrix.from_rows(QQ, [[q(1), q(1)], [q(1), q(1)]])
     assert solve(m2, [q(0), q(1)]) is None
 
 
@@ -100,36 +116,85 @@ def test_rational_parse_reduced():
     assert QQ.show(QQ.parse("-3/9")) == "-1/3"
 
 
+def test_echelon_copy_leaves_the_original_alone():
+    ech = _span(QQ, [qvec([1, 1, 0])])
+    probe = ech.copy()
+    assert probe.add(qvec([0, 1, 1]))
+    assert ech.rank == 1 and ech.rows == [qvec([1, 1, 0])]
+    assert probe.rows == [qvec([1, 0, -1]), qvec([0, 1, 1])]
+
+
 small_int = st.integers(min_value=-3, max_value=3)
 
 
 @st.composite
-def qq_matrix(draw):
+def int_matrix(draw):
     r = draw(st.integers(min_value=1, max_value=4))
     c = draw(st.integers(min_value=1, max_value=5))
-    rows = draw(st.lists(st.lists(small_int, min_size=c, max_size=c),
+    return draw(st.lists(st.lists(small_int, min_size=c, max_size=c),
                          min_size=r, max_size=r))
-    return Matrix.from_rows(QQ, [[q(x) for x in row] for row in rows])
 
 
-@given(qq_matrix())
+@given(int_matrix())
 @settings(max_examples=60, deadline=None)
-def test_rank_nullity(m):
-    basis = kernel_basis(m)
-    assert rank(m) + len(basis) == m.cols
+def test_rank_nullity(rows):
+    rows = [[q(x) for x in row] for row in rows]
+    ncols = len(rows[0])
+    m = Matrix.from_rows(QQ, rows)
+    basis = null_space(QQ, columns(QQ, rows, ncols))
+    assert rank(QQ, rows) + len(basis) == ncols
     for v in basis:
-        assert all(x == 0 for x in m.mat_vec(v))
+        assert all(x == 0 for x in m.mat_vec(dense(v, ncols, QQ)))
     # determinism, bit for bit
-    assert kernel_basis(m) == basis
+    assert null_space(QQ, columns(QQ, rows, ncols)) == basis
 
 
 @given(st.lists(st.lists(small_int, min_size=3, max_size=3), min_size=0, max_size=4),
        st.permutations(range(4)))
 @settings(max_examples=40, deadline=None)
 def test_subspace_equal_is_equivalence(vectors, perm):
-    vs = [[q(x) for x in v] for v in vectors]
+    vs = [qvec(v) for v in vectors]
     assert subspace_equal(QQ, vs, vs)
     shuffled = [vs[i] for i in perm if i < len(vs)]
-    doubled = [[2 * x for x in v] for v in vs]
+    doubled = [{i: 2 * x for i, x in v.items()} for v in vs]
     assert subspace_equal(QQ, vs, shuffled + doubled)
     assert subspace_equal(QQ, shuffled + doubled, vs)
+
+
+# -- the sparse core against the dense oracle ---------------------------------
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "GF7"])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_sparse_core_equals_dense_oracle(field, data):
+    rows = [[field.parse(x) for x in row] for row in data.draw(int_matrix())]
+    other = [[field.parse(x) for x in row]
+             for row in data.draw(st.lists(st.lists(small_int, min_size=len(rows[0]),
+                                                    max_size=len(rows[0])), max_size=4))]
+    ncols = len(rows[0])
+    m = Matrix.from_rows(field, rows)
+
+    # rref: same pivots and the same nonzero rows, entry for entry
+    want_rows, want_pivots = oracle.rref(m)
+    got_rows, got_pivots = rref(field, [sparse(r, field) for r in rows])
+    assert got_pivots == want_pivots
+    assert [dense(r, ncols, field) for r in got_rows] == want_rows[:len(want_pivots)]
+
+    # the kernel, one vector per free column, bit for bit
+    kernel = null_space(field, columns(field, rows, ncols))
+    assert [dense(v, ncols, field) for v in kernel] == oracle.kernel_basis(m)
+
+    # Echelon: same answers from add, the same rows, the same membership
+    sp, dn = Echelon(field), oracle.Echelon(field, ncols)
+    for r in rows:
+        assert sp.add(sparse(r, field)) == dn.add(r)
+    assert [dense(r, ncols, field) for r in sp.rows] == dn.rows
+    assert list(sp.pivots) == dn.pivots
+    for r in other:
+        assert sp.contains(sparse(r, field)) == dn.contains(r)
+
+    # subspace_equal
+    assert subspace_equal(field, [sparse(r, field) for r in rows],
+                          [sparse(r, field) for r in other]) \
+        == oracle.subspace_equal(field, rows, other)

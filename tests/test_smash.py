@@ -1,8 +1,17 @@
 from fractions import Fraction
 
-from weakhopf.smash import find_unit, harpoon
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weakhopf.smash import find_unit
 
 one = Fraction(1)
+
+
+def harpoon(rho_label, z: dict) -> dict:
+    """Evaluation action of a dual basis vector on B#KG: keeps the terms
+    whose middle leg equals the given label."""
+    return {lab: c for lab, c in z.items() if lab[1] == rho_label}
 
 
 def test_smash_product_rule_i2(ctx_i2):
@@ -100,3 +109,31 @@ def test_mismatched_parents_rejected(ctx_i2, ctx_z2):
     import pytest
     with pytest.raises(ValueError):
         build_phi(ctx_i2.dsm, ctx_z2.bsm)
+
+
+# -- find_unit against the dense solve oracle ---------------------------------
+
+
+def test_find_unit_equals_dense_oracle_on_builtins():
+    import oracle
+    from conftest import context
+    from weakhopf.instances import BUILTIN_NAMES
+    for name in BUILTIN_NAMES:
+        ctx = context(name)
+        for alg in (ctx.B, ctx.kg, ctx.kgstar, ctx.bsm, ctx.dsm):
+            assert find_unit(alg) == oracle.find_unit(alg), (name, alg.name)
+
+
+@given(st.integers(min_value=1, max_value=3), st.sampled_from([2, 3]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_find_unit_equals_dense_oracle_on_random_tables(dim, p, data):
+    import oracle
+    from weakhopf.exactmath import PrimeField
+    from weakhopf.walg import FinAlgebra
+    F = PrimeField(p)
+    basis = [f"x{i}" for i in range(dim)]
+    coeff = st.integers(min_value=0, max_value=p - 1)
+    mul = {(a, b): dict(zip(basis, data.draw(st.lists(coeff, min_size=dim, max_size=dim))))
+           for a in basis for b in basis}
+    alg = FinAlgebra(F, basis, mul)
+    assert find_unit(alg) == oracle.find_unit(alg)
