@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from .exactmath import Echelon
 from .report import Report
-from .walg import FinAlgebra, el_add, el_norm, el_scale, target_counit
+from .walg import FinAlgebra, el_addto, el_norm, target_counit
 
 
 class ModuleAction:
@@ -38,7 +38,7 @@ class ModuleAction:
         out = {}
         for m, cm in kg_element.items():
             for b, cb in b_element.items():
-                out = el_add(F, out, el_scale(F, F.mul(cm, cb), self.table[(m, b)]))
+                el_addto(F, out, F.mul(cm, cb), self.table[(m, b)])
         return out
 
     def image_spans(self):
@@ -87,7 +87,7 @@ def check_module_algebra(B: FinAlgebra, kg: FinAlgebra, kg_co, action: ModuleAct
                 rhs = {}
                 for m1, m2, c in legs:
                     term = B.multiply(action.act_basis(m1, x), action.act_basis(m2, y))
-                    rhs = el_add(F, rhs, el_scale(F, c, term))
+                    el_addto(F, rhs, c, term)
                 if lhs != rhs:
                     rep.add("module-axiom-ii", [m, x, y],
                             "action is not multiplicative at this pair")

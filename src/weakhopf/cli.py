@@ -74,16 +74,18 @@ def _resolve(target: str):
         f"(builtins: {', '.join(BUILTIN_NAMES)})")
 
 
+def _weak_hopf_report(alg, co):
+    rep = check_weak_bialgebra(alg, co)
+    rep.merge(check_antipode(alg, co))
+    return rep
+
+
 def _validation_reports(ctx: VerificationContext):
-    kg_rep = check_weak_bialgebra(ctx.kg, ctx.kg_co)
-    kg_rep.merge(check_antipode(ctx.kg, ctx.kg_co))
-    kgstar_rep = check_weak_bialgebra(ctx.kgstar, ctx.kgstar_co)
-    kgstar_rep.merge(check_antipode(ctx.kgstar, ctx.kgstar_co))
     return [
         ("groupoid", ctx.groupoid_report),
         ("algebra-b", ctx.b_report),
-        ("kg-weak-hopf", kg_rep),
-        ("kg-dual-weak-hopf", kgstar_rep),
+        ("kg-weak-hopf", _weak_hopf_report(ctx.kg, ctx.kg_co)),
+        ("kg-dual-weak-hopf", _weak_hopf_report(ctx.kgstar, ctx.kgstar_co)),
         ("module-algebra", ctx.module_report),
         ("decomposition", ctx.decomp_report),
     ]
@@ -154,14 +156,12 @@ def cmd_verify(args) -> int:
                   f"{', '.join(CLAIM_IDS)} or 'all'", file=sys.stderr)
             return 2
     try:
-        inst = _resolve(args.instance)
-        ctx = VerificationContext(inst)
+        ctx = VerificationContext(_resolve(args.instance))
+        results = [ctx.verify(cid) for cid in claims]
+        doc = build_report_doc(ctx, results)
     except InstanceFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    results = [ctx.verify(cid) for cid in claims]
-    doc = build_report_doc(ctx, results)
 
     name = ctx.instance.name or args.instance
     print(f"instance {name}  field={ctx.field.describe()}  "
@@ -212,11 +212,8 @@ def cmd_hopf_check(args) -> int:
     grep = validate_groupoid(inst.groupoid)
     kg, kg_co = groupoid_algebra(inst.field, inst.groupoid)
     kgstar, kgstar_co = dual_weak_hopf(kg, kg_co)
-    reports = [("groupoid", grep)]
-    for label, alg, co in (("kg", kg, kg_co), ("kg-dual", kgstar, kgstar_co)):
-        rep = check_weak_bialgebra(alg, co)
-        rep.merge(check_antipode(alg, co))
-        reports.append((label, rep))
+    reports = [("groupoid", grep), ("kg", _weak_hopf_report(kg, kg_co)),
+               ("kg-dual", _weak_hopf_report(kgstar, kgstar_co))]
     ok = True
     for name, rep in reports:
         ok = ok and rep.ok

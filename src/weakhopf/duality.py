@@ -14,7 +14,7 @@ from functools import cached_property
 
 from .exactmath import Echelon, null_space, subspace_equal
 from .report import Report
-from .walg import el_add, el_norm, el_scale
+from .walg import acc, el_addto
 
 STRATA = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9", "A10")
 UNCLASSIFIED = "unclassified"
@@ -113,13 +113,7 @@ class LinearMapRep:
         out = {}
         for lab, c in element.items():
             for col, img in self.columns[lab].items():
-                cur = out.setdefault(col, {})
-                for row, w in img.items():
-                    s = F.add(cur.get(row, F.zero), F.mul(c, w))
-                    if s == F.zero:
-                        cur.pop(row, None)
-                    else:
-                        cur[row] = s
+                el_addto(F, out.setdefault(col, {}), c, img)
         return {col: img for col, img in out.items() if img}
 
     def endo_to_vector(self, endo: dict) -> dict:
@@ -135,16 +129,11 @@ def compose_endos(phi: LinearMapRep, first: dict, second: dict) -> dict:
     F = phi.field
     out = {}
     for col, img in second.items():
-        acc = {}
+        total = {}
         for mid, c in img.items():
-            for row, w in first.get(mid, {}).items():
-                s = F.add(acc.get(row, F.zero), F.mul(c, w))
-                if s == F.zero:
-                    acc.pop(row, None)
-                else:
-                    acc[row] = s
-        if acc:
-            out[col] = acc
+            el_addto(F, total, c, first.get(mid, {}))
+        if total:
+            out[col] = total
     return out
 
 
@@ -208,7 +197,7 @@ def _apply_endo_to_element(phi, endo, element):
     F = phi.field
     out = {}
     for lab, c in element.items():
-        out = el_add(F, out, el_scale(F, c, endo.get(lab, {})))
+        el_addto(F, out, c, endo.get(lab, {}))
     return out
 
 
@@ -262,16 +251,14 @@ def identity_candidates(B, action, groupoid):
         tl = groupoid.tgt(l)
         for n in tail(tl):
             for lab, c in img.items():
-                key = (lab, tl, n)
-                y_morph[key] = F.add(y_morph.get(key, F.zero), c)
+                acc(F, y_morph, (lab, tl, n), c)
     y_obj = {}
     for e in groupoid.objects:
         img = action.act({e: F.one}, B.unit)
         for n in tail(e):
             for lab, c in img.items():
-                key = (lab, e, n)
-                y_obj[key] = F.add(y_obj.get(key, F.zero), c)
-    return el_norm(F, y_morph), el_norm(F, y_obj)
+                acc(F, y_obj, (lab, e, n), c)
+    return y_morph, y_obj
 
 
 # -- psi -------------------------------------------------------------------------
@@ -352,7 +339,6 @@ class VerificationContext:
 
     def __init__(self, instance):
         from . import action as action_mod
-        from . import smash as smash_mod
         from . import walg as walg_mod
         from .groupoid import validate_groupoid
 
@@ -377,22 +363,54 @@ class VerificationContext:
         self.decomp, self.decomp_report = action_mod.component_decomposition(
             self.B, self.kg, self.action)
 
-        self.bsm = smash_mod.smash_product(self.B, self.kg, self.action)
-        self.dsm = smash_mod.double_smash(
-            self.B, self.kg, self.kgstar, self.kgstar_co, self.action)
-        self.phi = build_phi(self.dsm, self.bsm)
-        self.classification, self.strata_dims = classify_basis(
-            self.dsm, self.groupoid, self.decomp, self.action)
-        self.ki = kernel_and_image(self.phi)
-        self.y_morph, self.y_obj = identity_candidates(
-            self.B, self.action, self.groupoid)
-
         self._dfap = None
         self._dfap_report = None
         self._skew = None
         self._skew_error = None
 
     # -- lazily derived pieces ------------------------------------------------
+
+    @cached_property
+    def bsm(self):
+        from .smash import smash_product
+        return smash_product(self.B, self.kg, self.action)
+
+    @cached_property
+    def dsm(self):
+        from .smash import double_smash
+        return double_smash(self.B, self.kg, self.kgstar, self.kgstar_co, self.action)
+
+    @cached_property
+    def phi(self):
+        return build_phi(self.dsm, self.bsm)
+
+    @cached_property
+    def _strata(self):
+        return classify_basis(self.dsm, self.groupoid, self.decomp, self.action)
+
+    @property
+    def classification(self):
+        return self._strata[0]
+
+    @property
+    def strata_dims(self):
+        return self._strata[1]
+
+    @cached_property
+    def ki(self):
+        return kernel_and_image(self.phi)
+
+    @cached_property
+    def _identity_candidates(self):
+        return identity_candidates(self.B, self.action, self.groupoid)
+
+    @property
+    def y_morph(self):
+        return self._identity_candidates[0]
+
+    @property
+    def y_obj(self):
+        return self._identity_candidates[1]
 
     def dfap(self):
         if self._dfap is None:

@@ -18,6 +18,15 @@ class InstanceFormatError(ValueError):
     """Malformed instance document: bad JSON shape or dangling references."""
 
 
+def groupoid_to_doc(g) -> dict:
+    return {
+        "objects": list(g.objects),
+        "morphisms": [{"id": m.id, "src": m.src, "tgt": m.tgt, "inv": m.inv}
+                      for m in g.morphisms],
+        "composition": [[a, b, c] for (a, b), c in sorted(g.comp.items())],
+    }
+
+
 class Instance:
     def __init__(self, name, field, groupoid, algebra, action):
         self.name = name
@@ -33,12 +42,7 @@ class Instance:
         doc = {
             "name": self.name,
             "field": F.describe(),
-            "groupoid": {
-                "objects": list(g.objects),
-                "morphisms": [{"id": m.id, "src": m.src, "tgt": m.tgt, "inv": m.inv}
-                              for m in g.morphisms],
-                "composition": [[a, b, c] for (a, b), c in sorted(g.comp.items())],
-            },
+            "groupoid": groupoid_to_doc(g),
             "algebra": {
                 "basis": list(self.algebra.basis),
                 "unit": {k: F.show(v) for k, v in sorted(self.algebra.unit.items())},
@@ -76,12 +80,35 @@ def _parse_element(field, doc, basis, where):
     return out
 
 
+def _list(value, where):
+    if not isinstance(value, list):
+        raise InstanceFormatError(f"{where} must be a list")
+    return value
+
+
+def _labels(values, where):
+    """values as a list of labels: JSON scalars, never lists or objects."""
+    for i, lab in enumerate(_list(values, where)):
+        if isinstance(lab, (list, dict)):
+            raise InstanceFormatError(f"{where}[{i}] is not a label: {lab!r}")
+    return values
+
+
+def _triples(rows, where):
+    """The [label, label, element] rows of a table section."""
+    for i, entry in enumerate(_list(rows, where)):
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise InstanceFormatError(f"{where}[{i}] is not a [label, label, element] triple")
+        _labels(entry[:2], f"{where}[{i}]")
+    return rows
+
+
 def parse_instance(doc: dict) -> Instance:
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be a JSON object")
     try:
         field = field_from_spec(doc["field"])
-    except (KeyError, ValueError, TypeError) as exc:
+    except (AttributeError, KeyError, ValueError, TypeError) as exc:
         raise InstanceFormatError(f"bad field spec: {exc}")
 
     gdoc = doc.get("groupoid")
@@ -106,13 +133,12 @@ def parse_instance(doc: dict) -> Instance:
     adoc = doc.get("algebra")
     if not isinstance(adoc, dict) or "basis" not in adoc or "unit" not in adoc:
         raise InstanceFormatError("algebra section needs basis and unit")
-    basis = list(adoc["basis"])
+    basis = list(_labels(adoc["basis"], "algebra basis"))
     if len(set(basis)) != len(basis):
         raise InstanceFormatError("duplicate algebra basis labels")
     bset = set(basis)
     mul = {}
-    for entry in adoc.get("multiplication", []):
-        a, b, el = entry
+    for a, b, el in _triples(adoc.get("multiplication", []), "multiplication"):
         if a not in bset or b not in bset:
             raise InstanceFormatError(f"multiplication references unknown label {a!r} or {b!r}")
         if (a, b) in mul:
@@ -122,8 +148,7 @@ def parse_instance(doc: dict) -> Instance:
     algebra = FinAlgebra(field, basis, mul, unit, name="B")
 
     table = {}
-    for entry in doc.get("action", []):
-        m, b, el = entry
+    for m, b, el in _triples(doc.get("action", []), "action"):
         if m not in set(groupoid.morphism_ids()):
             raise InstanceFormatError(f"action references unknown morphism {m!r}")
         if b not in bset:
@@ -148,6 +173,8 @@ def load_instance(path) -> Instance:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"not valid JSON: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InstanceFormatError(f"cannot read {path}: {exc}")
     return parse_instance(doc)
 
 
@@ -167,12 +194,7 @@ def _z_trivial(n, name):
     return {
         "name": name,
         "field": {"kind": "rational"},
-        "groupoid": {
-            "objects": list(g.objects),
-            "morphisms": [{"id": m.id, "src": m.src, "tgt": m.tgt, "inv": m.inv}
-                          for m in g.morphisms],
-            "composition": [[a, b, c] for (a, b), c in sorted(g.comp.items())],
-        },
+        "groupoid": groupoid_to_doc(g),
         "algebra": {"basis": ["b"], "unit": {"b": "1"},
                     "multiplication": [["b", "b", {"b": "1"}]]},
         "action": _trivial_action_doc(g),
@@ -184,12 +206,7 @@ def _i2_swap():
     return {
         "name": "i2-swap",
         "field": {"kind": "rational"},
-        "groupoid": {
-            "objects": list(g.objects),
-            "morphisms": [{"id": m.id, "src": m.src, "tgt": m.tgt, "inv": m.inv}
-                          for m in g.morphisms],
-            "composition": [[a, b, c] for (a, b), c in sorted(g.comp.items())],
-        },
+        "groupoid": groupoid_to_doc(g),
         "algebra": {
             "basis": ["e1", "e2"],
             "unit": {"e1": "1", "e2": "1"},

@@ -6,7 +6,7 @@ Neither product is assumed unital; find_unit reports one if it exists.
 """
 
 from . import exactmath
-from .walg import FinAlgebra, el_norm
+from .walg import FinAlgebra, acc
 
 
 def smash_product(B: FinAlgebra, kg: FinAlgebra, action) -> FinAlgebra:
@@ -60,10 +60,7 @@ def double_smash(B: FinAlgebra, kg: FinAlgebra, kgstar: FinAlgebra,
                 coeff = B.multiply(B.basis_element(a), action.act_basis(m, b))
                 for lab, cb in coeff.items():
                     for rho, cr in conv.items():
-                        key = (lab, ms, rho)
-                        v = F.add(out.get(key, F.zero), F.mul(c, F.mul(cb, cr)))
-                        out[key] = v
-            out = el_norm(F, out)
+                        acc(F, out, (lab, ms, rho), F.mul(c, F.mul(cb, cr)))
             if out:
                 mul[((a, m, n), (b, s, t))] = out
     return FinAlgebra(F, basis, mul, None, name="B#KG#KG*",

@@ -1,7 +1,7 @@
 import pytest
 
 from weakhopf.duality import VerificationContext
-from weakhopf.instances import builtin_instance
+from weakhopf.instances import builtin_instance, groupoid_to_doc
 
 _CACHE = {}
 
@@ -12,12 +12,7 @@ def groupoid_doc(g, name, field=None):
     return {
         "name": name,
         "field": field or {"kind": "rational"},
-        "groupoid": {
-            "objects": list(g.objects),
-            "morphisms": [{"id": m.id, "src": m.src, "tgt": m.tgt, "inv": m.inv}
-                          for m in g.morphisms],
-            "composition": [[a, b, c] for (a, b), c in sorted(g.comp.items())],
-        },
+        "groupoid": groupoid_to_doc(g),
         "algebra": {"basis": list(g.objects), "unit": {e: "1" for e in g.objects},
                     "multiplication": [[e, e, {e: "1"}] for e in g.objects]},
         "action": [[m.id, m.tgt, {m.src: "1"}] for m in g.morphisms],

@@ -202,3 +202,78 @@ def test_reports_are_byte_identical_across_hash_seeds(tmp_path):
     claims = {c["claim"]: c for c in json.loads(reports[0])["claims"]}
     assert claims["prop2.3"]["witness_count"] > 1
     assert reports[0] == reports[1]
+
+
+def _schema_breaks():
+    short_mul = builtin_doc("i2-swap")
+    short_mul["algebra"]["multiplication"][0] = ["e1", "e1"]
+    short_action = builtin_doc("i2-swap")
+    short_action["action"][0] = ["x", "e1"]
+    list_label = builtin_doc("i2-swap")
+    list_label["algebra"]["basis"][1] = ["e2"]
+    return {"short-multiplication": short_mul, "short-action": short_action,
+            "list-label": list_label, "directory": None}
+
+
+@pytest.mark.parametrize("case", sorted(_schema_breaks()))
+def test_schema_errors_exit_2_with_one_line(case, tmp_path, capsys):
+    import os
+    import subprocess
+    import sys
+    doc = _schema_breaks()[case]
+    if doc is None:
+        target = tmp_path
+    else:
+        target = tmp_path / f"{case}.json"
+        target.write_text(json.dumps(doc), encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["weakhopf"].__file__)))
+    run = subprocess.run([sys.executable, "-m", "weakhopf", "validate", str(target)],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error: ")
+    for cmd in ("verify", "hopf-check"):
+        assert main([cmd, str(target)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("name", ["z12", "pair4"])
+def test_larger_groupoids_pass_hopf_check_and_validate(name, tmp_path, capsys):
+    from conftest import groupoid_doc
+    from weakhopf.groupoid import cyclic_group, pair_groupoid
+    g = cyclic_group(12) if name == "z12" else pair_groupoid(4)
+    p = tmp_path / f"{name}.json"
+    p.write_text(json.dumps(groupoid_doc(g, name)), encoding="utf-8")
+    assert main(["hopf-check", str(p)]) == 0
+    assert main(["validate", str(p)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == ["PASS groupoid", "PASS kg", "PASS kg-dual",
+                     "PASS groupoid", "PASS algebra-b", "PASS kg-weak-hopf",
+                     "PASS kg-dual-weak-hopf", "PASS module-algebra",
+                     "PASS decomposition"]
+
+
+def test_validate_builds_only_what_it_reports(monkeypatch, capsys):
+    from weakhopf import duality, smash
+
+    def unused(*args):
+        raise AssertionError("wh validate built a stage it does not report")
+    for module, name in ((smash, "smash_product"), (smash, "double_smash"),
+                         (duality, "build_phi"), (duality, "kernel_and_image"),
+                         (duality, "classify_basis"), (duality, "identity_candidates")):
+        monkeypatch.setattr(module, name, unused)
+    assert main(["validate", "i2-swap"]) == 0
+    assert main(["validate", "ex2.8"]) == 1
+
+
+def test_verify_maps_format_errors_of_lazy_stages_to_exit_2(monkeypatch, capsys):
+    from weakhopf import duality
+    from weakhopf.instances import InstanceFormatError
+
+    def broken(dsm, bsm):
+        raise InstanceFormatError("phi cannot be built")
+    monkeypatch.setattr(duality, "build_phi", broken)
+    assert main(["verify", "z2-trivial"]) == 2
+    assert capsys.readouterr().err == "error: phi cannot be built\n"

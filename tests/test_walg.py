@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from weakhopf.exactmath import QQ, PrimeField
 from weakhopf.groupoid import builtin_i2, cyclic_group, disjoint_union, pair_groupoid
 from weakhopf.walg import (CoStructure, check_antipode, check_weak_bialgebra,
@@ -169,3 +170,122 @@ def test_bilinear_associativity_on_random_elements(xs, ys, zs):
     b = alg.element({b2: Fraction(c) for b2, c in zip(alg.basis, ys)})
     c = alg.element({b3: Fraction(cc) for b3, cc in zip(alg.basis, zs)})
     assert alg.multiply(alg.multiply(a, b), c) == alg.multiply(a, alg.multiply(b, c))
+
+
+# -- the sparse checkers and dual against the all-tuples oracle ---------------
+
+
+def _axiom_findings(check_wb, check_ap, alg, co):
+    rep = check_wb(alg, co)
+    rep.merge(check_ap(alg, co))
+    return rep.title, rep.findings, rep.info
+
+
+def assert_checks_match_oracle(alg, co):
+    assert (_axiom_findings(check_weak_bialgebra, check_antipode, alg, co)
+            == _axiom_findings(oracle.check_weak_bialgebra, oracle.check_antipode, alg, co))
+    assert alg.associativity_violations() == oracle.associativity_violations(alg)
+
+
+def assert_dual_matches_oracle(alg, co):
+    (dual, dco), (ref, rco) = dual_weak_hopf(alg, co), oracle.dual_weak_hopf(alg, co)
+    assert (dual.basis, dual.name, dual.unit) == (ref.basis, ref.name, ref.unit)
+    assert list(dual.mul.items()) == list(ref.mul.items())
+    assert list(dco.delta.items()) == list(rco.delta.items())
+    assert (dco.counit, dco.antipode) == (rco.counit, rco.antipode)
+
+
+@pytest.mark.parametrize("p", [None, 2])
+def test_checkers_equal_oracle_on_builtins(p):
+    from conftest import context
+    from weakhopf.instances import BUILTIN_NAMES
+    for name in BUILTIN_NAMES:
+        ctx = context(name)
+        if p is None:
+            kg, kg_co = ctx.kg, ctx.kg_co
+        else:
+            kg, kg_co = groupoid_algebra(PrimeField(p), ctx.groupoid)
+        assert_dual_matches_oracle(kg, kg_co)
+        dual, dual_co = dual_weak_hopf(kg, kg_co)
+        for alg, co in ((kg, kg_co), (dual, dual_co)):
+            assert_checks_match_oracle(alg, co)
+        if p is None:
+            for alg in (ctx.B, ctx.bsm, ctx.dsm):
+                assert alg.associativity_violations() == oracle.associativity_violations(alg)
+
+
+GENERATED = [pair_groupoid(n) for n in (1, 2, 3)] + [cyclic_group(n) for n in (2, 3, 4, 5)]
+FIELDS = [{"kind": "rational"}, {"kind": "prime", "p": 2}, {"kind": "prime", "p": 3}]
+
+
+@given(st.sampled_from(GENERATED), st.sampled_from(FIELDS))
+@settings(max_examples=15, deadline=None)
+def test_checkers_equal_oracle_on_generated_groupoids(g, field):
+    from conftest import groupoid_doc
+    from weakhopf.instances import parse_instance
+    inst = parse_instance(groupoid_doc(g, "generated", field))
+    kg, kg_co = groupoid_algebra(inst.field, inst.groupoid)
+    assert_dual_matches_oracle(kg, kg_co)
+    assert_checks_match_oracle(kg, kg_co)
+    assert_checks_match_oracle(*dual_weak_hopf(kg, kg_co))
+    assert inst.algebra.associativity_violations() == oracle.associativity_violations(inst.algebra)
+
+
+def _sabotaged_i2(table, value):
+    """KG of i2 with one table entry replaced, as (algebra, costructure)."""
+    from weakhopf.walg import FinAlgebra
+    alg, co = groupoid_algebra(QQ, builtin_i2())
+    mul, delta = dict(alg.mul), dict(co.delta)
+    counit, antipode = dict(co.counit), dict(co.antipode)
+    key, entry = value
+    {"mul": mul, "delta": delta, "counit": counit, "antipode": antipode}[table][key] = entry
+    return (FinAlgebra(QQ, alg.basis, mul, alg.unit, name="KG"),
+            CoStructure(QQ, delta, counit, antipode))
+
+
+SABOTAGES = [
+    ("coassociativity", "delta", ("g", [("g", "g", one), ("x", "g", one)])),
+    ("counit-law", "counit", ("g", Fraction(2))),
+    ("weak-unit", "delta", ("x", [("x", "x", one), ("x", "y", one)])),
+    ("weak-counit", "counit", ("x", Fraction(2))),
+    ("antipode-sandwich", "antipode", ("g", {"g": one})),
+    ("associativity", "mul", (("g", "gi"), {"y": one})),
+]
+
+
+@pytest.mark.parametrize("check,table,value", SABOTAGES, ids=[s[0] for s in SABOTAGES])
+def test_sabotaged_table_is_caught_as_the_oracle_catches_it(check, table, value):
+    alg, co = _sabotaged_i2(table, value)
+    assert_checks_match_oracle(alg, co)
+    assert_dual_matches_oracle(alg, co)
+    rep = check_weak_bialgebra(alg, co)
+    rep.merge(check_antipode(alg, co))
+    failed = rep.checks_failed() + (["associativity"] if alg.associativity_violations() else [])
+    assert check in failed
+
+
+@given(st.sampled_from([builtin_i2(), cyclic_group(3), pair_groupoid(2)]),
+       st.booleans(), st.sampled_from(["mul", "delta", "counit", "antipode"]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_checkers_equal_oracle_on_random_sabotage(g, dual, table, data):
+    from weakhopf.walg import FinAlgebra
+    alg, co = groupoid_algebra(QQ, g)
+    if dual:
+        alg, co = dual_weak_hopf(alg, co)
+    labels = st.sampled_from(alg.basis)
+    scalar = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1), Fraction(2)])
+    element = st.dictionaries(labels, scalar, max_size=2)
+    mul, delta = dict(alg.mul), dict(co.delta)
+    counit, antipode = dict(co.counit), dict(co.antipode)
+    if table == "mul":
+        mul[(data.draw(labels), data.draw(labels))] = data.draw(element)
+    elif table == "delta":
+        delta[data.draw(labels)] = data.draw(st.lists(st.tuples(labels, labels, scalar), max_size=3))
+    elif table == "counit":
+        counit[data.draw(labels)] = data.draw(scalar)
+    else:
+        antipode[data.draw(labels)] = data.draw(element)
+    bad = FinAlgebra(QQ, alg.basis, mul, alg.unit, name=alg.name)
+    bad_co = CoStructure(QQ, delta, counit, antipode)
+    assert_checks_match_oracle(bad, bad_co)
+    assert_dual_matches_oracle(bad, bad_co)
