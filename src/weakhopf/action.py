@@ -269,43 +269,34 @@ def derive_dfap_action(B: FinAlgebra, kg: FinAlgebra, action: ModuleAction,
     return DfapAction(ideal_bases, iso_images, ideal_labels), rep
 
 
-def skew_groupoid_ring(B: FinAlgebra, action: ModuleAction, dfap: DfapAction) -> FinAlgebra:
+def skew_groupoid_ring(bsm: FinAlgebra, dfap: DfapAction) -> FinAlgebra:
     """The twisted ring on symbols b.delta_g with b in the ideal at g:
     (x delta_g)(y delta_h) = x beta_g(y) delta_{gh} when gh exists, else 0.
 
-    Needs a homogeneous B basis so the symbols can be labeled by basis
-    vectors; raises otherwise.
+    Since beta_g(y) = g.y, this is B#KG restricted to the labels (b, g)
+    with b in the ideal at g; the restriction must be closed.  Needs a
+    homogeneous B basis so the symbols can be labeled by basis vectors;
+    raises otherwise.
     """
-    F = B.field
-    g = action.groupoid
+    g = bsm.meta["groupoid"]
     for m in g.morphism_ids():
         if dfap.ideal_labels.get(m) is None:
             raise ValueError(
                 f"skew ring needs a homogeneous basis for the ideal at {m!r}")
 
-    basis = []
-    for m in g.morphism_ids():
-        for b in dfap.ideal_labels[m]:
-            basis.append((b, m))
-
-    allowed = {m: set(dfap.ideal_labels[m]) for m in g.morphism_ids()}
+    basis = [(b, m) for m in g.morphism_ids() for b in dfap.ideal_labels[m]]
+    index = {lab: i for i, lab in enumerate(basis)}
+    right, _ = bsm.nonzero_products
     mul = {}
-    for (x, a) in basis:
-        for (y, b) in basis:
-            ab = g.comp.get((a, b)) if g.composable(a, b) else None
-            if ab is None:
-                continue
-            beta = action.act({a: F.one}, B.basis_element(y))
-            prod = B.multiply(B.basis_element(x), beta)
-            out = {}
-            for lab, c in prod.items():
-                if lab not in allowed[ab]:
+    for x in basis:
+        row = right.get(x, {})
+        for y in sorted((y for y in row if y in index), key=index.get):
+            for lab, ab in row[y]:
+                if (lab, ab) not in index:
                     raise ValueError(
                         f"skew product left the ideal at {ab!r} (label {lab!r})")
-                out[(lab, ab)] = c
-            if out:
-                mul[((x, a), (y, b))] = out
+            mul[(x, y)] = row[y]
 
     # no unit asserted; callers can search for one if they care
-    return FinAlgebra(F, basis, mul, None, name="B*G",
-                      meta={"B": B, "action": action})
+    return FinAlgebra(bsm.field, basis, mul, None, name="B*G",
+                      meta={"B": bsm.meta["B"], "action": bsm.meta["action"]})

@@ -181,7 +181,8 @@ def cmd_verify(args) -> int:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         print(f"report written to {args.json}")
-    return 0 if all(r.holds for r in results) else 1
+    valid = all(section["ok"] for section in doc["validation"].values())
+    return 0 if valid and all(r.holds for r in results) else 1
 
 
 def cmd_builtin(args) -> int:

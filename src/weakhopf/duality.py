@@ -1,7 +1,7 @@
 """The duality map phi from the double smash product into endomorphisms of
 B#KG, the A1..A10 stratification of the double-smash basis, the candidate
-identity elements, the skew-ring comparison map psi, and one verifier per
-structural claim.
+identity elements, and one verifier per structural claim.  The skew-ring
+comparison map psi sends b delta_g # r_h to the basis label b#u_g#r_h.
 
 Claim ids: thm2.2 (kernel stratification), prop2.3 (the unital corner is
 closed), prop2.4 (its identity element), prop2.5 (annihilation), thm2.6
@@ -138,23 +138,17 @@ def compose_endos(phi: LinearMapRep, first: dict, second: dict) -> dict:
 
 
 def build_phi(dsm, bsm) -> LinearMapRep:
-    """phi(a#u_g#r_h) sends b#u_l to (a#u_g)(b#u_l) when l == h, else 0."""
+    """phi(a#u_g#r_h) sends b#u_l to (a#u_g)(b#u_l) when l == h, else 0:
+    its column (a, g, h) is row (a, g) of B#KG restricted to the labels
+    (b, h)."""
     for key in ("B", "kg", "action"):
         if dsm.meta.get(key) is not bsm.meta.get(key):
             raise ValueError("smash products come from different parents")
-    F = dsm.field
-    columns = {}
-    for (a, g, h) in dsm.basis:
-        left = {(a, g): F.one}
-        col = {}
-        for (b, l) in bsm.basis:
-            if l != h:
-                continue
-            img = bsm.multiply(left, {(b, l): F.one})
-            if img:
-                col[(b, l)] = img
-        columns[(a, g, h)] = col
-    return LinearMapRep(F, list(dsm.basis), list(bsm.basis), columns)
+    right, _ = bsm.nonzero_products
+    columns = {(a, g, h): {(b, l): img for (b, l), img in right.get((a, g), {}).items()
+                           if l == h}
+               for (a, g, h) in dsm.basis}
+    return LinearMapRep(dsm.field, list(dsm.basis), list(bsm.basis), columns)
 
 
 def phi_is_homomorphism(phi: LinearMapRep, dsm) -> Report:
@@ -261,30 +255,6 @@ def identity_candidates(B, action, groupoid):
     return y_morph, y_obj
 
 
-# -- psi -------------------------------------------------------------------------
-
-
-@dataclass
-class PsiRep:
-    domain_basis: list    # ((b, g), h)
-    images: dict          # domain label -> element of the double smash
-
-
-def build_psi(skew, dsm, groupoid) -> PsiRep:
-    """psi(b delta_g # r_h) = b # u_g # r_h, as an element of the double
-    smash product."""
-    F = dsm.field
-    domain = [(sk, h) for sk in skew.basis for h in groupoid.morphism_ids()]
-    images = {}
-    for (sk, h) in domain:
-        b, g = sk
-        lab = (b, g, h)
-        if lab not in dsm.index:
-            raise ValueError(f"psi image {lab!r} is not a double-smash basis label")
-        images[(sk, h)] = {lab: F.one}
-    return PsiRep(domain, images)
-
-
 # -- claim verification -----------------------------------------------------------
 
 
@@ -363,11 +333,6 @@ class VerificationContext:
         self.decomp, self.decomp_report = action_mod.component_decomposition(
             self.B, self.kg, self.action)
 
-        self._dfap = None
-        self._dfap_report = None
-        self._skew = None
-        self._skew_error = None
-
     # -- lazily derived pieces ------------------------------------------------
 
     @cached_property
@@ -378,7 +343,7 @@ class VerificationContext:
     @cached_property
     def dsm(self):
         from .smash import double_smash
-        return double_smash(self.B, self.kg, self.kgstar, self.kgstar_co, self.action)
+        return double_smash(self.bsm, self.kgstar, self.kgstar_co)
 
     @cached_property
     def phi(self):
@@ -412,22 +377,21 @@ class VerificationContext:
     def y_obj(self):
         return self._identity_candidates[1]
 
+    @cached_property
     def dfap(self):
-        if self._dfap is None:
-            from .action import derive_dfap_action
-            self._dfap, self._dfap_report = derive_dfap_action(
-                self.B, self.kg, self.action, self.decomp)
-        return self._dfap, self._dfap_report
+        """(derived groupoid action, its report)."""
+        from .action import derive_dfap_action
+        return derive_dfap_action(self.B, self.kg, self.action, self.decomp)
 
+    @cached_property
     def skew(self):
-        if self._skew is None and self._skew_error is None:
-            from .action import skew_groupoid_ring
-            dfap, _ = self.dfap()
-            try:
-                self._skew = skew_groupoid_ring(self.B, self.action, dfap)
-            except ValueError as exc:
-                self._skew_error = str(exc)
-        return self._skew, self._skew_error
+        """(skew groupoid ring, None), or (None, why it is unavailable)."""
+        from .action import skew_groupoid_ring
+        bsm, (dfap, _) = self.bsm, self.dfap
+        try:
+            return skew_groupoid_ring(bsm, dfap), None
+        except ValueError as exc:
+            return None, str(exc)
 
     # -- helpers ----------------------------------------------------------------
 
@@ -597,7 +561,6 @@ class VerificationContext:
         return self._result("prop2.5", bool(passing), dims, witnesses, notes)
 
     def _verify_thm2_6(self) -> ClaimResult:
-        F = self.field
         kernel = self.ki.kernel
         s_vectors = self.stratum_vectors(IMAGE_STRATA)
         dim = self.dsm.dim
@@ -618,16 +581,9 @@ class VerificationContext:
                 closed = False
                 witnesses.append({"summand": part, **w})
 
-        ker_ech = self.kernel_echelon
-        ideal_ok = True
-        for v in kernel:
-            dv = self.dsm.from_vector(v)
-            for z in self.dsm.basis:
-                ez = {z: F.one}
-                for prod in (self.dsm.multiply(dv, ez), self.dsm.multiply(ez, dv)):
-                    if prod and not ker_ech.contains(self.dsm.to_vector(prod)):
-                        ideal_ok = False
-                        witnesses.append({"kernel_not_ideal_at": label_str(z)})
+        not_ideal = self.kernel_ideal_witnesses()
+        ideal_ok = not not_ideal
+        witnesses += [{"kernel_not_ideal_at": label_str(z)} for z in not_ideal]
         dims = {"dim": dim, "kernel": len(kernel), "S": len(s_vectors),
                 "S'": sp_dim, "T": t_dim}
         holds = decomposes and split and ideal_ok and closed
@@ -636,6 +592,24 @@ class VerificationContext:
                  f"each summand multiplicatively closed: {closed}",
                  f"kernel is a two-sided ideal: {ideal_ok}"]
         return self._result("thm2.6", holds, dims, witnesses, notes)
+
+    def kernel_ideal_witnesses(self):
+        """Per kernel vector v and basis label z, z once for each of vz and
+        zv (in that order) that is nonzero and leaves the kernel.  Only the
+        z that some label of v multiplies to a nonzero product are visited;
+        for any other z both products are zero."""
+        F, dsm = self.field, self.dsm
+        right, left = dsm.nonzero_products
+        out = []
+        for v in self.ki.kernel:
+            dv = dsm.from_vector(v)
+            zs = {z for lab in dv for z in (*right.get(lab, ()), *left.get(lab, ()))}
+            for z in sorted(zs, key=dsm.index.get):
+                ez = {z: F.one}
+                for prod in (dsm.multiply(dv, ez), dsm.multiply(ez, dv)):
+                    if prod and not self.kernel_echelon.contains(dsm.to_vector(prod)):
+                        out.append(z)
+        return out
 
     def _verify_rem2_7(self) -> ClaimResult:
         F = self.field
@@ -654,21 +628,20 @@ class VerificationContext:
 
     def _verify_thm2_9(self) -> ClaimResult:
         F = self.field
-        skew, err = self.skew()
+        skew, err = self.skew
         if skew is None:
             return self._result("thm2.9", False, {}, [],
                                 [f"skew ring unavailable: {err}"])
-        _, dfap_report = self.dfap()
-        psi = build_psi(skew, self.dsm, self.groupoid)
-        dom = psi.domain_basis
+        _, dfap_report = self.dfap
+        g = self.groupoid
+        # psi(b delta_m # r_h) is the double-smash basis label b#u_m#r_h
+        dom = [(b, m, h) for (b, m) in skew.basis for h in g.morphism_ids()]
         n_dom = len(dom)
-        d1 = [i for i, lab in enumerate(dom)
-              if not self.groupoid.composable(lab[0][1], lab[1])]
-        c_labels = [lab for lab in dom if self.groupoid.composable(lab[0][1], lab[1])]
+        d1 = [i for i, (_, m, h) in enumerate(dom) if not g.composable(m, h)]
+        c_labels = [lab for lab in dom if g.composable(lab[1], lab[2])]
 
         # kernel of phi o psi
-        cols = {lab: self.phi.endo_to_vector(self.phi.apply(psi.images[lab]))
-                for lab in dom}
+        cols = {lab: self.phi.endo_to_vector(self.phi.columns[lab]) for lab in dom}
         ker = null_space(F, list(cols.values()))
         d1_eq_kernel = subspace_equal(F, [{i: F.one} for i in d1], ker)
 
@@ -680,14 +653,12 @@ class VerificationContext:
         rank_c = sum(ech.add(cols[lab]) for lab in c_labels)
         exact = len(d1) + rank_c == n_dom
 
-        # psi injective on C
-        ech_c = Echelon(F)
-        inj = all(ech_c.add(self.dsm.to_vector(psi.images[lab])) for lab in c_labels)
+        # psi injective on C: distinct symbols go to distinct basis labels
+        inj = len({self.dsm.index[lab] for lab in c_labels}) == len(c_labels)
 
         # psi(B0) == span(A1)
-        b0 = [lab for lab in c_labels
-              if self.groupoid.src(lab[0][1]) == self.groupoid.tgt(lab[0][1])]
-        psi_b0 = [self.dsm.to_vector(psi.images[lab]) for lab in b0]
+        b0 = [lab for lab in c_labels if g.src(lab[1]) == g.tgt(lab[1])]
+        psi_b0 = [{self.dsm.index[lab]: F.one} for lab in b0]
         a1 = self.stratum_vectors(["A1"])
         b0_eq_a1 = subspace_equal(F, psi_b0, a1)
 

@@ -75,8 +75,10 @@ class Groupoid:
         return self.tgt(a) == self.src(b)
 
     def compose(self, a, b):
-        """Product per the table; None when tgt(a) != src(b)."""
-        self._lookup(a), self._lookup(b)
+        """Product per the table; None when tgt(a) != src(b), whatever a
+        spurious table entry says (the validator reports those)."""
+        if not self.composable(a, b):
+            return None
         return self.comp.get((a, b))
 
     def composable_pairs(self):

@@ -2,7 +2,10 @@
 
 Basis labels are tuples: (b, g) for B#KG and (b, g, h) for the double
 smash, ordered lexicographically by (B index, morphism index, dual index).
-Neither product is assumed unital; find_unit reports one if it exists.
+smash_product is the only place the smash formula a(s.b) # u_{st} is
+computed: the double smash, the skew groupoid ring and phi are read off
+the nonzero products of the B#KG it returns.  Neither product is assumed
+unital; find_unit reports one if it exists.
 """
 
 from . import exactmath
@@ -28,44 +31,36 @@ def smash_product(B: FinAlgebra, kg: FinAlgebra, action) -> FinAlgebra:
                       meta={"B": B, "kg": kg, "action": action, "groupoid": g})
 
 
-def double_smash(B: FinAlgebra, kg: FinAlgebra, kgstar: FinAlgebra,
-                 kgstar_co, action) -> FinAlgebra:
+def double_smash(bsm: FinAlgebra, kgstar: FinAlgebra, kgstar_co) -> FinAlgebra:
     """B#KG#KG* with the dual acting through its coproduct legs:
 
         (a # u_m # r_n)(b # u_s # r_t)
-            = sum over coproduct legs n -> n1 x n2 of
-              (a # u_m)(n1 evaluated against u_s) # n2 * t
+            = sum over coproduct legs n -> n1 x n2 with n1 == s of
+              (a # u_m)(b # u_s) # r_{n2} r_t
 
     For a groupoid dual this collapses to a(m.b) # u_{ms} # r_t when the
-    product s*t exists and equals n, and zero otherwise.
+    product s*t exists and equals n, and zero otherwise.  Only the nonzero
+    products of B#KG and KG* are visited.
     """
-    F = B.field
-    g = action.groupoid
-    ids = g.morphism_ids()
-    basis = [(b, m, n) for b in B.basis for m in ids for n in ids]
+    F = bsm.field
+    legs = {}  # s -> the legs (n, n2, c) of delta(r_n) with first factor s
+    for n in kgstar.basis:
+        for n1, n2, c in kgstar_co.delta.get(n, []):
+            legs.setdefault(n1, []).append((n, n2, c))
+    star, _ = kgstar.nonzero_products
     mul = {}
-    for (a, m, n) in basis:
-        legs = kgstar_co.delta.get(n, [])
-        for (b, s, t) in basis:
-            out = {}
-            for n1, n2, c in legs:
-                if n1 != s:
-                    continue
-                conv = kgstar.basis_product(n2, t)
-                if not conv:
-                    continue
-                ms = g.compose(m, s)
-                if ms is None:
-                    continue
-                coeff = B.multiply(B.basis_element(a), action.act_basis(m, b))
-                for lab, cb in coeff.items():
+    for ((a, m), (b, s)), prod in bsm.mul.items():
+        for n, n2, c in legs.get(s, ()):
+            for t, conv in star.get(n2, {}).items():
+                out = mul.setdefault(((a, m, n), (b, s, t)), {})
+                for (lab, ms), cb in prod.items():
                     for rho, cr in conv.items():
                         acc(F, out, (lab, ms, rho), F.mul(c, F.mul(cb, cr)))
-            if out:
-                mul[((a, m, n), (b, s, t))] = out
+    basis = [(b, m, n) for (b, m) in bsm.basis for n in kgstar.basis]
+    index = {lab: i for i, lab in enumerate(basis)}
+    mul = {k: mul[k] for k in sorted(mul, key=lambda k: (index[k[0]], index[k[1]]))}
     return FinAlgebra(F, basis, mul, None, name="B#KG#KG*",
-                      meta={"B": B, "kg": kg, "kgstar": kgstar,
-                            "action": action, "groupoid": g})
+                      meta={**bsm.meta, "kgstar": kgstar})
 
 
 def find_unit(alg: FinAlgebra):

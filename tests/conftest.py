@@ -1,7 +1,7 @@
 import pytest
 
 from weakhopf.duality import VerificationContext
-from weakhopf.instances import builtin_instance, groupoid_to_doc
+from weakhopf.instances import builtin_doc, builtin_instance, groupoid_to_doc
 
 _CACHE = {}
 
@@ -17,6 +17,13 @@ def groupoid_doc(g, name, field=None):
                     "multiplication": [[e, e, {e: "1"}] for e in g.objects]},
         "action": [[m.id, m.tgt, {m.src: "1"}] for m in g.morphisms],
     }
+
+
+def spurious_i2_doc():
+    """i2-swap with g*g declared although tgt(g) != src(g)."""
+    doc = builtin_doc("i2-swap")
+    doc["groupoid"]["composition"].append(["g", "g", "x"])
+    return doc
 
 
 def context(name) -> VerificationContext:

@@ -1,15 +1,19 @@
 """Dense reference implementations, the oracles for the sparse engine.
 
 Dense Matrix / rref / Echelon routines over lists, dense forms of
-phi's kernel and image and of the unit search built on them, and the
-all-tuples forms of the weak-Hopf dual and axiom checkers.  Tests compare
+phi's kernel and image and of the unit search built on them, the
+all-tuples forms of the weak-Hopf dual and axiom checkers, and the
+all-pairs forms of B#KG#KG*, the skew groupoid ring, phi and the
+kernel-ideal test, each computing the smash formula itself.  Tests compare
 the engine against these; nothing in src/ imports this module.
 """
 
 from dataclasses import dataclass, field as dc_field
 
+from weakhopf.action import DfapAction, ModuleAction
+from weakhopf.duality import LinearMapRep
 from weakhopf.report import Report
-from weakhopf.walg import CoStructure, FinAlgebra
+from weakhopf.walg import CoStructure, FinAlgebra, acc
 
 
 @dataclass
@@ -560,3 +564,122 @@ def check_antipode(alg: FinAlgebra, co: CoStructure) -> Report:
             rep.add("antipode-sandwich", x)
 
     return rep
+
+
+# -- all-pairs smash products, skew ring and phi ------------------------------
+
+
+def double_smash(B: FinAlgebra, kg: FinAlgebra, kgstar: FinAlgebra,
+                 kgstar_co, action) -> FinAlgebra:
+    """B#KG#KG* with the dual acting through its coproduct legs:
+
+        (a # u_m # r_n)(b # u_s # r_t)
+            = sum over coproduct legs n -> n1 x n2 of
+              (a # u_m)(n1 evaluated against u_s) # n2 * t
+
+    For a groupoid dual this collapses to a(m.b) # u_{ms} # r_t when the
+    product s*t exists and equals n, and zero otherwise.
+    """
+    F = B.field
+    g = action.groupoid
+    ids = g.morphism_ids()
+    basis = [(b, m, n) for b in B.basis for m in ids for n in ids]
+    mul = {}
+    for (a, m, n) in basis:
+        legs = kgstar_co.delta.get(n, [])
+        for (b, s, t) in basis:
+            out = {}
+            for n1, n2, c in legs:
+                if n1 != s:
+                    continue
+                conv = kgstar.basis_product(n2, t)
+                if not conv:
+                    continue
+                ms = g.compose(m, s)
+                if ms is None:
+                    continue
+                coeff = B.multiply(B.basis_element(a), action.act_basis(m, b))
+                for lab, cb in coeff.items():
+                    for rho, cr in conv.items():
+                        acc(F, out, (lab, ms, rho), F.mul(c, F.mul(cb, cr)))
+            if out:
+                mul[((a, m, n), (b, s, t))] = out
+    return FinAlgebra(F, basis, mul, None, name="B#KG#KG*",
+                      meta={"B": B, "kg": kg, "kgstar": kgstar,
+                            "action": action, "groupoid": g})
+
+
+def skew_groupoid_ring(B: FinAlgebra, action: ModuleAction, dfap: DfapAction) -> FinAlgebra:
+    """The twisted ring on symbols b.delta_g with b in the ideal at g:
+    (x delta_g)(y delta_h) = x beta_g(y) delta_{gh} when gh exists, else 0.
+
+    Needs a homogeneous B basis so the symbols can be labeled by basis
+    vectors; raises otherwise.
+    """
+    F = B.field
+    g = action.groupoid
+    for m in g.morphism_ids():
+        if dfap.ideal_labels.get(m) is None:
+            raise ValueError(
+                f"skew ring needs a homogeneous basis for the ideal at {m!r}")
+
+    basis = []
+    for m in g.morphism_ids():
+        for b in dfap.ideal_labels[m]:
+            basis.append((b, m))
+
+    allowed = {m: set(dfap.ideal_labels[m]) for m in g.morphism_ids()}
+    mul = {}
+    for (x, a) in basis:
+        for (y, b) in basis:
+            ab = g.comp.get((a, b)) if g.composable(a, b) else None
+            if ab is None:
+                continue
+            beta = action.act({a: F.one}, B.basis_element(y))
+            prod = B.multiply(B.basis_element(x), beta)
+            out = {}
+            for lab, c in prod.items():
+                if lab not in allowed[ab]:
+                    raise ValueError(
+                        f"skew product left the ideal at {ab!r} (label {lab!r})")
+                out[(lab, ab)] = c
+            if out:
+                mul[((x, a), (y, b))] = out
+
+    # no unit asserted; callers can search for one if they care
+    return FinAlgebra(F, basis, mul, None, name="B*G",
+                      meta={"B": B, "action": action})
+
+
+def build_phi(dsm, bsm) -> LinearMapRep:
+    """phi(a#u_g#r_h) sends b#u_l to (a#u_g)(b#u_l) when l == h, else 0."""
+    for key in ("B", "kg", "action"):
+        if dsm.meta.get(key) is not bsm.meta.get(key):
+            raise ValueError("smash products come from different parents")
+    F = dsm.field
+    columns = {}
+    for (a, g, h) in dsm.basis:
+        left = {(a, g): F.one}
+        col = {}
+        for (b, l) in bsm.basis:
+            if l != h:
+                continue
+            img = bsm.multiply(left, {(b, l): F.one})
+            if img:
+                col[(b, l)] = img
+        columns[(a, g, h)] = col
+    return LinearMapRep(F, list(dsm.basis), list(bsm.basis), columns)
+
+
+def kernel_ideal_witnesses(ctx):
+    """The thm2.6 kernel-ideal test over every basis label z."""
+    F, dsm = ctx.field, ctx.dsm
+    out = []
+    for v in ctx.ki.kernel:
+        dv = dsm.from_vector(v)
+        for z in dsm.basis:
+            ez = {z: F.one}
+            for prod in (dsm.multiply(dv, ez), dsm.multiply(ez, dv)):
+                if prod and not ctx.kernel_echelon.contains(dsm.to_vector(prod)):
+                    out.append(z)
+    return out

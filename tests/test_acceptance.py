@@ -161,7 +161,7 @@ def test_criterion_8_associativity(capsys):
         ctx = context(name)
         ok = ok and ctx.bsm.associativity_violations() == []
         ok = ok and ctx.dsm.associativity_violations() == []
-        skew, err = ctx.skew()
+        skew, err = ctx.skew
         ok = ok and err is None and skew.associativity_violations() == []
     # the broken worked example is checked too: the checker must run and
     # report its genuine violations rather than assume anything

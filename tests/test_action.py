@@ -62,7 +62,7 @@ def test_ex28_gf2_action_still_fails_axioms(ctx_ex28_gf2):
 
 
 def test_derived_action_i2(ctx_i2):
-    dfap, rep = ctx_i2.dfap()
+    dfap, rep = ctx_i2.dfap
     assert rep.ok
     # beta_g maps the y-component onto the x-component: e2 -> e1
     assert dfap.ideal_labels == {"x": ["e1"], "y": ["e2"], "g": ["e1"], "gi": ["e2"]}
@@ -82,7 +82,7 @@ def test_derived_action_composition_axiom(ctx_i2):
 
 
 def test_skew_ring_i2(ctx_i2):
-    skew, err = ctx_i2.skew()
+    skew, err = ctx_i2.skew
     assert err is None
     assert skew.basis == [("e1", "x"), ("e2", "y"), ("e1", "g"), ("e2", "gi")]
     # (e1 d_g)(e2 d_gi) = e1 beta_g(e2) d_x = e1 d_x
@@ -93,7 +93,7 @@ def test_skew_ring_i2(ctx_i2):
 
 
 def test_skew_ring_group_case_matches_group_algebra(ctx_z2):
-    skew, err = ctx_z2.skew()
+    skew, err = ctx_z2.skew
     assert err is None
     kg = ctx_z2.kg
     # relabel (b, m) -> m: structure constants must match the group algebra
@@ -105,7 +105,7 @@ def test_skew_ring_group_case_matches_group_algebra(ctx_z2):
 
 
 def test_skew_ring_unavailable_when_basis_inhomogeneous(ctx_ex28):
-    skew, err = ctx_ex28.skew()
+    skew, err = ctx_ex28.skew
     assert skew is None
     assert "homogeneous" in err
 
@@ -131,5 +131,5 @@ def test_decomposition_holds_whenever_action_validates():
         ctx = context(name)
         if ctx.module_report.ok:
             assert ctx.decomp_report.ok
-            dfap, rep = ctx.dfap()
+            dfap, rep = ctx.dfap
             assert rep.ok

@@ -73,6 +73,32 @@ def test_verify_exit_codes(capsys):
     assert main(["verify", "i2-swap", "--claim", "thm9.9"]) == 2
 
 
+def test_verify_exits_1_on_validation_violations(tmp_path, monkeypatch, capsys):
+    # every claim holds (conditionally) on i2-swap with a spurious
+    # composition entry, but the groupoid validator reports the entry
+    from conftest import spurious_i2_doc
+    p = tmp_path / "spurious.json"
+    p.write_text(json.dumps(spurious_i2_doc()), encoding="utf-8")
+    report = tmp_path / "report.json"
+    assert main(["verify", str(p), "--json", str(report)]) == 1
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    assert all(c["holds"] for c in doc["claims"])
+    assert not doc["validation"]["groupoid"]["ok"]
+
+    # one failing validation section is enough on an otherwise clean instance
+    from weakhopf import cli
+    from weakhopf.report import Report
+
+    def planted(*args):
+        rep = Report("image endomorphisms are right B-linear")
+        rep.add("right-linearity", "planted")
+        return rep
+    assert main(["verify", "z2-trivial"]) == 0
+    monkeypatch.setattr(cli, "right_linearity", planted)
+    assert main(["verify", "z2-trivial"]) == 1
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_verify_report_structure(tmp_path):
     out = tmp_path / "report.json"
     assert main(["verify", "i2-swap", "--claim", "all", "--json", str(out)]) == 0

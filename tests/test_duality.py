@@ -333,3 +333,26 @@ def test_kernel_and_image_equal_dense_oracle_on_random_actions(values, field):
     doc["action"] = [[m, b, {"e1": str(x), "e2": str(y)}]
                      for (m, b), (x, y) in zip(_I2_KEYS, values)]
     _assert_kernel_and_image_match_oracle(VerificationContext(parse_instance(doc)))
+
+
+@pytest.mark.parametrize("name", ["z2-trivial", "z3-trivial", "i2-swap", "ex2.8",
+                                  "ex2.8-gf2", "pair2", "z3", "pair2+z3"])
+def test_kernel_ideal_witnesses_equal_all_labels_oracle(name):
+    import oracle
+    from conftest import context
+    from weakhopf.instances import BUILTIN_NAMES
+    ctx = context(name) if name in BUILTIN_NAMES else _generated(name)
+    assert ctx.kernel_ideal_witnesses() == oracle.kernel_ideal_witnesses(ctx)
+
+
+def test_kernel_ideal_witnesses_equal_oracle_on_broken_composition():
+    import oracle
+    from conftest import groupoid_doc, spurious_i2_doc
+    from weakhopf.groupoid import pair_groupoid
+    wrong = groupoid_doc(pair_groupoid(2), "wrong")
+    for entry in wrong["groupoid"]["composition"]:
+        if entry[:2] == ["m1_2", "m2_1"]:
+            entry[2] = "m1_2"
+    for doc in (wrong, spurious_i2_doc()):
+        ctx = VerificationContext(parse_instance(doc))
+        assert ctx.kernel_ideal_witnesses() == oracle.kernel_ideal_witnesses(ctx)

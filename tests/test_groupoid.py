@@ -47,6 +47,14 @@ def test_composable_pairs_group():
     assert len(g.composable_pairs()) == 4
 
 
+def test_compose_ignores_spurious_entry():
+    g = builtin_i2()
+    g = Groupoid(g.objects, g.morphisms, {**g.comp, ("g", "g"): "x"})
+    assert g.compose("g", "g") is None  # tgt(g) = y != src(g) = x
+    assert g.compose("g", "gi") == "x"
+    assert "composition-spurious" in validate_groupoid(g).checks_failed()
+
+
 def test_compose_unknown_id():
     g = builtin_i2()
     with pytest.raises(GroupoidError):

@@ -3,6 +3,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weakhopf.action import DfapAction
+from weakhopf.duality import VerificationContext
+from weakhopf.groupoid import builtin_i2, cyclic_group, disjoint_union, pair_groupoid
+from weakhopf.instances import parse_instance
 from weakhopf.smash import find_unit
 
 one = Fraction(1)
@@ -137,3 +141,115 @@ def test_find_unit_equals_dense_oracle_on_random_tables(dim, p, data):
            for a in basis for b in basis}
     alg = FinAlgebra(F, basis, mul)
     assert find_unit(alg) == oracle.find_unit(alg)
+
+
+# -- B#KG#KG*, the skew ring and phi against the all-pairs oracle --------------
+
+
+def ordered(x):
+    """A dict as nested item lists, so that comparisons see key order."""
+    return [(k, ordered(v)) for k, v in x.items()] if isinstance(x, dict) else x
+
+
+def skew_outcome(build):
+    try:
+        skew = build()
+    except ValueError as exc:
+        return "raised", str(exc)
+    return skew.basis, ordered(skew.mul)
+
+
+def assert_read_offs_match_oracle(ctx, dfap=None):
+    """The double smash, phi and the skew ring read off B#KG equal the
+    constructions that compute the smash formula over all label pairs.
+    The skew ring is built on the derived action unless dfap is given."""
+    import oracle
+    from weakhopf.action import skew_groupoid_ring
+    from weakhopf.duality import build_phi
+    from weakhopf.smash import double_smash
+    dsm = double_smash(ctx.bsm, ctx.kgstar, ctx.kgstar_co)
+    ref = oracle.double_smash(ctx.B, ctx.kg, ctx.kgstar, ctx.kgstar_co, ctx.action)
+    assert dsm.basis == ref.basis
+    assert ordered(dsm.mul) == ordered(ref.mul)
+    phi, ref_phi = build_phi(dsm, ctx.bsm), oracle.build_phi(ref, ctx.bsm)
+    assert phi.domain_basis == ref_phi.domain_basis
+    assert phi.codomain_basis == ref_phi.codomain_basis
+    assert ordered(phi.columns) == ordered(ref_phi.columns)
+    dfap = dfap or ctx.dfap[0]
+    assert (skew_outcome(lambda: skew_groupoid_ring(ctx.bsm, dfap))
+            == skew_outcome(lambda: oracle.skew_groupoid_ring(ctx.B, ctx.action, dfap)))
+
+
+def test_read_offs_equal_oracle_on_builtins():
+    from conftest import context
+    from weakhopf.instances import BUILTIN_NAMES
+    for name in BUILTIN_NAMES:
+        assert_read_offs_match_oracle(context(name))
+
+
+GENERATED = ([pair_groupoid(n) for n in (1, 2, 3)] + [cyclic_group(n) for n in (2, 3, 4, 5)]
+             + [disjoint_union(pair_groupoid(2), cyclic_group(3))])
+FIELDS = [{"kind": "rational"}, {"kind": "prime", "p": 2}, {"kind": "prime", "p": 3}]
+
+
+@given(st.sampled_from(GENERATED), st.sampled_from(FIELDS))
+@settings(max_examples=20, deadline=None)
+def test_read_offs_equal_oracle_on_generated_groupoids(g, field):
+    from conftest import groupoid_doc
+    assert_read_offs_match_oracle(
+        VerificationContext(parse_instance(groupoid_doc(g, "generated", field))))
+
+
+@given(st.sampled_from([builtin_i2(), cyclic_group(2), cyclic_group(3), pair_groupoid(2)]),
+       st.sampled_from(FIELDS), st.sampled_from(["none", "spurious", "missing"]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_read_offs_equal_oracle_on_random_actions(g, field, table, data):
+    # any action table, valid or not, and a composition table with one
+    # spurious or missing entry: the read-offs, the skew ring's error and
+    # the kernel-ideal witnesses of thm2.6 must match the oracle
+    import oracle
+    from conftest import groupoid_doc
+    doc = groupoid_doc(g, "random", field)
+    objects = doc["algebra"]["basis"]
+    coeff = st.sampled_from(["0", "1", "2", "-1"])
+    doc["action"] = [[m.id, b, {x: data.draw(coeff) for x in objects}]
+                     for m in g.morphisms for b in objects]
+    comp = doc["groupoid"]["composition"]
+    loose = [(a.id, b.id) for a in g.morphisms for b in g.morphisms if a.tgt != b.src]
+    if table == "spurious" and loose:
+        a, b = data.draw(st.sampled_from(loose))
+        comp.append([a, b, data.draw(st.sampled_from(g.morphism_ids()))])
+    elif table == "missing":
+        comp.remove(data.draw(st.sampled_from(comp)))
+    ctx = VerificationContext(parse_instance(doc))
+    assert_read_offs_match_oracle(ctx)
+    assert ctx.kernel_ideal_witnesses() == oracle.kernel_ideal_witnesses(ctx)
+    # the skew ring reads only the ideal labels of the derived action: any
+    # labels, in any order, must give the oracle's ring or its error; with
+    # every label at every morphism the ring is always closed
+    shape = data.draw(st.sampled_from(["full", "partial", "unlabeled"]))
+    ids = g.morphism_ids()
+    labels = {m: data.draw(st.permutations(objects) if shape == "full"
+                           else st.lists(st.sampled_from(objects), unique=True))
+              for m in ids}
+    if shape == "unlabeled":
+        labels[data.draw(st.sampled_from(ids))] = None
+    assert_read_offs_match_oracle(ctx, DfapAction({}, {}, labels))
+
+
+def test_spurious_composition_entry_multiplies_to_zero_everywhere():
+    # KG, B#KG, B#KG#KG* and the skew ring all ignore the entry g*g = x,
+    # and the validator reports it
+    from conftest import spurious_i2_doc
+    ctx = VerificationContext(parse_instance(spurious_i2_doc()))
+    assert "composition-spurious" in ctx.groupoid_report.checks_failed()
+    assert ctx.kg.basis_product("g", "g") == {}
+    assert ctx.bsm.basis_product(("e1", "g"), ("e2", "g")) == {}
+    for ((_, s), (_, t)), prod in ctx.bsm.mul.items():
+        assert {m for _, m in prod} <= set(ctx.kg.basis_product(s, t))
+    for ((_, m, _), (_, s, _)), prod in ctx.dsm.mul.items():
+        assert {ms for _, ms, _ in prod} <= set(ctx.kg.basis_product(m, s))
+    skew, err = ctx.skew
+    assert err is None
+    assert skew.mul == {(x, y): prod for (x, y), prod in ctx.bsm.mul.items()
+                        if x in skew.index and y in skew.index}
