@@ -209,9 +209,10 @@ def rref(field, rows):
 
 
 def null_space(field, columns):
-    """Kernel basis of the map whose j-th column is the sparse vector
-    columns[j]: one vector per free column of the reduced row echelon
-    form, with a one there."""
+    """(kernel basis, pivot columns) of the map whose j-th column is the
+    sparse vector columns[j]: one kernel vector per free column of the
+    reduced row echelon form, with a one there.  The pivot columns, in
+    increasing order, are the first columns that span the image."""
     rows = {}
     for j, col in enumerate(columns):
         for i, w in col.items():
@@ -226,14 +227,5 @@ def null_space(field, columns):
                 if f in row:
                     v[pc] = field.neg(row[f])
             basis.append(v)
-    return basis
+    return basis, pivots
 
-
-def subspace_equal(field, a, b) -> bool:
-    """span(a) == span(b) for sparse vectors, decided by rank comparisons."""
-    ea, eb = Echelon(field), Echelon(field)
-    for v in a:
-        ea.add(v)
-    for v in b:
-        eb.add(v)
-    return ea.rank == eb.rank and all(ea.contains(v) for v in b)

@@ -145,6 +145,8 @@ def parse_instance(doc: dict) -> Instance:
             raise InstanceFormatError(f"multiplication table maps ({a!r}, {b!r}) twice")
         mul[(a, b)] = _parse_element(field, el, bset, f"multiplication ({a}, {b})")
     unit = _parse_element(field, adoc["unit"], bset, "unit")
+    if not unit:
+        raise InstanceFormatError("algebra unit is zero; B needs a nonzero unit")
     algebra = FinAlgebra(field, basis, mul, unit, name="B")
 
     table = {}

@@ -26,6 +26,17 @@ def spurious_i2_doc():
     return doc
 
 
+def wrong_composition_doc(n):
+    """pair(n) with m1_2 * m2_1 (n == 2) or m1_2 * m2_3 (n >= 3) sent to m1_2."""
+    from weakhopf.groupoid import pair_groupoid
+    doc = groupoid_doc(pair_groupoid(n), f"pair{n}-wrong")
+    last = "m2_1" if n == 2 else "m2_3"
+    for entry in doc["groupoid"]["composition"]:
+        if entry[:2] == ["m1_2", last]:
+            entry[2] = "m1_2"
+    return doc
+
+
 def context(name) -> VerificationContext:
     if name not in _CACHE:
         _CACHE[name] = VerificationContext(builtin_instance(name))

@@ -4,14 +4,19 @@ Dense Matrix / rref / Echelon routines over lists, dense forms of
 phi's kernel and image and of the unit search built on them, the
 all-tuples forms of the weak-Hopf dual and axiom checkers, and the
 all-pairs forms of B#KG#KG*, the skew groupoid ring, phi and the
-kernel-ideal test, each computing the smash formula itself.  Tests compare
-the engine against these; nothing in src/ imports this module.
+kernel-ideal test, each computing the smash formula itself, the
+all-pairs forms of phi's multiplicativity and right-linearity checks and
+of the closure test, and the span-comparison forms of the thm2.2, rem2.7
+and thm2.9 verifiers on sparse_subspace_equal.  Tests compare the engine against these; nothing in
+src/ imports this module.
 """
 
 from dataclasses import dataclass, field as dc_field
 
+from weakhopf import exactmath
 from weakhopf.action import DfapAction, ModuleAction
-from weakhopf.duality import LinearMapRep
+from weakhopf.duality import (IMAGE_STRATA, KERNEL_STRATA, LinearMapRep,
+                              element_str, label_str)
 from weakhopf.report import Report
 from weakhopf.walg import CoStructure, FinAlgebra, acc
 
@@ -196,6 +201,17 @@ def subspace_equal(field, a, b) -> bool:
     if ea.rank != eb.rank:
         return False
     return all(ea.contains(v) for v in b)
+
+
+def sparse_subspace_equal(field, a, b) -> bool:
+    """span(a) == span(b) for the engine's sparse vectors, decided by rank
+    comparisons on its Echelon."""
+    ea, eb = exactmath.Echelon(field), exactmath.Echelon(field)
+    for v in a:
+        ea.add(v)
+    for v in b:
+        eb.add(v)
+    return ea.rank == eb.rank and all(ea.contains(v) for v in b)
 
 
 def subspace_contains(field, space, v) -> bool:
@@ -683,3 +699,162 @@ def kernel_ideal_witnesses(ctx):
                 if prod and not ctx.kernel_echelon.contains(dsm.to_vector(prod)):
                     out.append(z)
     return out
+
+
+# -- all-pairs forms of phi's checks and of the closure test -----------------
+#
+# The engine visits only the tuples phi's nonzero columns, or the nonzero
+# products of the double smash, can reach; these visit every pair.
+
+
+def phi_is_homomorphism(phi, dsm) -> Report:
+    rep = Report("phi is multiplicative")
+    for x in phi.domain_basis:
+        ex = phi.endo(x)
+        for y in phi.domain_basis:
+            lhs = phi.apply(dsm.basis_product(x, y))
+            rhs = compose_endos(phi, ex, phi.endo(y))
+            if lhs != rhs:
+                rep.add("phi-multiplicative", [list(x), list(y)])
+    return rep
+
+
+def compose_endos(phi, first, second):
+    F = phi.field
+    out = {}
+    for col, img in second.items():
+        total = {}
+        for mid, c in img.items():
+            for lab, w in first.get(mid, {}).items():
+                acc(F, total, lab, F.mul(c, w))
+        if total:
+            out[col] = total
+    return out
+
+
+def right_linearity(phi, bsm, B) -> Report:
+    F = phi.field
+    g = bsm.meta["groupoid"]
+    rep = Report("image endomorphisms are right B-linear")
+    right_factors = {b: {(b, e): F.one for e in g.objects} for b in B.basis}
+    for x in phi.domain_basis:
+        endo = phi.endo(x)
+        for z in bsm.basis:
+            for b in B.basis:
+                zb = bsm.multiply({z: F.one}, right_factors[b])
+                lhs = {}
+                for lab, c in zb.items():
+                    for k, w in endo.get(lab, {}).items():
+                        acc(F, lhs, k, F.mul(c, w))
+                rhs = bsm.multiply(endo.get(z, {}), right_factors[b])
+                if lhs != rhs:
+                    rep.add("right-linearity", [list(x), list(z), b])
+    return rep
+
+
+def closure_witnesses(ctx, names):
+    """The prop2.3 / thm2.6 closure test over every pair of stratum labels."""
+    labels = ctx.stratum_labels(names)
+    allowed = set(labels)
+    witnesses = []
+    for x in labels:
+        for y in labels:
+            prod = ctx.dsm.basis_product(x, y)
+            bad = [lab for lab in prod if lab not in allowed]
+            if bad:
+                witnesses.append({"product_escapes": [label_str(x), label_str(y)],
+                                  "offending": [label_str(b) for b in bad]})
+    return witnesses
+
+
+# -- the subspace forms of thm2.2, rem2.7 and thm2.9 --------------------------
+#
+# The engine decides these on labels, supports and ranks; these compare
+# spans with subspace_equal.
+
+
+def verify_thm2_2(ctx):
+    F = ctx.field
+    kernel = ctx.ki.kernel
+    span_ker_strata = ctx.stratum_vectors(KERNEL_STRATA)
+    eq = sparse_subspace_equal(F, kernel, span_ker_strata)
+    ker_ech = ctx.kernel_echelon
+    witnesses = []
+    if not eq:
+        strata_ech = exactmath.Echelon(F)
+        for v in span_ker_strata:
+            strata_ech.add(v)
+        for v in kernel:
+            if not strata_ech.contains(v):
+                witnesses.append({"kernel_vector_outside_strata":
+                                  element_str(F, ctx.dsm.from_vector(v))})
+        for v, lab in zip(span_ker_strata, ctx.stratum_labels(KERNEL_STRATA)):
+            if not ker_ech.contains(v):
+                witnesses.append({"stratum_vector_outside_kernel": label_str(lab)})
+    disjoint = {}
+    for name in IMAGE_STRATA:
+        ok = True
+        probe = ker_ech.copy()
+        for lab in ctx.stratum_labels([name]):
+            if not probe.add(ctx.dsm.to_vector({lab: F.one})):
+                ok = False
+                witnesses.append({"stratum_meets_kernel": [name, label_str(lab)]})
+        disjoint[name] = ok
+    dims = dict(ctx.ki.dims)
+    dims["strata"] = dict(ctx.strata_dims)
+    dims["kernel_strata_span"] = len(span_ker_strata)
+    holds = eq and all(disjoint.values())
+    notes = [f"kernel equals the span of A3+A4+A5+A6: {eq}"]
+    return ctx._result("thm2.2", holds, dims, witnesses, notes)
+
+
+def verify_rem2_7(ctx):
+    F = ctx.field
+    s_labels = ctx.stratum_labels(IMAGE_STRATA)
+    phi_s = [ctx.phi.endo_to_vector(ctx.phi.columns[lab]) for lab in s_labels]
+    ech = exactmath.Echelon(F)
+    rank_phi_s = sum(ech.add(v) for v in phi_s)
+    exact = ctx.ki.dims["kernel"] + rank_phi_s == ctx.ki.dims["domain"]
+    same_image = sparse_subspace_equal(F, phi_s, ctx.ki.image) \
+        if phi_s or ctx.ki.image else True
+    dims = {"kernel": ctx.ki.dims["kernel"], "phi_of_S": rank_phi_s,
+            "domain": ctx.ki.dims["domain"], "image": ctx.ki.dims["image"]}
+    notes = [f"dim kernel + dim phi(S) == dim domain: {exact}",
+             f"phi(S) equals the full image: {same_image}"]
+    return ctx._result("rem2.7", exact and same_image, dims, [], notes)
+
+
+def verify_thm2_9(ctx):
+    F = ctx.field
+    skew, err = ctx.skew
+    if skew is None:
+        return ctx._result("thm2.9", False, {}, [], [f"skew ring unavailable: {err}"])
+    _, dfap_report = ctx.dfap
+    g = ctx.groupoid
+    dom = [(b, m, h) for (b, m) in skew.basis for h in g.morphism_ids()]
+    n_dom = len(dom)
+    d1 = [i for i, (_, m, h) in enumerate(dom) if not g.composable(m, h)]
+    c_labels = [lab for lab in dom if g.composable(lab[1], lab[2])]
+    cols = {lab: ctx.phi.endo_to_vector(ctx.phi.columns[lab]) for lab in dom}
+    ker, _ = exactmath.null_space(F, list(cols.values()))
+    d1_eq_kernel = sparse_subspace_equal(F, [{i: F.one} for i in d1], ker)
+    whole_ok = len(d1) + len(c_labels) == n_dom
+    ech = exactmath.Echelon(F)
+    rank_c = sum(ech.add(cols[lab]) for lab in c_labels)
+    exact = len(d1) + rank_c == n_dom
+    inj = len({ctx.dsm.index[lab] for lab in c_labels}) == len(c_labels)
+    b0 = [lab for lab in c_labels if g.src(lab[1]) == g.tgt(lab[1])]
+    psi_b0 = [{ctx.dsm.index[lab]: F.one} for lab in b0]
+    a1 = ctx.stratum_vectors(["A1"])
+    b0_eq_a1 = sparse_subspace_equal(F, psi_b0, a1)
+    dims = {"skew_smash_dim": n_dom, "D1": len(d1), "C": len(c_labels),
+            "phi_psi_C": rank_c, "kernel_phi_psi": len(ker),
+            "B0": len(b0), "A1": len(a1)}
+    witnesses = [{"derived_action": check} for check in dfap_report.checks_failed()]
+    holds = d1_eq_kernel and whole_ok and exact and inj and b0_eq_a1 and dfap_report.ok
+    notes = [f"D1 equals ker(phi o psi): {d1_eq_kernel}",
+             f"whole = C (+) D1: {whole_ok}",
+             f"dim D1 + dim phi(psi(C)) == dim: {exact}",
+             f"psi injective on C: {inj}",
+             f"psi(B0) equals span(A1): {b0_eq_a1}"]
+    return ctx._result("thm2.9", holds, dims, witnesses, notes)

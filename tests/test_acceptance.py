@@ -9,9 +9,10 @@ import pytest
 
 from conftest import context
 from oracle import flatten, rank
+from oracle import sparse_subspace_equal as subspace_equal
 from weakhopf.cli import main
 from weakhopf.duality import KERNEL_STRATA, UNCLASSIFIED
-from weakhopf.exactmath import QQ, subspace_equal
+from weakhopf.exactmath import QQ
 from weakhopf.groupoid import (builtin_i2, cyclic_group, disjoint_union,
                                pair_groupoid, validate_groupoid)
 from weakhopf.walg import (check_antipode, check_weak_bialgebra,

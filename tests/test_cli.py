@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakhopf.cli import main
 from weakhopf.instances import (BUILTIN_NAMES, builtin_doc, builtin_instance,
@@ -303,3 +305,61 @@ def test_verify_maps_format_errors_of_lazy_stages_to_exit_2(monkeypatch, capsys)
     monkeypatch.setattr(duality, "build_phi", broken)
     assert main(["verify", "z2-trivial"]) == 2
     assert capsys.readouterr().err == "error: phi cannot be built\n"
+
+
+def _node_paths(node, prefix=()):
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    out = []
+    for key, child in items:
+        out.append(prefix + (key,))
+        out += _node_paths(child, prefix + (key,))
+    return out
+
+
+_REPLACEMENTS = [[], ["x", 1], {}, {"x": "1"}, 0, 2, -1, 1.5, True, "", "x", "1/0",
+                 None, "delete"]
+
+
+@given(st.sampled_from(BUILTIN_NAMES), st.data())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_builtin_documents_never_raise(name, data):
+    # one node of a builtin document replaced by a list, an object, a
+    # number, a string or null, or deleted: every command exits 0, 1 or 2,
+    # and 2 comes with exactly one line on stderr
+    import contextlib
+    import io
+    import os
+    import tempfile
+    doc = builtin_doc(name)
+    path = data.draw(st.sampled_from(_node_paths(doc)))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    new = data.draw(st.sampled_from(_REPLACEMENTS))
+    if new == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "fuzzed.json")
+        with open(target, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for cmd in ("validate", "verify", "hopf-check"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([cmd, target])
+            assert code in (0, 1, 2), (cmd, path, new)
+            if code == 2:
+                assert len(err.getvalue().splitlines()) == 1, (cmd, path, new)
+
+
+def test_zero_unit_exits_2(tmp_path, capsys):
+    doc = builtin_doc("z2-trivial")
+    doc["algebra"]["unit"] = {"b": "0"}
+    p = tmp_path / "zero-unit.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    for cmd in ("validate", "verify", "hopf-check"):
+        assert main([cmd, str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: algebra unit is zero; B needs a nonzero unit\n"

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakhopf.duality import (KERNEL_STRATA, UNCLASSIFIED, VerificationContext,
+from oracle import sparse_subspace_equal as subspace_equal
+from weakhopf.duality import (COMPLEMENT_STRATA, IMAGE_STRATA, KERNEL_STRATA,
+                              UNCLASSIFIED, UNITAL_STRATA, VerificationContext,
                               classify, compose_endos, phi_is_homomorphism,
                               right_linearity, LinearMapRep)
-from weakhopf.exactmath import subspace_equal
-from weakhopf.groupoid import builtin_i2, cyclic_group
+from weakhopf.groupoid import builtin_i2, cyclic_group, disjoint_union, pair_groupoid
 from weakhopf.instances import builtin_doc, parse_instance
 
 one = Fraction(1)
@@ -356,3 +357,182 @@ def test_kernel_ideal_witnesses_equal_oracle_on_broken_composition():
     for doc in (wrong, spurious_i2_doc()):
         ctx = VerificationContext(parse_instance(doc))
         assert ctx.kernel_ideal_witnesses() == oracle.kernel_ideal_witnesses(ctx)
+
+
+# -- phi's checks, the closure test and the claims against the oracle ---------
+
+
+def _findings(rep):
+    return rep.title, [(f.check, f.witness) for f in rep.findings]
+
+
+def assert_duality_matches_oracle(ctx):
+    """phi's two checks, the closure test and the thm2.2, rem2.7 and thm2.9
+    verdicts equal the all-pairs and subspace_equal forms."""
+    import oracle
+    phi = ctx.phi
+    assert _findings(phi_is_homomorphism(phi, ctx.dsm)) \
+        == _findings(oracle.phi_is_homomorphism(phi, ctx.dsm))
+    assert _findings(right_linearity(phi, ctx.bsm, ctx.B)) \
+        == _findings(oracle.right_linearity(phi, ctx.bsm, ctx.B))
+    for names in (UNITAL_STRATA, IMAGE_STRATA, COMPLEMENT_STRATA):
+        assert ctx._closure_check(names) == oracle.closure_witnesses(ctx, names)
+    for cid, ref in (("thm2.2", oracle.verify_thm2_2), ("rem2.7", oracle.verify_rem2_7),
+                     ("thm2.9", oracle.verify_thm2_9)):
+        got, want = ctx.verify(cid), ref(ctx)
+        assert got.to_json() == want.to_json()
+        assert got.witnesses == want.witnesses
+
+
+def _fresh(doc):
+    return VerificationContext(parse_instance(doc))
+
+
+def test_duality_equals_oracle_on_builtins():
+    from weakhopf.instances import BUILTIN_NAMES
+    for name in BUILTIN_NAMES:
+        ctx = _fresh(builtin_doc(name))
+        assert_duality_matches_oracle(ctx)
+        if name == "ex2.8":
+            assert ctx.verify("thm2.2").witnesses  # so the comparison shows
+
+
+def test_closure_and_claims_equal_oracle_on_broken_composition():
+    from conftest import spurious_i2_doc, wrong_composition_doc
+    # pair(2) with m1_2 * o2 wrong as well: two products of one left
+    # factor escape, so the order of the right factors shows
+    twice = wrong_composition_doc(2)
+    next(e for e in twice["groupoid"]["composition"] if e[:2] == ["m1_2", "o2"])[2] = "o1"
+    docs = [wrong_composition_doc(2), wrong_composition_doc(3), twice, spurious_i2_doc()]
+    for doc in docs:
+        assert_duality_matches_oracle(_fresh(doc))
+    ctx = _fresh(twice)
+    lefts = [w["product_escapes"][0] for w in ctx._closure_check(UNITAL_STRATA)]
+    assert len(lefts) > len(set(lefts))
+
+
+GENERATED = ([pair_groupoid(n) for n in (1, 2, 3)] + [cyclic_group(n) for n in (2, 3, 4, 5)]
+             + [disjoint_union(pair_groupoid(2), cyclic_group(3))])
+GENERATED_IDS = ["pair1", "pair2", "pair3", "z2", "z3", "z4", "z5", "pair2+z3"]
+FIELDS = [{"kind": "rational"}, {"kind": "prime", "p": 2}, {"kind": "prime", "p": 3}]
+
+
+@given(st.sampled_from(GENERATED), st.sampled_from(FIELDS))
+@settings(max_examples=20, deadline=None)
+def test_duality_equals_oracle_on_generated_groupoids(g, field):
+    from conftest import groupoid_doc
+    assert_duality_matches_oracle(_fresh(groupoid_doc(g, "generated", field)))
+
+
+@given(st.sampled_from([builtin_i2(), cyclic_group(2), cyclic_group(3), pair_groupoid(2)]),
+       st.sampled_from(FIELDS), st.sampled_from(["none", "wrong", "spurious", "missing"]),
+       st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_duality_equals_oracle_on_random_tables(g, field, table, random_b, data):
+    # any action table, any multiplication of B (so that z (b # sum) can
+    # have labels other than z), and one wrong, spurious or missing
+    # composition entry
+    from conftest import groupoid_doc
+    doc = groupoid_doc(g, "random", field)
+    objects = doc["algebra"]["basis"]
+    coeff = st.sampled_from(["0", "1", "2", "-1"])
+    doc["action"] = [[m.id, b, {x: data.draw(coeff) for x in objects}]
+                     for m in g.morphisms for b in objects]
+    if random_b:
+        doc["algebra"]["multiplication"] = [[a, b, {x: data.draw(coeff) for x in objects}]
+                                            for a in objects for b in objects]
+    comp = doc["groupoid"]["composition"]
+    loose = [[a.id, b.id] for a in g.morphisms for b in g.morphisms if a.tgt != b.src]
+    if table == "wrong":
+        comp[data.draw(st.integers(0, len(comp) - 1))][2] = \
+            data.draw(st.sampled_from(g.morphism_ids()))
+    elif table == "spurious" and loose:
+        comp.append(data.draw(st.sampled_from(loose)) + [data.draw(st.sampled_from(g.morphism_ids()))])
+    elif table == "missing":
+        comp.remove(data.draw(st.sampled_from(comp)))
+    assert_duality_matches_oracle(_fresh(doc))
+
+
+def test_thm29_compares_b0_and_a1_as_label_sets():
+    # on i2 with the ideal at x spanned by e2 and the one at y by e1, B0
+    # and A1 have four labels each but not the same ones
+    import oracle
+    from weakhopf.action import DfapAction, skew_groupoid_ring
+    ctx = _fresh(builtin_doc("i2-swap"))
+    labels = {"x": ["e2"], "y": ["e1"], "g": [], "gi": []}
+    ctx.skew = skew_groupoid_ring(ctx.bsm, DfapAction({}, {}, labels)), None
+    res = ctx.verify("thm2.9")
+    assert res.dimensions["B0"] == res.dimensions["A1"] == 4
+    assert "psi(B0) equals span(A1): False" in res.notes
+    assert res.to_json() == oracle.verify_thm2_9(ctx).to_json()
+
+
+def _sabotage(ctx, data):
+    """phi with one column entry dropped, rescaled, moved to another
+    codomain label (as a column or as a row), or copied into the column of
+    another domain label."""
+    F, phi = ctx.field, ctx.phi
+    columns = {x: {col: dict(img) for col, img in endo.items()}
+               for x, endo in phi.columns.items()}
+    x = data.draw(st.sampled_from([x for x in phi.domain_basis if columns[x]]))
+    col = data.draw(st.sampled_from(sorted(columns[x], key=phi.cod_index.get)))
+    row = data.draw(st.sampled_from(sorted(columns[x][col], key=phi.cod_index.get)))
+    w = columns[x][col].pop(row)
+    other = data.draw(st.sampled_from(phi.codomain_basis))
+    how = data.draw(st.sampled_from(["drop", "rescale", "row", "column", "copy"]))
+    if how == "rescale":
+        columns[x][col][row] = F.mul(w, F.parse(data.draw(st.sampled_from(["2", "-1"]))))
+    elif how == "row":
+        columns[x][col][other] = w
+    elif how == "column":
+        columns[x].setdefault(other, {})[row] = w
+    elif how == "copy":
+        columns[x][col][row] = w
+        y = data.draw(st.sampled_from(phi.domain_basis))
+        columns[y].setdefault(col, {})[row] = w
+    if not columns[x][col]:
+        del columns[x][col]
+    return LinearMapRep(F, list(phi.domain_basis), list(phi.codomain_basis), columns)
+
+
+@given(st.sampled_from([builtin_i2(), cyclic_group(3), pair_groupoid(2)]),
+       st.sampled_from([FIELDS[0], FIELDS[2]]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_duality_equals_oracle_on_sabotaged_phi(g, field, data):
+    # one wrong phi column makes the multiplicativity, right-linearity and
+    # claim witnesses appear; they must be the oracle's, in its order
+    from conftest import groupoid_doc
+    ctx = _fresh(groupoid_doc(g, "sabotaged", field))
+    ctx.phi = _sabotage(ctx, data)
+    assert_duality_matches_oracle(ctx)
+
+
+def test_sabotaged_phi_gives_witnesses():
+    # the oracle comparison above is not vacuous: a copied entry breaks
+    # multiplicativity, right-linearity and the kernel claims
+    from conftest import groupoid_doc
+    ctx = _fresh(groupoid_doc(pair_groupoid(2), "sabotaged"))
+    F, phi = ctx.field, ctx.phi
+    x = next(x for x in phi.domain_basis if not phi.columns[x])
+    col, img = next(iter(phi.columns[phi.domain_basis[0]].items()))
+    columns = {**phi.columns, x: {col: img}}
+    ctx.phi = LinearMapRep(F, list(phi.domain_basis), list(phi.codomain_basis), columns)
+    assert not phi_is_homomorphism(ctx.phi, ctx.dsm).ok
+    assert not ctx.verify("thm2.2").holds and not ctx.verify("thm2.9").holds
+    assert_duality_matches_oracle(ctx)
+
+
+# -- generated valid instances: every claim, over Q and over GF(2^31 - 1) -----
+
+
+@pytest.mark.parametrize("g", GENERATED, ids=GENERATED_IDS)
+def test_generated_valid_instances_hold_alike_over_q_and_gfp(g):
+    from conftest import groupoid_doc
+    runs = []
+    for field in ({"kind": "rational"}, {"kind": "prime", "p": 2**31 - 1}):
+        ctx = _fresh(groupoid_doc(g, "generated", field))
+        results = ctx.verify_all()
+        for res in results:
+            assert res.holds and not res.conditional, (res.claim, res.notes)
+        runs.append((ctx.strata_dims, ctx.ki.dims, [r.to_json() for r in results]))
+    assert runs[0] == runs[1]
