@@ -140,19 +140,12 @@ class Echelon:
 
     A vector is a dict {index: nonzero scalar}.  Each row has a leading one
     at its pivot, its smallest index, and a zero at every other row's pivot.
-    Rows are replaced, never edited in place, so copy() shares them.
     """
 
     def __init__(self, field):
         self.field = field
         self.rows = []       # in insertion order
         self.pivots = {}     # pivot -> position of its row, in insertion order
-
-    def copy(self):
-        other = Echelon(self.field)
-        other.rows = list(self.rows)
-        other.pivots = dict(self.pivots)
-        return other
 
     def reduce(self, v):
         # subtracting a row touches no other pivot, so one pass suffices
@@ -174,11 +167,9 @@ class Echelon:
         j = min(v)
         inv = F.inv(v[j])
         v = {c: F.mul(inv, x) for c, x in v.items()}
-        for k, row in enumerate(self.rows):
+        for row in self.rows:
             if j in row:
-                row = dict(row)
                 _subtract(F, row, row[j], v)
-                self.rows[k] = row
         self.pivots[j] = len(self.rows)
         self.rows.append(v)
         return True
@@ -219,13 +210,10 @@ def null_space(field, columns):
             rows.setdefault(i, {})[j] = w
     red, pivots = rref(field, rows.values())
     pivot_set = set(pivots)
-    basis = []
-    for f in range(len(columns)):
-        if f not in pivot_set:
-            v = {f: field.one}
-            for row, pc in zip(red, pivots):
-                if f in row:
-                    v[pc] = field.neg(row[f])
-            basis.append(v)
-    return basis, pivots
+    basis = {f: {f: field.one} for f in range(len(columns)) if f not in pivot_set}
+    for row, pc in zip(red, pivots):
+        for f, w in row.items():
+            if f != pc:
+                basis[f][pc] = field.neg(w)
+    return list(basis.values()), pivots
 

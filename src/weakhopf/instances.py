@@ -114,6 +114,8 @@ def parse_instance(doc: dict) -> Instance:
     gdoc = doc.get("groupoid")
     if not isinstance(gdoc, dict):
         raise InstanceFormatError("missing groupoid section")
+    if not gdoc.get("objects"):
+        raise InstanceFormatError("groupoid has no objects")
     try:
         morphs = [Morphism(m["id"], m["src"], m["tgt"], m["inv"])
                   for m in gdoc.get("morphisms", [])]

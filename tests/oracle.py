@@ -6,17 +6,19 @@ all-tuples forms of the weak-Hopf dual and axiom checkers, and the
 all-pairs forms of B#KG#KG*, the skew groupoid ring, phi and the
 kernel-ideal test, each computing the smash formula itself, the
 all-pairs forms of phi's multiplicativity and right-linearity checks and
-of the closure test, and the span-comparison forms of the thm2.2, rem2.7
-and thm2.9 verifiers on sparse_subspace_equal.  Tests compare the engine against these; nothing in
-src/ imports this module.
+of the closure test, the span-comparison forms of the thm2.2, rem2.7
+and thm2.9 verifiers on sparse_subspace_equal, and the kernel-echelon
+forms of the thm2.2 and thm2.6 verifiers and of the kernel-ideal test.
+Tests compare the engine against these; nothing in src/ imports this
+module.
 """
 
 from dataclasses import dataclass, field as dc_field
 
 from weakhopf import exactmath
 from weakhopf.action import DfapAction, ModuleAction
-from weakhopf.duality import (IMAGE_STRATA, KERNEL_STRATA, LinearMapRep,
-                              element_str, label_str)
+from weakhopf.duality import (COMPLEMENT_STRATA, IMAGE_STRATA, KERNEL_STRATA,
+                              UNITAL_STRATA, LinearMapRep, element_str, label_str)
 from weakhopf.report import Report
 from weakhopf.walg import CoStructure, FinAlgebra, acc
 
@@ -687,16 +689,31 @@ def build_phi(dsm, bsm) -> LinearMapRep:
     return LinearMapRep(F, list(dsm.basis), list(bsm.basis), columns)
 
 
+def kernel_echelon(ctx):
+    """A fresh echelon of ker phi."""
+    ech = exactmath.Echelon(ctx.field)
+    for v in ctx.ki.kernel:
+        ech.add(v)
+    return ech
+
+
+def stratum_vectors(ctx, names):
+    return [ctx.dsm.to_vector({lab: ctx.field.one})
+            for lab in ctx.stratum_labels(names)]
+
+
 def kernel_ideal_witnesses(ctx):
-    """The thm2.6 kernel-ideal test over every basis label z."""
+    """The thm2.6 kernel-ideal test over every basis label z, by
+    membership in the kernel echelon."""
     F, dsm = ctx.field, ctx.dsm
+    ker_ech = kernel_echelon(ctx)
     out = []
     for v in ctx.ki.kernel:
         dv = dsm.from_vector(v)
         for z in dsm.basis:
             ez = {z: F.one}
             for prod in (dsm.multiply(dv, ez), dsm.multiply(ez, dv)):
-                if prod and not ctx.kernel_echelon.contains(dsm.to_vector(prod)):
+                if prod and not ker_ech.contains(dsm.to_vector(prod)):
                     out.append(z)
     return out
 
@@ -767,18 +784,19 @@ def closure_witnesses(ctx, names):
     return witnesses
 
 
-# -- the subspace forms of thm2.2, rem2.7 and thm2.9 --------------------------
+# -- the subspace forms of thm2.2, thm2.6, rem2.7 and thm2.9 -------------------
 #
-# The engine decides these on labels, supports and ranks; these compare
-# spans with subspace_equal.
+# The engine decides these on labels, supports and the ranks of phi's
+# columns; these compare spans with subspace_equal or add the strata to
+# an echelon of the kernel.
 
 
 def verify_thm2_2(ctx):
     F = ctx.field
     kernel = ctx.ki.kernel
-    span_ker_strata = ctx.stratum_vectors(KERNEL_STRATA)
+    span_ker_strata = stratum_vectors(ctx, KERNEL_STRATA)
     eq = sparse_subspace_equal(F, kernel, span_ker_strata)
-    ker_ech = ctx.kernel_echelon
+    ker_ech = kernel_echelon(ctx)
     witnesses = []
     if not eq:
         strata_ech = exactmath.Echelon(F)
@@ -794,7 +812,7 @@ def verify_thm2_2(ctx):
     disjoint = {}
     for name in IMAGE_STRATA:
         ok = True
-        probe = ker_ech.copy()
+        probe = kernel_echelon(ctx)
         for lab in ctx.stratum_labels([name]):
             if not probe.add(ctx.dsm.to_vector({lab: F.one})):
                 ok = False
@@ -808,6 +826,37 @@ def verify_thm2_2(ctx):
     return ctx._result("thm2.2", holds, dims, witnesses, notes)
 
 
+def verify_thm2_6(ctx):
+    kernel = ctx.ki.kernel
+    s_vectors = stratum_vectors(ctx, IMAGE_STRATA)
+    dim = ctx.dsm.dim
+    ech = kernel_echelon(ctx)
+    enlarged = [ech.add(v) for v in s_vectors]
+    decomposes = (all(enlarged) and ech.rank == dim
+                  and len(kernel) + len(s_vectors) == dim)
+    sp_dim = len(ctx.stratum_labels(UNITAL_STRATA))
+    t_dim = len(ctx.stratum_labels(COMPLEMENT_STRATA))
+    split = sp_dim + t_dim == len(s_vectors)
+    witnesses = []
+    closed = True
+    for part, names in (("S", IMAGE_STRATA), ("S'", UNITAL_STRATA),
+                        ("T", COMPLEMENT_STRATA)):
+        for w in closure_witnesses(ctx, names):
+            closed = False
+            witnesses.append({"summand": part, **w})
+    not_ideal = kernel_ideal_witnesses(ctx)
+    ideal_ok = not not_ideal
+    witnesses += [{"kernel_not_ideal_at": label_str(z)} for z in not_ideal]
+    dims = {"dim": dim, "kernel": len(kernel), "S": len(s_vectors),
+            "S'": sp_dim, "T": t_dim}
+    holds = decomposes and split and ideal_ok and closed
+    notes = [f"whole space = kernel (+) image strata: {decomposes}",
+             f"image strata split as unital corner (+) complement: {split}",
+             f"each summand multiplicatively closed: {closed}",
+             f"kernel is a two-sided ideal: {ideal_ok}"]
+    return ctx._result("thm2.6", holds, dims, witnesses, notes)
+
+
 def verify_rem2_7(ctx):
     F = ctx.field
     s_labels = ctx.stratum_labels(IMAGE_STRATA)
@@ -815,8 +864,9 @@ def verify_rem2_7(ctx):
     ech = exactmath.Echelon(F)
     rank_phi_s = sum(ech.add(v) for v in phi_s)
     exact = ctx.ki.dims["kernel"] + rank_phi_s == ctx.ki.dims["domain"]
-    same_image = sparse_subspace_equal(F, phi_s, ctx.ki.image) \
-        if phi_s or ctx.ki.image else True
+    _, image, _ = kernel_and_image(ctx.phi)
+    image = [sparse(v, F) for v in image]
+    same_image = sparse_subspace_equal(F, phi_s, image) if phi_s or image else True
     dims = {"kernel": ctx.ki.dims["kernel"], "phi_of_S": rank_phi_s,
             "domain": ctx.ki.dims["domain"], "image": ctx.ki.dims["image"]}
     notes = [f"dim kernel + dim phi(S) == dim domain: {exact}",
@@ -845,7 +895,7 @@ def verify_thm2_9(ctx):
     inj = len({ctx.dsm.index[lab] for lab in c_labels}) == len(c_labels)
     b0 = [lab for lab in c_labels if g.src(lab[1]) == g.tgt(lab[1])]
     psi_b0 = [{ctx.dsm.index[lab]: F.one} for lab in b0]
-    a1 = ctx.stratum_vectors(["A1"])
+    a1 = stratum_vectors(ctx, ["A1"])
     b0_eq_a1 = sparse_subspace_equal(F, psi_b0, a1)
     dims = {"skew_smash_dim": n_dom, "D1": len(d1), "C": len(c_labels),
             "phi_psi_C": rank_c, "kernel_phi_psi": len(ker),

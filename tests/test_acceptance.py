@@ -9,7 +9,7 @@ import pytest
 
 from conftest import context
 from oracle import flatten, rank
-from oracle import sparse_subspace_equal as subspace_equal
+from oracle import sparse_subspace_equal as subspace_equal, stratum_vectors
 from weakhopf.cli import main
 from weakhopf.duality import KERNEL_STRATA, UNCLASSIFIED
 from weakhopf.exactmath import QQ
@@ -75,7 +75,7 @@ def test_criterion_3_kernel_stratification_i2(capsys):
     res = ctx.verify("thm2.2")
     elapsed = time.time() - t0
     eq = subspace_equal(ctx.field, ctx.ki.kernel,
-                        ctx.stratum_vectors(KERNEL_STRATA))
+                        stratum_vectors(ctx, KERNEL_STRATA))
     ok = res.holds and not res.conditional and eq and elapsed < 5
     with capsys.disabled():
         _line(3, ok, f"i2-swap kernel (dim {ctx.ki.dims['kernel']}) equals the "
@@ -129,7 +129,7 @@ def test_criterion_6_worked_example_end_to_end(tmp_path, capsys):
         ok = ok and doc["strata"]["A6"] == 0         # A6 stays empty
         if ctx.module_report.ok:
             validated_anywhere = True
-            vecs = ctx.stratum_vectors(("A3", "A4", "A5"))
+            vecs = stratum_vectors(ctx, ("A3", "A4", "A5"))
             ok = ok and subspace_equal(ctx.field, ctx.ki.kernel, vecs)
         else:
             # discrepancies must surface as named diagnostics

@@ -239,8 +239,12 @@ def _schema_breaks():
     short_action["action"][0] = ["x", "e1"]
     list_label = builtin_doc("i2-swap")
     list_label["algebra"]["basis"][1] = ["e2"]
+    no_objects = builtin_doc("i2-swap")
+    for key in ("objects", "morphisms", "composition"):
+        no_objects["groupoid"][key] = []
+    no_objects["action"] = []
     return {"short-multiplication": short_mul, "short-action": short_action,
-            "list-label": list_label, "directory": None}
+            "list-label": list_label, "no-objects": no_objects, "directory": None}
 
 
 @pytest.mark.parametrize("case", sorted(_schema_breaks()))
@@ -363,3 +367,4 @@ def test_zero_unit_exits_2(tmp_path, capsys):
         assert main([cmd, str(p)]) == 2
         err = capsys.readouterr().err
         assert err == "error: algebra unit is zero; B needs a nonzero unit\n"
+

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle import sparse_subspace_equal as subspace_equal
+from oracle import sparse_subspace_equal as subspace_equal, stratum_vectors
 from weakhopf.duality import (COMPLEMENT_STRATA, IMAGE_STRATA, KERNEL_STRATA,
                               UNCLASSIFIED, UNITAL_STRATA, VerificationContext,
-                              classify, compose_endos, phi_is_homomorphism,
-                              right_linearity, LinearMapRep)
+                              classify, compose_endos, label_str,
+                              phi_is_homomorphism, right_linearity, LinearMapRep)
 from weakhopf.groupoid import builtin_i2, cyclic_group, disjoint_union, pair_groupoid
 from weakhopf.instances import builtin_doc, parse_instance
 
@@ -113,7 +113,7 @@ def test_kernel_dims_i2(ctx_i2):
 
 
 def test_kernel_matches_classifier_on_i2(ctx_i2):
-    vecs = ctx_i2.stratum_vectors(KERNEL_STRATA)
+    vecs = stratum_vectors(ctx_i2, KERNEL_STRATA)
     assert subspace_equal(ctx_i2.field, ctx_i2.ki.kernel, vecs)
 
 
@@ -279,13 +279,12 @@ def test_unknown_claim_rejected(ctx_z2):
 
 
 def test_kernel_strata_never_meet_image_strata(ctx_i2, ctx_z2, ctx_z3, ctx_ex28_gf2):
-    # classified kernel vectors never land in the image strata
+    # no label of an image stratum is in the kernel: its phi column is nonzero
     for ctx in (ctx_i2, ctx_z2, ctx_z3, ctx_ex28_gf2):
         if not ctx.module_report.ok:
             continue
         for lab in ctx.stratum_labels(("A1", "A2", "A7", "A8", "A9", "A10")):
-            v = ctx.dsm.to_vector({lab: ctx.field.one})
-            assert not ctx.kernel_echelon.contains(v)
+            assert ctx.phi.columns[lab]
 
 
 # -- the sparse kernel and image against the dense oracle ----------------------
@@ -294,11 +293,10 @@ def test_kernel_strata_never_meet_image_strata(ctx_i2, ctx_z2, ctx_z3, ctx_ex28_
 def _assert_kernel_and_image_match_oracle(ctx):
     import oracle
     F, phi = ctx.field, ctx.phi
-    kernel, image, labels = oracle.kernel_and_image(phi)
-    n_dom, n_cod = len(phi.domain_basis), len(phi.codomain_basis) ** 2
+    kernel, image, _ = oracle.kernel_and_image(phi)
+    n_dom = len(phi.domain_basis)
     assert [oracle.dense(v, n_dom, F) for v in ctx.ki.kernel] == kernel
-    assert [oracle.dense(v, n_cod, F) for v in ctx.ki.image] == image
-    assert ctx.ki.image_labels == labels
+    assert ctx.ki.dims["image"] == len(image)
 
 
 def _generated(name):
@@ -367,8 +365,9 @@ def _findings(rep):
 
 
 def assert_duality_matches_oracle(ctx):
-    """phi's two checks, the closure test and the thm2.2, rem2.7 and thm2.9
-    verdicts equal the all-pairs and subspace_equal forms."""
+    """phi's two checks, the closure test and the thm2.2, thm2.6, rem2.7 and
+    thm2.9 verdicts equal the all-pairs, kernel-echelon and subspace_equal
+    forms."""
     import oracle
     phi = ctx.phi
     assert _findings(phi_is_homomorphism(phi, ctx.dsm)) \
@@ -377,8 +376,8 @@ def assert_duality_matches_oracle(ctx):
         == _findings(oracle.right_linearity(phi, ctx.bsm, ctx.B))
     for names in (UNITAL_STRATA, IMAGE_STRATA, COMPLEMENT_STRATA):
         assert ctx._closure_check(names) == oracle.closure_witnesses(ctx, names)
-    for cid, ref in (("thm2.2", oracle.verify_thm2_2), ("rem2.7", oracle.verify_rem2_7),
-                     ("thm2.9", oracle.verify_thm2_9)):
+    for cid, ref in (("thm2.2", oracle.verify_thm2_2), ("thm2.6", oracle.verify_thm2_6),
+                     ("rem2.7", oracle.verify_rem2_7), ("thm2.9", oracle.verify_thm2_9)):
         got, want = ctx.verify(cid), ref(ctx)
         assert got.to_json() == want.to_json()
         assert got.witnesses == want.witnesses
@@ -519,6 +518,24 @@ def test_sabotaged_phi_gives_witnesses():
     ctx.phi = LinearMapRep(F, list(phi.domain_basis), list(phi.codomain_basis), columns)
     assert not phi_is_homomorphism(ctx.phi, ctx.dsm).ok
     assert not ctx.verify("thm2.2").holds and not ctx.verify("thm2.9").holds
+    assert_duality_matches_oracle(ctx)
+
+
+def test_thm26_needs_phi_injective_on_the_image_strata():
+    # on i2, give the phi column of the A1 label x to the A1 label y, and
+    # y's own column to a kernel-stratum label k: the rank of phi and the
+    # kernel dimension stay, but the kernel now meets span(S) and A1
+    ctx = _fresh(builtin_doc("i2-swap"))
+    phi = ctx.phi
+    x, y = ctx.stratum_labels(["A1"])[:2]
+    k = ctx.stratum_labels(KERNEL_STRATA)[0]
+    columns = {**phi.columns, y: phi.columns[x], k: phi.columns[y]}
+    ctx.phi = LinearMapRep(ctx.field, list(phi.domain_basis), list(phi.codomain_basis),
+                           columns)
+    res = ctx.verify("thm2.6")
+    assert res.dimensions["kernel"] + res.dimensions["S"] == res.dimensions["dim"]
+    assert "whole space = kernel (+) image strata: False" in res.notes
+    assert {"stratum_meets_kernel": ["A1", label_str(y)]} in ctx.verify("thm2.2").witnesses
     assert_duality_matches_oracle(ctx)
 
 

@@ -116,14 +116,6 @@ def test_rational_parse_reduced():
     assert QQ.show(QQ.parse("-3/9")) == "-1/3"
 
 
-def test_echelon_copy_leaves_the_original_alone():
-    ech = _span(QQ, [qvec([1, 1, 0])])
-    probe = ech.copy()
-    assert probe.add(qvec([0, 1, 1]))
-    assert ech.rank == 1 and ech.rows == [qvec([1, 1, 0])]
-    assert probe.rows == [qvec([1, 0, -1]), qvec([0, 1, 1])]
-
-
 small_int = st.integers(min_value=-3, max_value=3)
 
 
