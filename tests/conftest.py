@@ -26,6 +26,22 @@ def spurious_i2_doc():
     return doc
 
 
+def half_unit_z2_doc():
+    """Z/2 swapping p and q in B = Q^2 on the basis {p, q} = {2e1, 2e2}:
+    pp = 2p, qq = 2q and the unit is p/2 + q/2, so the report carries
+    non-integral scalars."""
+    from weakhopf.groupoid import cyclic_group
+    return {
+        "name": "half-unit-z2",
+        "field": {"kind": "rational"},
+        "groupoid": groupoid_to_doc(cyclic_group(2)),
+        "algebra": {"basis": ["p", "q"], "unit": {"p": "1/2", "q": "1/2"},
+                    "multiplication": [["p", "p", {"p": "2"}], ["q", "q", {"q": "2"}]]},
+        "action": [["e", "p", {"p": "1"}], ["e", "q", {"q": "1"}],
+                   ["a", "p", {"q": "1"}], ["a", "q", {"p": "1"}]],
+    }
+
+
 def wrong_composition_doc(n):
     """pair(n) with m1_2 * m2_1 (n == 2) or m1_2 * m2_3 (n >= 3) sent to m1_2."""
     from weakhopf.groupoid import pair_groupoid

@@ -1,6 +1,7 @@
 """Golden output: the stdout, exit code and --json report of
-`wh verify <target> --claim all --json report.json` for the five builtins
-and the spurious-entry i2, compared byte for byte.
+`wh verify <target> --claim all --json report.json` for the five builtins,
+the spurious-entry i2 and the half-unit Z/2 (a rational instance with
+non-integral scalars), compared byte for byte.
 
 A change that alters these outputs on purpose regenerates them with
 
@@ -19,21 +20,24 @@ from pathlib import Path
 import pytest
 
 GOLDEN = Path(__file__).parent / "golden"
-TARGETS = ("z2-trivial", "z3-trivial", "i2-swap", "ex2.8", "ex2.8-gf2", "spurious-i2")
+TARGETS = ("z2-trivial", "z3-trivial", "i2-swap", "ex2.8", "ex2.8-gf2", "spurious-i2",
+           "half-unit-z2")
+DOCUMENTS = {"spurious-i2": "spurious_i2_doc", "half-unit-z2": "half_unit_z2_doc"}
 
 
 def render(target, workdir):
     """(exit code, stdout, report) of the verify run, made in workdir with
     WH_COLOR=0."""
-    from conftest import spurious_i2_doc
+    import conftest
     from weakhopf.cli import main
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
         arg = target
-        if target == "spurious-i2":
-            arg = "spurious-i2.json"
-            Path(arg).write_text(json.dumps(spurious_i2_doc()), encoding="utf-8")
+        if target in DOCUMENTS:
+            arg = f"{target}.json"
+            doc = getattr(conftest, DOCUMENTS[target])()
+            Path(arg).write_text(json.dumps(doc), encoding="utf-8")
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(["verify", arg, "--claim", "all", "--json", "report.json"])
@@ -42,9 +46,9 @@ def render(target, workdir):
         os.chdir(cwd)
 
 
-def test_targets_are_the_builtins_and_the_spurious_i2():
+def test_targets_are_the_builtins_and_the_document_instances():
     from weakhopf.instances import BUILTIN_NAMES
-    assert set(TARGETS) == set(BUILTIN_NAMES) | {"spurious-i2"}
+    assert set(TARGETS) == set(BUILTIN_NAMES) | set(DOCUMENTS)
 
 
 @pytest.mark.parametrize("target", TARGETS)
