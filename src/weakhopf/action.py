@@ -80,9 +80,7 @@ def check_module_algebra(B: FinAlgebra, kg: FinAlgebra, kg_co, action: ModuleAct
     for m in ids:
         legs = kg_co.delta.get(m, [])
         for x in B.basis:
-            ex = B.basis_element(x)
             for y in B.basis:
-                ey = B.basis_element(y)
                 lhs = action.act({m: F.one}, B.basis_product(x, y))
                 rhs = {}
                 for m1, m2, c in legs:
@@ -125,9 +123,7 @@ def component_decomposition(B: FinAlgebra, kg: FinAlgebra, action: ModuleAction)
     g = action.groupoid
     rep = Report("component decomposition")
 
-    idem = {}
-    for e in g.objects:
-        idem[e] = action.act({e: F.one}, B.unit)
+    idem = {e: action.act({e: F.one}, B.unit) for e in g.objects}
 
     for e in g.objects:
         q = idem[e]
@@ -142,8 +138,7 @@ def component_decomposition(B: FinAlgebra, kg: FinAlgebra, action: ModuleAction)
             if B.multiply(idem[e], idem[f]) or B.multiply(idem[f], idem[e]):
                 rep.add("orthogonal", [e, f], "idempotents for distinct objects overlap")
 
-    components = {}
-    spans = {}
+    components, spans = {}, {}
     total = Echelon(F)
     dim_sum = 0
     for e in g.objects:
@@ -201,9 +196,7 @@ def derive_dfap_action(B: FinAlgebra, kg: FinAlgebra, action: ModuleAction,
         for v in vs:
             comp_span[e].add(v)
 
-    ideal_bases = {}
-    iso_images = {}
-    ideal_labels = {}
+    ideal_bases, iso_images, ideal_labels = {}, {}, {}
     for m in g.morphism_ids():
         e_g = decomp.components[g.src(m)]
         ideal_bases[m] = [dict(v) for v in e_g]

@@ -6,7 +6,8 @@
     wh hopf-check <file-or-builtin>
 
 Exit codes: 0 everything holds, 1 violations or failed claims, 2 parse,
-reference or usage errors.  Set WH_COLOR=0|1 to force plain or colored
+reference or usage errors, 3 an internal error (any other exception).
+Codes 2 and 3 print one line on stderr.  Set WH_COLOR=0|1 to force plain or colored
 output.  Reports are deterministic: the same instance yields byte-identical
 JSON on every run.
 """
@@ -92,13 +93,7 @@ def _validation_reports(ctx: VerificationContext):
 
 
 def cmd_validate(args) -> int:
-    try:
-        inst = _resolve(args.instance)
-        ctx = VerificationContext(inst)
-    except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    reports = _validation_reports(ctx)
+    reports = _validation_reports(VerificationContext(_resolve(args.instance)))
     ok = True
     for name, rep in reports:
         ok = ok and rep.ok
@@ -155,13 +150,9 @@ def cmd_verify(args) -> int:
             print(f"error: unknown claim id {cid!r}; known: "
                   f"{', '.join(CLAIM_IDS)} or 'all'", file=sys.stderr)
             return 2
-    try:
-        ctx = VerificationContext(_resolve(args.instance))
-        results = [ctx.verify(cid) for cid in claims]
-        doc = build_report_doc(ctx, results)
-    except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    ctx = VerificationContext(_resolve(args.instance))
+    results = [ctx.verify(cid) for cid in claims]
+    doc = build_report_doc(ctx, results)
 
     name = ctx.instance.name or args.instance
     print(f"instance {name}  field={ctx.field.describe()}  "
@@ -202,11 +193,7 @@ def cmd_builtin(args) -> int:
 
 
 def cmd_hopf_check(args) -> int:
-    try:
-        inst = _resolve(args.instance)
-    except InstanceFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    inst = _resolve(args.instance)
     from .groupoid import validate_groupoid
     from .walg import dual_weak_hopf, groupoid_algebra
 
@@ -259,7 +246,14 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except InstanceFormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a fault of the engine, not of the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -12,20 +12,22 @@ MAX_PRIME = 2**31
 
 
 class Rationals:
-    """The field of rationals, backed by arbitrary-precision Fraction."""
+    """The field of rationals.  An integral value is an int and any other
+    value a Fraction, so the structure constants of groupoid instances
+    never leave int arithmetic; str prints both the same way."""
 
     kind = "rational"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
-        return a + b
+        return _integral(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _integral(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _integral(a * b)
 
     def neg(self, a):
         return -a
@@ -33,10 +35,10 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a
+        return _integral(Fraction(1) / a)
 
     def parse(self, text):
-        return Fraction(str(text))
+        return _integral(Fraction(str(text)))
 
     def show(self, a) -> str:
         return str(a)
@@ -52,6 +54,11 @@ class Rationals:
 
     def __repr__(self):
         return "Rationals()"
+
+
+def _integral(x):
+    """x as an int when its denominator is 1."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def is_prime(n: int) -> bool:

@@ -82,12 +82,8 @@ class Groupoid:
         return self.comp.get((a, b))
 
     def composable_pairs(self):
-        out = []
-        for a in self.morphisms:
-            for b in self.morphisms:
-                if a.tgt == b.src:
-                    out.append((a.id, b.id))
-        return out
+        return [(a.id, b.id) for a in self.morphisms for b in self.morphisms
+                if a.tgt == b.src]
 
     def hom(self, e, f):
         """Morphisms with src e and tgt f, in declaration order."""
@@ -190,11 +186,8 @@ def from_group(elements, products) -> Groupoid:
             c = products.get((a, b))
             if c not in eset:
                 raise GroupoidError(f"table not closed at ({a!r}, {b!r})")
-    identity = None
-    for e in elements:
-        if all(products[(e, a)] == a and products[(a, e)] == a for a in elements):
-            identity = e
-            break
+    identity = next((e for e in elements if all(
+        products[(e, a)] == a and products[(a, e)] == a for a in elements)), None)
     if identity is None:
         raise GroupoidError("table has no identity")
     inverses = {}

@@ -42,11 +42,7 @@ class Report:
             self.info.setdefault(k, v)
 
     def checks_failed(self):
-        seen = []
-        for f in self.findings:
-            if f.check not in seen:
-                seen.append(f.check)
-        return seen
+        return list(dict.fromkeys(f.check for f in self.findings))
 
     def to_json(self):
         by_check = {}

@@ -7,7 +7,6 @@ all element arithmetic goes through the algebra (or the el_* helpers).
 """
 
 from functools import cached_property
-from itertools import product
 
 from .report import Report
 
@@ -186,28 +185,24 @@ class CoStructure:
 # -- tensor helpers (dicts keyed by label tuples) ------------------------------
 
 
-def tensor_mul(alg, t, u, legs):
-    """Componentwise product of two tensors with the given number of legs.
-    For each key of t only the keys of u whose every leg multiplies the
-    matching leg of t to a nonzero product are looked up."""
-    F = alg.field
-    right, _ = alg.nonzero_products
-    leg_labels = [{k[i] for k in u} for i in range(legs)]
-    out = {}
-    for ka, ca in t.items():
-        candidates = [[b for b in right.get(a, ()) if b in labels]
-                      for a, labels in zip(ka, leg_labels)]
-        for kb in product(*candidates):
-            cb = u.get(kb)
-            if cb is None:
-                continue
-            terms = {(): F.mul(ca, cb)}
-            for a, b in zip(ka, kb):
-                terms = {k + (lab,): F.mul(w, cc) for k, w in terms.items()
-                         for lab, cc in right[a][b].items()}
-            for k, w in terms.items():
-                acc(F, out, k, w)
-    return out
+def acc_tensor(field, out, w, *factors):
+    """out += w * (f1 x f2 x ...) for elements f1, f2, ..., in place."""
+    terms = {(): w}
+    for f in factors:
+        terms = {k + (lab,): field.mul(c, x) for k, c in terms.items()
+                 for lab, x in f.items()}
+    for k, c in terms.items():
+        acc(field, out, k, c)
+
+
+def legs_by_side(d: dict):
+    """(by_first, by_second) of a coproduct {(a, b): w}: by_first[a] lists
+    the (b, w) and by_second[b] the (a, w)."""
+    by_first, by_second = {}, {}
+    for (a, b), w in d.items():
+        by_first.setdefault(a, []).append((b, w))
+        by_second.setdefault(b, []).append((a, w))
+    return by_first, by_second
 
 
 def delta_square(alg, co, x: dict) -> dict:
@@ -299,34 +294,53 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
         if delta_square(alg, co, e) != right:
             rep.add("coassociativity", x)
 
-        lhs = {}
-        rhs = {}
+        lhs, rhs = {}, {}
         for (a, b), c in deltas[x].items():
             acc(F, lhs, b, F.mul(c, co.counit.get(a, F.zero)))
             acc(F, rhs, a, F.mul(c, co.counit.get(b, F.zero)))
         if lhs != e or rhs != e:
             rep.add("counit-law", x)
 
-    # delta(xy) == delta(x) delta(y)
+    # delta(xy) == delta(x) delta(y), the sum of ac x bd over the legs (a, b)
+    # of delta(x) and (c, d) of delta(y).  Only the y with xy != 0, or with
+    # ac and bd both nonzero for some legs, can break the identity
+    right, left = alg.nonzero_products
+    with_legs = {}
+    for y in alg.basis:
+        for cd, w in deltas[y].items():
+            with_legs.setdefault(cd, []).append((y, w))
     for x in alg.basis:
-        for y in alg.basis:
-            lhs = co.delta_element(alg.basis_product(x, y))
-            if lhs != tensor_mul(alg, deltas[x], deltas[y], 2):
+        prods = {y: {} for y in right.get(x, ())}
+        for (a, b), w in deltas[x].items():
+            for c, ac in right.get(a, {}).items():
+                for d, bd in right.get(b, {}).items():
+                    for y, w2 in with_legs.get((c, d), ()):
+                        acc_tensor(F, prods.setdefault(y, {}), F.mul(w, w2), ac, bd)
+        for y in sorted(prods, key=alg.index.get):
+            if co.delta_element(alg.basis_product(x, y)) != prods[y]:
                 rep.add("coproduct-multiplicative", [x, y])
 
-    # delta^2(1) == (delta(1) x 1)(1 x delta(1)) == (1 x delta(1))(delta(1) x 1)
+    # delta^2(1) == (delta(1) x 1)(1 x delta(1)) == (1 x delta(1))(delta(1) x 1).
+    # Over the legs (a, b) and (c, d) of delta(1) the two products are the
+    # sums of (a1) x bc x (1d) and of (1c) x ad x (b1)
     one = alg.unit
+    d1 = co.delta_element(one)
+    by_first, by_second = legs_by_side(d1)
+    times_one = {lab: alg.multiply({lab: F.one}, one) for ab in d1 for lab in ab}
+    one_times = {lab: alg.multiply(one, {lab: F.one}) for ab in d1 for lab in ab}
+    unit_lhs, unit_flipped = {}, {}
+    for (a, b), w in d1.items():
+        for c, bc in right.get(b, {}).items():
+            for d, w2 in by_first.get(c, ()):
+                acc_tensor(F, unit_lhs, F.mul(w, w2), times_one[a], bc, one_times[d])
+        for d, ad in right.get(a, {}).items():
+            for c, w2 in by_second.get(d, ()):
+                acc_tensor(F, unit_flipped, F.mul(w, w2), one_times[c], ad, times_one[b])
     d2_1 = delta_square(alg, co, one)
-    t_d1_1 = {}
-    t_1_d1 = {}
-    for (a, b), c in co.delta_element(one).items():
-        for u, cu in one.items():
-            acc(F, t_d1_1, (a, b, u), F.mul(c, cu))
-            acc(F, t_1_d1, (u, a, b), F.mul(c, cu))
-    if tensor_mul(alg, t_d1_1, t_1_d1, 3) != d2_1:
+    if unit_lhs != d2_1:
         rep.add("weak-unit", "delta^2(1)",
                 "(delta(1) x 1)(1 x delta(1)) differs from delta^2(1)")
-    if tensor_mul(alg, t_1_d1, t_d1_1, 3) != d2_1:
+    if unit_flipped != d2_1:
         rep.add("weak-unit-flipped", "delta^2(1)",
                 "(1 x delta(1))(delta(1) x 1) differs from delta^2(1)")
 
@@ -334,7 +348,6 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
     # off the nonzero values eps[a][b] = eps(ab).  Only the x with xy != 0
     # or eps(x y_i) != 0 for a leg y_i of delta(y), and only the z where one
     # of the three sums has a nonzero term, can break the identity
-    _, left = alg.nonzero_products
     eps, eps_left = {}, {}
     for (a, b), prod in alg.mul.items():
         v = co.counit_element(prod)
@@ -376,7 +389,8 @@ def check_antipode(alg: FinAlgebra, co: CoStructure) -> Report:
         raise ValueError("no antipode table")
     F = alg.field
     rep = Report(f"antipode axioms ({alg.name or 'algebra'})")
-    d1 = co.delta_element(alg.unit)
+    right, left = alg.nonzero_products
+    by_first, by_second = legs_by_side(co.delta_element(alg.unit))
 
     def S(lab):
         return co.antipode.get(lab, {})
@@ -385,14 +399,17 @@ def check_antipode(alg: FinAlgebra, co: CoStructure) -> Report:
         e = {x: F.one}
         dx = co.delta_element(e)
 
-        # x1 S(x2) == eps(1_1 x) 1_2  and  S(x1) x2 == 1_1 eps(x 1_2)
+        # x1 S(x2) == eps(1_1 x) 1_2  and  S(x1) x2 == 1_1 eps(x 1_2), where
+        # eps(1_1 x) needs 1_1 x != 0 and eps(x 1_2) needs x 1_2 != 0
         left_l, left_r, right_l, right_r = {}, {}, {}, {}
         for (a, b), c in dx.items():
             el_addto(F, left_l, c, alg.multiply({a: F.one}, S(b)))
             el_addto(F, right_l, c, alg.multiply(S(a), {b: F.one}))
-        for (a, b), c in d1.items():
-            el_addto(F, left_r, F.mul(c, co.counit_element(alg.multiply({a: F.one}, e))), {b: F.one})
-            el_addto(F, right_r, F.mul(c, co.counit_element(alg.multiply(e, {b: F.one}))), {a: F.one})
+        for out, prods, legs in ((left_r, left, by_first), (right_r, right, by_second)):
+            for a, ax in prods.get(x, {}).items():
+                eps = co.counit_element(ax)
+                for b, c in legs.get(a, ()):
+                    acc(F, out, b, F.mul(c, eps))
         if left_l != left_r:
             rep.add("antipode-left", x)
         if right_l != right_r:

@@ -311,6 +311,17 @@ def test_verify_maps_format_errors_of_lazy_stages_to_exit_2(monkeypatch, capsys)
     assert capsys.readouterr().err == "error: phi cannot be built\n"
 
 
+def test_internal_errors_exit_3_with_one_line(monkeypatch, capsys):
+    from weakhopf import cli
+
+    def broken(alg, co):
+        raise RuntimeError("stage broke")
+    monkeypatch.setattr(cli, "check_antipode", broken)
+    for cmd in ("validate", "verify", "hopf-check"):
+        assert main([cmd, "z2-trivial"]) == 3
+        assert capsys.readouterr().err == "internal error: RuntimeError: stage broke\n"
+
+
 def _node_paths(node, prefix=()):
     items = (node.items() if isinstance(node, dict)
              else enumerate(node) if isinstance(node, list) else ())

@@ -191,3 +191,45 @@ def test_sparse_core_equals_dense_oracle(field, data):
     assert subspace_equal(field, [sparse(r, field) for r in rows],
                           [sparse(r, field) for r in other]) \
         == oracle.subspace_equal(field, rows, other)
+
+
+# -- the rationals keep integral values as ints --------------------------------
+
+rationals = st.one_of(st.integers(-30, 30).map(Fraction),
+                      st.fractions(min_value=-30, max_value=30, max_denominator=12))
+
+
+def _assert_stored_like(got, want):
+    """got equals the Fraction want, is an int exactly when want is
+    integral, and prints as want does."""
+    assert got == want
+    assert type(got) is (int if want.denominator == 1 else Fraction)
+    assert QQ.show(got) == QQ.show(want) == str(want)
+
+
+@given(rationals, rationals, st.integers(1, 5))
+@settings(max_examples=300, deadline=None)
+def test_rationals_agree_with_fraction(x, y, k):
+    # parse reads the value from unreduced text as well
+    a = QQ.parse(f"{x.numerator * k}/{x.denominator * k}")
+    b = QQ.parse(str(y))
+    _assert_stored_like(a, x)
+    _assert_stored_like(b, y)
+    _assert_stored_like(QQ.add(a, b), x + y)
+    _assert_stored_like(QQ.sub(a, b), x - y)
+    _assert_stored_like(QQ.mul(a, b), x * y)
+    _assert_stored_like(QQ.neg(a), -x)
+    if x != 0:
+        _assert_stored_like(QQ.inv(a), 1 / x)
+
+
+def test_rationals_constants_and_zero_division():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert (QQ.zero, QQ.one) == (0, 1)
+    _assert_stored_like(QQ.parse("-6/3"), Fraction(-2))
+    _assert_stored_like(QQ.mul(QQ.parse("2/3"), QQ.parse("3/2")), Fraction(1))
+    _assert_stored_like(QQ.inv(QQ.parse("-1/4")), Fraction(-4))
+    with pytest.raises(ZeroDivisionError):
+        QQ.parse("1/0")
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(QQ.zero)

@@ -231,16 +231,17 @@ def test_checkers_equal_oracle_on_generated_groupoids(g, field):
     assert inst.algebra.associativity_violations() == oracle.associativity_violations(inst.algebra)
 
 
-def _sabotaged_i2(table, value):
+def _sabotaged_i2(table, value, field=QQ):
     """KG of i2 with one table entry replaced, as (algebra, costructure)."""
     from weakhopf.walg import FinAlgebra
-    alg, co = groupoid_algebra(QQ, builtin_i2())
-    mul, delta = dict(alg.mul), dict(co.delta)
+    alg, co = groupoid_algebra(field, builtin_i2())
+    mul, delta, unit = dict(alg.mul), dict(co.delta), dict(alg.unit)
     counit, antipode = dict(co.counit), dict(co.antipode)
     key, entry = value
-    {"mul": mul, "delta": delta, "counit": counit, "antipode": antipode}[table][key] = entry
-    return (FinAlgebra(QQ, alg.basis, mul, alg.unit, name="KG"),
-            CoStructure(QQ, delta, counit, antipode))
+    {"mul": mul, "delta": delta, "counit": counit, "antipode": antipode,
+     "unit": unit}[table][key] = entry
+    return (FinAlgebra(field, alg.basis, mul, unit, name="KG"),
+            CoStructure(field, delta, counit, antipode))
 
 
 SABOTAGES = [
@@ -250,32 +251,53 @@ SABOTAGES = [
     ("weak-counit", "counit", ("x", Fraction(2))),
     ("antipode-sandwich", "antipode", ("g", {"g": one})),
     ("associativity", "mul", (("g", "gi"), {"y": one})),
+    # the unit 2x + y over GF(7): the unit law fails, yet the weak-unit
+    # axiom holds, since 2^3 == 1 there and delta^2(1) and its two products
+    # carry 2 and 2^4 at x x x.  A read-off taking a1 == a for the legs a
+    # of delta(1) gets 2^2 there and reports weak-unit, unlike the oracle
+    ("unit", "unit", ("x", 2)),
 ]
+SABOTAGE_PRIMES = {"unit": 7}  # the cases not over Q
 
 
 @pytest.mark.parametrize("check,table,value", SABOTAGES, ids=[s[0] for s in SABOTAGES])
 def test_sabotaged_table_is_caught_as_the_oracle_catches_it(check, table, value):
-    alg, co = _sabotaged_i2(table, value)
+    p = SABOTAGE_PRIMES.get(check)
+    alg, co = _sabotaged_i2(table, value, QQ if p is None else PrimeField(p))
     assert_checks_match_oracle(alg, co)
     assert_dual_matches_oracle(alg, co)
     rep = check_weak_bialgebra(alg, co)
     rep.merge(check_antipode(alg, co))
     failed = rep.checks_failed() + (["associativity"] if alg.associativity_violations() else [])
+    failed += ["unit"] if alg.unit_violations() else []
     assert check in failed
 
 
-@given(st.sampled_from([builtin_i2(), cyclic_group(3), pair_groupoid(2)]),
-       st.booleans(), st.sampled_from(["mul", "delta", "counit", "antipode"]), st.data())
-@settings(max_examples=60, deadline=None)
-def test_checkers_equal_oracle_on_random_sabotage(g, dual, table, data):
+def test_weak_unit_multiplies_each_leg_by_the_unit_on_its_own_side():
+    # unit y and a leg y x g added to delta(y): g1 == g but 1g == 0, so
+    # reading 1g as g1 would hide the weak-unit failure the oracle reports
     from weakhopf.walg import FinAlgebra
-    alg, co = groupoid_algebra(QQ, g)
+    alg, co = groupoid_algebra(QQ, builtin_i2())
+    delta = {**co.delta, "y": co.delta["y"] + [("y", "g", one)]}
+    bad = FinAlgebra(QQ, alg.basis, alg.mul, {"y": one}, name="KG")
+    bad_co = CoStructure(QQ, delta, co.counit, co.antipode)
+    assert_checks_match_oracle(bad, bad_co)
+    assert "weak-unit" in check_weak_bialgebra(bad, bad_co).checks_failed()
+
+
+@given(st.sampled_from([builtin_i2(), cyclic_group(3), pair_groupoid(2)]),
+       st.booleans(), st.sampled_from(["mul", "delta", "counit", "antipode", "unit"]),
+       st.sampled_from([QQ, PrimeField(3)]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_checkers_equal_oracle_on_random_sabotage(g, dual, table, field, data):
+    from weakhopf.walg import FinAlgebra
+    alg, co = groupoid_algebra(field, g)
     if dual:
         alg, co = dual_weak_hopf(alg, co)
     labels = st.sampled_from(alg.basis)
-    scalar = st.sampled_from([Fraction(-1), Fraction(0), Fraction(1), Fraction(2)])
+    scalar = st.sampled_from([field.parse(v) for v in ("-1", "0", "1", "2")])
     element = st.dictionaries(labels, scalar, max_size=2)
-    mul, delta = dict(alg.mul), dict(co.delta)
+    mul, delta, unit = dict(alg.mul), dict(co.delta), dict(alg.unit)
     counit, antipode = dict(co.counit), dict(co.antipode)
     if table == "mul":
         mul[(data.draw(labels), data.draw(labels))] = data.draw(element)
@@ -283,9 +305,11 @@ def test_checkers_equal_oracle_on_random_sabotage(g, dual, table, data):
         delta[data.draw(labels)] = data.draw(st.lists(st.tuples(labels, labels, scalar), max_size=3))
     elif table == "counit":
         counit[data.draw(labels)] = data.draw(scalar)
+    elif table == "unit":
+        unit[data.draw(labels)] = data.draw(scalar)
     else:
         antipode[data.draw(labels)] = data.draw(element)
-    bad = FinAlgebra(QQ, alg.basis, mul, alg.unit, name=alg.name)
-    bad_co = CoStructure(QQ, delta, counit, antipode)
+    bad = FinAlgebra(field, alg.basis, mul, unit, name=alg.name)
+    bad_co = CoStructure(field, delta, counit, antipode)
     assert_checks_match_oracle(bad, bad_co)
     assert_dual_matches_oracle(bad, bad_co)
