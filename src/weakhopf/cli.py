@@ -7,9 +7,9 @@
 
 Exit codes: 0 everything holds, 1 violations or failed claims, 2 parse,
 reference or usage errors, 3 an internal error (any other exception).
-Codes 2 and 3 print one line on stderr.  Set WH_COLOR=0|1 to force plain or colored
-output.  Reports are deterministic: the same instance yields byte-identical
-JSON on every run.
+Codes 2 and 3 print one line on stderr.  Set WH_COLOR=0|1 to force plain
+or colored output.  Reports are deterministic: the same instance yields
+byte-identical JSON on every run.
 """
 
 import argparse
