@@ -156,7 +156,7 @@ def cmd_verify(args) -> int:
 
     name = ctx.instance.name or args.instance
     print(f"instance {name}  field={ctx.field.describe()}  "
-          f"digest={ctx.instance.digest()[:12]}")
+          f"digest={doc['instance']['digest'][:12]}")
     for res in results:
         print(_claim_line(res))
         for note in res.notes:

@@ -32,7 +32,8 @@ class Groupoid:
         ids = [m.id for m in self.morphisms]
         if len(set(ids)) != len(ids):
             raise GroupoidError("duplicate morphism ids")
-        if len(set(self.objects)) != len(self.objects):
+        objs = set(self.objects)
+        if len(objs) != len(self.objects):
             raise GroupoidError("duplicate object ids")
         self._by_id = {m.id: m for m in self.morphisms}
         for e in self.objects:
@@ -40,7 +41,7 @@ class Groupoid:
                 raise GroupoidError(f"object {e!r} has no identity morphism record")
         for m in self.morphisms:
             for ref, what in ((m.src, "src"), (m.tgt, "tgt")):
-                if ref not in set(self.objects):
+                if ref not in objs:
                     raise GroupoidError(f"morphism {m.id!r} has dangling {what} {ref!r}")
             if m.inv not in self._by_id:
                 raise GroupoidError(f"morphism {m.id!r} has dangling inverse {m.inv!r}")

@@ -152,8 +152,9 @@ def parse_instance(doc: dict) -> Instance:
     algebra = FinAlgebra(field, basis, mul, unit, name="B")
 
     table = {}
+    mids = set(groupoid.morphism_ids())
     for m, b, el in _triples(doc.get("action", []), "action"):
-        if m not in set(groupoid.morphism_ids()):
+        if m not in mids:
             raise InstanceFormatError(f"action references unknown morphism {m!r}")
         if b not in bset:
             raise InstanceFormatError(f"action references unknown basis label {b!r}")

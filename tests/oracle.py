@@ -1,6 +1,7 @@
 """Dense reference implementations, the oracles for the sparse engine.
 
-Dense Matrix / rref / Echelon routines over lists, dense forms of
+Trial division, the reference for the Miller-Rabin primality test;
+dense Matrix / rref / Echelon routines over lists, dense forms of
 phi's kernel and image and of the unit search built on them, the
 all-tuples forms of the weak-Hopf dual and axiom checkers, and the
 all-pairs forms of B#KG#KG*, the skew groupoid ring, phi and the
@@ -21,6 +22,20 @@ from weakhopf.duality import (COMPLEMENT_STRATA, IMAGE_STRATA, KERNEL_STRATA,
                               UNITAL_STRATA, LinearMapRep, element_str, label_str)
 from weakhopf.report import Report
 from weakhopf.walg import CoStructure, FinAlgebra, acc
+
+
+def is_prime(n: int) -> bool:
+    """Trial division up to sqrt(n)."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
 
 
 @dataclass

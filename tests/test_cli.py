@@ -379,3 +379,18 @@ def test_zero_unit_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == "error: algebra unit is zero; B needs a nonzero unit\n"
 
+
+
+def test_composite_modulus_below_max_prime_exits_2(tmp_path, capsys):
+    # 46337**2, the largest prime square below 2**31, against 2**31 - 1
+    doc = builtin_doc("z2-trivial")
+    doc["field"] = {"kind": "prime", "p": 2147117569}
+    p = tmp_path / "square.json"
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    for cmd in ("validate", "verify", "hopf-check"):
+        assert main([cmd, str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: bad field spec: 2147117569 is not prime\n"
+    doc["field"]["p"] = 2147483647
+    p.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_instance(p).field.p == 2147483647

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 import oracle
 from oracle import Matrix, dense, solve, sparse
 from oracle import sparse_subspace_equal as subspace_equal
-from weakhopf.exactmath import Echelon, PrimeField, QQ, null_space, rref
+from weakhopf.exactmath import (MAX_PRIME, Echelon, PrimeField, QQ, is_prime, null_space,
+                                rref)
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -233,3 +234,34 @@ def test_rationals_constants_and_zero_division():
         QQ.parse("1/0")
     with pytest.raises(ZeroDivisionError):
         QQ.inv(QQ.zero)
+
+
+# -- primality: deterministic Miller-Rabin against trial division --------------
+
+
+def test_is_prime_agrees_with_trial_division_below_200000():
+    assert [n for n in range(200000) if is_prime(n) != oracle.is_prime(n)] == []
+
+
+@given(st.integers(0, MAX_PRIME - 1))
+@settings(max_examples=300, deadline=None)
+def test_is_prime_agrees_with_trial_division_below_max_prime(n):
+    assert is_prime(n) == oracle.is_prime(n)
+
+
+# strong pseudoprimes to base 2, to bases 2 and 3, and to bases 2, 3 and 5;
+# a Carmichael number; the largest prime square below 2**31; 2**31 - 1 and
+# 2**31 - 3.  The bases 2, 3, 5, 7 first fail at 3215031751, above MAX_PRIME.
+@pytest.mark.parametrize("n", [2047, 1373653, 25326001, 561, 46337**2,
+                               2**31 - 1, 2**31 - 3])
+def test_is_prime_on_hard_cases(n):
+    assert is_prime(n) == oracle.is_prime(n)
+    assert is_prime(n) == (n == 2**31 - 1)
+
+
+def test_prime_field_range_check_comes_first():
+    with pytest.raises(ValueError, match="out of range"):
+        PrimeField(MAX_PRIME)
+    with pytest.raises(ValueError, match="is not prime"):
+        PrimeField(46337**2)
+    assert PrimeField(2**31 - 1).p == 2**31 - 1
