@@ -13,6 +13,7 @@ byte-identical JSON on every run.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -212,7 +213,9 @@ def cmd_hopf_check(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="wh",
         description="exact verification engine for groupoid-graded smash "

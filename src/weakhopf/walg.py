@@ -6,7 +6,7 @@ coefficients are never stored.  The owning algebra carries the field, so
 all element arithmetic goes through the algebra (or the el_* helpers).
 """
 
-from functools import cached_property
+from functools import cache, cached_property
 
 from .report import Report
 
@@ -195,21 +195,12 @@ def acc_tensor(field, out, w, *factors):
         acc(field, out, k, c)
 
 
-def legs_by_side(d: dict):
-    """(by_first, by_second) of a coproduct {(a, b): w}: by_first[a] lists
-    the (b, w) and by_second[b] the (a, w)."""
-    by_first, by_second = {}, {}
-    for (a, b), w in d.items():
-        by_first.setdefault(a, []).append((b, w))
-        by_second.setdefault(b, []).append((a, w))
-    return by_first, by_second
-
-
-def delta_square(alg, co, x: dict) -> dict:
-    """(delta x id) applied to delta(x), as {(l1, l2, l3): scalar}."""
-    F = alg.field
+def delta_square(co, d: dict) -> dict:
+    """(delta x id) applied to a coproduct {(a, b): w}, as
+    {(l1, l2, l3): scalar}."""
+    F = co.field
     out = {}
-    for (a, b), c in co.delta_element(x).items():
+    for (a, b), c in d.items():
         for a1, a2, w in co.delta.get(a, []):
             acc(F, out, (a1, a2, b), F.mul(c, w))
     return out
@@ -277,7 +268,9 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
     """Exhaustive check of the weak bialgebra axioms over basis tuples:
     coassociativity, the counit law, multiplicativity of the coproduct, the
     weakened unit axiom for delta^2(1), and the weakened counit axiom.
-    Tuples whose sides are zero by construction are skipped."""
+    Tuples whose sides are zero by construction are skipped, and sides are
+    summed by bilinearity: one weak-unit tensor per nonzero product of two
+    legs of delta(1), and the weak-counit sides as rows of eps(ab)."""
     if alg.unit is None:
         raise ValueError("weak bialgebra check needs a unit")
     F = alg.field
@@ -291,7 +284,7 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
         for (a, b), c in deltas[x].items():
             for b1, b2, w in co.delta.get(b, []):
                 acc(F, right, (a, b1, b2), F.mul(c, w))
-        if delta_square(alg, co, e) != right:
+        if delta_square(co, deltas[x]) != right:
             rep.add("coassociativity", x)
 
         lhs, rhs = {}, {}
@@ -322,21 +315,30 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
 
     # delta^2(1) == (delta(1) x 1)(1 x delta(1)) == (1 x delta(1))(delta(1) x 1).
     # Over the legs (a, b) and (c, d) of delta(1) the two products are the
-    # sums of (a1) x bc x (1d) and of (1c) x ad x (b1)
+    # sums of (a1) x bc x (1d) and of (1c) x ad x (b1): of L[b] x bc x R[c]
+    # over the nonzero bc and of H[d] x ad x T[a] over the nonzero ad, with
+    # L[b], R[c], H[d], T[a] the sums of w (a1), w (1d), w (1c), w (b1)
     one = alg.unit
     d1 = co.delta_element(one)
-    by_first, by_second = legs_by_side(d1)
-    times_one = {lab: alg.multiply({lab: F.one}, one) for ab in d1 for lab in ab}
-    one_times = {lab: alg.multiply(one, {lab: F.one}) for ab in d1 for lab in ab}
-    unit_lhs, unit_flipped = {}, {}
+    labels = {lab for ab in d1 for lab in ab}
+    times_one = {lab: alg.multiply({lab: F.one}, one) for lab in labels}
+    one_times = {lab: alg.multiply(one, {lab: F.one}) for lab in labels}
+    L, R, H, T = {}, {}, {}, {}
     for (a, b), w in d1.items():
+        el_addto(F, L.setdefault(b, {}), w, times_one[a])
+        el_addto(F, R.setdefault(a, {}), w, one_times[b])
+        el_addto(F, H.setdefault(b, {}), w, one_times[a])
+        el_addto(F, T.setdefault(a, {}), w, times_one[b])
+    unit_lhs, unit_flipped = {}, {}
+    for b, lb in L.items():
         for c, bc in right.get(b, {}).items():
-            for d, w2 in by_first.get(c, ()):
-                acc_tensor(F, unit_lhs, F.mul(w, w2), times_one[a], bc, one_times[d])
+            if c in R:
+                acc_tensor(F, unit_lhs, F.one, lb, bc, R[c])
+    for a, ta in T.items():
         for d, ad in right.get(a, {}).items():
-            for c, w2 in by_second.get(d, ()):
-                acc_tensor(F, unit_flipped, F.mul(w, w2), one_times[c], ad, times_one[b])
-    d2_1 = delta_square(alg, co, one)
+            if d in H:
+                acc_tensor(F, unit_flipped, F.one, H[d], ad, ta)
+    d2_1 = delta_square(co, d1)
     if unit_lhs != d2_1:
         rep.add("weak-unit", "delta^2(1)",
                 "(delta(1) x 1)(1 x delta(1)) differs from delta^2(1)")
@@ -344,35 +346,42 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
         rep.add("weak-unit-flipped", "delta^2(1)",
                 "(1 x delta(1))(delta(1) x 1) differs from delta^2(1)")
 
-    # eps(xyz) == sum eps(x y1) eps(y2 z) == sum eps(x y2) eps(y1 z), read
-    # off the nonzero values eps[a][b] = eps(ab).  Only the x with xy != 0
-    # or eps(x y_i) != 0 for a leg y_i of delta(y), and only the z where one
-    # of the three sums has a nonzero term, can break the identity
+    # eps(xyz) == sum eps(x y1) eps(y2 z) == sum eps(x y2) eps(y1 z), each
+    # side a combination of the rows eps[w] = eps(w .) of the nonzero values
+    # eps(ab).  Only the x with xy != 0 or eps(x y_i) != 0 for a leg y_i of
+    # delta(y) can break the identity; z is walked where the rows differ
     eps, eps_left = {}, {}
     for (a, b), prod in alg.mul.items():
         v = co.counit_element(prod)
         if v != F.zero:
             eps.setdefault(a, {})[b] = v
             eps_left.setdefault(b, set()).add(a)
+
+    def row(comb):  # the sum of c eps[w] over comb {w: c}
+        if list(comb.values()) == [F.one]:
+            return eps.get(next(iter(comb)), {})
+        out = {}
+        for w, c in comb.items():
+            el_addto(F, out, c, eps.get(w, {}))
+        return out
+
     for y in alg.basis:
         dy = co.delta.get(y, [])
         xs = set(left.get(y, ()))
         for y1, y2, _ in dy:
             xs.update(eps_left.get(y1, ()), eps_left.get(y2, ()))
         for x in sorted(xs, key=alg.index.get):
-            lhs, mid, mid_flip = {}, {}, {}
-            for w, cw in alg.basis_product(x, y).items():
-                for z, v in eps.get(w, {}).items():
-                    acc(F, lhs, z, F.mul(cw, v))
+            mid, mid_flip = {}, {}
             ex = eps.get(x, {})
             for y1, y2, c in dy:
-                for out, first, second in ((mid, y1, y2), (mid_flip, y2, y1)):
+                for comb, first, second in ((mid, y1, y2), (mid_flip, y2, y1)):
                     e1 = ex.get(first)
                     if e1 is not None:
-                        for z, e2 in eps.get(second, {}).items():
-                            acc(F, out, z, F.mul(c, F.mul(e1, e2)))
-            zs = {*lhs, *mid, *mid_flip}
-            for z in sorted(zs, key=alg.index.get):
+                        acc(F, comb, second, F.mul(c, e1))
+            lhs, mid, mid_flip = row(alg.basis_product(x, y)), row(mid), row(mid_flip)
+            if lhs == mid == mid_flip:
+                continue
+            for z in sorted({*lhs, *mid, *mid_flip}, key=alg.index.get):
                 v = lhs.get(z, F.zero)
                 if v != mid.get(z, F.zero) or v != mid_flip.get(z, F.zero):
                     rep.add("weak-counit", [x, y, z])
@@ -382,7 +391,9 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
 
 
 def check_antipode(alg: FinAlgebra, co: CoStructure) -> Report:
-    """The three antipode identities, exhaustively over basis labels."""
+    """The three antipode identities, exhaustively over basis labels.
+    S(x1) x2 is formed once per label, and S(x1) x2 S(x3) is read off it
+    as the sum of w S(p1) p2 S(c) over the legs (p, c) of delta(x)."""
     if alg.unit is None:
         raise ValueError("antipode check needs a unit")
     if co.antipode is None:
@@ -390,21 +401,30 @@ def check_antipode(alg: FinAlgebra, co: CoStructure) -> Report:
     F = alg.field
     rep = Report(f"antipode axioms ({alg.name or 'algebra'})")
     right, left = alg.nonzero_products
-    by_first, by_second = legs_by_side(co.delta_element(alg.unit))
+    by_first, by_second = {}, {}  # the legs (a, b) of delta(1) by a and by b
+    for (a, b), w in co.delta_element(alg.unit).items():
+        by_first.setdefault(a, []).append((b, w))
+        by_second.setdefault(b, []).append((a, w))
 
     def S(lab):
         return co.antipode.get(lab, {})
 
+    @cache
+    def S_times(p):
+        """S(p1) p2, the left side of antipode-right at p."""
+        out = {}
+        for (a, b), c in co.delta_element({p: F.one}).items():
+            el_addto(F, out, c, alg.multiply(S(a), {b: F.one}))
+        return out
+
     for x in alg.basis:
-        e = {x: F.one}
-        dx = co.delta_element(e)
+        dx = co.delta_element({x: F.one})
 
         # x1 S(x2) == eps(1_1 x) 1_2  and  S(x1) x2 == 1_1 eps(x 1_2), where
         # eps(1_1 x) needs 1_1 x != 0 and eps(x 1_2) needs x 1_2 != 0
-        left_l, left_r, right_l, right_r = {}, {}, {}, {}
+        left_l, left_r, right_r = {}, {}, {}
         for (a, b), c in dx.items():
             el_addto(F, left_l, c, alg.multiply({a: F.one}, S(b)))
-            el_addto(F, right_l, c, alg.multiply(S(a), {b: F.one}))
         for out, prods, legs in ((left_r, left, by_first), (right_r, right, by_second)):
             for a, ax in prods.get(x, {}).items():
                 eps = co.counit_element(ax)
@@ -412,13 +432,13 @@ def check_antipode(alg: FinAlgebra, co: CoStructure) -> Report:
                     acc(F, out, b, F.mul(c, eps))
         if left_l != left_r:
             rep.add("antipode-left", x)
-        if right_l != right_r:
+        if S_times(x) != right_r:
             rep.add("antipode-right", x)
 
-        # S(x1) x2 S(x3) == S(x)
+        # S(x1) x2 S(x3) == S(x), with x1 x x2 x x3 = (delta x id) delta(x)
         lhs = {}
-        for (a, b, cc), c in delta_square(alg, co, e).items():
-            el_addto(F, lhs, c, alg.multiply(alg.multiply(S(a), {b: F.one}), S(cc)))
+        for (p, c), w in dx.items():
+            el_addto(F, lhs, w, alg.multiply(S_times(p), S(c)))
         if lhs != S(x):
             rep.add("antipode-sandwich", x)
 

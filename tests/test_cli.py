@@ -322,6 +322,23 @@ def test_internal_errors_exit_3_with_one_line(monkeypatch, capsys):
         assert capsys.readouterr().err == "internal error: RuntimeError: stage broke\n"
 
 
+def test_parser_is_built_once_and_still_reports_usage_errors(capsys):
+    from weakhopf import __version__
+    from weakhopf.cli import make_parser
+    assert make_parser() is make_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["no-such-command"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: wh ") and "invalid choice" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"{__version__}\n"
+    assert main(["hopf-check", "z2-trivial"]) == 0
+
+
 def _node_paths(node, prefix=()):
     items = (node.items() if isinstance(node, dict)
              else enumerate(node) if isinstance(node, list) else ())

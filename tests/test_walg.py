@@ -231,39 +231,64 @@ def test_checkers_equal_oracle_on_generated_groupoids(g, field):
     assert inst.algebra.associativity_violations() == oracle.associativity_violations(inst.algebra)
 
 
-def _sabotaged_i2(table, value, field=QQ):
-    """KG of i2 with one table entry replaced, as (algebra, costructure)."""
+def _sabotaged_i2(edits, field=QQ):
+    """KG of i2 with table entries replaced, as (algebra, costructure); each
+    edit is (table, key, entry)."""
     from weakhopf.walg import FinAlgebra
     alg, co = groupoid_algebra(field, builtin_i2())
     mul, delta, unit = dict(alg.mul), dict(co.delta), dict(alg.unit)
     counit, antipode = dict(co.counit), dict(co.antipode)
-    key, entry = value
-    {"mul": mul, "delta": delta, "counit": counit, "antipode": antipode,
-     "unit": unit}[table][key] = entry
+    tables = {"mul": mul, "delta": delta, "counit": counit,
+              "antipode": antipode, "unit": unit}
+    for table, key, entry in edits:
+        tables[table][key] = entry
     return (FinAlgebra(field, alg.basis, mul, unit, name="KG"),
             CoStructure(field, delta, counit, antipode))
 
 
+def _sabotage(check, *edits, p=None, name=None):
+    """A case for the test below: KG of i2 over Q, or over GF(p), with the
+    edits applied; check is a check the oracle reports on it."""
+    return pytest.param(check, edits, p, id=name or check)
+
+
 SABOTAGES = [
-    ("coassociativity", "delta", ("g", [("g", "g", one), ("x", "g", one)])),
-    ("counit-law", "counit", ("g", Fraction(2))),
-    ("weak-unit", "delta", ("x", [("x", "x", one), ("x", "y", one)])),
-    ("weak-counit", "counit", ("x", Fraction(2))),
-    ("antipode-sandwich", "antipode", ("g", {"g": one})),
-    ("associativity", "mul", (("g", "gi"), {"y": one})),
+    _sabotage("coassociativity", ("delta", "g", [("g", "g", one), ("x", "g", one)])),
+    _sabotage("counit-law", ("counit", "g", Fraction(2))),
+    _sabotage("weak-unit", ("delta", "x", [("x", "x", one), ("x", "y", one)])),
+    _sabotage("weak-counit", ("counit", "x", Fraction(2))),
+    _sabotage("antipode-sandwich", ("antipode", "g", {"g": one})),
+    _sabotage("associativity", ("mul", ("g", "gi"), {"y": one})),
     # the unit 2x + y over GF(7): the unit law fails, yet the weak-unit
     # axiom holds, since 2^3 == 1 there and delta^2(1) and its two products
     # carry 2 and 2^4 at x x x.  A read-off taking a1 == a for the legs a
     # of delta(1) gets 2^2 there and reports weak-unit, unlike the oracle
-    ("unit", "unit", ("x", 2)),
+    _sabotage("unit", ("unit", "x", 2), p=7),
+    # delta(g) = -y x g is not coassociative: S(x1) x2 S(x3) over
+    # (delta x id) delta(g) is -gi, so the sandwich fails at g, while the
+    # (id x delta) bracketing would give gi == S(g) and hide it
+    _sabotage("antipode-sandwich", ("delta", "g", [("y", "g", -one)]),
+              name="sandwich-bracketing"),
+    # over GF(7), with the unit x + y + 2g and delta(x) = 2 x x x - x x g
+    # (6 == -1), the legs (x, g) and (g, g) of delta(1) carry -1 and 2, and
+    # L[g] = -(x1) + 2(g1) = -(x + 2g) + 2g loses its g term
+    _sabotage("weak-unit", ("unit", "g", 2), ("delta", "x", [("x", "x", 2), ("x", "g", 6)]),
+              p=7, name="weak-unit-leg-cancel"),
+    # delta(y) = x x g gives delta(1) the leg (x, g) with xg != 0: only the
+    # flipped product, sum H[d] x ad x T[a], differs from delta^2(1); the
+    # H/T-swapped reading H[a] x ad x T[d] misses it
+    _sabotage("weak-unit-flipped", ("delta", "y", [("x", "g", one)])),
+    # y gi = 2y: S(g) g S(g) = gi g gi = 2y makes the sandwich fail at g,
+    # while antipode-left fails only at gi (eps(y gi) = 2), so the sandwich
+    # finding must come first, as in the oracle
+    _sabotage("antipode-sandwich", ("mul", ("y", "gi"), {"y": 2 * one}),
+              name="sandwich-before-left"),
 ]
-SABOTAGE_PRIMES = {"unit": 7}  # the cases not over Q
 
 
-@pytest.mark.parametrize("check,table,value", SABOTAGES, ids=[s[0] for s in SABOTAGES])
-def test_sabotaged_table_is_caught_as_the_oracle_catches_it(check, table, value):
-    p = SABOTAGE_PRIMES.get(check)
-    alg, co = _sabotaged_i2(table, value, QQ if p is None else PrimeField(p))
+@pytest.mark.parametrize("check,edits,p", SABOTAGES)
+def test_sabotaged_table_is_caught_as_the_oracle_catches_it(check, edits, p):
+    alg, co = _sabotaged_i2(edits, QQ if p is None else PrimeField(p))
     assert_checks_match_oracle(alg, co)
     assert_dual_matches_oracle(alg, co)
     rep = check_weak_bialgebra(alg, co)
@@ -271,6 +296,18 @@ def test_sabotaged_table_is_caught_as_the_oracle_catches_it(check, table, value)
     failed = rep.checks_failed() + (["associativity"] if alg.associativity_violations() else [])
     failed += ["unit"] if alg.unit_violations() else []
     assert check in failed
+
+
+def test_weak_bialgebra_check_on_kgstar_of_z12_is_below_cubic(monkeypatch):
+    # the weak-unit products are summed per nonzero product of two legs of
+    # delta(1); summing per term of delta^2(1) takes 2 * 12^3 + 12^2 calls
+    from weakhopf import walg
+    calls, acc_tensor = [], walg.acc_tensor
+    monkeypatch.setattr(walg, "acc_tensor",
+                        lambda *args: calls.append(args) or acc_tensor(*args))
+    kgstar, co = dual_weak_hopf(*groupoid_algebra(QQ, cyclic_group(12)))
+    assert check_weak_bialgebra(kgstar, co).ok
+    assert 0 < len(calls) < 12 ** 3
 
 
 def test_weak_unit_multiplies_each_leg_by_the_unit_on_its_own_side():
