@@ -123,10 +123,14 @@ def build_report_doc(ctx: VerificationContext, results) -> dict:
     lin_rep = right_linearity(ctx.phi, ctx.bsm, ctx.B)
     validation["phi-multiplicative"] = phi_rep.to_json()
     validation["phi-image-right-linear"] = lin_rep.to_json()
-    # neither smash product is assumed unital; report what a search finds
+    # neither smash product is assumed unital; report what a search finds.
+    # The closed forms (1_(1).1_B)#1_(2) are the candidates: sum_e (e.1_B)#u_e
+    # for B#KG, read off y_obj, and y_obj itself for B#KG#KG*
     units = {}
-    for key, alg in (("smash", ctx.bsm), ("double_smash", ctx.dsm)):
-        u = find_unit(alg)
+    smash_candidate = {(b, e): c for (b, e, _), c in ctx.y_obj.items()}
+    for key, alg, candidate in (("smash", ctx.bsm, smash_candidate),
+                                ("double_smash", ctx.dsm, ctx.y_obj)):
+        u = find_unit(alg, candidate)
         units[key] = None if u is None else element_str(ctx.field, u)
     return {
         "engine": {"name": "weakhopf", "version": __version__},

@@ -120,6 +120,11 @@ class LinearMapRep:
                 el_addto(F, out.setdefault(col, {}), c, img)
         return {col: img for col, img in out.items() if img}
 
+    @cached_property
+    def vectors(self):
+        """endo_to_vector of each column, per domain label."""
+        return {lab: self.endo_to_vector(col) for lab, col in self.columns.items()}
+
     def endo_to_vector(self, endo: dict) -> dict:
         """Sparse coordinates of an endomorphism: the entry in row r and
         column c sits at index r * dim(codomain) + c."""
@@ -213,7 +218,7 @@ class KernelImage:
 def kernel_and_image(phi: LinearMapRep) -> KernelImage:
     """One elimination: the kernel basis, and the dimensions of the
     domain, the kernel and the image."""
-    columns = [phi.endo_to_vector(phi.columns[lab]) for lab in phi.domain_basis]
+    columns = [phi.vectors[lab] for lab in phi.domain_basis]
     kernel, pivots = null_space(phi.field, columns)
     dims = {"domain": len(columns), "kernel": len(kernel), "image": len(pivots)}
     return KernelImage(kernel, dims)
@@ -329,6 +334,7 @@ class VerificationContext:
             self.B, self.kg, self.kg_co, self.action)
         self.decomp, self.decomp_report = action_mod.component_decomposition(
             self.B, self.kg, self.action)
+        self._stratum_labels = {}  # tuple of stratum names -> labels
 
     # -- lazily derived pieces ------------------------------------------------
 
@@ -393,16 +399,25 @@ class VerificationContext:
     # -- helpers ----------------------------------------------------------------
 
     def stratum_labels(self, names):
-        wanted = set(names)
-        return [lab for lab in self.dsm.basis if self.classification[lab] in wanted]
+        """The basis labels in the named strata, in basis order."""
+        key = tuple(names)
+        if key not in self._stratum_labels:
+            wanted = set(key)
+            self._stratum_labels[key] = [lab for lab in self.dsm.basis
+                                         if self.classification[lab] in wanted]
+        return self._stratum_labels[key]
 
     def phi_rank(self, labels):
         """(rank of the phi columns of labels, the labels whose column
         lies in the span of the columns of the labels before them)."""
         ech = Echelon(self.field)
-        dependent = [lab for lab in labels
-                     if not ech.add(self.phi.endo_to_vector(self.phi.columns[lab]))]
+        dependent = [lab for lab in labels if not ech.add(self.phi.vectors[lab])]
         return ech.rank, dependent
+
+    @cached_property
+    def image_strata_rank(self):
+        """Rank of the phi columns of the image-strata labels."""
+        return self.phi_rank(self.stratum_labels(IMAGE_STRATA))[0]
 
     @property
     def classification_total(self):
@@ -498,19 +513,15 @@ class VerificationContext:
         return (("all-morphism-sum", self.y_morph), ("object-sum", self.y_obj))
 
     def _verify_prop2_4(self) -> ClaimResult:
-        F = self.field
         corner = self.stratum_labels(UNITAL_STRATA)
         corner_set = set(corner)
         witnesses = []
         passing = []
         notes = []
         for name, y in self._candidates():
-            ok = True
-            for z in corner:
-                ez = {z: F.one}
-                if self.dsm.multiply(y, ez) != ez or self.dsm.multiply(ez, y) != ez:
-                    ok = False
-                    witnesses.append({"candidate": name, "not_fixed": label_str(z)})
+            not_fixed = self.dsm.not_fixed(y, corner)
+            witnesses += [{"candidate": name, "not_fixed": label_str(z)} for z in not_fixed]
+            ok = not not_fixed
             in_span = all(lab in corner_set for lab in y)
             idem = self.dsm.multiply(y, y) == y
             notes.append(f"candidate {name}: identity on the corner: {ok}; "
@@ -550,7 +561,7 @@ class VerificationContext:
         kernel = self.ki.kernel
         s_labels = self.stratum_labels(IMAGE_STRATA)
         dim = self.dsm.dim
-        rank_s, _ = self.phi_rank(s_labels)
+        rank_s = self.image_strata_rank
         decomposes = rank_s == len(s_labels) and len(kernel) + len(s_labels) == dim
 
         sp_dim = len(self.stratum_labels(UNITAL_STRATA))
@@ -596,7 +607,7 @@ class VerificationContext:
         return out
 
     def _verify_rem2_7(self) -> ClaimResult:
-        rank_phi_s, _ = self.phi_rank(self.stratum_labels(IMAGE_STRATA))
+        rank_phi_s = self.image_strata_rank
         exact = self.ki.dims["kernel"] + rank_phi_s == self.ki.dims["domain"]
         # phi(S) lies in the image, so it is all of it iff the ranks agree
         same_image = rank_phi_s == self.ki.dims["image"]
@@ -625,7 +636,7 @@ class VerificationContext:
         whole_ok = len(d1) + len(c_labels) == n_dom
 
         # rank of phi(psi(C)), then of phi o psi, and exactness bookkeeping
-        cols = {lab: self.phi.endo_to_vector(self.phi.columns[lab]) for lab in dom}
+        cols = self.phi.vectors
         ech = Echelon(F)
         rank_c = sum(ech.add(cols[lab]) for lab in c_labels)
         exact = len(d1) + rank_c == n_dom

@@ -5,7 +5,11 @@ smash, ordered lexicographically by (B index, morphism index, dual index).
 smash_product is the only place the smash formula a(s.b) # u_{st} is
 computed: the double smash, the skew groupoid ring and phi are read off
 the nonzero products of the B#KG it returns.  Neither product is assumed
-unital; find_unit reports one if it exists.
+unital; find_unit reports one if it exists, in three exact steps: a label
+test that rejects every algebra in which some basis label is missing from
+its own products (a unit u needs x = ux = xu), a two-sided check of a
+caller's candidate (a two-sided unit is unique, so a confirmed candidate
+is the unit), and an exact linear solve when neither settles it.
 """
 
 from . import exactmath
@@ -63,14 +67,27 @@ def double_smash(bsm: FinAlgebra, kgstar: FinAlgebra, kgstar_co) -> FinAlgebra:
                       meta={**bsm.meta, "kgstar": kgstar})
 
 
-def find_unit(alg: FinAlgebra):
+def find_unit(alg: FinAlgebra, candidate=None):
     """Two-sided unit of a structure-constant algebra, or None.
 
-    Solves the linear system 'u x = x = x u for all basis x' exactly.  The
-    equations are read off the nonzero structure constants: the one for
-    (x, side, i) says that the coefficient of basis label i in
-    sum_b u_b (b x), or in sum_b u_b (x b), is 1 when i == x and 0 otherwise.
+    1. If a unit u exists, then x = ux = xu for every basis label x, so x
+       occurs in some product ax and in some product xb.  If a label fails
+       either test there is no unit; no field operation is needed.
+    2. A two-sided unit is unique, so a candidate that fixes every basis
+       label on both sides is the unit.
+    3. Otherwise solve 'u x = x = x u for all basis x' exactly.  The
+       equation for (x, side, i) says that the coefficient of basis label i
+       in sum_b u_b (b x), or in sum_b u_b (x b), is 1 when i == x and 0
+       otherwise; it is read off the nonzero structure constants.  The
+       solution is confirmed on both sides.
     """
+    right, left = alg.nonzero_products
+    for x in alg.basis:
+        if not any(x in prod for prod in left.get(x, {}).values()) \
+                or not any(x in prod for prod in right.get(x, {}).values()):
+            return None
+    if candidate is not None and not alg.not_fixed(candidate, alg.basis):
+        return alg.from_vector(alg.to_vector(candidate))
     F = alg.field
     n = alg.dim
     eqs = {}
@@ -86,9 +103,4 @@ def find_unit(alg: FinAlgebra):
     if n in pivots:
         return None
     unit = alg.from_vector({p: row[n] for p, row in zip(pivots, rows) if n in row})
-    # rref yields one candidate; confirm it really is two-sided
-    for x in alg.basis:
-        e = alg.basis_element(x)
-        if alg.multiply(unit, e) != e or alg.multiply(e, unit) != e:
-            return None
-    return unit
+    return None if alg.not_fixed(unit, alg.basis) else unit

@@ -141,6 +141,24 @@ class FinAlgebra:
                 out.append(("right", b))
         return out
 
+    def not_fixed(self, y: dict, labels) -> list:
+        """The labels z, in the order given, with yz != z or zy != z.  yz
+        is summed over the a of y with az != 0, read off left[z]; zy over
+        the b of y with zb != 0, read off right[z]."""
+        F = self.field
+        y = self.element(y)
+        right, left = self.nonzero_products
+
+        def weighted(prods):
+            out = {}
+            for a in y.keys() & prods.keys():
+                el_addto(F, out, y[a], prods[a])
+            return out
+
+        return [z for z in labels
+                if weighted(left.get(z, {})) != {z: F.one}
+                or weighted(right.get(z, {})) != {z: F.one}]
+
 
 class CoStructure:
     """Comultiplication, counit and (optional) antipode tables.

@@ -42,6 +42,23 @@ def half_unit_z2_doc():
     }
 
 
+def z4_regular_doc():
+    """Z/4 acting regularly on B = Q^{Z/4}: a_j sends the idempotent x_i
+    to x_{i+j}.  B#KG and B#KG#KG* are unital, and B is not the field."""
+    from weakhopf.groupoid import cyclic_group
+    names = ["e", "a1", "a2", "a3"]
+    return {
+        "name": "z4-regular",
+        "field": {"kind": "rational"},
+        "groupoid": groupoid_to_doc(cyclic_group(4)),
+        "algebra": {"basis": [f"x{i}" for i in range(4)],
+                    "unit": {f"x{i}": "1" for i in range(4)},
+                    "multiplication": [[f"x{i}", f"x{i}", {f"x{i}": "1"}] for i in range(4)]},
+        "action": [[m, f"x{i}", {f"x{(i + j) % 4}": "1"}]
+                   for j, m in enumerate(names) for i in range(4)],
+    }
+
+
 def wrong_composition_doc(n):
     """pair(n) with m1_2 * m2_1 (n == 2) or m1_2 * m2_3 (n >= 3) sent to m1_2."""
     from weakhopf.groupoid import pair_groupoid

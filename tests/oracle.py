@@ -3,6 +3,7 @@
 Trial division, the reference for the Miller-Rabin primality test;
 dense Matrix / rref / Echelon routines over lists, dense forms of
 phi's kernel and image and of the unit search built on them, the
+whole-element multiply form of the two-sided identity test, the
 all-tuples forms of the weak-Hopf dual and axiom checkers, and the
 all-pairs forms of B#KG#KG*, the skew groupoid ring, phi and the
 kernel-ideal test, each computing the smash formula itself, the
@@ -323,6 +324,14 @@ def find_unit(alg):
         if alg.multiply(unit, e) != e or alg.multiply(e, unit) != e:
             return None
     return unit
+
+
+def not_fixed(alg, y, labels):
+    """The labels z, in the order given, with yz != z or zy != z, by
+    multiplying whole elements."""
+    return [z for z in labels
+            if alg.multiply(y, alg.basis_element(z)) != alg.basis_element(z)
+            or alg.multiply(alg.basis_element(z), y) != alg.basis_element(z)]
 
 
 # -- dense forms of the weak-Hopf constructions and axiom checkers -----------

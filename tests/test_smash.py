@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from weakhopf.action import DfapAction
 from weakhopf.duality import VerificationContext
+from weakhopf.exactmath import QQ
 from weakhopf.groupoid import builtin_i2, cyclic_group, disjoint_union, pair_groupoid
 from weakhopf.instances import parse_instance
 from weakhopf.smash import find_unit
+from weakhopf.walg import FinAlgebra
 
 one = Fraction(1)
 
@@ -118,29 +120,118 @@ def test_mismatched_parents_rejected(ctx_i2, ctx_z2):
 # -- find_unit against the dense solve oracle ---------------------------------
 
 
-def test_find_unit_equals_dense_oracle_on_builtins():
+def smash_unit_candidate(ctx):
+    """sum over objects e of (e.1_B) # u_e, the closed form of the unit of
+    B#KG."""
+    F = ctx.field
+    return {(b, e): c for e in ctx.groupoid.objects
+            for b, c in ctx.action.act({e: F.one}, ctx.B.unit).items()}
+
+
+def assert_find_unit_matches_oracle(ctx, name):
+    """find_unit equals the dense oracle on B, KG, KG*, B#KG and B#KG#KG*,
+    with no candidate and with the closed-form candidates; the identity
+    test equals its multiply form on the prop2.4 corner."""
     import oracle
+    for alg, candidate in ((ctx.B, ctx.B.unit), (ctx.kg, None), (ctx.kgstar, None),
+                           (ctx.bsm, smash_unit_candidate(ctx)), (ctx.dsm, ctx.y_obj)):
+        want = oracle.find_unit(alg)
+        assert find_unit(alg) == want, (name, alg.name)
+        assert find_unit(alg, candidate) == want, (name, alg.name)
+    corner = ctx.stratum_labels(("A1", "A7", "A10"))
+    for y in (ctx.y_morph, ctx.y_obj):
+        assert ctx.dsm.not_fixed(y, corner) == oracle.not_fixed(ctx.dsm, y, corner), name
+
+
+def test_find_unit_equals_dense_oracle_on_builtins():
     from conftest import context
     from weakhopf.instances import BUILTIN_NAMES
     for name in BUILTIN_NAMES:
-        ctx = context(name)
-        for alg in (ctx.B, ctx.kg, ctx.kgstar, ctx.bsm, ctx.dsm):
-            assert find_unit(alg) == oracle.find_unit(alg), (name, alg.name)
+        assert_find_unit_matches_oracle(context(name), name)
 
 
-@given(st.integers(min_value=1, max_value=3), st.sampled_from([2, 3]), st.data())
-@settings(max_examples=80, deadline=None)
-def test_find_unit_equals_dense_oracle_on_random_tables(dim, p, data):
+def test_find_unit_equals_dense_oracle_on_golden_documents():
+    import conftest
+    from test_golden import DOCUMENTS
+    for name, builder in DOCUMENTS.items():
+        ctx = VerificationContext(parse_instance(getattr(conftest, builder)()))
+        assert_find_unit_matches_oracle(ctx, name)
+
+
+def test_closed_form_candidates_are_the_units_of_z4_regular(monkeypatch):
+    # a unital instance whose B is not the field: the candidates are
+    # confirmed, so the elimination never runs
+    from conftest import z4_regular_doc
+    from weakhopf import exactmath
+    ctx = VerificationContext(parse_instance(z4_regular_doc()))
+    ctx.dsm  # built before the elimination is switched off
+
+    def unused(*args):
+        raise AssertionError("find_unit ran the elimination")
+    monkeypatch.setattr(exactmath, "rref", unused)
+    candidate = smash_unit_candidate(ctx)
+    assert len(candidate) == 4
+    assert find_unit(ctx.bsm, candidate) == candidate
+    assert find_unit(ctx.dsm, ctx.y_obj) == ctx.y_obj
+
+
+@given(st.integers(min_value=1, max_value=3), st.sampled_from([2, 3]), st.booleans(),
+       st.sampled_from(["none", "oracle", "random"]), st.data())
+@settings(max_examples=120, deadline=None)
+def test_find_unit_equals_dense_oracle_on_random_tables(dim, p, unital, candidate, data):
+    # with unital set, x0 multiplies as a unit, so the candidate path and
+    # the fallback both see tables that have one
     import oracle
     from weakhopf.exactmath import PrimeField
-    from weakhopf.walg import FinAlgebra
     F = PrimeField(p)
     basis = [f"x{i}" for i in range(dim)]
     coeff = st.integers(min_value=0, max_value=p - 1)
     mul = {(a, b): dict(zip(basis, data.draw(st.lists(coeff, min_size=dim, max_size=dim))))
            for a in basis for b in basis}
+    if unital:
+        mul.update({pair: {b: 1} for b in basis for pair in (("x0", b), (b, "x0"))})
     alg = FinAlgebra(F, basis, mul)
-    assert find_unit(alg) == oracle.find_unit(alg)
+    want = oracle.find_unit(alg)
+    y = alg.element(dict(zip(basis, data.draw(st.lists(coeff, min_size=dim, max_size=dim)))))
+    given_candidate = {"none": None, "oracle": want, "random": y}[candidate]
+    assert find_unit(alg, given_candidate) == want
+    assert alg.not_fixed(y, alg.basis) == oracle.not_fixed(alg, y, alg.basis)
+
+
+def _table(products):
+    """Algebra over Q on the labels a, b with the given nonzero products."""
+    return FinAlgebra(QQ, ["a", "b"], {pair: {lab: one} for pair, lab in products.items()})
+
+
+def test_one_sided_unit_candidate_is_rejected():
+    # aa = a, ab = b, bb = b and ba = 0: every label occurs in some ax and
+    # some xb, a is a left unit and not a right one, and no unit exists;
+    # the mirrored table makes a a right unit only
+    left_unit = _table({("a", "a"): "a", ("a", "b"): "b", ("b", "b"): "b"})
+    right_unit = _table({("a", "a"): "a", ("b", "a"): "b", ("b", "b"): "b"})
+    for alg in (left_unit, right_unit):
+        assert find_unit(alg, {"a": one}) is None
+        assert find_unit(alg) is None
+    assert left_unit.not_fixed({"a": one}, left_unit.basis) == ["b"]
+    assert right_unit.not_fixed({"a": one}, right_unit.basis) == ["b"]
+
+
+def test_label_test_settles_without_elimination(monkeypatch):
+    # b occurs in no product xb (first table) or in no product ax (second):
+    # no unit, decided before any equation is solved.  A confirmed
+    # candidate is returned without solving either.
+    from weakhopf import exactmath
+
+    def unused(*args):
+        raise AssertionError("find_unit ran the elimination")
+    monkeypatch.setattr(exactmath, "rref", unused)
+    no_right = _table({("a", "a"): "a", ("a", "b"): "b"})
+    no_left = _table({("a", "a"): "a", ("b", "a"): "b"})
+    for alg in (no_right, no_left):
+        assert find_unit(alg) is None
+        assert find_unit(alg, {"a": one}) is None
+    unital = _table({("a", "a"): "a", ("a", "b"): "b", ("b", "a"): "b"})
+    assert find_unit(unital, {"a": one}) == {"a": one}
 
 
 # -- B#KG#KG*, the skew ring and phi against the all-pairs oracle --------------
@@ -190,6 +281,14 @@ def test_read_offs_equal_oracle_on_builtins():
 GENERATED = ([pair_groupoid(n) for n in (1, 2, 3)] + [cyclic_group(n) for n in (2, 3, 4, 5)]
              + [disjoint_union(pair_groupoid(2), cyclic_group(3))])
 FIELDS = [{"kind": "rational"}, {"kind": "prime", "p": 2}, {"kind": "prime", "p": 3}]
+
+
+@given(st.sampled_from(GENERATED), st.sampled_from(FIELDS))
+@settings(max_examples=20, deadline=None)
+def test_find_unit_equals_dense_oracle_on_generated_groupoids(g, field):
+    from conftest import groupoid_doc
+    ctx = VerificationContext(parse_instance(groupoid_doc(g, "generated", field)))
+    assert_find_unit_matches_oracle(ctx, g)
 
 
 @given(st.sampled_from(GENERATED), st.sampled_from(FIELDS))
