@@ -105,7 +105,7 @@ def check_module_algebra(B: FinAlgebra, kg: FinAlgebra, kg_co, action: ModuleAct
 @dataclass
 class ComponentDecomposition:
     idempotents: dict            # object -> element of B
-    components: dict             # object -> list of vectors spanning B(e.1_B)
+    spans: dict                  # object -> Echelon whose rows span B(e.1_B); never added to
     component_of: dict = field(default_factory=dict)  # B label -> object or None
     homogeneous: bool = True
 
@@ -138,14 +138,13 @@ def component_decomposition(B: FinAlgebra, kg: FinAlgebra, action: ModuleAction)
             if B.multiply(idem[e], idem[f]) or B.multiply(idem[f], idem[e]):
                 rep.add("orthogonal", [e, f], "idempotents for distinct objects overlap")
 
-    components, spans = {}, {}
+    spans = {}
     total = Echelon(F)
     dim_sum = 0
     for e in g.objects:
         ech = spans[e] = Echelon(F)
         for x in B.basis:
             ech.add(B.to_vector(B.multiply(B.basis_element(x), idem[e])))
-        components[e] = list(ech.rows)
         dim_sum += ech.rank
         for v in ech.rows:
             total.add(v)
@@ -167,8 +166,8 @@ def component_decomposition(B: FinAlgebra, kg: FinAlgebra, action: ModuleAction)
             rep.add("homogeneous-basis", x,
                     f"basis vector lies in {len(homes)} components")
 
-    rep.info["component_dims"] = {e: len(components[e]) for e in g.objects}
-    return ComponentDecomposition(idem, components, component_of, homogeneous), rep
+    rep.info["component_dims"] = {e: spans[e].rank for e in g.objects}
+    return ComponentDecomposition(idem, spans, component_of, homogeneous), rep
 
 
 @dataclass
@@ -191,19 +190,14 @@ def derive_dfap_action(B: FinAlgebra, kg: FinAlgebra, action: ModuleAction,
     g = action.groupoid
     rep = Report("derived groupoid action")
 
-    comp_span = {e: Echelon(F) for e in decomp.components}
-    for e, vs in decomp.components.items():
-        for v in vs:
-            comp_span[e].add(v)
-
     ideal_bases, iso_images, ideal_labels = {}, {}, {}
     for m in g.morphism_ids():
-        e_g = decomp.components[g.src(m)]
+        e_g = decomp.spans[g.src(m)].rows
         ideal_bases[m] = [dict(v) for v in e_g]
         labels = [x for x in B.basis if decomp.component_of.get(x) == g.src(m)]
         ideal_labels[m] = labels if len(labels) == len(e_g) else None
 
-        domain = decomp.components[g.tgt(m)]
+        domain = decomp.spans[g.tgt(m)].rows
         images = []
         img_span = Echelon(F)
         for v in domain:
@@ -212,7 +206,7 @@ def derive_dfap_action(B: FinAlgebra, kg: FinAlgebra, action: ModuleAction,
             img_span.add(B.to_vector(img))
         iso_images[m] = images
 
-        target = comp_span[g.src(m)]
+        target = decomp.spans[g.src(m)]
         if img_span.rank != len(domain):
             rep.add("iso-injective", m, "restriction of the action is not injective")
         if not all(target.contains(v) for v in images):
@@ -231,8 +225,8 @@ def derive_dfap_action(B: FinAlgebra, kg: FinAlgebra, action: ModuleAction,
 
     # ideals: B e_g B stays inside e_g's span
     for e in g.objects:
-        span = comp_span[e]
-        for v in decomp.components[e]:
+        span = decomp.spans[e]
+        for v in decomp.spans[e].rows:
             x = B.from_vector(v)
             for b in B.basis:
                 eb = B.basis_element(b)
@@ -243,7 +237,7 @@ def derive_dfap_action(B: FinAlgebra, kg: FinAlgebra, action: ModuleAction,
 
     # axiom (i): identities act as the identity on their component
     for e in g.objects:
-        for v in decomp.components[e]:
+        for v in decomp.spans[e].rows:
             if action.act({e: F.one}, B.from_vector(v)) != B.from_vector(v):
                 rep.add("axiom-identity", e, "identity morphism does not fix its component")
 
@@ -252,7 +246,7 @@ def derive_dfap_action(B: FinAlgebra, kg: FinAlgebra, action: ModuleAction,
         ab = g.comp.get((a, b))
         if ab is None:  # reported by the groupoid validator
             continue
-        for v in decomp.components[g.tgt(b)]:
+        for v in decomp.spans[g.tgt(b)].rows:
             x = B.from_vector(v)
             lhs = action.act({a: F.one}, action.act({b: F.one}, x))
             rhs = action.act({ab: F.one}, x)

@@ -75,19 +75,22 @@ def classify(groupoid, component, g, h, in_image):
 
 
 def classify_basis(dsm, groupoid, decomp, action):
-    """Stratum per double-smash basis label, plus the dimension table."""
+    """{stratum: its double-smash labels in basis order} over STRATA and
+    UNCLASSIFIED.  A stratum depends on (b, g, h) only through the class
+    (component of b, g, h, b in the image of g): classify runs once per class."""
     B = action.algebra
     spans = action.image_spans()
-    assignment = {}
-    dims = {s: 0 for s in STRATA}
-    dims[UNCLASSIFIED] = 0
-    for (b, g, h) in dsm.basis:
-        e = decomp.component_of.get(b)
-        in_img = spans[g].contains(B.to_vector(B.basis_element(b)))
-        stratum = classify(groupoid, e, g, h, in_img)
-        assignment[(b, g, h)] = stratum
-        dims[stratum] += 1
-    return assignment, dims
+    in_image = {(b, g): spans[g].contains(B.to_vector(B.basis_element(b)))
+                for b in B.basis for g in spans}
+    strata = {s: [] for s in (*STRATA, UNCLASSIFIED)}
+    stratum_of = {}  # class -> stratum
+    for lab in dsm.basis:
+        b, g, h = lab
+        key = (decomp.component_of.get(b), g, h, in_image[(b, g)])
+        if key not in stratum_of:
+            stratum_of[key] = classify(groupoid, *key)
+        strata[stratum_of[key]].append(lab)
+    return strata
 
 
 # -- the map phi ---------------------------------------------------------------
@@ -303,6 +306,21 @@ def element_str(field, element: dict) -> str:
     return " + ".join(parts)
 
 
+def closure_witnesses(dsm, labels):
+    """Products of two of the labels that leave their span, in basis order;
+    only the nonzero products are visited."""
+    right, _ = dsm.nonzero_products
+    allowed = set(labels)
+    witnesses = []
+    for x in labels:
+        for y in sorted(allowed.intersection(right.get(x, ())), key=dsm.index.get):
+            bad = [lab for lab in dsm.basis_product(x, y) if lab not in allowed]
+            if bad:
+                witnesses.append({"product_escapes": [label_str(x), label_str(y)],
+                                  "offending": [label_str(b) for b in bad]})
+    return witnesses
+
+
 CLAIM_IDS = ("thm2.2", "prop2.3", "prop2.4", "prop2.5", "thm2.6", "rem2.7", "thm2.9")
 
 
@@ -334,7 +352,7 @@ class VerificationContext:
             self.B, self.kg, self.kg_co, self.action)
         self.decomp, self.decomp_report = action_mod.component_decomposition(
             self.B, self.kg, self.action)
-        self._stratum_labels = {}  # tuple of stratum names -> labels
+        self._closures = {}  # nonempty strata -> closure witnesses
 
     # -- lazily derived pieces ------------------------------------------------
 
@@ -353,16 +371,13 @@ class VerificationContext:
         return build_phi(self.dsm, self.bsm)
 
     @cached_property
-    def _strata(self):
+    def strata(self):
+        """{stratum: its double-smash labels in basis order}."""
         return classify_basis(self.dsm, self.groupoid, self.decomp, self.action)
 
     @property
-    def classification(self):
-        return self._strata[0]
-
-    @property
     def strata_dims(self):
-        return self._strata[1]
+        return {s: len(labels) for s, labels in self.strata.items()}
 
     @cached_property
     def ki(self):
@@ -400,12 +415,10 @@ class VerificationContext:
 
     def stratum_labels(self, names):
         """The basis labels in the named strata, in basis order."""
-        key = tuple(names)
-        if key not in self._stratum_labels:
-            wanted = set(key)
-            self._stratum_labels[key] = [lab for lab in self.dsm.basis
-                                         if self.classification[lab] in wanted]
-        return self._stratum_labels[key]
+        lists = [self.strata[name] for name in names if self.strata[name]]
+        if len(lists) == 1:
+            return lists[0]
+        return sorted((lab for labels in lists for lab in labels), key=self.dsm.index.get)
 
     def phi_rank(self, labels):
         """(rank of the phi columns of labels, the labels whose column
@@ -488,20 +501,11 @@ class VerificationContext:
         return self._result("thm2.2", not witnesses, dims, witnesses, notes)
 
     def _closure_check(self, names):
-        """Products of two labels of the strata that leave their span, in
-        basis order; only the nonzero products are visited."""
-        right, _ = self.dsm.nonzero_products
-        labels = self.stratum_labels(names)
-        allowed = set(labels)
-        witnesses = []
-        for x in labels:
-            for y in sorted(allowed.intersection(right.get(x, ())), key=self.dsm.index.get):
-                prod = self.dsm.basis_product(x, y)
-                bad = [lab for lab in prod if lab not in allowed]
-                if bad:
-                    witnesses.append({"product_escapes": [label_str(x), label_str(y)],
-                                      "offending": [label_str(b) for b in bad]})
-        return witnesses
+        """closure_witnesses of the named strata, once per set of nonempty strata."""
+        key = tuple(name for name in names if self.strata[name])
+        if key not in self._closures:
+            self._closures[key] = closure_witnesses(self.dsm, self.stratum_labels(key))
+        return self._closures[key]
 
     def _verify_prop2_3(self) -> ClaimResult:
         witnesses = self._closure_check(UNITAL_STRATA)
@@ -619,7 +623,6 @@ class VerificationContext:
         return self._result("rem2.7", holds, dims, [], notes)
 
     def _verify_thm2_9(self) -> ClaimResult:
-        F = self.field
         skew, err = self.skew
         if skew is None:
             return self._result("thm2.9", False, {}, [],
@@ -635,15 +638,14 @@ class VerificationContext:
         # whole = C (+) D1
         whole_ok = len(d1) + len(c_labels) == n_dom
 
-        # rank of phi(psi(C)), then of phi o psi, and exactness bookkeeping
-        cols = self.phi.vectors
-        ech = Echelon(F)
-        rank_c = sum(ech.add(cols[lab]) for lab in c_labels)
+        # rank of phi(psi(C)), then of phi o psi, and exactness bookkeeping;
+        # C comes first, so its dependent labels are those the rank of C misses
+        rank, dependent = self.phi_rank(c_labels + d1)
+        rank_c = len(c_labels) - sum(g.composable(m, h) for _, m, h in dependent)
         exact = len(d1) + rank_c == n_dom
-        rank = rank_c + sum(ech.add(cols[lab]) for lab in d1)
         # D1 is spanned by basis labels: it is the kernel of phi o psi iff
         # phi o psi is zero on each of them and the dimensions agree
-        d1_eq_kernel = not any(cols[lab] for lab in d1) and len(d1) == n_dom - rank
+        d1_eq_kernel = not any(self.phi.vectors[lab] for lab in d1) and len(d1) == n_dom - rank
 
         # psi injective on C: distinct symbols go to distinct basis labels
         inj = len({self.dsm.index[lab] for lab in c_labels}) == len(c_labels)

@@ -120,13 +120,13 @@ def parse_instance(doc: dict) -> Instance:
         morphs = [Morphism(m["id"], m["src"], m["tgt"], m["inv"])
                   for m in gdoc.get("morphisms", [])]
         comp = {}
-        for entry in gdoc.get("composition", []):
-            a, b, c = entry
+        for i, entry in enumerate(_list(gdoc.get("composition", []), "composition")):
+            a, b, c = _labels(entry, f"composition[{i}]")
             if (a, b) in comp:
                 raise InstanceFormatError(
                     f"composition table maps ({a!r}, {b!r}) twice")
             comp[(a, b)] = c
-        groupoid = Groupoid(gdoc.get("objects", []), morphs, comp)
+        groupoid = Groupoid(_labels(gdoc["objects"], "groupoid objects"), morphs, comp)
     except GroupoidError as exc:
         raise InstanceFormatError(f"groupoid: {exc}")
     except (KeyError, TypeError, ValueError) as exc:

@@ -17,20 +17,21 @@ from .walg import FinAlgebra, acc
 
 
 def smash_product(B: FinAlgebra, kg: FinAlgebra, action) -> FinAlgebra:
-    """(a # u_s)(b # u_t) = a(s.b) # u_{st}, zero when st is undefined."""
+    """(a # u_s)(b # u_t) = a(s.b) # u_{st}, zero when st is undefined.
+    a(s.b) is formed once per (a, s, b) and emitted for each t composable
+    with s whose product the table defines, in basis order of the pairs."""
     F = B.field
     g = action.groupoid
-    basis = [(b, m) for b in B.basis for m in g.morphism_ids()]
+    ids = g.morphism_ids()
+    basis = [(b, m) for b in B.basis for m in ids]
+    after = {s: [(t, st) for t in ids if (st := g.compose(s, t)) is not None] for s in ids}
     mul = {}
     for (a, s) in basis:
-        for (b, t) in basis:
-            st = g.compose(s, t)
-            if st is None:
-                continue
+        for b in B.basis:
             coeff = B.multiply(B.basis_element(a), action.act_basis(s, b))
-            out = {(lab, st): c for lab, c in coeff.items()}
-            if out:
-                mul[((a, s), (b, t))] = out
+            if coeff:
+                for t, st in after[s]:
+                    mul[((a, s), (b, t))] = {(lab, st): c for lab, c in coeff.items()}
     return FinAlgebra(F, basis, mul, None, name="B#KG",
                       meta={"B": B, "kg": kg, "action": action, "groupoid": g})
 

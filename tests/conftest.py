@@ -6,16 +6,20 @@ from weakhopf.instances import builtin_doc, builtin_instance, groupoid_to_doc
 _CACHE = {}
 
 
-def groupoid_doc(g, name, field=None):
-    """Instance document for groupoid g with B = K^objects, each morphism
-    s -> t carrying the idempotent at t onto the one at s."""
+def groupoid_doc(g, name, field=None, k=1):
+    """Instance document for groupoid g with B = K^(objects x k), each
+    morphism s -> t carrying the i-th idempotent at t onto the i-th one at
+    s.  With k == 1 the idempotents are named by their objects."""
+    points = {e: [e] if k == 1 else [f"{e}.{i}" for i in range(k)] for e in g.objects}
+    basis = [x for e in g.objects for x in points[e]]
     return {
         "name": name,
         "field": field or {"kind": "rational"},
         "groupoid": groupoid_to_doc(g),
-        "algebra": {"basis": list(g.objects), "unit": {e: "1" for e in g.objects},
-                    "multiplication": [[e, e, {e: "1"}] for e in g.objects]},
-        "action": [[m.id, m.tgt, {m.src: "1"}] for m in g.morphisms],
+        "algebra": {"basis": basis, "unit": {x: "1" for x in basis},
+                    "multiplication": [[x, x, {x: "1"}] for x in basis]},
+        "action": [[m.id, x, {y: "1"}] for m in g.morphisms
+                   for x, y in zip(points[m.tgt], points[m.src])],
     }
 
 

@@ -4,9 +4,10 @@ Trial division, the reference for the Miller-Rabin primality test;
 dense Matrix / rref / Echelon routines over lists, dense forms of
 phi's kernel and image and of the unit search built on them, the
 whole-element multiply form of the two-sided identity test, the
-all-tuples forms of the weak-Hopf dual and axiom checkers, and the
-all-pairs forms of B#KG#KG*, the skew groupoid ring, phi and the
+all-tuples forms of the weak-Hopf dual and axiom checkers, the
+all-pairs forms of B#KG, B#KG#KG*, the skew groupoid ring, phi and the
 kernel-ideal test, each computing the smash formula itself, the
+per-label classification of the double-smash basis, the
 all-pairs forms of phi's multiplicativity and right-linearity checks and
 of the closure test, the span-comparison forms of the thm2.2, rem2.7
 and thm2.9 verifiers on sparse_subspace_equal, and the kernel-echelon
@@ -19,8 +20,9 @@ from dataclasses import dataclass, field as dc_field
 
 from weakhopf import exactmath
 from weakhopf.action import DfapAction, ModuleAction
-from weakhopf.duality import (COMPLEMENT_STRATA, IMAGE_STRATA, KERNEL_STRATA,
-                              UNITAL_STRATA, LinearMapRep, element_str, label_str)
+from weakhopf.duality import (COMPLEMENT_STRATA, IMAGE_STRATA, KERNEL_STRATA, STRATA,
+                              UNCLASSIFIED, UNITAL_STRATA, LinearMapRep, classify,
+                              element_str, label_str)
 from weakhopf.report import Report
 from weakhopf.walg import CoStructure, FinAlgebra, acc
 
@@ -611,6 +613,26 @@ def check_antipode(alg: FinAlgebra, co: CoStructure) -> Report:
 # -- all-pairs smash products, skew ring and phi ------------------------------
 
 
+def smash_product(B: FinAlgebra, kg: FinAlgebra, action) -> FinAlgebra:
+    """(a # u_s)(b # u_t) = a(s.b) # u_{st} over every pair of labels,
+    zero when st is undefined."""
+    F = B.field
+    g = action.groupoid
+    basis = [(b, m) for b in B.basis for m in g.morphism_ids()]
+    mul = {}
+    for (a, s) in basis:
+        for (b, t) in basis:
+            st = g.compose(s, t)
+            if st is None:
+                continue
+            coeff = B.multiply(B.basis_element(a), action.act_basis(s, b))
+            out = {(lab, st): c for lab, c in coeff.items()}
+            if out:
+                mul[((a, s), (b, t))] = out
+    return FinAlgebra(F, basis, mul, None, name="B#KG",
+                      meta={"B": B, "kg": kg, "action": action, "groupoid": g})
+
+
 def double_smash(B: FinAlgebra, kg: FinAlgebra, kgstar: FinAlgebra,
                  kgstar_co, action) -> FinAlgebra:
     """B#KG#KG* with the dual acting through its coproduct legs:
@@ -711,6 +733,18 @@ def build_phi(dsm, bsm) -> LinearMapRep:
                 col[(b, l)] = img
         columns[(a, g, h)] = col
     return LinearMapRep(F, list(dsm.basis), list(bsm.basis), columns)
+
+
+def strata(ctx):
+    """{stratum: labels}, classifying each double-smash label on its own."""
+    B = ctx.B
+    spans = ctx.action.image_spans()
+    out = {s: [] for s in (*STRATA, UNCLASSIFIED)}
+    for (b, g, h) in ctx.dsm.basis:
+        e = ctx.decomp.component_of.get(b)
+        in_img = spans[g].contains(B.to_vector(B.basis_element(b)))
+        out[classify(ctx.groupoid, e, g, h, in_img)].append((b, g, h))
+    return out
 
 
 def kernel_echelon(ctx):

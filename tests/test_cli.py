@@ -243,8 +243,18 @@ def _schema_breaks():
     for key in ("objects", "morphisms", "composition"):
         no_objects["groupoid"][key] = []
     no_objects["action"] = []
-    return {"short-multiplication": short_mul, "short-action": short_action,
-            "list-label": list_label, "no-objects": no_objects, "directory": None}
+    breaks = {"short-multiplication": short_mul, "short-action": short_action,
+              "list-label": list_label, "no-objects": no_objects, "directory": None}
+    # unpacked, each reads as the list it replaces, so only its type is wrong
+    for case, value in (("objects-string", "xy"), ("objects-object", {"x": 1, "y": 1})):
+        breaks[case] = builtin_doc("i2-swap")
+        breaks[case]["groupoid"]["objects"] = value
+    for case, value in (("composition-string", "xxx"),
+                        ("composition-object", {"g": 1, "gi": 1, "x": 1})):
+        breaks[case] = builtin_doc("i2-swap")
+        comp = breaks[case]["groupoid"]["composition"]
+        comp[comp.index(list(value))] = value
+    return breaks
 
 
 @pytest.mark.parametrize("case", sorted(_schema_breaks()))

@@ -61,7 +61,7 @@ def test_i2_strata_table(ctx_i2):
         "A1": 4, "A2": 0, "A3": 16, "A4": 0, "A5": 0, "A6": 8,
         "A7": 4, "A8": 0, "A9": 0, "A10": 0, "unclassified": 0,
     }
-    cls = ctx_i2.classification
+    cls = {lab: name for name, labels in ctx_i2.strata.items() for lab in labels}
     assert cls[("e1", "x", "x")] == "A1"
     assert cls[("e2", "y", "gi")] == "A1"
     assert cls[("e1", "g", "gi")] == "A7"
@@ -69,6 +69,22 @@ def test_i2_strata_table(ctx_i2):
     assert cls[("e2", "g", "y")] == "A6"
     assert cls[("e1", "gi", "g")] == "A6"
     assert cls[("e1", "g", "g")] == "A3"
+
+
+def test_classify_runs_once_per_class(monkeypatch):
+    # two idempotents per object: the labels of one class differ in b only
+    from conftest import groupoid_doc
+    from weakhopf import duality
+    ctx = _fresh(groupoid_doc(pair_groupoid(3), "pair3-k2", k=2))
+    ctx.dsm
+    calls, classify_ = [], duality.classify
+
+    def counted(*args):
+        calls.append(args[1:])
+        return classify_(*args)
+    monkeypatch.setattr(duality, "classify", counted)
+    assert sum(ctx.strata_dims.values()) == ctx.dsm.dim
+    assert 0 < len(calls) == len(set(calls)) < ctx.dsm.dim
 
 
 def test_group_strata_all_a1(ctx_z2, ctx_z3):
@@ -394,6 +410,21 @@ def test_duality_equals_oracle_on_builtins():
         assert_duality_matches_oracle(ctx)
         if name == "ex2.8":
             assert ctx.verify("thm2.2").witnesses  # so the comparison shows
+
+
+def test_closure_walk_runs_once_per_label_set(monkeypatch):
+    # on z4-regular S and the unital corner are both A1, and T is empty
+    from conftest import z4_regular_doc
+    from weakhopf import duality
+    ctx = _fresh(z4_regular_doc())
+    walks, walk = [], duality.closure_witnesses
+
+    def counted(dsm, labels):
+        walks.append(tuple(labels))
+        return walk(dsm, labels)
+    monkeypatch.setattr(duality, "closure_witnesses", counted)
+    ctx.verify_all()
+    assert len(walks) == len(set(walks)) == 2
 
 
 def test_closure_and_claims_equal_oracle_on_broken_composition():

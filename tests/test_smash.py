@@ -251,13 +251,18 @@ def skew_outcome(build):
 
 
 def assert_read_offs_match_oracle(ctx, dfap=None):
-    """The double smash, phi and the skew ring read off B#KG equal the
-    constructions that compute the smash formula over all label pairs.
+    """B#KG, and the double smash, phi and the skew ring read off it, equal
+    the constructions that compute the smash formula over all label pairs,
+    key order included; the strata equal the per-label classification.
     The skew ring is built on the derived action unless dfap is given."""
     import oracle
     from weakhopf.action import skew_groupoid_ring
     from weakhopf.duality import build_phi
     from weakhopf.smash import double_smash
+    ref_bsm = oracle.smash_product(ctx.B, ctx.kg, ctx.action)
+    assert ctx.bsm.basis == ref_bsm.basis
+    assert ordered(ctx.bsm.mul) == ordered(ref_bsm.mul)
+    assert ordered(ctx.strata) == ordered(oracle.strata(ctx))
     dsm = double_smash(ctx.bsm, ctx.kgstar, ctx.kgstar_co)
     ref = oracle.double_smash(ctx.B, ctx.kg, ctx.kgstar, ctx.kgstar_co, ctx.action)
     assert dsm.basis == ref.basis
@@ -276,6 +281,38 @@ def test_read_offs_equal_oracle_on_builtins():
     from weakhopf.instances import BUILTIN_NAMES
     for name in BUILTIN_NAMES:
         assert_read_offs_match_oracle(context(name))
+    # ex2.8 has an inhomogeneous basis, so the unclassified list is compared
+    assert not context("ex2.8").decomp.homogeneous
+
+
+def test_read_offs_equal_oracle_on_golden_documents_and_a_missing_entry():
+    # the wrong-composition pair(3) with m2_3 * m3_1 also left out
+    import conftest
+    from test_golden import DOCUMENTS
+    missing = conftest.wrong_composition_doc(3)
+    comp = missing["groupoid"]["composition"]
+    comp.remove(next(e for e in comp if e[:2] == ["m2_3", "m3_1"]))
+    for doc in [getattr(conftest, builder)() for builder in DOCUMENTS.values()] + [missing]:
+        ctx = VerificationContext(parse_instance(doc))
+        assert_read_offs_match_oracle(ctx)
+    assert "composition-missing" in ctx.groupoid_report.checks_failed()
+
+
+def test_smash_product_forms_each_coefficient_once(monkeypatch):
+    # a(s.b) is formed once per (a, s, b), not once per composable pair of
+    # labels (a # u_s, b # u_t)
+    from conftest import groupoid_doc
+    from weakhopf.smash import smash_product
+    ctx = VerificationContext(parse_instance(groupoid_doc(pair_groupoid(3), "pair3")))
+    B, calls = ctx.B, []
+    multiply = B.multiply
+
+    def counted(x, y):
+        calls.append((x, y))
+        return multiply(x, y)
+    monkeypatch.setattr(B, "multiply", counted)
+    smash_product(B, ctx.kg, ctx.action)
+    assert 0 < len(calls) <= B.dim * len(ctx.groupoid.morphisms) * B.dim
 
 
 GENERATED = ([pair_groupoid(n) for n in (1, 2, 3)] + [cyclic_group(n) for n in (2, 3, 4, 5)]
