@@ -176,7 +176,6 @@ class DfapAction:
     the ideal at g is the component of src(g), and g itself maps the
     component of tgt(g) onto it."""
 
-    ideal_bases: dict            # morphism -> list of vectors spanning E_g
     iso_images: dict             # morphism -> images of the E_{inv(g)} basis
     ideal_labels: dict           # morphism -> list of B labels, or None
 
@@ -190,12 +189,11 @@ def derive_dfap_action(B: FinAlgebra, kg: FinAlgebra, action: ModuleAction,
     g = action.groupoid
     rep = Report("derived groupoid action")
 
-    ideal_bases, iso_images, ideal_labels = {}, {}, {}
+    iso_images, ideal_labels = {}, {}
     for m in g.morphism_ids():
-        e_g = decomp.spans[g.src(m)].rows
-        ideal_bases[m] = [dict(v) for v in e_g]
+        target = decomp.spans[g.src(m)]
         labels = [x for x in B.basis if decomp.component_of.get(x) == g.src(m)]
-        ideal_labels[m] = labels if len(labels) == len(e_g) else None
+        ideal_labels[m] = labels if len(labels) == target.rank else None
 
         domain = decomp.spans[g.tgt(m)].rows
         images = []
@@ -206,7 +204,6 @@ def derive_dfap_action(B: FinAlgebra, kg: FinAlgebra, action: ModuleAction,
             img_span.add(B.to_vector(img))
         iso_images[m] = images
 
-        target = decomp.spans[g.src(m)]
         if img_span.rank != len(domain):
             rep.add("iso-injective", m, "restriction of the action is not injective")
         if not all(target.contains(v) for v in images):
@@ -253,7 +250,7 @@ def derive_dfap_action(B: FinAlgebra, kg: FinAlgebra, action: ModuleAction,
             if lhs != rhs:
                 rep.add("axiom-composition", [a, b], "composing the maps misses beta_{ab}")
 
-    return DfapAction(ideal_bases, iso_images, ideal_labels), rep
+    return DfapAction(iso_images, ideal_labels), rep
 
 
 def skew_groupoid_ring(bsm: FinAlgebra, dfap: DfapAction) -> FinAlgebra:

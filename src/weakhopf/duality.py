@@ -13,11 +13,11 @@ spans.  phi's two checks and the closure tests visit only the pairs that
 phi's nonzero columns or the nonzero double-smash products reach.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
-from .exactmath import Echelon, null_space
-from .report import Report
+from .exactmath import null_space
+from .report import WITNESS_CAP, Report
 from .walg import acc, el_addto
 
 STRATA = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9", "A10")
@@ -105,14 +105,6 @@ class LinearMapRep:
     domain_basis: list
     codomain_basis: list
     columns: dict           # domain label -> {codomain label: element dict}
-    cod_index: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.cod_index:
-            self.cod_index = {lab: i for i, lab in enumerate(self.codomain_basis)}
-
-    def endo(self, domain_label):
-        return self.columns[domain_label]
 
     def apply(self, element: dict) -> dict:
         """Endomorphism attached to a domain element (weighted sum)."""
@@ -123,17 +115,13 @@ class LinearMapRep:
                 el_addto(F, out.setdefault(col, {}), c, img)
         return {col: img for col, img in out.items() if img}
 
-    @cached_property
-    def vectors(self):
-        """endo_to_vector of each column, per domain label."""
-        return {lab: self.endo_to_vector(col) for lab, col in self.columns.items()}
-
-    def endo_to_vector(self, endo: dict) -> dict:
-        """Sparse coordinates of an endomorphism: the entry in row r and
-        column c sits at index r * dim(codomain) + c."""
-        n = len(self.codomain_basis)
-        return {self.cod_index[row] * n + self.cod_index[col]: w
-                for col, img in endo.items() for row, w in img.items()}
+    def null_space(self, labels):
+        """exactmath.null_space of the columns of labels, each entry keyed
+        by its (row, column) pair of codomain labels: (kernel basis over
+        positions in labels, pivot positions)."""
+        return null_space(self.field, [
+            {(row, col): w for col, img in self.columns[lab].items() for row, w in img.items()}
+            for lab in labels])
 
 
 def _apply_endo_to_element(phi, endo, element):
@@ -171,16 +159,16 @@ def phi_is_homomorphism(phi: LinearMapRep, dsm) -> Report:
     right, _ = dsm.nonzero_products
     reaching = {}  # codomain label -> the y whose phi(y) has it in an image
     for y in phi.domain_basis:
-        for img in phi.endo(y).values():
+        for img in phi.columns[y].values():
             for mid in img:
                 reaching.setdefault(mid, set()).add(y)
     order = {lab: i for i, lab in enumerate(phi.domain_basis)}
     for x in phi.domain_basis:
-        ex = phi.endo(x)
+        ex = phi.columns[x]
         ys = set(right.get(x, ())).union(*(reaching.get(mid, ()) for mid in ex))
         for y in sorted(ys, key=order.get):
             lhs = phi.apply(dsm.basis_product(x, y))
-            if lhs != compose_endos(phi, ex, phi.endo(y)):
+            if lhs != compose_endos(phi, ex, phi.columns[y]):
                 rep.add("phi-multiplicative", [list(x), list(y)])
     return rep
 
@@ -202,7 +190,7 @@ def right_linearity(phi: LinearMapRep, bsm, B) -> Report:
                 through.setdefault(lab, set()).add((z, b))
     order = {zb: i for i, zb in enumerate(zbs)}
     for x in phi.domain_basis:
-        endo = phi.endo(x)
+        endo = phi.columns[x]
         pairs = {(z, b) for z in endo for b in B.basis}.union(
             *(through.get(lab, ()) for lab in endo))
         for z, b in sorted(pairs, key=order.get):
@@ -221,9 +209,8 @@ class KernelImage:
 def kernel_and_image(phi: LinearMapRep) -> KernelImage:
     """One elimination: the kernel basis, and the dimensions of the
     domain, the kernel and the image."""
-    columns = [phi.vectors[lab] for lab in phi.domain_basis]
-    kernel, pivots = null_space(phi.field, columns)
-    dims = {"domain": len(columns), "kernel": len(kernel), "image": len(pivots)}
+    kernel, pivots = phi.null_space(phi.domain_basis)
+    dims = {"domain": len(phi.domain_basis), "kernel": len(kernel), "image": len(pivots)}
     return KernelImage(kernel, dims)
 
 
@@ -278,7 +265,7 @@ class ClaimResult:
             "holds": self.holds,
             "conditional": self.conditional,
             "dimensions": self.dimensions,
-            "witnesses": self.witnesses[:12],
+            "witnesses": self.witnesses[:WITNESS_CAP],
             "witness_count": len(self.witnesses),
             "notes": self.notes,
         }
@@ -288,8 +275,6 @@ def label_str(lab):
     if isinstance(lab, tuple):
         if len(lab) == 3:
             return f"{lab[0]}#u_{lab[1]}#r_{lab[2]}"
-        if len(lab) == 2 and isinstance(lab[0], tuple):
-            return f"{lab[0][0]}*d_{lab[0][1]}#r_{lab[1]}"
         if len(lab) == 2:
             return f"{lab[0]}#u_{lab[1]}"
     return str(lab)
@@ -422,10 +407,11 @@ class VerificationContext:
 
     def phi_rank(self, labels):
         """(rank of the phi columns of labels, the labels whose column
-        lies in the span of the columns of the labels before them)."""
-        ech = Echelon(self.field)
-        dependent = [lab for lab in labels if not ech.add(self.phi.vectors[lab])]
-        return ech.rank, dependent
+        lies in the span of the columns of the labels before them: the
+        positions that are not pivots)."""
+        _, pivots = self.phi.null_space(labels)
+        pivots = set(pivots)
+        return len(pivots), [lab for j, lab in enumerate(labels) if j not in pivots]
 
     @cached_property
     def image_strata_rank(self):
@@ -645,7 +631,7 @@ class VerificationContext:
         exact = len(d1) + rank_c == n_dom
         # D1 is spanned by basis labels: it is the kernel of phi o psi iff
         # phi o psi is zero on each of them and the dimensions agree
-        d1_eq_kernel = not any(self.phi.vectors[lab] for lab in d1) and len(d1) == n_dom - rank
+        d1_eq_kernel = not any(self.phi.columns[lab] for lab in d1) and len(d1) == n_dom - rank
 
         # psi injective on C: distinct symbols go to distinct basis labels
         inj = len({self.dsm.index[lab] for lab in c_labels}) == len(c_labels)

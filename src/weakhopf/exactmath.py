@@ -228,7 +228,9 @@ def null_space(field, columns):
     """(kernel basis, pivot columns) of the map whose j-th column is the
     sparse vector columns[j]: one kernel vector per free column of the
     reduced row echelon form, with a one there.  The pivot columns, in
-    increasing order, are the first columns that span the image."""
+    increasing order, are the first columns that span the image.  The
+    keys of a column only group its entries into rows, so any hashable
+    row keys will do."""
     rows = {}
     for j, col in enumerate(columns):
         for i, w in col.items():

@@ -86,12 +86,15 @@ def _list(value, where):
     return value
 
 
+def _label(lab, where):
+    """lab as a label: a JSON string, so that any two labels compare."""
+    if not isinstance(lab, str):
+        raise InstanceFormatError(f"{where} is not a label (a JSON string): {lab!r}")
+    return lab
+
+
 def _labels(values, where):
-    """values as a list of labels: JSON scalars, never lists or objects."""
-    for i, lab in enumerate(_list(values, where)):
-        if isinstance(lab, (list, dict)):
-            raise InstanceFormatError(f"{where}[{i}] is not a label: {lab!r}")
-    return values
+    return [_label(lab, f"{where}[{i}]") for i, lab in enumerate(_list(values, where))]
 
 
 def _triples(rows, where):
@@ -117,8 +120,9 @@ def parse_instance(doc: dict) -> Instance:
     if not gdoc.get("objects"):
         raise InstanceFormatError("groupoid has no objects")
     try:
-        morphs = [Morphism(m["id"], m["src"], m["tgt"], m["inv"])
-                  for m in gdoc.get("morphisms", [])]
+        morphs = [Morphism(*(_label(m[k], f"morphisms[{i}].{k}")
+                             for k in ("id", "src", "tgt", "inv")))
+                  for i, m in enumerate(gdoc.get("morphisms", []))]
         comp = {}
         for i, entry in enumerate(_list(gdoc.get("composition", []), "composition")):
             a, b, c = _labels(entry, f"composition[{i}]")
@@ -135,7 +139,7 @@ def parse_instance(doc: dict) -> Instance:
     adoc = doc.get("algebra")
     if not isinstance(adoc, dict) or "basis" not in adoc or "unit" not in adoc:
         raise InstanceFormatError("algebra section needs basis and unit")
-    basis = list(_labels(adoc["basis"], "algebra basis"))
+    basis = _labels(adoc["basis"], "algebra basis")
     if len(set(basis)) != len(basis):
         raise InstanceFormatError("duplicate algebra basis labels")
     bset = set(basis)

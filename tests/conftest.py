@@ -63,6 +63,51 @@ def z4_regular_doc():
     }
 
 
+def m2_doc(g, name, field=None):
+    """Instance document for groupoid g with B the sum of M_2 over the
+    objects, basis o.ij and E_ij E_jl = E_il inside one block.  A morphism
+    m: s -> t sends block t to block s by Ad(P_s P_t^-1), where P is
+    [[1, k], [0, 1]] at the k-th object; a loop that is not an identity acts
+    by Ad(Q), Q = [[1, 0], [1, -1]] = Q^-1.  This is an action when every
+    vertex group has order at most 2 (pair groupoids, Z/2)."""
+    pos = {e: k for k, e in enumerate(g.objects)}
+    ij = [(i, j) for i in (1, 2) for j in (1, 2)]
+
+    def conj(m):
+        # (M, M^-1) with m acting by Ad(M)
+        if m.id == m.src:
+            return ((1, 0), (0, 1)), ((1, 0), (0, 1))
+        if m.src == m.tgt:
+            return ((1, 0), (1, -1)), ((1, 0), (1, -1))
+        k = pos[m.src] - pos[m.tgt]
+        return ((1, k), (0, 1)), ((1, -k), (0, 1))
+
+    def ad(m, i, j):
+        # M E_ij M^-1 = sum over (k, l) of M[k][i] M^-1[j][l] E_kl
+        M, Mi = conj(m)
+        return {f"{m.src}.{k}{l}": str(c)
+                for k, l in ij if (c := M[k - 1][i - 1] * Mi[j - 1][l - 1])}
+
+    basis = [f"{e}.{i}{j}" for e in g.objects for i, j in ij]
+    return {
+        "name": name,
+        "field": field or {"kind": "rational"},
+        "groupoid": groupoid_to_doc(g),
+        "algebra": {"basis": basis,
+                    "unit": {f"{e}.{i}{i}": "1" for e in g.objects for i in (1, 2)},
+                    "multiplication": [[f"{e}.{i}{j}", f"{e}.{j}{l}", {f"{e}.{i}{l}": "1"}]
+                                       for e in g.objects for i, j in ij for l in (1, 2)]},
+        "action": [[m.id, f"{m.tgt}.{i}{j}", ad(m, i, j)] for m in g.morphisms
+                   for i, j in ij],
+    }
+
+
+def m2_pair2_doc():
+    """m2_doc on the pair groupoid with two objects, over Q."""
+    from weakhopf.groupoid import pair_groupoid
+    return m2_doc(pair_groupoid(2), "m2-pair2")
+
+
 def wrong_composition_doc(n):
     """pair(n) with m1_2 * m2_1 (n == 2) or m1_2 * m2_3 (n >= 3) sent to m1_2."""
     from weakhopf.groupoid import pair_groupoid

@@ -1,8 +1,9 @@
 """Dense reference implementations, the oracles for the sparse engine.
 
 Trial division, the reference for the Miller-Rabin primality test;
-dense Matrix / rref / Echelon routines over lists, dense forms of
-phi's kernel and image and of the unit search built on them, the
+dense Matrix / rref / Echelon routines over lists, the row-major
+flatten of phi's columns (index r * dim + c), dense forms of phi's
+kernel and image and of the unit search built on them, the
 whole-element multiply form of the two-sided identity test, the
 all-tuples forms of the weak-Hopf dual and axiom checkers, the
 all-pairs forms of B#KG, B#KG#KG*, the skew groupoid ring, phi and the
@@ -260,12 +261,22 @@ def sparse(v, field) -> dict:
 # -- dense forms of the engine's phi and unit search -------------------------
 
 
+def row_major(phi, labels):
+    """The phi columns of labels as sparse vectors: the entry in row r and
+    column c of an endomorphism sits at index r * dim(codomain) + c, with r
+    and c positions in the codomain basis."""
+    index = {lab: i for i, lab in enumerate(phi.codomain_basis)}
+    n = len(index)
+    return [{index[row] * n + index[col]: w
+             for col, img in phi.columns[lab].items() for row, w in img.items()}
+            for lab in labels]
+
+
 def flatten(phi) -> Matrix:
     """phi as a dense dim(codomain)^2 x dim(domain) matrix, row-major in the
     endomorphism coordinates."""
     n = len(phi.codomain_basis)
-    cols = [dense(phi.endo_to_vector(phi.columns[lab]), n * n, phi.field)
-            for lab in phi.domain_basis]
+    cols = [dense(v, n * n, phi.field) for v in row_major(phi, phi.domain_basis)]
     entries = []
     for i in range(n * n):
         for cv in cols:
@@ -785,10 +796,10 @@ def kernel_ideal_witnesses(ctx):
 def phi_is_homomorphism(phi, dsm) -> Report:
     rep = Report("phi is multiplicative")
     for x in phi.domain_basis:
-        ex = phi.endo(x)
+        ex = phi.columns[x]
         for y in phi.domain_basis:
             lhs = phi.apply(dsm.basis_product(x, y))
-            rhs = compose_endos(phi, ex, phi.endo(y))
+            rhs = compose_endos(phi, ex, phi.columns[y])
             if lhs != rhs:
                 rep.add("phi-multiplicative", [list(x), list(y)])
     return rep
@@ -813,7 +824,7 @@ def right_linearity(phi, bsm, B) -> Report:
     rep = Report("image endomorphisms are right B-linear")
     right_factors = {b: {(b, e): F.one for e in g.objects} for b in B.basis}
     for x in phi.domain_basis:
-        endo = phi.endo(x)
+        endo = phi.columns[x]
         for z in bsm.basis:
             for b in B.basis:
                 zb = bsm.multiply({z: F.one}, right_factors[b])
@@ -918,7 +929,7 @@ def verify_thm2_6(ctx):
 def verify_rem2_7(ctx):
     F = ctx.field
     s_labels = ctx.stratum_labels(IMAGE_STRATA)
-    phi_s = [ctx.phi.endo_to_vector(ctx.phi.columns[lab]) for lab in s_labels]
+    phi_s = row_major(ctx.phi, s_labels)
     ech = exactmath.Echelon(F)
     rank_phi_s = sum(ech.add(v) for v in phi_s)
     exact = ctx.ki.dims["kernel"] + rank_phi_s == ctx.ki.dims["domain"]
@@ -943,7 +954,7 @@ def verify_thm2_9(ctx):
     n_dom = len(dom)
     d1 = [i for i, (_, m, h) in enumerate(dom) if not g.composable(m, h)]
     c_labels = [lab for lab in dom if g.composable(lab[1], lab[2])]
-    cols = {lab: ctx.phi.endo_to_vector(ctx.phi.columns[lab]) for lab in dom}
+    cols = dict(zip(dom, row_major(ctx.phi, dom)))
     ker, _ = exactmath.null_space(F, list(cols.values()))
     d1_eq_kernel = sparse_subspace_equal(F, [{i: F.one} for i in d1], ker)
     whole_ok = len(d1) + len(c_labels) == n_dom

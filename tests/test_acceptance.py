@@ -57,7 +57,7 @@ def test_criterion_2_classical_duality(capsys):
         # (row m*n, column n), and those exhaust all n^2 of them
         seen = set()
         for (b, m, nn) in ctx.phi.domain_basis:
-            endo = ctx.phi.endo((b, m, nn))
+            endo = ctx.phi.columns[(b, m, nn)]
             want = {(b, nn): {(b, g.compose(m, nn)): ctx.field.one}}
             ok = ok and endo == want
             seen.add((g.compose(m, nn), nn))

@@ -254,7 +254,52 @@ def _schema_breaks():
         breaks[case] = builtin_doc("i2-swap")
         comp = breaks[case]["groupoid"]["composition"]
         comp[comp.index(list(value))] = value
+    # labels are JSON strings: a number among them, or only numbers
+    breaks["mixed-ids"] = {
+        "field": {"kind": "rational"},
+        "groupoid": {"objects": ["e"],
+                     "morphisms": [{"id": "e", "src": "e", "tgt": "e", "inv": "e"},
+                                   {"id": 1, "src": "e", "tgt": "e", "inv": 1}],
+                     "composition": [["e", "e", "e"], ["e", 1, 1], [1, "e", 1], [1, 1, "e"]]},
+        "algebra": {"basis": ["b"], "unit": {"b": "1"},
+                    "multiplication": [["b", "b", {"b": "1"}]]},
+        "action": [["e", "b", {"b": "1"}], [1, "b", {"b": "1"}]]}
+    breaks["number-object"] = {
+        "field": {"kind": "rational"},
+        "groupoid": {"objects": [0], "morphisms": [{"id": 0, "src": 0, "tgt": 0, "inv": 0}],
+                     "composition": [[0, 0, 0]]},
+        "algebra": {"basis": ["b"], "unit": {"b": "1"},
+                    "multiplication": [["b", "b", {"b": "1"}]]},
+        "action": [[0, "b", {"b": "1"}]]}
+    for case, section, key, extra in (
+            ("duplicate-morphism", "groupoid", "morphisms",
+             {"id": "g", "src": "x", "tgt": "y", "inv": "gi"}),
+            ("duplicate-object", "groupoid", "objects", "x"),
+            ("duplicate-basis-label", "algebra", "basis", "e1"),
+            ("multiplication-twice", "algebra", "multiplication", ["e1", "e1", {"e1": "1"}])):
+        breaks[case] = builtin_doc("i2-swap")
+        breaks[case][section][key].append(extra)
+    breaks["action-twice"] = builtin_doc("i2-swap")
+    breaks["action-twice"]["action"].append(["x", "e1", {"e1": "1"}])
+    breaks["not-an-object"] = [builtin_doc("i2-swap")]
     return breaks
+
+
+def test_validate_names_broken_identity_and_inverse_records(tmp_path, capsys):
+    # i2-swap with tgt(x) = y, then with inv(g) = g
+    idrec, invg = builtin_doc("i2-swap"), builtin_doc("i2-swap")
+    idrec["groupoid"]["morphisms"][0]["tgt"] = "y"
+    next(m for m in invg["groupoid"]["morphisms"] if m["id"] == "g")["inv"] = "g"
+    for doc, lines in ((idrec, ["identity-record: 1 violation(s), e.g. 'x'"]),
+                       (invg, ["inverse-involution: 1 violation(s), e.g. 'gi'",
+                               "inverse-endpoints: 1 violation(s), e.g. 'g'"])):
+        p = tmp_path / "broken.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["validate", str(p)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "FAIL groupoid"
+        for line in lines:
+            assert "    " + line in out
 
 
 @pytest.mark.parametrize("case", sorted(_schema_breaks()))

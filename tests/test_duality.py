@@ -104,11 +104,11 @@ def test_ex28_gf2_strata(ctx_ex28_gf2):
 
 def test_phi_column_zero_when_legs_non_composable(ctx_i2):
     # (g, g) is not composable, so the endomorphism is zero
-    assert ctx_i2.phi.endo(("e1", "g", "g")) == {}
+    assert ctx_i2.phi.columns[("e1", "g", "g")] == {}
 
 
 def test_phi_column_supported_on_matching_slice(ctx_i2):
-    endo = ctx_i2.phi.endo(("e1", "g", "gi"))
+    endo = ctx_i2.phi.columns[("e1", "g", "gi")]
     assert set(endo) == {("e2", "gi")}
     assert endo[("e2", "gi")] == {("e1", "x"): one}
 
@@ -170,7 +170,7 @@ def test_phi_image_right_linear_on_valid_instances(ctx_i2, ctx_z2):
 def test_compose_endos_order(ctx_z2):
     # phi(x) phi(y) must mean "apply phi(y) first"
     phi = ctx_z2.phi
-    exy = compose_endos(phi, phi.endo(("b", "a", "a")), phi.endo(("b", "a", "e")))
+    exy = compose_endos(phi, phi.columns[("b", "a", "a")], phi.columns[("b", "a", "e")])
     prod = ctx_z2.dsm.basis_product(("b", "a", "a"), ("b", "a", "e"))
     assert phi.apply(prod) == exy
 
@@ -490,11 +490,39 @@ def test_thm29_compares_b0_and_a1_as_label_sets():
     from weakhopf.action import DfapAction, skew_groupoid_ring
     ctx = _fresh(builtin_doc("i2-swap"))
     labels = {"x": ["e2"], "y": ["e1"], "g": [], "gi": []}
-    ctx.skew = skew_groupoid_ring(ctx.bsm, DfapAction({}, {}, labels)), None
+    ctx.skew = skew_groupoid_ring(ctx.bsm, DfapAction({}, labels)), None
     res = ctx.verify("thm2.9")
     assert res.dimensions["B0"] == res.dimensions["A1"] == 4
     assert "psi(B0) equals span(A1): False" in res.notes
     assert res.to_json() == oracle.verify_thm2_9(ctx).to_json()
+
+
+@pytest.mark.parametrize("field", [FIELDS[0], {"kind": "prime", "p": 7}], ids=["q", "gf7"])
+@pytest.mark.parametrize("g", [pair_groupoid(2), cyclic_group(2)], ids=["pair2", "z2"])
+def test_m2_family_equals_oracle_and_holds(g, field):
+    # B is a sum of M_2 blocks, not commutative, so a(s.b) and (s.b)a differ
+    from conftest import m2_doc
+    from test_smash import assert_read_offs_match_oracle
+    ctx = _fresh(m2_doc(g, "m2", field))
+    assert ctx.validated
+    assert_read_offs_match_oracle(ctx)
+    assert_duality_matches_oracle(ctx)
+    for res in ctx.verify_all():
+        assert res.holds and not res.conditional, (res.claim, res.notes)
+
+
+def test_prop25_names_right_survivors_under_a_broken_action():
+    # A8 is nonempty only under a broken action; on i2 with this table the
+    # all-morphism sum leaves two A8 labels alive from the right
+    doc = builtin_doc("i2-swap")
+    doc["action"] = [["x", "e2", {"e2": "2"}], ["g", "e1", {"e1": "2", "e2": "2"}],
+                     ["gi", "e1", {"e1": "2"}], ["gi", "e2", {"e1": "2"}]]
+    res = _fresh(doc).verify("prop2.5")
+    assert res.dimensions == {"A2": 0, "A8+A9": 2}
+    assert res.witnesses == [
+        {"candidate": "all-morphism-sum", "right_survivor": "e2#u_g#r_y"},
+        {"candidate": "all-morphism-sum", "right_survivor": "e2#u_g#r_gi"}]
+    assert res.holds and res.conditional  # the object sum annihilates both
 
 
 def _sabotage(ctx, data):
@@ -504,9 +532,10 @@ def _sabotage(ctx, data):
     F, phi = ctx.field, ctx.phi
     columns = {x: {col: dict(img) for col, img in endo.items()}
                for x, endo in phi.columns.items()}
+    cod_index = {lab: i for i, lab in enumerate(phi.codomain_basis)}
     x = data.draw(st.sampled_from([x for x in phi.domain_basis if columns[x]]))
-    col = data.draw(st.sampled_from(sorted(columns[x], key=phi.cod_index.get)))
-    row = data.draw(st.sampled_from(sorted(columns[x][col], key=phi.cod_index.get)))
+    col = data.draw(st.sampled_from(sorted(columns[x], key=cod_index.get)))
+    row = data.draw(st.sampled_from(sorted(columns[x][col], key=cod_index.get)))
     w = columns[x][col].pop(row)
     other = data.draw(st.sampled_from(phi.codomain_basis))
     how = data.draw(st.sampled_from(["drop", "rescale", "row", "column", "copy"]))

@@ -178,6 +178,9 @@ def test_sparse_core_equals_dense_oracle(field, data):
     kernel, pivots = null_space(field, columns(field, rows, ncols))
     assert [dense(v, ncols, field) for v in kernel] == oracle.kernel_basis(m)
     assert pivots == want_pivots
+    # row keys only group entries, so rows keyed by tuples give the same
+    named = [{("row", i): w for i, w in col.items()} for col in columns(field, rows, ncols)]
+    assert null_space(field, named) == (kernel, pivots)
 
     # Echelon: same answers from add, the same rows, the same membership
     sp, dn = Echelon(field), oracle.Echelon(field, ncols)

@@ -1,8 +1,10 @@
 """Golden output: the stdout, exit code and --json report of
 `wh verify <target> --claim all --json report.json` for the five builtins,
 the spurious-entry i2, the half-unit Z/2 (a rational instance with
-non-integral scalars) and Z/4 acting regularly (unital smash products
-over a B that is not the field), compared byte for byte.
+non-integral scalars), Z/4 acting regularly (unital smash products
+over a B that is not the field) and the pair groupoid with two objects
+acting on a sum of M_2 blocks (a non-commutative B), compared byte for
+byte.
 
 A change that alters these outputs on purpose regenerates them with
 
@@ -22,9 +24,9 @@ import pytest
 
 GOLDEN = Path(__file__).parent / "golden"
 TARGETS = ("z2-trivial", "z3-trivial", "i2-swap", "ex2.8", "ex2.8-gf2", "spurious-i2",
-           "half-unit-z2", "z4-regular")
+           "half-unit-z2", "z4-regular", "m2-pair2")
 DOCUMENTS = {"spurious-i2": "spurious_i2_doc", "half-unit-z2": "half_unit_z2_doc",
-             "z4-regular": "z4_regular_doc"}
+             "z4-regular": "z4_regular_doc", "m2-pair2": "m2_pair2_doc"}
 
 
 def render(target, workdir):

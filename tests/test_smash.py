@@ -370,7 +370,7 @@ def test_read_offs_equal_oracle_on_random_actions(g, field, table, data):
               for m in ids}
     if shape == "unlabeled":
         labels[data.draw(st.sampled_from(ids))] = None
-    assert_read_offs_match_oracle(ctx, DfapAction({}, {}, labels))
+    assert_read_offs_match_oracle(ctx, DfapAction({}, labels))
 
 
 def test_spurious_composition_entry_multiplies_to_zero_everywhere():
