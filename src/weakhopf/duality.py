@@ -77,18 +77,20 @@ def classify(groupoid, component, g, h, in_image):
 def classify_basis(dsm, groupoid, decomp, action):
     """{stratum: its double-smash labels in basis order} over STRATA and
     UNCLASSIFIED.  A stratum depends on (b, g, h) only through the class
-    (component of b, g, h, b in the image of g): classify runs once per class."""
+    (component of b, src g, tgt g, tgt g == src h, b in the image of g):
+    classify runs once per class, on the first (g, h) seen in it."""
     B = action.algebra
     spans = action.image_spans()
     in_image = {(b, g): spans[g].contains(B.to_vector(B.basis_element(b)))
                 for b in B.basis for g in spans}
+    ends = {m.id: (m.src, m.tgt) for m in groupoid.morphisms}
     strata = {s: [] for s in (*STRATA, UNCLASSIFIED)}
     stratum_of = {}  # class -> stratum
     for lab in dsm.basis:
         b, g, h = lab
-        key = (decomp.component_of.get(b), g, h, in_image[(b, g)])
+        key = (decomp.component_of.get(b), *ends[g], ends[g][1] == ends[h][0], in_image[(b, g)])
         if key not in stratum_of:
-            stratum_of[key] = classify(groupoid, *key)
+            stratum_of[key] = classify(groupoid, key[0], g, h, key[-1])
         strata[stratum_of[key]].append(lab)
     return strata
 
@@ -505,6 +507,7 @@ class VerificationContext:
     def _verify_prop2_4(self) -> ClaimResult:
         corner = self.stratum_labels(UNITAL_STRATA)
         corner_set = set(corner)
+        right, _ = self.dsm.nonzero_products
         witnesses = []
         passing = []
         notes = []
@@ -513,7 +516,11 @@ class VerificationContext:
             witnesses += [{"candidate": name, "not_fixed": label_str(z)} for z in not_fixed]
             ok = not not_fixed
             in_span = all(lab in corner_set for lab in y)
-            idem = self.dsm.multiply(y, y) == y
+            yy = {}  # y y, over the pairs (a, b) of terms with ab != 0
+            for a, c in y.items():
+                for b in right.get(a, {}).keys() & y.keys():
+                    el_addto(self.field, yy, self.field.mul(c, y[b]), right[a][b])
+            idem = yy == y
             notes.append(f"candidate {name}: identity on the corner: {ok}; "
                          f"supported inside the corner: {in_span}; idempotent: {idem}")
             if ok:

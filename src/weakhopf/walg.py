@@ -213,17 +213,6 @@ def acc_tensor(field, out, w, *factors):
         acc(field, out, k, c)
 
 
-def delta_square(co, d: dict) -> dict:
-    """(delta x id) applied to a coproduct {(a, b): w}, as
-    {(l1, l2, l3): scalar}."""
-    F = co.field
-    out = {}
-    for (a, b), c in d.items():
-        for a1, a2, w in co.delta.get(a, []):
-            acc(F, out, (a1, a2, b), F.mul(c, w))
-    return out
-
-
 # -- constructions -------------------------------------------------------------
 
 
@@ -287,8 +276,8 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
     coassociativity, the counit law, multiplicativity of the coproduct, the
     weakened unit axiom for delta^2(1), and the weakened counit axiom.
     Tuples whose sides are zero by construction are skipped, and sides are
-    summed by bilinearity: one weak-unit tensor per nonzero product of two
-    legs of delta(1), and the weak-counit sides as rows of eps(ab)."""
+    summed by bilinearity: the weak-unit sides one third-leg slice at a
+    time, and the weak-counit sides as rows of eps(ab)."""
     if alg.unit is None:
         raise ValueError("weak bialgebra check needs a unit")
     F = alg.field
@@ -298,11 +287,13 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
     # coassociativity and counit law, per basis label
     for x in alg.basis:
         e = {x: F.one}
-        right = {}
+        delta_id, id_delta = {}, {}  # (delta x id) delta(x), (id x delta) delta(x)
         for (a, b), c in deltas[x].items():
+            for a1, a2, w in co.delta.get(a, []):
+                acc(F, delta_id, (a1, a2, b), F.mul(c, w))
             for b1, b2, w in co.delta.get(b, []):
-                acc(F, right, (a, b1, b2), F.mul(c, w))
-        if delta_square(co, deltas[x]) != right:
+                acc(F, id_delta, (a, b1, b2), F.mul(c, w))
+        if delta_id != id_delta:
             rep.add("coassociativity", x)
 
         lhs, rhs = {}, {}
@@ -331,36 +322,48 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
             if co.delta_element(alg.basis_product(x, y)) != prods[y]:
                 rep.add("coproduct-multiplicative", [x, y])
 
-    # delta^2(1) == (delta(1) x 1)(1 x delta(1)) == (1 x delta(1))(delta(1) x 1).
-    # Over the legs (a, b) and (c, d) of delta(1) the two products are the
-    # sums of (a1) x bc x (1d) and of (1c) x ad x (b1): of L[b] x bc x R[c]
-    # over the nonzero bc and of H[d] x ad x T[a] over the nonzero ad, with
-    # L[b], R[c], H[d], T[a] the sums of w (a1), w (1d), w (1c), w (b1)
+    # delta^2(1) == (delta(1) x 1)(1 x delta(1)) == (1 x delta(1))(delta(1) x 1),
+    # one third leg t at a time.  Over the legs (a, b), (c, d) of delta(1) =
+    # sum P_t x t the products are the sums of (a1) x bc x (1d) and of
+    # (1c) x ad x (b1), so their slices at t are sum L[b] x bQ_t and
+    # sum H[d] x Q'_t d, with L[b], H[d] the sums of w (a1), w (1c) and Q_t,
+    # Q'_t the sums of w (1d)_t c, w (b1)_t a; that of delta^2(1) is
+    # delta(P_t).  Each distinct (P_t, Q_t, Q'_t) is compared once
     one = alg.unit
     d1 = co.delta_element(one)
     labels = {lab for ab in d1 for lab in ab}
     times_one = {lab: alg.multiply({lab: F.one}, one) for lab in labels}
     one_times = {lab: alg.multiply(one, {lab: F.one}) for lab in labels}
-    L, R, H, T = {}, {}, {}, {}
+    L, H, P, Q, Q_flip = {}, {}, {}, {}, {}
     for (a, b), w in d1.items():
         el_addto(F, L.setdefault(b, {}), w, times_one[a])
-        el_addto(F, R.setdefault(a, {}), w, one_times[b])
         el_addto(F, H.setdefault(b, {}), w, one_times[a])
-        el_addto(F, T.setdefault(a, {}), w, times_one[b])
-    unit_lhs, unit_flipped = {}, {}
-    for b, lb in L.items():
-        for c, bc in right.get(b, {}).items():
-            if c in R:
-                acc_tensor(F, unit_lhs, F.one, lb, bc, R[c])
-    for a, ta in T.items():
-        for d, ad in right.get(a, {}).items():
-            if d in H:
-                acc_tensor(F, unit_flipped, F.one, H[d], ad, ta)
-    d2_1 = delta_square(co, d1)
-    if unit_lhs != d2_1:
+        P.setdefault(b, {})[a] = w
+        for slices, b_side in ((Q, one_times[b]), (Q_flip, times_one[b])):
+            for t, v in b_side.items():
+                acc(F, slices.setdefault(t, {}), a, F.mul(w, v))
+
+    def sliced(outer, q, prods):  # sum outer[b] x (sum q[c] prods[c][b])
+        inner, out = {}, {}
+        for c, v in q.items():
+            for b, prod in prods.get(c, {}).items():
+                if b in outer:
+                    el_addto(F, inner.setdefault(b, {}), v, prod)
+        for b, ib in inner.items():
+            acc_tensor(F, out, F.one, outer[b], ib)
+        return out
+
+    distinct = dict.fromkeys(tuple(frozenset(s.get(t, {}).items()) for s in (P, Q, Q_flip))
+                             for t in {**P, **Q, **Q_flip})
+    unit_ok = flipped_ok = True
+    for p, q, q_flip in distinct:
+        dp = co.delta_element(dict(p))
+        unit_ok = unit_ok and sliced(L, dict(q), left) == dp
+        flipped_ok = flipped_ok and sliced(H, dict(q_flip), right) == dp
+    if not unit_ok:
         rep.add("weak-unit", "delta^2(1)",
                 "(delta(1) x 1)(1 x delta(1)) differs from delta^2(1)")
-    if unit_flipped != d2_1:
+    if not flipped_ok:
         rep.add("weak-unit-flipped", "delta^2(1)",
                 "(1 x delta(1))(delta(1) x 1) differs from delta^2(1)")
 
@@ -441,8 +444,10 @@ def check_antipode(alg: FinAlgebra, co: CoStructure) -> Report:
         # x1 S(x2) == eps(1_1 x) 1_2  and  S(x1) x2 == 1_1 eps(x 1_2), where
         # eps(1_1 x) needs 1_1 x != 0 and eps(x 1_2) needs x 1_2 != 0
         left_l, left_r, right_r = {}, {}, {}
-        for (a, b), c in dx.items():
-            el_addto(F, left_l, c, alg.multiply({a: F.one}, S(b)))
+        for (a, b), c in dx.items():  # a S(b), read off right[a]
+            ra, sb = right.get(a, {}), S(b)
+            for s in ra.keys() & sb.keys():
+                el_addto(F, left_l, F.mul(c, sb[s]), ra[s])
         for out, prods, legs in ((left_r, left, by_first), (right_r, right, by_second)):
             for a, ax in prods.get(x, {}).items():
                 eps = co.counit_element(ax)

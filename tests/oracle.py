@@ -5,6 +5,7 @@ dense Matrix / rref / Echelon routines over lists, the row-major
 flatten of phi's columns (index r * dim + c), dense forms of phi's
 kernel and image and of the unit search built on them, the
 whole-element multiply form of the two-sided identity test, the
+all-pairs and all-triples form of the groupoid validator, the
 all-tuples forms of the weak-Hopf dual and axiom checkers, the
 all-pairs forms of B#KG, B#KG#KG*, the skew groupoid ring, phi and the
 kernel-ideal test, each computing the smash formula itself, the
@@ -432,6 +433,84 @@ def delta_square(alg, co, x: dict) -> dict:
             else:
                 out[key] = s
     return out
+
+
+def validate_groupoid(g) -> Report:
+    """The groupoid axioms over all pairs and all triples of morphism ids,
+    in declaration order."""
+    rep = Report("groupoid axioms")
+    ids = g.morphism_ids()
+
+    # table defined exactly on the composable pairs
+    for a in ids:
+        for b in ids:
+            defined = (a, b) in g.comp
+            if g.composable(a, b) and not defined:
+                rep.add("composition-missing", [a, b],
+                        "tgt(a) == src(b) but the table has no entry")
+            if defined and not g.composable(a, b):
+                rep.add("composition-spurious", [a, b],
+                        "table entry for a non-composable pair")
+
+    # src/tgt bookkeeping of products
+    for (a, b), c in sorted(g.comp.items()):
+        if g.composable(a, b):
+            if g.src(c) != g.src(a) or g.tgt(c) != g.tgt(b):
+                rep.add("product-endpoints", [a, b, c],
+                        "src/tgt of the product do not match the factors")
+
+    # associativity on all composable triples
+    for a in ids:
+        for b in ids:
+            if not g.composable(a, b):
+                continue
+            ab = g.comp.get((a, b))
+            for c in ids:
+                if not g.composable(b, c):
+                    continue
+                bc = g.comp.get((b, c))
+                if ab is None or bc is None:
+                    continue
+                left = g.comp.get((ab, c))
+                right = g.comp.get((a, bc))
+                if left != right or left is None:
+                    rep.add("associativity", [a, b, c],
+                            f"(a*b)*c = {left!r}, a*(b*c) = {right!r}")
+
+    # identity laws
+    for a in ids:
+        if g.comp.get((a, g.tgt(a))) != a:
+            rep.add("right-identity", a, "a * id_tgt(a) != a")
+        if g.comp.get((g.src(a), a)) != a:
+            rep.add("left-identity", a, "id_src(a) * a != a")
+    for e in g.objects:
+        m = g._lookup(e)
+        if m.src != e or m.tgt != e or m.inv != e:
+            rep.add("identity-record", e, "identity morphism must be a self-loop")
+
+    # inverses
+    for a in ids:
+        ai = g.inv(a)
+        if g.inv(ai) != a:
+            rep.add("inverse-involution", a, "inv(inv(a)) != a")
+        if g.src(ai) != g.tgt(a) or g.tgt(ai) != g.src(a):
+            rep.add("inverse-endpoints", a, "inv(a) must run backwards")
+        if g.comp.get((a, ai)) != g.src(a):
+            rep.add("inverse-right", a, "a * inv(a) must be the identity at src(a)")
+        if g.comp.get((ai, a)) != g.tgt(a):
+            rep.add("inverse-left", a, "inv(a) * a must be the identity at tgt(a)")
+
+    # (a*b)^-1 == inv(b) * inv(a)
+    for (a, b), c in sorted(g.comp.items()):
+        if g.composable(a, b):
+            expected = g.comp.get((g.inv(b), g.inv(a)))
+            if expected != g.inv(c):
+                rep.add("inverse-antihomomorphism", [a, b],
+                        "inv(a*b) != inv(b)*inv(a)")
+
+    rep.info["objects"] = len(g.objects)
+    rep.info["morphisms"] = len(g.morphisms)
+    return rep
 
 
 def dual_weak_hopf(alg: FinAlgebra, co: CoStructure):

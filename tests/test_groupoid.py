@@ -1,5 +1,10 @@
-import pytest
+from dataclasses import replace
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracle
 from weakhopf.groupoid import (Groupoid, GroupoidError, Morphism, builtin_i2,
                                cyclic_group, disjoint_union, from_group,
                                pair_groupoid, validate_groupoid)
@@ -126,3 +131,45 @@ def test_dangling_reference_is_input_error():
         Groupoid(["e"], [Morphism("e", "e", "bad", "e")], {})
     with pytest.raises(GroupoidError):
         Groupoid(["e"], [], {})  # object without identity record
+
+
+BASES = ([pair_groupoid(n) for n in (1, 2, 3)] + [cyclic_group(n) for n in (2, 3, 4, 5)]
+         + [builtin_i2()])
+SABOTAGE_KINDS = ["drop", "spurious", "product", "inv", "src", "tgt"]
+
+
+@given(st.sampled_from(BASES), st.one_of(st.none(), st.sampled_from(BASES)),
+       st.lists(st.sampled_from(SABOTAGE_KINDS), max_size=3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_validator_equals_all_pairs_oracle_on_random_sabotage(g, other, kinds, data):
+    # drop a composition entry, add one for a non-composable pair, change a
+    # product, or change a morphism's inv, src or tgt; the findings, witness
+    # and detail included, must come out as the all-pairs oracle gives them
+    if other is not None:
+        g = disjoint_union(g, other)
+    morphs, comp = list(g.morphisms), dict(g.comp)
+    ids = st.sampled_from(g.morphism_ids())
+    for kind in kinds:
+        if kind in ("drop", "product"):
+            if not comp:
+                continue
+            key = data.draw(st.sampled_from(sorted(comp)))
+            if kind == "drop":
+                del comp[key]
+            else:
+                comp[key] = data.draw(ids)
+        elif kind == "spurious":
+            ends = {m.id: m for m in morphs}
+            free = [(a, b) for a in ends for b in ends
+                    if ends[a].tgt != ends[b].src and (a, b) not in comp]
+            if free:
+                comp[data.draw(st.sampled_from(free))] = data.draw(ids)
+        else:
+            i = data.draw(st.integers(0, len(morphs) - 1))
+            new = data.draw(ids if kind == "inv" else st.sampled_from(g.objects))
+            morphs[i] = replace(morphs[i], **{kind: new})
+    broken = Groupoid(g.objects, morphs, comp)
+    rep, ref = validate_groupoid(broken), oracle.validate_groupoid(broken)
+    assert rep.findings == ref.findings
+    assert rep.info == ref.info
+    assert rep.ok or kinds
