@@ -18,7 +18,7 @@ from functools import cached_property
 
 from .exactmath import null_space
 from .report import WITNESS_CAP, Report
-from .walg import acc, el_addto
+from .walg import acc, el_addto, el_apply
 
 STRATA = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9", "A10")
 UNCLASSIFIED = "unclassified"
@@ -126,16 +126,9 @@ class LinearMapRep:
             for lab in labels])
 
 
-def _apply_endo_to_element(phi, endo, element):
-    out = {}
-    for lab, c in element.items():
-        el_addto(phi.field, out, c, endo.get(lab, {}))
-    return out
-
-
 def compose_endos(phi: LinearMapRep, first: dict, second: dict) -> dict:
     """first applied after second, as column maps on the codomain basis."""
-    out = {col: _apply_endo_to_element(phi, first, img) for col, img in second.items()}
+    out = {col: el_apply(phi.field, first, img) for col, img in second.items()}
     return {col: img for col, img in out.items() if img}
 
 
@@ -196,7 +189,7 @@ def right_linearity(phi: LinearMapRep, bsm, B) -> Report:
         pairs = {(z, b) for z in endo for b in B.basis}.union(
             *(through.get(lab, ()) for lab in endo))
         for z, b in sorted(pairs, key=order.get):
-            lhs = _apply_endo_to_element(phi, endo, zbs[(z, b)])
+            lhs = el_apply(F, endo, zbs[(z, b)])
             if lhs != bsm.multiply(endo.get(z, {}), right_factors[b]):
                 rep.add("right-linearity", [list(x), list(z), b])
     return rep
@@ -228,22 +221,17 @@ def identity_candidates(B, action, groupoid):
     second, which is why both are kept and tested.
     """
     F = B.field
-    ids = groupoid.morphism_ids()
-
-    def tail(e):
-        return [n for n in ids if groupoid.src(n) == e]
-
     y_morph = {}
-    for l in ids:
+    for l in groupoid.morphism_ids():
         img = action.act({l: F.one}, B.unit)
         tl = groupoid.tgt(l)
-        for n in tail(tl):
+        for n in groupoid.leaving[tl]:
             for lab, c in img.items():
                 acc(F, y_morph, (lab, tl, n), c)
     y_obj = {}
     for e in groupoid.objects:
         img = action.act({e: F.one}, B.unit)
-        for n in tail(e):
+        for n in groupoid.leaving[e]:
             for lab, c in img.items():
                 acc(F, y_obj, (lab, e, n), c)
     return y_morph, y_obj

@@ -25,6 +25,12 @@ class Morphism:
 
 
 class Groupoid:
+    """Objects, morphism records and the composition table, with the
+    composition index every construction reads: leaving[e], the ids with
+    src e, and after[a], the defined products [(b, a*b)] (tgt(a) == src(b)
+    and the table has the entry), both in declaration order.  A Groupoid
+    is never mutated after construction; the index relies on it."""
+
     def __init__(self, objects, morphisms, comp):
         self.objects = list(objects)
         self.morphisms = list(morphisms)
@@ -49,6 +55,12 @@ class Groupoid:
             for ref in (a, b, c):
                 if ref not in self._by_id:
                     raise GroupoidError(f"composition entry references unknown id {ref!r}")
+        self.leaving = {e: [] for e in self.objects}
+        for m in self.morphisms:
+            self.leaving[m.src].append(m.id)
+        self.after = {m.id: [(b, ab) for b in self.leaving[m.tgt]
+                             if (ab := self.comp.get((m.id, b))) is not None]
+                      for m in self.morphisms}
 
     # -- basic accessors ----------------------------------------------------
 
@@ -82,35 +94,27 @@ class Groupoid:
             return None
         return self.comp.get((a, b))
 
-    def composable_pairs(self):
-        return [(a.id, b.id) for a in self.morphisms for b in self.morphisms
-                if a.tgt == b.src]
-
     def hom(self, e, f):
         """Morphisms with src e and tgt f, in declaration order."""
-        return [m.id for m in self.morphisms if m.src == e and m.tgt == f]
+        return [m for m in self.leaving.get(e, ()) if self.tgt(m) == f]
 
 
 def validate_groupoid(g: Groupoid) -> Report:
     """Check the partial-composition axioms; every violation is reported
     with a concrete witness tuple.  Composable pairs and triples are walked
-    through an index of the morphisms leaving each object, in declaration
-    order."""
+    through the groupoid's composition index."""
     rep = Report("groupoid axioms")
     ids = g.morphism_ids()
     pos = {a: i for i, a in enumerate(ids)}
     src = {m.id: m.src for m in g.morphisms}
     tgt = {m.id: m.tgt for m in g.morphisms}
-    out = {}  # object -> the ids leaving it
-    for a in ids:
-        out.setdefault(src[a], []).append(a)
     entries = {}  # a -> the b with a table entry (a, b)
     for a, b in g.comp:
         entries.setdefault(a, []).append(b)
 
     # table defined exactly on the composable pairs
     for a in ids:
-        for b in sorted({*out.get(tgt[a], ()), *entries.get(a, ())}, key=pos.get):
+        for b in sorted({*g.leaving[tgt[a]], *entries.get(a, ())}, key=pos.get):
             defined, composable = (a, b) in g.comp, tgt[a] == src[b]
             if composable and not defined:
                 rep.add("composition-missing", [a, b],
@@ -127,11 +131,9 @@ def validate_groupoid(g: Groupoid) -> Report:
                         "src/tgt of the product do not match the factors")
 
     # associativity on all composable triples with both products in the table
-    after = {a: [(b, g.comp[(a, b)]) for b in out.get(tgt[a], ()) if (a, b) in g.comp]
-             for a in ids}
     for a in ids:
-        for b, ab in after[a]:
-            for c, bc in after[b]:
+        for b, ab in g.after[a]:
+            for c, bc in g.after[b]:
                 left = g.comp.get((ab, c))
                 right = g.comp.get((a, bc))
                 if left != right or left is None:
@@ -181,38 +183,31 @@ def from_group(elements, products) -> Groupoid:
     """One-object groupoid from a group multiplication table.
 
     products maps (a, b) -> c and must describe a group; anything else
-    raises GroupoidError.
+    raises GroupoidError: a product outside the elements from the
+    constructor, any other fault with the first finding of
+    validate_groupoid.
     """
     elements = list(elements)
     if not elements:
         raise GroupoidError("empty element list")
-    eset = set(elements)
-    for a in elements:
-        for b in elements:
-            c = products.get((a, b))
-            if c not in eset:
-                raise GroupoidError(f"table not closed at ({a!r}, {b!r})")
     identity = next((e for e in elements if all(
-        products[(e, a)] == a and products[(a, e)] == a for a in elements)), None)
+        products.get((e, a)) == a and products.get((a, e)) == a for a in elements)), None)
     if identity is None:
         raise GroupoidError("table has no identity")
-    inverses = {}
-    for a in elements:
-        for b in elements:
-            if products[(a, b)] == identity and products[(b, a)] == identity:
-                inverses[a] = b
-                break
-        else:
-            raise GroupoidError(f"element {a!r} has no inverse")
-    for a in elements:
-        for b in elements:
-            for c in elements:
-                if products[(products[(a, b)], c)] != products[(a, products[(b, c)])]:
-                    raise GroupoidError(f"table not associative at ({a!r}, {b!r}, {c!r})")
+    # an element with no inverse keeps itself as the inverse on its record,
+    # for validate_groupoid to report
+    inverses = {a: next((b for b in elements
+                         if products.get((a, b)) == identity == products.get((b, a))), a)
+                for a in elements}
 
     ordered = [identity] + [x for x in elements if x != identity]
     morphs = [Morphism(x, identity, identity, inverses[x]) for x in ordered]
-    return Groupoid([identity], morphs, dict(products))
+    g = Groupoid([identity], morphs, products)
+    findings = validate_groupoid(g).findings
+    if findings:
+        first = findings[0]
+        raise GroupoidError(f"table is not a group: {first.check} at {first.witness!r}")
+    return g
 
 
 def pair_groupoid(n: int) -> Groupoid:

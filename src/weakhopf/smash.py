@@ -22,15 +22,13 @@ def smash_product(B: FinAlgebra, kg: FinAlgebra, action) -> FinAlgebra:
     with s whose product the table defines, in basis order of the pairs."""
     F = B.field
     g = action.groupoid
-    ids = g.morphism_ids()
-    basis = [(b, m) for b in B.basis for m in ids]
-    after = {s: [(t, st) for t in ids if (st := g.compose(s, t)) is not None] for s in ids}
+    basis = [(b, m) for b in B.basis for m in g.morphism_ids()]
     mul = {}
     for (a, s) in basis:
         for b in B.basis:
             coeff = B.multiply(B.basis_element(a), action.act_basis(s, b))
             if coeff:
-                for t, st in after[s]:
+                for t, st in g.after[s]:
                     mul[((a, s), (b, t))] = {(lab, st): c for lab, c in coeff.items()}
     return FinAlgebra(F, basis, mul, None, name="B#KG",
                       meta={"B": B, "kg": kg, "action": action, "groupoid": g})

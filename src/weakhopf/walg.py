@@ -33,6 +33,22 @@ def el_addto(field, out: dict, c, a: dict):
             acc(field, out, k, field.mul(c, v))
 
 
+def el_apply(field, images: dict, x: dict) -> dict:
+    """The linear map with basis images images[label] (absent: zero) at x."""
+    out = {}
+    for lab, c in x.items():
+        el_addto(field, out, c, images.get(lab, {}))
+    return out
+
+
+def el_weighted(field, y: dict, prods: dict) -> dict:
+    """The sum of y[a] prods[a] over the labels a of both y and prods."""
+    out = {}
+    for a in y.keys() & prods.keys():
+        el_addto(field, out, y[a], prods[a])
+    return out
+
+
 class FinAlgebra:
     """Algebra on an ordered basis with structure constants.
 
@@ -130,34 +146,24 @@ class FinAlgebra:
         return tuple(self.index[lab] for lab in labels)
 
     def unit_violations(self):
+        """("left", b) when ub != b and ("right", b) when bu != b, for the
+        basis labels b in order; tested as in not_fixed."""
         if self.unit is None:
             return []
-        out = []
-        for b in self.basis:
-            e = self.basis_element(b)
-            if self.multiply(self.unit, e) != e:
-                out.append(("left", b))
-            if self.multiply(e, self.unit) != e:
-                out.append(("right", b))
-        return out
+        F, u = self.field, self.element(self.unit)
+        right, left = self.nonzero_products
+        return [(side, b) for b in self.basis for side, prods in (("left", left), ("right", right))
+                if el_weighted(F, u, prods.get(b, {})) != {b: F.one}]
 
     def not_fixed(self, y: dict, labels) -> list:
         """The labels z, in the order given, with yz != z or zy != z.  yz
         is summed over the a of y with az != 0, read off left[z]; zy over
         the b of y with zb != 0, read off right[z]."""
-        F = self.field
-        y = self.element(y)
+        F, y = self.field, self.element(y)
         right, left = self.nonzero_products
-
-        def weighted(prods):
-            out = {}
-            for a in y.keys() & prods.keys():
-                el_addto(F, out, y[a], prods[a])
-            return out
-
         return [z for z in labels
-                if weighted(left.get(z, {})) != {z: F.one}
-                or weighted(right.get(z, {})) != {z: F.one}]
+                if el_weighted(F, y, left.get(z, {})) != {z: F.one}
+                or el_weighted(F, y, right.get(z, {})) != {z: F.one}]
 
 
 class CoStructure:
@@ -194,10 +200,7 @@ class CoStructure:
     def antipode_element(self, x: dict) -> dict:
         if self.antipode is None:
             raise ValueError("no antipode table")
-        out = {}
-        for lab, c in x.items():
-            el_addto(self.field, out, c, self.antipode.get(lab, {}))
-        return out
+        return el_apply(self.field, self.antipode, x)
 
 
 # -- tensor helpers (dicts keyed by label tuples) ------------------------------
@@ -221,9 +224,9 @@ def groupoid_algebra(field, g):
     grouplike comultiplication, counit 1, antipode by inversion."""
     basis = g.morphism_ids()
     mul = {}
-    for a, b in g.composable_pairs():
-        if (a, b) in g.comp:  # a missing entry is the validator's to report
-            mul[(a, b)] = {g.comp[(a, b)]: field.one}
+    for a in basis:  # a missing entry is the validator's to report
+        for b, ab in g.after[a]:
+            mul[(a, b)] = {ab: field.one}
     unit = {e: field.one for e in g.objects}
     alg = FinAlgebra(field, basis, mul, unit, name="KG", meta={"groupoid": g})
     delta = {m: [(m, m, field.one)] for m in basis}
@@ -381,10 +384,7 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
     def row(comb):  # the sum of c eps[w] over comb {w: c}
         if list(comb.values()) == [F.one]:
             return eps.get(next(iter(comb)), {})
-        out = {}
-        for w, c in comb.items():
-            el_addto(F, out, c, eps.get(w, {}))
-        return out
+        return el_apply(F, eps, comb)
 
     for y in alg.basis:
         dy = co.delta.get(y, [])

@@ -348,6 +348,20 @@ def not_fixed(alg, y, labels):
             or alg.multiply(alg.basis_element(z), y) != alg.basis_element(z)]
 
 
+def unit_violations(alg):
+    """FinAlgebra.unit_violations with one dense product per label and side."""
+    if alg.unit is None:
+        return []
+    out = []
+    for b in alg.basis:
+        e = alg.basis_element(b)
+        if alg.multiply(alg.unit, e) != e:
+            out.append(("left", b))
+        if alg.multiply(e, alg.unit) != e:
+            out.append(("right", b))
+    return out
+
+
 # -- dense forms of the weak-Hopf constructions and axiom checkers -----------
 #
 # The engine's checkers visit only the tuples its nonzero structure

@@ -38,18 +38,22 @@ def test_i2_with_wrong_inverse_product_fails():
     assert "g" in witnesses
 
 
+def defined_pairs(g):
+    return [(a, b) for a in g.morphism_ids() for b, _ in g.after[a]]
+
+
 def test_composable_pairs_i2():
     g = builtin_i2()
-    pairs = g.composable_pairs()
+    pairs = defined_pairs(g)
     assert set(pairs) == {("x", "x"), ("x", "g"), ("g", "y"), ("g", "gi"),
                           ("y", "y"), ("y", "gi"), ("gi", "x"), ("gi", "g")}
     assert len(pairs) == 8
-    assert pairs == g.composable_pairs()  # deterministic order
+    assert pairs == defined_pairs(builtin_i2())  # deterministic order
 
 
 def test_composable_pairs_group():
     g = cyclic_group(2)
-    assert len(g.composable_pairs()) == 4
+    assert len(defined_pairs(g)) == 4
 
 
 def test_compose_ignores_spurious_entry():
@@ -78,6 +82,11 @@ def test_from_group_rejects_non_group():
     bad = {(x, y): "e" for x in elements for y in elements}  # constant, no identity on a
     with pytest.raises(GroupoidError):
         from_group(elements, bad)
+    monoid = {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "a"}
+    with pytest.raises(GroupoidError):  # a has no inverse
+        from_group(elements, monoid)
+    with pytest.raises(GroupoidError):  # a product outside the elements
+        from_group(elements, {**cyclic_group(2).comp, ("a", "a"): "b"})
 
 
 def test_from_group_rejects_non_associative():
@@ -85,6 +94,14 @@ def test_from_group_rejects_non_associative():
     els = ["0", "1", "2"]
     table = {(a, b): str((int(a) - int(b)) % 3) for a in els for b in els}
     with pytest.raises(GroupoidError):
+        from_group(els, table)
+    # but it has no two-sided identity either, so it is rejected before
+    # associativity is looked at; this loop of order 5 has identity 0 and
+    # every element is its own inverse, and (1*1)*2 = 2 != 4 = 1*(1*2)
+    rows = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    els = [str(i) for i in range(5)]
+    table = {(els[i], els[j]): str(c) for i, row in enumerate(rows) for j, c in enumerate(row)}
+    with pytest.raises(GroupoidError, match="associativ"):
         from_group(els, table)
 
 
@@ -118,7 +135,7 @@ def test_inverse_involution_everywhere():
 
 def test_product_endpoint_bookkeeping():
     for g in (builtin_i2(), pair_groupoid(3)):
-        for a, b in g.composable_pairs():
+        for a, b in defined_pairs(g):
             c = g.compose(a, b)
             assert g.src(c) == g.src(a)
             assert g.tgt(c) == g.tgt(b)
@@ -169,6 +186,12 @@ def test_validator_equals_all_pairs_oracle_on_random_sabotage(g, other, kinds, d
             new = data.draw(ids if kind == "inv" else st.sampled_from(g.objects))
             morphs[i] = replace(morphs[i], **{kind: new})
     broken = Groupoid(g.objects, morphs, comp)
+    ids = broken.morphism_ids()
+    for a in ids:
+        assert broken.after[a] == [(b, comp[(a, b)]) for b in ids if broken.tgt(a) == broken.src(b)
+                                   and (a, b) in comp]
+    for e in g.objects:
+        assert broken.leaving[e] == [a for a in ids if broken.src(a) == e]
     rep, ref = validate_groupoid(broken), oracle.validate_groupoid(broken)
     assert rep.findings == ref.findings
     assert rep.info == ref.info
