@@ -13,6 +13,7 @@ spans.  phi's two checks and the closure tests visit only the pairs that
 phi's nonzero columns or the nonzero double-smash products reach.
 """
 
+import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -98,15 +99,25 @@ def classify_basis(dsm, groupoid, decomp, action):
 # -- the map phi ---------------------------------------------------------------
 
 
+def basis_label(F, element):
+    """k when element is {k: one}, else None."""
+    if len(element) == 1 and next(iter(element.values())) == F.one:
+        return next(iter(element))
+    return None
+
+
 @dataclass
 class LinearMapRep:
     """A linear map into endomorphisms of B#KG, stored per domain basis
-    element as a column map: codomain basis label -> image element."""
+    element as a column map: codomain basis label -> image element.  A
+    LinearMapRep is never mutated after construction, so image() may
+    memoise."""
 
     field: object
     domain_basis: list
     codomain_basis: list
     columns: dict           # domain label -> {codomain label: element dict}
+    _images: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def apply(self, element: dict) -> dict:
         """Endomorphism attached to a domain element (weighted sum)."""
@@ -117,6 +128,12 @@ class LinearMapRep:
                 el_addto(F, out.setdefault(col, {}), c, img)
         return {col: img for col, img in out.items() if img}
 
+    def image(self, label) -> dict:
+        """apply({label: one}), memoised per label."""
+        if label not in self._images:
+            self._images[label] = self.apply({label: self.field.one})
+        return self._images[label]
+
     def null_space(self, labels):
         """exactmath.null_space of the columns of labels, each entry keyed
         by its (row, column) pair of codomain labels: (kernel basis over
@@ -124,12 +141,6 @@ class LinearMapRep:
         return null_space(self.field, [
             {(row, col): w for col, img in self.columns[lab].items() for row, w in img.items()}
             for lab in labels])
-
-
-def compose_endos(phi: LinearMapRep, first: dict, second: dict) -> dict:
-    """first applied after second, as column maps on the codomain basis."""
-    out = {col: el_apply(phi.field, first, img) for col, img in second.items()}
-    return {col: img for col, img in out.items() if img}
 
 
 def build_phi(dsm, bsm) -> LinearMapRep:
@@ -149,7 +160,9 @@ def build_phi(dsm, bsm) -> LinearMapRep:
 def phi_is_homomorphism(phi: LinearMapRep, dsm) -> Report:
     """phi(xy) == phi(x) phi(y) over all domain basis pairs.  Only the y
     with xy != 0, or whose phi(y) reaches a column of phi(x), are visited;
-    for any other y both sides are zero."""
+    for any other y both sides are zero.  A product {k: one} is read off
+    phi.image(k), and a column {mid: one} of phi(y) off phi.image(x)."""
+    F = phi.field
     rep = Report("phi is multiplicative")
     right, _ = dsm.nonzero_products
     reaching = {}  # codomain label -> the y whose phi(y) has it in an image
@@ -159,11 +172,19 @@ def phi_is_homomorphism(phi: LinearMapRep, dsm) -> Report:
                 reaching.setdefault(mid, set()).add(y)
     order = {lab: i for i, lab in enumerate(phi.domain_basis)}
     for x in phi.domain_basis:
-        ex = phi.columns[x]
+        ex, image_x = phi.columns[x], phi.image(x)
         ys = set(right.get(x, ())).union(*(reaching.get(mid, ()) for mid in ex))
         for y in sorted(ys, key=order.get):
-            lhs = phi.apply(dsm.basis_product(x, y))
-            if lhs != compose_endos(phi, ex, phi.columns[y]):
+            xy = dsm.basis_product(x, y)
+            k = basis_label(F, xy)
+            lhs = phi.apply(xy) if k is None else phi.image(k)
+            rhs = {}
+            for col, img in phi.columns[y].items():
+                mid = basis_label(F, img)
+                v = el_apply(F, ex, img) if mid is None else image_x.get(mid)
+                if v:
+                    rhs[col] = v
+            if lhs != rhs:
                 rep.add("phi-multiplicative", [list(x), list(y)])
     return rep
 
@@ -172,7 +193,9 @@ def right_linearity(phi: LinearMapRep, bsm, B) -> Report:
     """Whether each phi(x) commutes with right multiplication by
     b # (sum of identity legs); reported, never assumed.  Only the (z, b)
     where z, or a label of z (b # sum), is a column of phi(x) are visited;
-    for any other (z, b) both sides are zero."""
+    for any other (z, b) both sides are zero.  A product z (b # sum) of
+    the form {lab: one} is sent to phi.image(x)[lab], and a column
+    phi(x)[z] of the form {lab: one} gives lab (b # sum) from the table."""
     F = phi.field
     g = bsm.meta["groupoid"]
     rep = Report("image endomorphisms are right B-linear")
@@ -185,12 +208,17 @@ def right_linearity(phi: LinearMapRep, bsm, B) -> Report:
                 through.setdefault(lab, set()).add((z, b))
     order = {zb: i for i, zb in enumerate(zbs)}
     for x in phi.domain_basis:
-        endo = phi.columns[x]
+        endo, image_x = phi.columns[x], phi.image(x)
         pairs = {(z, b) for z in endo for b in B.basis}.union(
             *(through.get(lab, ()) for lab in endo))
         for z, b in sorted(pairs, key=order.get):
-            lhs = el_apply(F, endo, zbs[(z, b)])
-            if lhs != bsm.multiply(endo.get(z, {}), right_factors[b]):
+            zb = zbs[(z, b)]
+            lab = basis_label(F, zb)
+            lhs = el_apply(F, endo, zb) if lab is None else image_x.get(lab, {})
+            ez = endo.get(z, {})
+            k = basis_label(F, ez)
+            rhs = bsm.multiply(ez, right_factors[b]) if k is None else zbs[(k, b)]
+            if lhs != rhs:
                 rep.add("right-linearity", [list(x), list(z), b])
     return rep
 
@@ -587,7 +615,9 @@ class VerificationContext:
             for z in sorted(zs, key=dsm.index.get):
                 ez = {z: F.one}
                 for prod in (dsm.multiply(dv, ez), dsm.multiply(ez, dv)):
-                    if self.phi.apply(prod):
+                    # phi(c k) is nonzero exactly when phi(k) is, for c != 0
+                    phi_prod = self.phi.image(*prod) if len(prod) == 1 else self.phi.apply(prod)
+                    if phi_prod:
                         out.append(z)
         return out
 

@@ -44,24 +44,33 @@ def double_smash(bsm: FinAlgebra, kgstar: FinAlgebra, kgstar_co) -> FinAlgebra:
     For a groupoid dual this collapses to a(m.b) # u_{ms} # r_t when the
     product s*t exists and equals n, and zero otherwise.  Only the nonzero
     products of B#KG and KG* are visited.
+
+    The keys come out in basis order: (a, m), n and (b, s) are walked in
+    basis order, and for fixed (s, n) so is t.  dual_weak_hopf lists the
+    legs of delta(r_n) sorted by (n1, n2), and in KG* r_a r_b = delta_ab r_a,
+    so t runs over the second legs n2 in order.
     """
     F = bsm.field
-    legs = {}  # s -> the legs (n, n2, c) of delta(r_n) with first factor s
+    one = F.one
+    legs = {}  # (s, n) -> the legs (n2, c) of delta(r_n) with first factor s
     for n in kgstar.basis:
         for n1, n2, c in kgstar_co.delta.get(n, []):
-            legs.setdefault(n1, []).append((n, n2, c))
+            legs.setdefault((n1, n), []).append((n2, c))
+    right, _ = bsm.nonzero_products
     star, _ = kgstar.nonzero_products
     mul = {}
-    for ((a, m), (b, s)), prod in bsm.mul.items():
-        for n, n2, c in legs.get(s, ()):
-            for t, conv in star.get(n2, {}).items():
-                out = mul.setdefault(((a, m, n), (b, s, t)), {})
-                for (lab, ms), cb in prod.items():
-                    for rho, cr in conv.items():
-                        acc(F, out, (lab, ms, rho), F.mul(c, F.mul(cb, cr)))
+    for a, m in bsm.basis:
+        row = right.get((a, m), {})
+        for n in kgstar.basis:
+            for (b, s), prod in row.items():
+                for n2, c in legs.get((s, n), ()):
+                    for t, conv in star.get(n2, {}).items():
+                        out = mul.setdefault(((a, m, n), (b, s, t)), {})
+                        for (lab, ms), cb in prod.items():
+                            for rho, cr in conv.items():
+                                w = cb if c == one == cr else F.mul(c, F.mul(cb, cr))
+                                acc(F, out, (lab, ms, rho), w)
     basis = [(b, m, n) for (b, m) in bsm.basis for n in kgstar.basis]
-    index = {lab: i for i, lab in enumerate(basis)}
-    mul = {k: mul[k] for k in sorted(mul, key=lambda k: (index[k[0]], index[k[1]]))}
     return FinAlgebra(F, basis, mul, None, name="B#KG#KG*",
                       meta={**bsm.meta, "kgstar": kgstar})
 

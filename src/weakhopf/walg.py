@@ -64,12 +64,16 @@ class FinAlgebra:
         if len(set(self.basis)) != len(self.basis):
             raise ValueError("duplicate basis labels")
         self.index = {b: i for i, b in enumerate(self.basis)}
-        self.mul = {k: el_norm(field, v) for k, v in mul.items()}
-        self.mul = {k: v for k, v in self.mul.items() if v}
-        for (a, b), prod in self.mul.items():
-            for lab in (a, b, *prod):
-                if lab not in self.index:
-                    raise ValueError(f"structure constant references foreign label {lab!r}")
+        self.mul, labels = {}, set()
+        for k, v in mul.items():
+            if prod := el_norm(field, v):
+                self.mul[k] = prod
+                labels.update(k, prod)
+        if not labels <= self.index.keys():
+            for (a, b), prod in self.mul.items():
+                for lab in (a, b, *prod):
+                    if lab not in self.index:
+                        raise ValueError(f"structure constant references foreign label {lab!r}")
         self.unit = el_norm(field, unit) if unit else None
         self.name = name
         self.meta = meta or {}

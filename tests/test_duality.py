@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracle import sparse_subspace_equal as subspace_equal, stratum_vectors
 from weakhopf.duality import (COMPLEMENT_STRATA, IMAGE_STRATA, KERNEL_STRATA,
                               UNCLASSIFIED, UNITAL_STRATA, VerificationContext,
-                              classify, compose_endos, label_str,
+                              classify, label_str,
                               phi_is_homomorphism, right_linearity, LinearMapRep)
 from weakhopf.groupoid import builtin_i2, cyclic_group, disjoint_union, pair_groupoid
 from weakhopf.instances import builtin_doc, parse_instance
@@ -169,6 +169,7 @@ def test_phi_image_right_linear_on_valid_instances(ctx_i2, ctx_z2):
 
 def test_compose_endos_order(ctx_z2):
     # phi(x) phi(y) must mean "apply phi(y) first"
+    from oracle import compose_endos
     phi = ctx_z2.phi
     exy = compose_endos(phi, phi.columns[("b", "a", "a")], phi.columns[("b", "a", "e")])
     prod = ctx_z2.dsm.basis_product(("b", "a", "a"), ("b", "a", "e"))
@@ -527,8 +528,9 @@ def test_prop25_names_right_survivors_under_a_broken_action():
 
 def _sabotage(ctx, data):
     """phi with one column entry dropped, rescaled, moved to another
-    codomain label (as a column or as a row), or copied into the column of
-    another domain label."""
+    codomain label (as a column or as a row), copied into the column of
+    another domain label or given a second term, or with the whole column
+    of another domain label copied onto its own."""
     F, phi = ctx.field, ctx.phi
     columns = {x: {col: dict(img) for col, img in endo.items()}
                for x, endo in phi.columns.items()}
@@ -538,9 +540,11 @@ def _sabotage(ctx, data):
     row = data.draw(st.sampled_from(sorted(columns[x][col], key=cod_index.get)))
     w = columns[x][col].pop(row)
     other = data.draw(st.sampled_from(phi.codomain_basis))
-    how = data.draw(st.sampled_from(["drop", "rescale", "row", "column", "copy"]))
+    c = F.parse(data.draw(st.sampled_from(["2", "-1"])))
+    how = data.draw(st.sampled_from(["drop", "rescale", "row", "column", "copy",
+                                     "term", "copy-column"]))
     if how == "rescale":
-        columns[x][col][row] = F.mul(w, F.parse(data.draw(st.sampled_from(["2", "-1"]))))
+        columns[x][col][row] = F.mul(w, c)
     elif how == "row":
         columns[x][col][other] = w
     elif how == "column":
@@ -549,7 +553,14 @@ def _sabotage(ctx, data):
         columns[x][col][row] = w
         y = data.draw(st.sampled_from(phi.domain_basis))
         columns[y].setdefault(col, {})[row] = w
-    if not columns[x][col]:
+    elif how == "term":
+        columns[x][col][row] = w
+        if other != row:
+            columns[x][col][other] = c
+    elif how == "copy-column":
+        y = data.draw(st.sampled_from(phi.domain_basis))
+        columns[x] = dict(columns[y])
+    if not columns[x].get(col, True):
         del columns[x][col]
     return LinearMapRep(F, list(phi.domain_basis), list(phi.codomain_basis), columns)
 
@@ -564,6 +575,49 @@ def test_duality_equals_oracle_on_sabotaged_phi(g, field, data):
     ctx = _fresh(groupoid_doc(g, "sabotaged", field))
     ctx.phi = _sabotage(ctx, data)
     assert_duality_matches_oracle(ctx)
+
+
+@given(st.sampled_from(["i2", "z3", "m2-pair2", "pair2"]),
+       st.sampled_from([FIELDS[0], {"kind": "prime", "p": 7}]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_phi_checks_equal_oracle_on_perturbed_phi(name, field, data):
+    # phi's checks read images of the form {label: one} off phi.image and
+    # the B#KG table; a rescaled entry, a second term or a copied column
+    # must give the all-pairs findings, in their order
+    import oracle
+    from conftest import groupoid_doc, m2_doc
+    doc = {"i2": lambda: dict(builtin_doc("i2-swap"), field=field),
+           "z3": lambda: groupoid_doc(cyclic_group(3), name, field),
+           "m2-pair2": lambda: m2_doc(pair_groupoid(2), name, field),
+           "pair2": lambda: groupoid_doc(pair_groupoid(2), name, field)}[name]()
+    ctx = _fresh(doc)
+    ctx.phi = phi = _sabotage(ctx, data)
+    assert _findings(phi_is_homomorphism(phi, ctx.dsm)) \
+        == _findings(oracle.phi_is_homomorphism(phi, ctx.dsm))
+    assert _findings(right_linearity(phi, ctx.bsm, ctx.B)) \
+        == _findings(oracle.right_linearity(phi, ctx.bsm, ctx.B))
+    assert ctx.kernel_ideal_witnesses() == oracle.kernel_ideal_witnesses(ctx)
+
+
+def test_phi_checks_and_double_smash_make_few_field_ops_on_z8(monkeypatch):
+    # on Z/8 with B = K every product of B#KG#KG* and every image in a
+    # column of phi is one label with coefficient one.  Composing whole
+    # column maps took 2,048 field add/sub/mul calls in phi's
+    # multiplicativity check and multiplying out every coefficient 1,536 in
+    # the double smash; reading them off phi.image and skipping unit
+    # coefficients takes 128 and 512
+    from conftest import groupoid_doc
+    from weakhopf.smash import double_smash
+    ctx = _fresh(groupoid_doc(cyclic_group(8), "z8-trivial"))
+    F, phi, dsm = ctx.field, ctx.phi, ctx.dsm
+    calls = []
+    for op in ("add", "sub", "mul"):
+        monkeypatch.setattr(F, op, lambda *args, fn=getattr(F, op): calls.append(None) or fn(*args))
+    assert double_smash(ctx.bsm, ctx.kgstar, ctx.kgstar_co).mul == dsm.mul
+    assert len(calls) <= 768
+    calls.clear()
+    assert phi_is_homomorphism(phi, dsm).ok
+    assert len(calls) <= 256
 
 
 def test_sabotaged_phi_gives_witnesses():

@@ -155,6 +155,17 @@ def test_foreign_label_rejected(kg_i2):
     alg, _ = kg_i2
     with pytest.raises(ValueError):
         alg.multiply({"nope": one}, {"g": one})
+    from weakhopf.walg import FinAlgebra
+    # a foreign label with a zero coefficient is dropped, not rejected
+    ok = FinAlgebra(QQ, alg.basis, {**alg.mul, ("x", "x"): {"x": one, "nope": 0}})
+    assert ok.basis_product("x", "x") == {"x": one}
+    # of two foreign labels the error names the first, in table order
+    for mul, first in (({("x", "x"): {"p": one, "q": one}}, "p"),
+                       ({("x", "q"): {"x": one}, ("p", "x"): {"x": one}}, "q"),
+                       ({("x", "x"): {"x": one}, ("y", "y"): {"y": one, "p": 2},
+                         ("g", "q"): {"g": one}}, "p")):
+        with pytest.raises(ValueError, match=f"foreign label '{first}'"):
+            FinAlgebra(QQ, alg.basis, mul)
 
 
 coeff = st.integers(min_value=-4, max_value=4)
