@@ -268,17 +268,16 @@ def skew_groupoid_ring(bsm: FinAlgebra, dfap: DfapAction) -> FinAlgebra:
 
     basis = [(b, m) for m in g.morphism_ids() for b in dfap.ideal_labels[m]]
     index = {lab: i for i, lab in enumerate(basis)}
-    right, _ = bsm.nonzero_products
-    mul = {}
+    right = {}
     for x in basis:
-        row = right.get(x, {})
+        row = bsm.right.get(x, {})
         for y in sorted((y for y in row if y in index), key=index.get):
             for lab, ab in row[y]:
                 if (lab, ab) not in index:
                     raise ValueError(
                         f"skew product left the ideal at {ab!r} (label {lab!r})")
-            mul[(x, y)] = row[y]
+            right.setdefault(x, {})[y] = row[y]
 
     # no unit asserted; callers can search for one if they care
-    return FinAlgebra(bsm.field, basis, mul, None, name="B*G",
+    return FinAlgebra(bsm.field, basis, right, None, name="B*G",
                       meta={"B": bsm.meta["B"], "action": bsm.meta["action"]})

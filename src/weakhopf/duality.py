@@ -150,8 +150,7 @@ def build_phi(dsm, bsm) -> LinearMapRep:
     for key in ("B", "kg", "action"):
         if dsm.meta.get(key) is not bsm.meta.get(key):
             raise ValueError("smash products come from different parents")
-    right, _ = bsm.nonzero_products
-    columns = {(a, g, h): {(b, l): img for (b, l), img in right.get((a, g), {}).items()
+    columns = {(a, g, h): {(b, l): img for (b, l), img in bsm.right.get((a, g), {}).items()
                            if l == h}
                for (a, g, h) in dsm.basis}
     return LinearMapRep(dsm.field, list(dsm.basis), list(bsm.basis), columns)
@@ -164,7 +163,6 @@ def phi_is_homomorphism(phi: LinearMapRep, dsm) -> Report:
     phi.image(k), and a column {mid: one} of phi(y) off phi.image(x)."""
     F = phi.field
     rep = Report("phi is multiplicative")
-    right, _ = dsm.nonzero_products
     reaching = {}  # codomain label -> the y whose phi(y) has it in an image
     for y in phi.domain_basis:
         for img in phi.columns[y].values():
@@ -173,7 +171,7 @@ def phi_is_homomorphism(phi: LinearMapRep, dsm) -> Report:
     order = {lab: i for i, lab in enumerate(phi.domain_basis)}
     for x in phi.domain_basis:
         ex, image_x = phi.columns[x], phi.image(x)
-        ys = set(right.get(x, ())).union(*(reaching.get(mid, ()) for mid in ex))
+        ys = set(dsm.right.get(x, ())).union(*(reaching.get(mid, ()) for mid in ex))
         for y in sorted(ys, key=order.get):
             xy = dsm.basis_product(x, y)
             k = basis_label(F, xy)
@@ -207,7 +205,7 @@ def right_linearity(phi: LinearMapRep, bsm, B) -> Report:
             for lab in zb:
                 through.setdefault(lab, set()).add((z, b))
     order = {zb: i for i, zb in enumerate(zbs)}
-    for x in phi.domain_basis:
+    for x in filter(phi.columns.get, phi.domain_basis):  # phi(x) = 0 has both sides zero
         endo, image_x = phi.columns[x], phi.image(x)
         pairs = {(z, b) for z in endo for b in B.basis}.union(
             *(through.get(lab, ()) for lab in endo))
@@ -312,11 +310,10 @@ def element_str(field, element: dict) -> str:
 def closure_witnesses(dsm, labels):
     """Products of two of the labels that leave their span, in basis order;
     only the nonzero products are visited."""
-    right, _ = dsm.nonzero_products
     allowed = set(labels)
     witnesses = []
     for x in labels:
-        for y in sorted(allowed.intersection(right.get(x, ())), key=dsm.index.get):
+        for y in sorted(allowed.intersection(dsm.right.get(x, ())), key=dsm.index.get):
             bad = [lab for lab in dsm.basis_product(x, y) if lab not in allowed]
             if bad:
                 witnesses.append({"product_escapes": [label_str(x), label_str(y)],
@@ -523,7 +520,7 @@ class VerificationContext:
     def _verify_prop2_4(self) -> ClaimResult:
         corner = self.stratum_labels(UNITAL_STRATA)
         corner_set = set(corner)
-        right, _ = self.dsm.nonzero_products
+        right = self.dsm.right
         witnesses = []
         passing = []
         notes = []
@@ -607,7 +604,7 @@ class VerificationContext:
         some label of v multiplies to a nonzero product are visited; for any
         other z both products are zero."""
         F, dsm = self.field, self.dsm
-        right, left = dsm.nonzero_products
+        right, left = dsm.right, dsm.left
         out = []
         for v in self.ki.kernel:
             dv = dsm.from_vector(v)

@@ -107,6 +107,8 @@ def _triples(rows, where):
 
 
 def parse_instance(doc: dict) -> Instance:
+    """The one place where outside tables are checked: unknown labels and
+    repeats are rejected, zero coefficients and empty products dropped."""
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be a JSON object")
     try:
@@ -143,17 +145,19 @@ def parse_instance(doc: dict) -> Instance:
     if len(set(basis)) != len(basis):
         raise InstanceFormatError("duplicate algebra basis labels")
     bset = set(basis)
-    mul = {}
+    right, pairs = {}, set()
     for a, b, el in _triples(adoc.get("multiplication", []), "multiplication"):
         if a not in bset or b not in bset:
             raise InstanceFormatError(f"multiplication references unknown label {a!r} or {b!r}")
-        if (a, b) in mul:
+        if (a, b) in pairs:
             raise InstanceFormatError(f"multiplication table maps ({a!r}, {b!r}) twice")
-        mul[(a, b)] = _parse_element(field, el, bset, f"multiplication ({a}, {b})")
+        pairs.add((a, b))
+        if prod := _parse_element(field, el, bset, f"multiplication ({a}, {b})"):
+            right.setdefault(a, {})[b] = prod
     unit = _parse_element(field, adoc["unit"], bset, "unit")
     if not unit:
         raise InstanceFormatError("algebra unit is zero; B needs a nonzero unit")
-    algebra = FinAlgebra(field, basis, mul, unit, name="B")
+    algebra = FinAlgebra(field, basis, right, unit, name="B")
 
     table = {}
     mids = set(groupoid.morphism_ids())

@@ -23,14 +23,14 @@ def smash_product(B: FinAlgebra, kg: FinAlgebra, action) -> FinAlgebra:
     F = B.field
     g = action.groupoid
     basis = [(b, m) for b in B.basis for m in g.morphism_ids()]
-    mul = {}
+    right = {}
     for (a, s) in basis:
         for b in B.basis:
             coeff = B.multiply(B.basis_element(a), action.act_basis(s, b))
             if coeff:
                 for t, st in g.after[s]:
-                    mul[((a, s), (b, t))] = {(lab, st): c for lab, c in coeff.items()}
-    return FinAlgebra(F, basis, mul, None, name="B#KG",
+                    right.setdefault((a, s), {})[(b, t)] = {(lab, st): c for lab, c in coeff.items()}
+    return FinAlgebra(F, basis, right, None, name="B#KG",
                       meta={"B": B, "kg": kg, "action": action, "groupoid": g})
 
 
@@ -48,7 +48,8 @@ def double_smash(bsm: FinAlgebra, kgstar: FinAlgebra, kgstar_co) -> FinAlgebra:
     The keys come out in basis order: (a, m), n and (b, s) are walked in
     basis order, and for fixed (s, n) so is t.  dual_weak_hopf lists the
     legs of delta(r_n) sorted by (n1, n2), and in KG* r_a r_b = delta_ab r_a,
-    so t runs over the second legs n2 in order.
+    so t runs over the second legs n2 in order.  Products whose legs cancel
+    are dropped.
     """
     F = bsm.field
     one = F.one
@@ -56,22 +57,24 @@ def double_smash(bsm: FinAlgebra, kgstar: FinAlgebra, kgstar_co) -> FinAlgebra:
     for n in kgstar.basis:
         for n1, n2, c in kgstar_co.delta.get(n, []):
             legs.setdefault((n1, n), []).append((n2, c))
-    right, _ = bsm.nonzero_products
-    star, _ = kgstar.nonzero_products
-    mul = {}
+    right = {}
     for a, m in bsm.basis:
-        row = right.get((a, m), {})
+        row = bsm.right.get((a, m), {})
         for n in kgstar.basis:
+            out_row = {}
             for (b, s), prod in row.items():
                 for n2, c in legs.get((s, n), ()):
-                    for t, conv in star.get(n2, {}).items():
-                        out = mul.setdefault(((a, m, n), (b, s, t)), {})
-                        for (lab, ms), cb in prod.items():
-                            for rho, cr in conv.items():
-                                w = cb if c == one == cr else F.mul(c, F.mul(cb, cr))
-                                acc(F, out, (lab, ms, rho), w)
+                    for t, conv in kgstar.right.get(n2, {}).items():
+                        terms = {(lab, ms, rho): cb if c == one == cr else F.mul(c, F.mul(cb, cr))
+                                 for (lab, ms), cb in prod.items() for rho, cr in conv.items()}
+                        out = out_row.setdefault((b, s, t), terms)
+                        if out is not terms:
+                            for k, w in terms.items():
+                                acc(F, out, k, w)
+            if out_row := {k: out for k, out in out_row.items() if out}:
+                right[(a, m, n)] = out_row
     basis = [(b, m, n) for (b, m) in bsm.basis for n in kgstar.basis]
-    return FinAlgebra(F, basis, mul, None, name="B#KG#KG*",
+    return FinAlgebra(F, basis, right, None, name="B#KG#KG*",
                       meta={**bsm.meta, "kgstar": kgstar})
 
 
@@ -89,7 +92,7 @@ def find_unit(alg: FinAlgebra, candidate=None):
        otherwise; it is read off the nonzero structure constants.  The
        solution is confirmed on both sides.
     """
-    right, left = alg.nonzero_products
+    right, left = alg.right, alg.left
     for x in alg.basis:
         if not any(x in prod for prod in left.get(x, {}).values()) \
                 or not any(x in prod for prod in right.get(x, {}).values()):
@@ -99,10 +102,11 @@ def find_unit(alg: FinAlgebra, candidate=None):
     F = alg.field
     n = alg.dim
     eqs = {}
-    for (a, b), prod in alg.mul.items():
-        for lab, c in prod.items():
-            eqs.setdefault((b, 0, lab), {})[alg.index[a]] = c
-            eqs.setdefault((a, 1, lab), {})[alg.index[b]] = c
+    for a, row in right.items():
+        for b, prod in row.items():
+            for lab, c in prod.items():
+                eqs.setdefault((b, 0, lab), {})[alg.index[a]] = c
+                eqs.setdefault((a, 1, lab), {})[alg.index[b]] = c
     for x in alg.basis:
         for side in (0, 1):
             eqs.setdefault((x, side, x), {})[n] = F.one  # index n: right-hand side

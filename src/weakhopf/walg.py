@@ -52,31 +52,36 @@ def el_weighted(field, y: dict, prods: dict) -> dict:
 class FinAlgebra:
     """Algebra on an ordered basis with structure constants.
 
-    mul maps a pair of basis labels to an element; absent pairs multiply to
-    zero.  unit is an element or None (smash products may have none).
+    right[a] is the row {b: ab} of nonzero products, with no zero
+    coefficient; absent pairs multiply to zero.  It is stored as given:
+    parse_instance checks outside tables, and the constructions here and in
+    smash and action emit their own.  unit is an element or None.
     Nothing is assumed: associativity and the unit law are checked, not
     taken on faith.
     """
 
-    def __init__(self, field, basis, mul, unit=None, name="", meta=None):
+    def __init__(self, field, basis, right, unit=None, name="", meta=None):
         self.field = field
         self.basis = list(basis)
-        if len(set(self.basis)) != len(self.basis):
-            raise ValueError("duplicate basis labels")
         self.index = {b: i for i, b in enumerate(self.basis)}
-        self.mul, labels = {}, set()
-        for k, v in mul.items():
-            if prod := el_norm(field, v):
-                self.mul[k] = prod
-                labels.update(k, prod)
-        if not labels <= self.index.keys():
-            for (a, b), prod in self.mul.items():
-                for lab in (a, b, *prod):
-                    if lab not in self.index:
-                        raise ValueError(f"structure constant references foreign label {lab!r}")
-        self.unit = el_norm(field, unit) if unit else None
+        self.right = right
+        self.unit = unit
         self.name = name
         self.meta = meta or {}
+
+    @cached_property
+    def left(self):
+        """left[b] maps each a with ab != 0 to ab."""
+        left = {}
+        for a, row in self.right.items():
+            for b, prod in row.items():
+                left.setdefault(b, {})[a] = prod
+        return left
+
+    @property
+    def mul(self):
+        """The flat view {(a, b): ab}, built on each access."""
+        return {(a, b): prod for a, row in self.right.items() for b, prod in row.items()}
 
     @property
     def dim(self):
@@ -94,7 +99,7 @@ class FinAlgebra:
         return el_norm(self.field, coeffs)
 
     def basis_product(self, a, b) -> dict:
-        return self.mul.get((a, b), {})
+        return self.right.get(a, {}).get(b, {})
 
     def multiply(self, x: dict, y: dict) -> dict:
         """Bilinear extension of the structure constants."""
@@ -103,26 +108,17 @@ class FinAlgebra:
         for la, ca in x.items():
             if la not in self.index:
                 raise ValueError(f"foreign label {la!r}")
+            row = self.right.get(la, {})
             for lb, cb in y.items():
                 if lb not in self.index:
                     raise ValueError(f"foreign label {lb!r}")
-                prod = self.mul.get((la, lb))
+                prod = row.get(lb)
                 if not prod:
                     continue
                 c = F.mul(ca, cb)
                 for lab, cc in prod.items():
                     acc(F, out, lab, F.mul(c, cc))
         return out
-
-    @cached_property
-    def nonzero_products(self):
-        """(right, left): right[a] maps each b with ab != 0 to ab, and
-        left[b] maps each a with ab != 0 to ab."""
-        right, left = {}, {}
-        for (a, b), prod in self.mul.items():
-            right.setdefault(a, {})[b] = prod
-            left.setdefault(b, {})[a] = prod
-        return right, left
 
     def to_vector(self, x: dict) -> dict:
         """Sparse coordinate vector {basis index: scalar}."""
@@ -135,16 +131,17 @@ class FinAlgebra:
         """Exhaustive check of (ab)c == a(bc) over basis triples, in basis
         order.  Only triples where (ab)c or a(bc) can be nonzero are
         visited: c must multiply some label of ab, or a some label of bc."""
-        right, left = self.nonzero_products
+        right, left = self.right, self.left
         triples = set()
-        for (a, b), ab in self.mul.items():
-            for w in ab:
-                triples.update((a, b, c) for c in right.get(w, ()))
-                triples.update((x, a, b) for x in left.get(w, ()))
+        for a, row in right.items():
+            for b, ab in row.items():
+                for w in ab:
+                    triples.update((a, b, c) for c in right.get(w, ()))
+                    triples.update((x, a, b) for x in left.get(w, ()))
         one = self.field.one
         return [(a, b, c) for a, b, c in sorted(triples, key=self._order)
-                if self.multiply(self.mul.get((a, b), {}), {c: one})
-                != self.multiply({a: one}, self.mul.get((b, c), {}))]
+                if self.multiply(self.basis_product(a, b), {c: one})
+                != self.multiply({a: one}, self.basis_product(b, c))]
 
     def _order(self, labels):
         return tuple(self.index[lab] for lab in labels)
@@ -155,8 +152,8 @@ class FinAlgebra:
         if self.unit is None:
             return []
         F, u = self.field, self.element(self.unit)
-        right, left = self.nonzero_products
-        return [(side, b) for b in self.basis for side, prods in (("left", left), ("right", right))
+        return [(side, b) for b in self.basis
+                for side, prods in (("left", self.left), ("right", self.right))
                 if el_weighted(F, u, prods.get(b, {})) != {b: F.one}]
 
     def not_fixed(self, y: dict, labels) -> list:
@@ -164,10 +161,9 @@ class FinAlgebra:
         is summed over the a of y with az != 0, read off left[z]; zy over
         the b of y with zb != 0, read off right[z]."""
         F, y = self.field, self.element(y)
-        right, left = self.nonzero_products
         return [z for z in labels
-                if el_weighted(F, y, left.get(z, {})) != {z: F.one}
-                or el_weighted(F, y, right.get(z, {})) != {z: F.one}]
+                if el_weighted(F, y, self.left.get(z, {})) != {z: F.one}
+                or el_weighted(F, y, self.right.get(z, {})) != {z: F.one}]
 
 
 class CoStructure:
@@ -201,11 +197,6 @@ class CoStructure:
             acc = F.add(acc, F.mul(c, self.counit.get(lab, F.zero)))
         return acc
 
-    def antipode_element(self, x: dict) -> dict:
-        if self.antipode is None:
-            raise ValueError("no antipode table")
-        return el_apply(self.field, self.antipode, x)
-
 
 # -- tensor helpers (dicts keyed by label tuples) ------------------------------
 
@@ -227,12 +218,10 @@ def groupoid_algebra(field, g):
     """The groupoid algebra: u_a u_b = u_{ab} when tgt(a) == src(b), else 0;
     grouplike comultiplication, counit 1, antipode by inversion."""
     basis = g.morphism_ids()
-    mul = {}
-    for a in basis:  # a missing entry is the validator's to report
-        for b, ab in g.after[a]:
-            mul[(a, b)] = {ab: field.one}
+    # a missing entry is the validator's to report
+    right = {a: {b: {ab: field.one} for b, ab in g.after[a]} for a in basis if g.after[a]}
     unit = {e: field.one for e in g.objects}
-    alg = FinAlgebra(field, basis, mul, unit, name="KG", meta={"groupoid": g})
+    alg = FinAlgebra(field, basis, right, unit, name="KG", meta={"groupoid": g})
     delta = {m: [(m, m, field.one)] for m in basis}
     counit = {m: field.one for m in basis}
     antipode = {m: {g.inv(m): field.one} for m in basis}
@@ -241,25 +230,29 @@ def groupoid_algebra(field, g):
 
 def dual_weak_hopf(alg: FinAlgebra, co: CoStructure):
     """Finite dual on the same labels: products by walking delta,
-    coproducts by walking the factorizations recorded in mul, counit from
-    the unit, antipode transposed.  Tables come out in basis order."""
+    coproducts by walking the factorizations recorded in the products,
+    counit from the unit, antipode transposed.  Tables come out in basis
+    order, and products whose legs cancel are dropped."""
     F = alg.field
     if alg.unit is None:
         raise ValueError("dual construction needs a unital algebra")
-    basis = list(alg.basis)
+    basis, order = list(alg.basis), alg.index.get
 
-    mul = {}
+    right = {}
     for x in basis:
         for a, b, c in co.delta.get(x, []):
             if a in alg.index and b in alg.index:
-                acc(F, mul.setdefault((a, b), {}), x, c)
-    mul = {k: mul[k] for k in sorted(mul, key=alg._order)}
-    unit = {x: co.counit.get(x, F.zero) for x in basis}
+                acc(F, right.setdefault(a, {}).setdefault(b, {}), x, c)
+    right = {a: row for a in sorted(right, key=order)
+             if (row := {b: right[a][b] for b in sorted(right[a], key=order) if right[a][b]})}
+    unit = {x: c for x in basis if (c := co.counit.get(x, F.zero)) != F.zero}
 
     delta = {x: [] for x in basis}
-    for (a, b), prod in sorted(alg.mul.items(), key=lambda kv: alg._order(kv[0])):
-        for x, c in prod.items():
-            delta[x].append((a, b, c))
+    for a in sorted(alg.right, key=order):
+        row = alg.right[a]
+        for b in sorted(row, key=order):
+            for x, c in row[b].items():
+                delta[x].append((a, b, c))
     counit = {x: alg.unit.get(x, F.zero) for x in basis}
 
     antipode = None
@@ -270,7 +263,7 @@ def dual_weak_hopf(alg: FinAlgebra, co: CoStructure):
                 if x in antipode:
                     antipode[x][y] = c
 
-    dual = FinAlgebra(F, basis, mul, unit, name=f"{alg.name}*",
+    dual = FinAlgebra(F, basis, right, unit, name=f"{alg.name}*",
                       meta={"dual_of": alg})
     return dual, CoStructure(F, delta, counit, antipode)
 
@@ -313,7 +306,7 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
     # delta(xy) == delta(x) delta(y), the sum of ac x bd over the legs (a, b)
     # of delta(x) and (c, d) of delta(y).  Only the y with xy != 0, or with
     # ac and bd both nonzero for some legs, can break the identity
-    right, left = alg.nonzero_products
+    right, left = alg.right, alg.left
     with_legs = {}
     for y in alg.basis:
         for cd, w in deltas[y].items():
@@ -379,11 +372,12 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
     # eps(ab).  Only the x with xy != 0 or eps(x y_i) != 0 for a leg y_i of
     # delta(y) can break the identity; z is walked where the rows differ
     eps, eps_left = {}, {}
-    for (a, b), prod in alg.mul.items():
-        v = co.counit_element(prod)
-        if v != F.zero:
-            eps.setdefault(a, {})[b] = v
-            eps_left.setdefault(b, set()).add(a)
+    for a, row in right.items():
+        for b, prod in row.items():
+            v = co.counit_element(prod)
+            if v != F.zero:
+                eps.setdefault(a, {})[b] = v
+                eps_left.setdefault(b, set()).add(a)
 
     def row(comb):  # the sum of c eps[w] over comb {w: c}
         if list(comb.values()) == [F.one]:
@@ -425,7 +419,7 @@ def check_antipode(alg: FinAlgebra, co: CoStructure) -> Report:
         raise ValueError("no antipode table")
     F = alg.field
     rep = Report(f"antipode axioms ({alg.name or 'algebra'})")
-    right, left = alg.nonzero_products
+    right, left = alg.right, alg.left
     by_first, by_second = {}, {}  # the legs (a, b) of delta(1) by a and by b
     for (a, b), w in co.delta_element(alg.unit).items():
         by_first.setdefault(a, []).append((b, w))

@@ -1,13 +1,14 @@
 """Dense reference implementations, the oracles for the sparse engine.
 
-Trial division, the reference for the Miller-Rabin primality test;
+table_algebra, the one builder of algebras from flat product tables;
+trial division, the reference for the Miller-Rabin primality test;
 dense Matrix / rref / Echelon routines over lists, the row-major
 flatten of phi's columns (index r * dim + c), dense forms of phi's
 kernel and image and of the unit search built on them, the
 whole-element multiply form of the two-sided identity test, the
 all-pairs and all-triples form of the groupoid validator, the
 all-tuples forms of the weak-Hopf dual and axiom checkers, the
-all-pairs forms of B#KG, B#KG#KG*, the skew groupoid ring, phi and the
+all-pairs forms of KG, B#KG, B#KG#KG*, the skew groupoid ring, phi and the
 kernel-ideal test, each computing the smash formula itself, the
 per-label classification of the double-smash basis, the
 all-pairs forms of phi's multiplicativity and right-linearity checks and
@@ -26,7 +27,19 @@ from weakhopf.duality import (COMPLEMENT_STRATA, IMAGE_STRATA, KERNEL_STRATA, ST
                               UNCLASSIFIED, UNITAL_STRATA, LinearMapRep, classify,
                               element_str, label_str)
 from weakhopf.report import Report
-from weakhopf.walg import CoStructure, FinAlgebra, acc
+from weakhopf.walg import CoStructure, FinAlgebra, acc, el_apply, el_norm
+
+
+def table_algebra(field, basis, mul, unit=None, name="", meta=None) -> FinAlgebra:
+    """FinAlgebra from a flat table {(a, b): ab}, normalised as
+    parse_instance normalises B: zero coefficients and empty products are
+    dropped and the table is nested into rows, in its own order.  A unit is
+    normalised too.  Labels are not checked."""
+    right = {}
+    for (a, b), prod in mul.items():
+        if prod := el_norm(field, prod):
+            right.setdefault(a, {})[b] = prod
+    return FinAlgebra(field, basis, right, el_norm(field, unit) if unit else None, name, meta)
 
 
 def is_prime(n: int) -> bool:
@@ -527,6 +540,15 @@ def validate_groupoid(g) -> Report:
     return rep
 
 
+def groupoid_algebra(field, g) -> FinAlgebra:
+    """KG over every pair of labels: u_a u_b = u_{ab} when the table
+    defines ab and tgt(a) == src(b), else 0."""
+    basis = g.morphism_ids()
+    mul = {(a, b): {g.compose(a, b): field.one} for a in basis for b in basis
+           if g.compose(a, b) is not None}
+    return table_algebra(field, basis, mul, {e: field.one for e in g.objects}, name="KG")
+
+
 def dual_weak_hopf(alg: FinAlgebra, co: CoStructure):
     """Finite dual on the same labels: products from delta, coproducts by
     enumerating the factorizations recorded in mul, counit from the unit,
@@ -573,8 +595,8 @@ def dual_weak_hopf(alg: FinAlgebra, co: CoStructure):
                     img[y] = c
             antipode[x] = img
 
-    dual = FinAlgebra(F, basis, mul, unit, name=f"{alg.name}*",
-                      meta={"dual_of": alg})
+    dual = table_algebra(F, basis, mul, unit, name=f"{alg.name}*",
+                         meta={"dual_of": alg})
     return dual, CoStructure(F, delta, counit, antipode)
 
 
@@ -682,7 +704,7 @@ def check_antipode(alg: FinAlgebra, co: CoStructure) -> Report:
         lhs = {}
         for (a, b), c in dx.items():
             lhs = el_add(F, lhs, el_scale(F, c, alg.multiply(
-                {a: F.one}, co.antipode_element({b: F.one}))))
+                {a: F.one}, el_apply(F, co.antipode, {b: F.one}))))
         rhs = {}
         for (a, b), c in d1.items():
             w = F.mul(c, co.counit_element(alg.multiply({a: F.one}, e)))
@@ -694,7 +716,7 @@ def check_antipode(alg: FinAlgebra, co: CoStructure) -> Report:
         lhs = {}
         for (a, b), c in dx.items():
             lhs = el_add(F, lhs, el_scale(F, c, alg.multiply(
-                co.antipode_element({a: F.one}), {b: F.one})))
+                el_apply(F, co.antipode, {a: F.one}), {b: F.one})))
         rhs = {}
         for (a, b), c in d1.items():
             w = F.mul(c, co.counit_element(alg.multiply(e, {b: F.one})))
@@ -705,10 +727,10 @@ def check_antipode(alg: FinAlgebra, co: CoStructure) -> Report:
         # S(x1) x2 S(x3) == S(x)
         lhs = {}
         for (a, b, cc), c in delta_square(alg, co, e).items():
-            term = alg.multiply(co.antipode_element({a: F.one}), {b: F.one})
-            term = alg.multiply(term, co.antipode_element({cc: F.one}))
+            term = alg.multiply(el_apply(F, co.antipode, {a: F.one}), {b: F.one})
+            term = alg.multiply(term, el_apply(F, co.antipode, {cc: F.one}))
             lhs = el_add(F, lhs, el_scale(F, c, term))
-        if lhs != co.antipode_element(e):
+        if lhs != el_apply(F, co.antipode, e):
             rep.add("antipode-sandwich", x)
 
     return rep
@@ -733,8 +755,8 @@ def smash_product(B: FinAlgebra, kg: FinAlgebra, action) -> FinAlgebra:
             out = {(lab, st): c for lab, c in coeff.items()}
             if out:
                 mul[((a, s), (b, t))] = out
-    return FinAlgebra(F, basis, mul, None, name="B#KG",
-                      meta={"B": B, "kg": kg, "action": action, "groupoid": g})
+    return table_algebra(F, basis, mul, None, name="B#KG",
+                         meta={"B": B, "kg": kg, "action": action, "groupoid": g})
 
 
 def double_smash(B: FinAlgebra, kg: FinAlgebra, kgstar: FinAlgebra,
@@ -772,9 +794,9 @@ def double_smash(B: FinAlgebra, kg: FinAlgebra, kgstar: FinAlgebra,
                         acc(F, out, (lab, ms, rho), F.mul(c, F.mul(cb, cr)))
             if out:
                 mul[((a, m, n), (b, s, t))] = out
-    return FinAlgebra(F, basis, mul, None, name="B#KG#KG*",
-                      meta={"B": B, "kg": kg, "kgstar": kgstar,
-                            "action": action, "groupoid": g})
+    return table_algebra(F, basis, mul, None, name="B#KG#KG*",
+                         meta={"B": B, "kg": kg, "kgstar": kgstar,
+                               "action": action, "groupoid": g})
 
 
 def skew_groupoid_ring(B: FinAlgebra, action: ModuleAction, dfap: DfapAction) -> FinAlgebra:
@@ -815,8 +837,8 @@ def skew_groupoid_ring(B: FinAlgebra, action: ModuleAction, dfap: DfapAction) ->
                 mul[((x, a), (y, b))] = out
 
     # no unit asserted; callers can search for one if they care
-    return FinAlgebra(F, basis, mul, None, name="B*G",
-                      meta={"B": B, "action": action})
+    return table_algebra(F, basis, mul, None, name="B*G",
+                         meta={"B": B, "action": action})
 
 
 def build_phi(dsm, bsm) -> LinearMapRep:

@@ -281,6 +281,12 @@ def _schema_breaks():
         breaks[case][section][key].append(extra)
     breaks["action-twice"] = builtin_doc("i2-swap")
     breaks["action-twice"]["action"].append(["x", "e1", {"e1": "1"}])
+    # B's table is checked where it enters: a factor or a product label
+    # outside the basis
+    for case, row in (("multiplication-unknown-factor", ["e1", "p", {"e1": "1"}]),
+                      ("product-unknown-label", ["e1", "e2", {"p": "1"}])):
+        breaks[case] = builtin_doc("i2-swap")
+        breaks[case]["algebra"]["multiplication"].append(row)
     breaks["not-an-object"] = [builtin_doc("i2-swap")]
     return breaks
 

@@ -605,7 +605,8 @@ def test_phi_checks_and_double_smash_make_few_field_ops_on_z8(monkeypatch):
     # column maps took 2,048 field add/sub/mul calls in phi's
     # multiplicativity check and multiplying out every coefficient 1,536 in
     # the double smash; reading them off phi.image and skipping unit
-    # coefficients takes 128 and 512
+    # coefficients takes 128 and 512, and writing a key met once as formed,
+    # not added to zero, takes none in the double smash
     from conftest import groupoid_doc
     from weakhopf.smash import double_smash
     ctx = _fresh(groupoid_doc(cyclic_group(8), "z8-trivial"))
@@ -614,10 +615,25 @@ def test_phi_checks_and_double_smash_make_few_field_ops_on_z8(monkeypatch):
     for op in ("add", "sub", "mul"):
         monkeypatch.setattr(F, op, lambda *args, fn=getattr(F, op): calls.append(None) or fn(*args))
     assert double_smash(ctx.bsm, ctx.kgstar, ctx.kgstar_co).mul == dsm.mul
-    assert len(calls) <= 768
+    assert not calls
     calls.clear()
     assert phi_is_homomorphism(phi, dsm).ok
     assert len(calls) <= 256
+
+
+def test_right_linearity_reads_only_nonempty_columns(monkeypatch):
+    # phi(x) = 0 makes both sides zero for every (z, b), so right_linearity
+    # reads phi.image only for the labels with a nonempty column: on pair(3)
+    # with B = K^X that is 27 of the 243
+    from conftest import groupoid_doc
+    ctx = _fresh(groupoid_doc(pair_groupoid(3), "pair3"))
+    phi, seen, image = ctx.phi, [], LinearMapRep.image
+    monkeypatch.setattr(LinearMapRep, "image",
+                        lambda self, label: seen.append(label) or image(self, label))
+    assert right_linearity(phi, ctx.bsm, ctx.B).ok
+    assert sorted(seen, key=phi.domain_basis.index) == [x for x in phi.domain_basis
+                                                        if phi.columns[x]]
+    assert len(seen) == 27
 
 
 def test_sabotaged_phi_gives_witnesses():

@@ -9,7 +9,6 @@ from weakhopf.exactmath import QQ
 from weakhopf.groupoid import builtin_i2, cyclic_group, disjoint_union, pair_groupoid
 from weakhopf.instances import parse_instance
 from weakhopf.smash import find_unit
-from weakhopf.walg import FinAlgebra
 
 one = Fraction(1)
 
@@ -190,19 +189,21 @@ def test_find_unit_equals_dense_oracle_on_random_tables(dim, p, unital, candidat
            for a in basis for b in basis}
     if unital:
         mul.update({pair: {b: 1} for b in basis for pair in (("x0", b), (b, "x0"))})
-    alg = FinAlgebra(F, basis, mul)
+    alg = oracle.table_algebra(F, basis, mul)
     want = oracle.find_unit(alg)
     y = alg.element(dict(zip(basis, data.draw(st.lists(coeff, min_size=dim, max_size=dim)))))
     given_candidate = {"none": None, "oracle": want, "random": y}[candidate]
     assert find_unit(alg, given_candidate) == want
     assert alg.not_fixed(y, alg.basis) == oracle.not_fixed(alg, y, alg.basis)
-    with_unit = FinAlgebra(F, basis, mul, y)
+    with_unit = oracle.table_algebra(F, basis, mul, y)
     assert with_unit.unit_violations() == oracle.unit_violations(with_unit)
 
 
 def _table(products):
     """Algebra over Q on the labels a, b with the given nonzero products."""
-    return FinAlgebra(QQ, ["a", "b"], {pair: {lab: one} for pair, lab in products.items()})
+    import oracle
+    return oracle.table_algebra(QQ, ["a", "b"],
+                                {pair: {lab: one} for pair, lab in products.items()})
 
 
 def test_one_sided_unit_candidate_is_rejected():
@@ -298,6 +299,77 @@ def test_read_offs_equal_oracle_on_golden_documents_and_a_missing_entry():
         ctx = VerificationContext(parse_instance(doc))
         assert_read_offs_match_oracle(ctx)
     assert "composition-missing" in ctx.groupoid_report.checks_failed()
+
+
+# -- every construction emits well-formed rows --------------------------------
+
+
+def assert_rows_well_formed(alg, ref):
+    """alg's rows hold no empty product and no zero coefficient and name
+    only basis labels, and alg.mul is ref's table, key order included."""
+    for a, row in alg.right.items():
+        assert a in alg.index
+        for b, prod in row.items():
+            assert b in alg.index and prod
+            assert all(lab in alg.index and c != alg.field.zero for lab, c in prod.items())
+    assert ordered(alg.mul) == ordered(ref.mul)
+
+
+def assert_constructions_well_formed(ctx):
+    """KG, KG*, B#KG, B#KG#KG* and, where it exists, B*G against the
+    all-pairs constructions."""
+    import oracle
+    assert_rows_well_formed(ctx.kg, oracle.groupoid_algebra(ctx.field, ctx.groupoid))
+    assert_rows_well_formed(ctx.kgstar, oracle.dual_weak_hopf(ctx.kg, ctx.kg_co)[0])
+    assert_rows_well_formed(ctx.bsm, oracle.smash_product(ctx.B, ctx.kg, ctx.action))
+    assert_rows_well_formed(ctx.dsm, oracle.double_smash(ctx.B, ctx.kg, ctx.kgstar,
+                                                         ctx.kgstar_co, ctx.action))
+    skew, _ = ctx.skew
+    if skew is not None:
+        assert_rows_well_formed(skew, oracle.skew_groupoid_ring(ctx.B, ctx.action, ctx.dfap[0]))
+
+
+def test_constructions_emit_well_formed_rows():
+    import conftest
+    from test_golden import DOCUMENTS
+    from weakhopf.instances import BUILTIN_NAMES
+    docs = [conftest.builtin_doc(name) for name in BUILTIN_NAMES]
+    docs += [getattr(conftest, builder)() for builder in DOCUMENTS.values()]
+    docs.append(conftest.m2_doc(cyclic_group(2), "m2-z2", {"kind": "prime", "p": 7}))
+    docs += [conftest.groupoid_doc(g, "generated", field, k)
+             for g, field, k in ((pair_groupoid(3), None, 1), (cyclic_group(5), None, 1),
+                                 (disjoint_union(pair_groupoid(2), cyclic_group(3)),
+                                  {"kind": "prime", "p": 3}, 2))]
+    skews = 0
+    for doc in docs:
+        ctx = VerificationContext(parse_instance(doc))
+        assert_constructions_well_formed(ctx)
+        skews += ctx.skew[0] is not None
+    assert skews == len(docs) - 1  # ex2.8 has an inhomogeneous basis
+
+
+def test_constructions_drop_products_whose_legs_cancel():
+    # delta(u_g) = u_g x u_g - u_g x u_g in KG of i2 cancels r_g r_g in
+    # KG*, and two cancelling legs of delta(r_x) cancel the double-smash
+    # products that run through them; both are dropped, as the oracles
+    # drop them
+    import oracle
+    from conftest import context
+    from weakhopf.smash import double_smash
+    from weakhopf.walg import CoStructure, dual_weak_hopf
+    ctx = context("i2-swap")
+    co, star_co = ctx.kg_co, ctx.kgstar_co
+    bad_co = CoStructure(QQ, {**co.delta, "g": [("g", "g", one), ("g", "g", -one)]},
+                         co.counit, co.antipode)
+    dual, _ = dual_weak_hopf(ctx.kg, bad_co)
+    assert ctx.kgstar.basis_product("g", "g") and not dual.basis_product("g", "g")
+    assert_rows_well_formed(dual, oracle.dual_weak_hopf(ctx.kg, bad_co)[0])
+    bad_star_co = CoStructure(QQ, {**star_co.delta, "x": [("x", "x", one), ("x", "x", -one)]},
+                              star_co.counit, star_co.antipode)
+    dsm = double_smash(ctx.bsm, ctx.kgstar, bad_star_co)
+    assert len(dsm.mul) < len(ctx.dsm.mul)
+    assert_rows_well_formed(dsm, oracle.double_smash(ctx.B, ctx.kg, ctx.kgstar,
+                                                     bad_star_co, ctx.action))
 
 
 def smash_identity_failures(ctx):

@@ -8,7 +8,7 @@ import oracle
 from weakhopf.exactmath import QQ, PrimeField
 from weakhopf.groupoid import builtin_i2, cyclic_group, disjoint_union, pair_groupoid
 from weakhopf.walg import (CoStructure, check_antipode, check_weak_bialgebra,
-                           dual_weak_hopf, groupoid_algebra, target_counit)
+                           dual_weak_hopf, el_apply, groupoid_algebra, target_counit)
 
 one = Fraction(1)
 
@@ -42,7 +42,7 @@ def test_groupoid_algebra_costructure(kg_i2):
     assert co.delta["g"] == [("g", "g", one)]
     assert co.counit["g"] == one
     assert co.antipode["g"] == {"gi": one}
-    s2 = co.antipode_element(co.antipode_element({"g": one}))
+    s2 = el_apply(QQ, co.antipode, el_apply(QQ, co.antipode, {"g": one}))
     assert s2 == {"g": one}
 
 
@@ -142,8 +142,7 @@ def test_target_counit_one_object():
 
 
 def test_missing_unit_rejected():
-    from weakhopf.walg import FinAlgebra
-    alg = FinAlgebra(QQ, ["u"], {("u", "u"): {"u": one}}, None)
+    alg = oracle.table_algebra(QQ, ["u"], {("u", "u"): {"u": one}})
     co = CoStructure(QQ, {"u": [("u", "u", one)]}, {"u": one})
     with pytest.raises(ValueError):
         check_weak_bialgebra(alg, co)
@@ -155,17 +154,37 @@ def test_foreign_label_rejected(kg_i2):
     alg, _ = kg_i2
     with pytest.raises(ValueError):
         alg.multiply({"nope": one}, {"g": one})
-    from weakhopf.walg import FinAlgebra
-    # a foreign label with a zero coefficient is dropped, not rejected
-    ok = FinAlgebra(QQ, alg.basis, {**alg.mul, ("x", "x"): {"x": one, "nope": 0}})
-    assert ok.basis_product("x", "x") == {"x": one}
-    # of two foreign labels the error names the first, in table order
-    for mul, first in (({("x", "x"): {"p": one, "q": one}}, "p"),
-                       ({("x", "q"): {"x": one}, ("p", "x"): {"x": one}}, "q"),
-                       ({("x", "x"): {"x": one}, ("y", "y"): {"y": one, "p": 2},
-                         ("g", "q"): {"g": one}}, "p")):
-        with pytest.raises(ValueError, match=f"foreign label '{first}'"):
-            FinAlgebra(QQ, alg.basis, mul)
+    # outside tables are checked where they enter: of two unknown labels in
+    # B's multiplication table the error names the first, in document order
+    from weakhopf.instances import InstanceFormatError, builtin_doc, parse_instance
+    for rows, first, second in (
+            ([["e1", "e1", {"p": "1", "q": "1"}]], "p", "q"),
+            ([["e1", "q", {"e1": "1"}], ["p", "e1", {"e1": "1"}]], "q", "p"),
+            ([["e1", "e1", {"e1": "1"}], ["e2", "e2", {"e2": "1", "p": "2"}],
+              ["e1", "q", {"e1": "1"}]], "p", "q")):
+        doc = builtin_doc("i2-swap")
+        doc["algebra"]["multiplication"] = rows
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(doc)
+        assert f"'{first}'" in str(err.value) and f"'{second}'" not in str(err.value)
+
+
+def test_parse_instance_nests_b_and_drops_zeros():
+    # zero coefficients and empty products are dropped where the table
+    # enters, a pair is still one entry when its product is empty, and a
+    # foreign label is rejected even with a zero coefficient
+    from weakhopf.instances import InstanceFormatError, builtin_doc, parse_instance
+    doc = builtin_doc("i2-swap")
+    doc["algebra"]["multiplication"] += [["e1", "e2", {"e1": "0"}],
+                                         ["e2", "e1", {"e1": "0", "e2": "3"}]]
+    B = parse_instance(doc).algebra
+    assert B.right == {"e1": {"e1": {"e1": one}}, "e2": {"e2": {"e2": one}, "e1": {"e2": 3}}}
+    twice, foreign = builtin_doc("i2-swap"), builtin_doc("i2-swap")
+    twice["algebra"]["multiplication"] += [["e1", "e2", {}], ["e1", "e2", {}]]
+    foreign["algebra"]["multiplication"].append(["e1", "e2", {"e1": "1", "nope": "0"}])
+    for bad, match in ((twice, "twice"), (foreign, "unknown basis label 'nope'")):
+        with pytest.raises(InstanceFormatError, match=match):
+            parse_instance(bad)
 
 
 coeff = st.integers(min_value=-4, max_value=4)
@@ -245,7 +264,6 @@ def test_checkers_equal_oracle_on_generated_groupoids(g, field):
 def _sabotaged_i2(edits, field=QQ):
     """KG of i2 with table entries replaced, as (algebra, costructure); each
     edit is (table, key, entry)."""
-    from weakhopf.walg import FinAlgebra
     alg, co = groupoid_algebra(field, builtin_i2())
     mul, delta, unit = dict(alg.mul), dict(co.delta), dict(alg.unit)
     counit, antipode = dict(co.counit), dict(co.antipode)
@@ -253,7 +271,7 @@ def _sabotaged_i2(edits, field=QQ):
               "antipode": antipode, "unit": unit}
     for table, key, entry in edits:
         tables[table][key] = entry
-    return (FinAlgebra(field, alg.basis, mul, unit, name="KG"),
+    return (oracle.table_algebra(field, alg.basis, mul, unit, name="KG"),
             CoStructure(field, delta, counit, antipode))
 
 
@@ -342,10 +360,9 @@ def test_weak_bialgebra_check_on_kgstar_of_z12_makes_few_acc_calls(monkeypatch):
 def test_weak_unit_multiplies_each_leg_by_the_unit_on_its_own_side():
     # unit y and a leg y x g added to delta(y): g1 == g but 1g == 0, so
     # reading 1g as g1 would hide the weak-unit failure the oracle reports
-    from weakhopf.walg import FinAlgebra
     alg, co = groupoid_algebra(QQ, builtin_i2())
     delta = {**co.delta, "y": co.delta["y"] + [("y", "g", one)]}
-    bad = FinAlgebra(QQ, alg.basis, alg.mul, {"y": one}, name="KG")
+    bad = oracle.table_algebra(QQ, alg.basis, alg.mul, {"y": one}, name="KG")
     bad_co = CoStructure(QQ, delta, co.counit, co.antipode)
     assert_checks_match_oracle(bad, bad_co)
     assert "weak-unit" in check_weak_bialgebra(bad, bad_co).checks_failed()
@@ -356,7 +373,6 @@ def test_weak_unit_multiplies_each_leg_by_the_unit_on_its_own_side():
        st.sampled_from([QQ, PrimeField(3)]), st.data())
 @settings(max_examples=60, deadline=None)
 def test_checkers_equal_oracle_on_random_sabotage(g, dual, table, field, data):
-    from weakhopf.walg import FinAlgebra
     alg, co = groupoid_algebra(field, g)
     if dual:
         alg, co = dual_weak_hopf(alg, co)
@@ -375,7 +391,7 @@ def test_checkers_equal_oracle_on_random_sabotage(g, dual, table, field, data):
         unit[data.draw(labels)] = data.draw(scalar)
     else:
         antipode[data.draw(labels)] = data.draw(element)
-    bad = FinAlgebra(field, alg.basis, mul, unit, name=alg.name)
+    bad = oracle.table_algebra(field, alg.basis, mul, unit, name=alg.name)
     bad_co = CoStructure(field, delta, counit, antipode)
     assert_checks_match_oracle(bad, bad_co)
     assert_dual_matches_oracle(bad, bad_co)
