@@ -230,17 +230,41 @@ def null_space(field, columns):
     reduced row echelon form, with a one there.  The pivot columns, in
     increasing order, are the first columns that span the image.  The
     keys of a column only group its entries into rows, so any hashable
-    row keys will do."""
-    rows = {}
+    row keys will do.
+
+    Columns linked by shared row keys form a block, and each block is
+    reduced on its own.  The reduced form of a block-diagonal matrix is
+    the union of its blocks' forms, so the result is that of one global
+    elimination; a block of one column is a pivot without arithmetic."""
+    rows, parent = {}, list(range(len(columns)))
+
+    def root(j):
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        return j
+
     for j, col in enumerate(columns):
         for i, w in col.items():
-            rows.setdefault(i, {})[j] = w
-    red, pivots = rref(field, rows.values())
+            row = rows.setdefault(i, {})
+            if row:
+                parent[root(j)] = root(next(iter(row)))
+            row[j] = w
+    blocks = {}
+    for row in rows.values():
+        blocks.setdefault(root(next(iter(row))), []).append(row)
+    red, pivots = [], []
+    for block in blocks.values():
+        if max(map(len, block)) == 1:  # rows of one key: a block of one column
+            pivots.append(next(iter(block[0])))
+        else:
+            block_red, block_pivots = rref(field, block)
+            red += zip(block_red, block_pivots)
+            pivots += block_pivots
+    pivots.sort()
     pivot_set = set(pivots)
     basis = {f: {f: field.one} for f in range(len(columns)) if f not in pivot_set}
-    for row, pc in zip(red, pivots):
+    for row, pc in red:
         for f, w in row.items():
             if f != pc:
                 basis[f][pc] = field.neg(w)
     return list(basis.values()), pivots
-

@@ -148,7 +148,8 @@ def parse_instance(doc: dict) -> Instance:
     right, pairs = {}, set()
     for a, b, el in _triples(adoc.get("multiplication", []), "multiplication"):
         if a not in bset or b not in bset:
-            raise InstanceFormatError(f"multiplication references unknown label {a!r} or {b!r}")
+            unknown = " and ".join(repr(lab) for lab in dict.fromkeys((a, b)) if lab not in bset)
+            raise InstanceFormatError(f"multiplication references unknown label {unknown}")
         if (a, b) in pairs:
             raise InstanceFormatError(f"multiplication table maps ({a!r}, {b!r}) twice")
         pairs.add((a, b))

@@ -2,7 +2,8 @@
 
 table_algebra, the one builder of algebras from flat product tables;
 trial division, the reference for the Miller-Rabin primality test;
-dense Matrix / rref / Echelon routines over lists, the row-major
+dense Matrix / rref / Echelon routines over lists, the one-block
+sparse null_space that the blocked engine core must reproduce, the row-major
 flatten of phi's columns (index r * dim + c), dense forms of phi's
 kernel and image and of the unit search built on them, the
 whole-element multiply form of the two-sided identity test, the
@@ -247,6 +248,23 @@ def sparse_subspace_equal(field, a, b) -> bool:
     for v in b:
         eb.add(v)
     return ea.rank == eb.rank and all(ea.contains(v) for v in b)
+
+
+def null_space(field, columns):
+    """exactmath.null_space as one global elimination: every column's rows
+    go through a single rref, with no split into blocks."""
+    rows = {}
+    for j, col in enumerate(columns):
+        for i, w in col.items():
+            rows.setdefault(i, {})[j] = w
+    red, pivots = exactmath.rref(field, rows.values())
+    pivot_set = set(pivots)
+    basis = {f: {f: field.one} for f in range(len(columns)) if f not in pivot_set}
+    for row, pc in zip(red, pivots):
+        for f, w in row.items():
+            if f != pc:
+                basis[f][pc] = field.neg(w)
+    return list(basis.values()), pivots
 
 
 def subspace_contains(field, space, v) -> bool:
@@ -1070,7 +1088,7 @@ def verify_thm2_9(ctx):
     d1 = [i for i, (_, m, h) in enumerate(dom) if not g.composable(m, h)]
     c_labels = [lab for lab in dom if g.composable(lab[1], lab[2])]
     cols = dict(zip(dom, row_major(ctx.phi, dom)))
-    ker, _ = exactmath.null_space(F, list(cols.values()))
+    ker, _ = null_space(F, list(cols.values()))
     d1_eq_kernel = sparse_subspace_equal(F, [{i: F.one} for i in d1], ker)
     whole_ok = len(d1) + len(c_labels) == n_dom
     ech = exactmath.Echelon(F)

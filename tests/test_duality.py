@@ -577,6 +577,14 @@ def test_duality_equals_oracle_on_sabotaged_phi(g, field, data):
     assert_duality_matches_oracle(ctx)
 
 
+def _perturbable_doc(name, field):
+    from conftest import groupoid_doc, m2_doc
+    return {"i2": lambda: dict(builtin_doc("i2-swap"), field=field),
+            "z3": lambda: groupoid_doc(cyclic_group(3), name, field),
+            "m2-pair2": lambda: m2_doc(pair_groupoid(2), name, field),
+            "pair2": lambda: groupoid_doc(pair_groupoid(2), name, field)}[name]()
+
+
 @given(st.sampled_from(["i2", "z3", "m2-pair2", "pair2"]),
        st.sampled_from([FIELDS[0], {"kind": "prime", "p": 7}]), st.data())
 @settings(max_examples=80, deadline=None)
@@ -585,18 +593,64 @@ def test_phi_checks_equal_oracle_on_perturbed_phi(name, field, data):
     # the B#KG table; a rescaled entry, a second term or a copied column
     # must give the all-pairs findings, in their order
     import oracle
-    from conftest import groupoid_doc, m2_doc
-    doc = {"i2": lambda: dict(builtin_doc("i2-swap"), field=field),
-           "z3": lambda: groupoid_doc(cyclic_group(3), name, field),
-           "m2-pair2": lambda: m2_doc(pair_groupoid(2), name, field),
-           "pair2": lambda: groupoid_doc(pair_groupoid(2), name, field)}[name]()
-    ctx = _fresh(doc)
+    ctx = _fresh(_perturbable_doc(name, field))
     ctx.phi = phi = _sabotage(ctx, data)
     assert _findings(phi_is_homomorphism(phi, ctx.dsm)) \
         == _findings(oracle.phi_is_homomorphism(phi, ctx.dsm))
     assert _findings(right_linearity(phi, ctx.bsm, ctx.B)) \
         == _findings(oracle.right_linearity(phi, ctx.bsm, ctx.B))
     assert ctx.kernel_ideal_witnesses() == oracle.kernel_ideal_witnesses(ctx)
+
+
+# -- phi's null space, one block at a time, against one global elimination ----
+
+
+def _assert_phi_null_space_is_one_block_elimination(phi, labels):
+    # the oracle keys rows by r * dim + c, not by (row, column) label
+    # pairs; row keys only group entries, so the answer must not change
+    import oracle
+    kernel, pivots = phi.null_space(labels)
+    want_kernel, want_pivots = oracle.null_space(phi.field, oracle.row_major(phi, labels))
+    assert pivots == want_pivots
+    assert [list(v.items()) for v in kernel] == [list(v.items()) for v in want_kernel]
+
+
+@given(st.sampled_from(["i2", "z3", "m2-pair2", "pair2"]),
+       st.sampled_from([FIELDS[0], {"kind": "prime", "p": 7}]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_phi_null_space_equals_one_block_elimination_on_perturbed_phi(name, field, data):
+    ctx = _fresh(_perturbable_doc(name, field))
+    phi = _sabotage(ctx, data)
+    _assert_phi_null_space_is_one_block_elimination(phi, phi.domain_basis)
+    labels = data.draw(st.permutations(phi.domain_basis))
+    _assert_phi_null_space_is_one_block_elimination(
+        phi, labels[:data.draw(st.integers(0, len(labels)))])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_phi_null_space_equals_one_block_elimination_on_m2_family(n):
+    # B = sum of M_2 is the only family whose phi has blocks of many columns
+    from conftest import m2_doc
+    ctx = _fresh(m2_doc(pair_groupoid(n), f"m2-pair{n}"))
+    _assert_phi_null_space_is_one_block_elimination(ctx.phi, ctx.phi.domain_basis)
+    _assert_phi_null_space_is_one_block_elimination(ctx.phi, ctx.stratum_labels(IMAGE_STRATA))
+    for labels in ctx.strata.values():
+        _assert_phi_null_space_is_one_block_elimination(ctx.phi, labels)
+
+
+@pytest.mark.parametrize("name", ["z8-trivial", "z4-regular"])
+def test_kernel_and_image_eliminates_nothing_on_one_column_blocks(monkeypatch, name):
+    # with B diagonal each nonzero phi column of Z/8 and of Z/4 acting
+    # regularly is a block of its own, a pivot without arithmetic; one
+    # global elimination made 64 Echelon.add calls on each
+    from conftest import groupoid_doc, z4_regular_doc
+    from weakhopf import exactmath
+    from weakhopf.duality import kernel_and_image
+    doc = groupoid_doc(cyclic_group(8), name) if name == "z8-trivial" else z4_regular_doc()
+    phi, calls, add = _fresh(doc).phi, [], exactmath.Echelon.add
+    monkeypatch.setattr(exactmath.Echelon, "add", lambda self, v: calls.append(v) or add(self, v))
+    assert kernel_and_image(phi).dims == {"domain": 64, "kernel": 0, "image": 64}
+    assert calls == []
 
 
 def test_phi_checks_and_double_smash_make_few_field_ops_on_z8(monkeypatch):

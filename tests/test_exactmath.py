@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,54 @@ def test_sparse_core_equals_dense_oracle(field, data):
     assert subspace_equal(field, [sparse(r, field) for r in rows],
                           [sparse(r, field) for r in other]) \
         == oracle.subspace_equal(field, rows, other)
+
+
+# -- the blocked null space against one global elimination ---------------------
+
+
+@st.composite
+def block_columns(draw, field):
+    """Columns of a random block-diagonal sparse matrix: 1-5 blocks of 1-4
+    columns, each block over its own tuple row keys, with empty and
+    repeated columns, shuffled."""
+    entry = st.sampled_from(["-3", "-2", "-1", "1", "2", "3"]).map(field.parse)
+    cols = []
+    for b in range(draw(st.integers(1, 5))):
+        keys = [("row", b, k) for k in range(draw(st.integers(1, 4)))]
+        for _ in range(draw(st.integers(1, 4))):
+            support = draw(st.lists(st.sampled_from(keys), unique=True, max_size=len(keys)))
+            cols.append({k: draw(entry) for k in support})
+    cols += [{}] * draw(st.integers(0, 2))
+    cols += [dict(c) for c in draw(st.lists(st.sampled_from(cols), max_size=3))]
+    return draw(st.permutations(cols))
+
+
+def assert_null_space_is_one_block_elimination(field, cols):
+    """null_space gives the one-block oracle's pivots and kernel vectors,
+    key order inside each vector included."""
+    kernel, pivots = null_space(field, cols)
+    want_kernel, want_pivots = oracle.null_space(field, cols)
+    assert pivots == want_pivots
+    assert [list(v.items()) for v in kernel] == [list(v.items()) for v in want_kernel]
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["QQ", "GF7"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_blocked_null_space_equals_one_block_elimination(field, data):
+    assert_null_space_is_one_block_elimination(field, data.draw(block_columns(field)))
+
+
+def test_null_space_walks_a_block_deeper_than_the_recursion_limit():
+    # columns e_j + e_(j+1) link all 3,000 into one block
+    n = 3000
+    assert n > sys.getrecursionlimit()
+    chain = [{j: 1, j + 1: 1} for j in range(n)]
+    assert null_space(QQ, chain) == ([], list(range(n)))
+    # column 0 plus column 1 is dependent: kernel e_n - e_0 - e_1
+    kernel, pivots = null_space(QQ, chain + [{0: 1, 1: 2, 2: 1}])
+    assert [list(v.items()) for v in kernel] == [[(n, 1), (0, -1), (1, -1)]]
+    assert pivots == list(range(n))
 
 
 # -- the rationals keep integral values as ints --------------------------------

@@ -155,18 +155,24 @@ def test_foreign_label_rejected(kg_i2):
     with pytest.raises(ValueError):
         alg.multiply({"nope": one}, {"g": one})
     # outside tables are checked where they enter: of two unknown labels in
-    # B's multiplication table the error names the first, in document order
+    # B's multiplication table the error names the first, in document order,
+    # and a known factor next to an unknown one is not named
     from weakhopf.instances import InstanceFormatError, builtin_doc, parse_instance
-    for rows, first, second in (
-            ([["e1", "e1", {"p": "1", "q": "1"}]], "p", "q"),
-            ([["e1", "q", {"e1": "1"}], ["p", "e1", {"e1": "1"}]], "q", "p"),
+    for rows, first, others in (
+            ([["e1", "e1", {"p": "1", "q": "1"}]], "p", ["q"]),
+            ([["e1", "q", {"e1": "1"}], ["p", "e1", {"e1": "1"}]], "q", ["p", "e1"]),
+            ([["p", "e2", {"e1": "1"}]], "p", ["e2"]),
             ([["e1", "e1", {"e1": "1"}], ["e2", "e2", {"e2": "1", "p": "2"}],
-              ["e1", "q", {"e1": "1"}]], "p", "q")):
+              ["e1", "q", {"e1": "1"}]], "p", ["q"])):
         doc = builtin_doc("i2-swap")
         doc["algebra"]["multiplication"] = rows
         with pytest.raises(InstanceFormatError) as err:
             parse_instance(doc)
-        assert f"'{first}'" in str(err.value) and f"'{second}'" not in str(err.value)
+        assert f"'{first}'" in str(err.value)
+        assert not [lab for lab in others if f"'{lab}'" in str(err.value)]
+    doc["algebra"]["multiplication"] = [["p", "q", {"e1": "1"}]]
+    with pytest.raises(InstanceFormatError, match="unknown label 'p' and 'q'"):
+        parse_instance(doc)
 
 
 def test_parse_instance_nests_b_and_drops_zeros():
