@@ -251,14 +251,14 @@ def derive_dfap_action(B: FinAlgebra, kg: FinAlgebra, action: ModuleAction,
     return DfapAction(iso_images, ideal_labels), rep
 
 
-def skew_groupoid_ring(bsm: FinAlgebra, dfap: DfapAction) -> FinAlgebra:
-    """The twisted ring on symbols b.delta_g with b in the ideal at g:
-    (x delta_g)(y delta_h) = x beta_g(y) delta_{gh} when gh exists, else 0.
+def skew_groupoid_ring(bsm: FinAlgebra, dfap: DfapAction) -> list:
+    """The basis labels (b, g), b in the ideal at g, of the twisted ring
+    on symbols b.delta_g: (x delta_g)(y delta_h) = x beta_g(y) delta_{gh}
+    when gh exists, else 0.
 
-    Since beta_g(y) = g.y, this is B#KG restricted to the labels (b, g)
-    with b in the ideal at g; the restriction must be closed.  Needs a
-    homogeneous B basis so the symbols can be labeled by basis vectors;
-    raises otherwise.
+    Since beta_g(y) = g.y, the ring is B#KG restricted to these labels;
+    the restriction must be closed.  Needs a homogeneous B basis so the
+    symbols can be labeled by basis vectors; raises otherwise.
     """
     g = bsm.meta["groupoid"]
     for m in g.morphism_ids():
@@ -268,7 +268,6 @@ def skew_groupoid_ring(bsm: FinAlgebra, dfap: DfapAction) -> FinAlgebra:
 
     basis = [(b, m) for m in g.morphism_ids() for b in dfap.ideal_labels[m]]
     index = {lab: i for i, lab in enumerate(basis)}
-    right = {}
     for x in basis:
         row = bsm.right.get(x, {})
         for y in sorted((y for y in row if y in index), key=index.get):
@@ -276,8 +275,4 @@ def skew_groupoid_ring(bsm: FinAlgebra, dfap: DfapAction) -> FinAlgebra:
                 if (lab, ab) not in index:
                     raise ValueError(
                         f"skew product left the ideal at {ab!r} (label {lab!r})")
-            right.setdefault(x, {})[y] = row[y]
-
-    # no unit asserted; callers can search for one if they care
-    return FinAlgebra(bsm.field, basis, right, None, name="B*G",
-                      meta={"B": bsm.meta["B"], "action": bsm.meta["action"]})
+    return basis

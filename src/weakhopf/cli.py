@@ -93,6 +93,17 @@ def _validation_reports(ctx: VerificationContext):
     ]
 
 
+def _write(path, text) -> bool:
+    """Write text to path, or print why it cannot be written and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_validate(args) -> int:
     reports = _validation_reports(VerificationContext(_resolve(args.instance)))
     ok = True
@@ -174,8 +185,8 @@ def cmd_verify(args) -> int:
             print(f"    {d}")
 
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        if not _write(args.json, json.dumps(doc, indent=2, sort_keys=True) + "\n"):
+            return 2
         print(f"report written to {args.json}")
     valid = all(section["ok"] for section in doc["validation"].values())
     return 0 if valid and all(r.holds for r in results) else 1
@@ -189,8 +200,8 @@ def cmd_builtin(args) -> int:
         return 2
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        if not _write(args.out, text):
+            return 2
         print(f"wrote {args.name} to {args.out}")
     else:
         sys.stdout.write(text)

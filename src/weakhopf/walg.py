@@ -4,6 +4,8 @@ the groupoid algebra / dual constructions with their axiom checkers.
 Elements are finitely supported dicts {basis label: scalar}; zero
 coefficients are never stored.  The owning algebra carries the field, so
 all element arithmetic goes through the algebra (or the el_* helpers).
+el_apply evaluates every map given by basis images; at {k: one} it
+returns the stored image, which callers only read.
 """
 
 from functools import cache, cached_property
@@ -34,18 +36,15 @@ def el_addto(field, out: dict, c, a: dict):
 
 
 def el_apply(field, images: dict, x: dict) -> dict:
-    """The linear map with basis images images[label] (absent: zero) at x."""
+    """The map with basis images images[label] (absent: zero) at x, summed
+    over the labels of both; at x = {k: one}, the stored images[k], read-only."""
+    if len(x) == 1:
+        (k, c), = x.items()
+        if c == field.one:
+            return images.get(k, {})
     out = {}
-    for lab, c in x.items():
-        el_addto(field, out, c, images.get(lab, {}))
-    return out
-
-
-def el_weighted(field, y: dict, prods: dict) -> dict:
-    """The sum of y[a] prods[a] over the labels a of both y and prods."""
-    out = {}
-    for a in y.keys() & prods.keys():
-        el_addto(field, out, y[a], prods[a])
+    for lab in x.keys() & images.keys():
+        el_addto(field, out, x[lab], images[lab])
     return out
 
 
@@ -154,7 +153,7 @@ class FinAlgebra:
         F, u = self.field, self.element(self.unit)
         return [(side, b) for b in self.basis
                 for side, prods in (("left", self.left), ("right", self.right))
-                if el_weighted(F, u, prods.get(b, {})) != {b: F.one}]
+                if el_apply(F, prods.get(b, {}), u) != {b: F.one}]
 
     def not_fixed(self, y: dict, labels) -> list:
         """The labels z, in the order given, with yz != z or zy != z.  yz
@@ -162,8 +161,8 @@ class FinAlgebra:
         the b of y with zb != 0, read off right[z]."""
         F, y = self.field, self.element(y)
         return [z for z in labels
-                if el_weighted(F, y, self.left.get(z, {})) != {z: F.one}
-                or el_weighted(F, y, self.right.get(z, {})) != {z: F.one}]
+                if el_apply(F, self.left.get(z, {}), y) != {z: F.one}
+                or el_apply(F, self.right.get(z, {}), y) != {z: F.one}]
 
 
 class CoStructure:
@@ -379,11 +378,6 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
                 eps.setdefault(a, {})[b] = v
                 eps_left.setdefault(b, set()).add(a)
 
-    def row(comb):  # the sum of c eps[w] over comb {w: c}
-        if list(comb.values()) == [F.one]:
-            return eps.get(next(iter(comb)), {})
-        return el_apply(F, eps, comb)
-
     for y in alg.basis:
         dy = co.delta.get(y, [])
         xs = set(left.get(y, ()))
@@ -397,7 +391,8 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
                     e1 = ex.get(first)
                     if e1 is not None:
                         acc(F, comb, second, F.mul(c, e1))
-            lhs, mid, mid_flip = row(alg.basis_product(x, y)), row(mid), row(mid_flip)
+            lhs = el_apply(F, eps, alg.basis_product(x, y))
+            mid, mid_flip = el_apply(F, eps, mid), el_apply(F, eps, mid_flip)
             if lhs == mid == mid_flip:
                 continue
             for z in sorted({*lhs, *mid, *mid_flip}, key=alg.index.get):
@@ -443,9 +438,7 @@ def check_antipode(alg: FinAlgebra, co: CoStructure) -> Report:
         # eps(1_1 x) needs 1_1 x != 0 and eps(x 1_2) needs x 1_2 != 0
         left_l, left_r, right_r = {}, {}, {}
         for (a, b), c in dx.items():  # a S(b), read off right[a]
-            ra, sb = right.get(a, {}), S(b)
-            for s in ra.keys() & sb.keys():
-                el_addto(F, left_l, F.mul(c, sb[s]), ra[s])
+            el_addto(F, left_l, c, el_apply(F, right.get(a, {}), S(b)))
         for out, prods, legs in ((left_r, left, by_first), (right_r, right, by_second)):
             for a, ax in prods.get(x, {}).items():
                 eps = co.counit_element(ax)

@@ -119,6 +119,20 @@ def wrong_composition_doc(n):
     return doc
 
 
+def skew_ring(ctx):
+    """B*G of ctx built by the all-pairs oracle, after checking that its
+    basis is the engine's skew labels and its table B#KG restricted to
+    them, as the engine, which keeps only the labels, takes it to be."""
+    import oracle
+    labels, err = ctx.skew
+    assert err is None, err
+    ring = oracle.skew_groupoid_ring(ctx.B, ctx.action, ctx.dfap[0])
+    assert ring.basis == labels
+    assert ring.mul == {(x, y): prod for (x, y), prod in ctx.bsm.mul.items()
+                        if x in ring.index and y in ring.index}
+    return ring
+
+
 def context(name) -> VerificationContext:
     if name not in _CACHE:
         _CACHE[name] = VerificationContext(builtin_instance(name))

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import context
+from conftest import context, skew_ring
 from oracle import flatten, rank
 from oracle import sparse_subspace_equal as subspace_equal, stratum_vectors
 from weakhopf.cli import main
@@ -162,8 +162,7 @@ def test_criterion_8_associativity(capsys):
         ctx = context(name)
         ok = ok and ctx.bsm.associativity_violations() == []
         ok = ok and ctx.dsm.associativity_violations() == []
-        skew, err = ctx.skew
-        ok = ok and err is None and skew.associativity_violations() == []
+        ok = ok and skew_ring(ctx).associativity_violations() == []
     # the broken worked example is checked too: the checker must run and
     # report its genuine violations rather than assume anything
     for name in ("ex2.8", "ex2.8-gf2"):

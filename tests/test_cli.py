@@ -205,31 +205,48 @@ def test_missing_composition_entry_is_reported_not_raised(tmp_path, capsys):
 
 def test_reports_are_byte_identical_across_hash_seeds(tmp_path):
     # a wrong composition breaks multiplicative closure, so the prop2.3 and
-    # thm2.6 witness lists are long; their order must not follow the hash seed
+    # thm2.6 witness lists are long; their order must not follow the hash
+    # seed.  Nor may the order in which el_apply sums over the labels both
+    # sides share, with B the sum of M_2 blocks (products of many terms)
     import os
     import subprocess
     import sys
-    from conftest import groupoid_doc
+    from conftest import groupoid_doc, m2_doc
     from weakhopf.groupoid import pair_groupoid
-    doc = groupoid_doc(pair_groupoid(3), "pair3", {"kind": "prime", "p": 2**31 - 1})
-    for entry in doc["groupoid"]["composition"]:
+    wrong = groupoid_doc(pair_groupoid(3), "pair3", {"kind": "prime", "p": 2**31 - 1})
+    for entry in wrong["groupoid"]["composition"]:
         if entry[:2] == ["m1_2", "m2_3"]:
             entry[2] = "m1_2"
-    p = tmp_path / "wrong.json"
-    p.write_text(json.dumps(doc), encoding="utf-8")
+    m2 = m2_doc(pair_groupoid(3), "m2-pair3", {"kind": "prime", "p": 7})
     src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["weakhopf"].__file__)))
-    reports = []
-    for seed in ("1", "2"):
-        out = tmp_path / f"report-{seed}.json"
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src, WH_COLOR="0")
-        run = subprocess.run([sys.executable, "-m", "weakhopf", "verify", str(p),
-                              "--claim", "all", "--json", str(out)],
-                             env=env, capture_output=True, timeout=300)
-        assert run.returncode == 1, run.stderr
-        reports.append(out.read_bytes())
-    claims = {c["claim"]: c for c in json.loads(reports[0])["claims"]}
-    assert claims["prop2.3"]["witness_count"] > 1
-    assert reports[0] == reports[1]
+    for name, doc, code in (("wrong", wrong, 1), ("m2", m2, 0)):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        reports = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"{name}-report-{seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src, WH_COLOR="0")
+            run = subprocess.run([sys.executable, "-m", "weakhopf", "verify", str(p),
+                                  "--claim", "all", "--json", str(out)],
+                                 env=env, capture_output=True, timeout=300)
+            assert run.returncode == code, run.stderr
+            reports.append(out.read_bytes())
+        if name == "wrong":
+            claims = {c["claim"]: c for c in json.loads(reports[0])["claims"]}
+            assert claims["prop2.3"]["witness_count"] > 1
+        assert reports[0] == reports[1], name
+
+
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys):
+    # an output file in a missing directory exits 2 with one error line,
+    # as an unreadable input does, not 3 with an internal error
+    missing = tmp_path / "no-such-dir"
+    for argv, path in ((["verify", "z2-trivial", "--json"], missing / "r.json"),
+                       (["builtin", "z2-trivial", "--out"], missing / "x.json")):
+        assert main(argv + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+    assert not missing.exists()
 
 
 def _schema_breaks():

@@ -677,17 +677,74 @@ def test_phi_checks_and_double_smash_make_few_field_ops_on_z8(monkeypatch):
 
 def test_right_linearity_reads_only_nonempty_columns(monkeypatch):
     # phi(x) = 0 makes both sides zero for every (z, b), so right_linearity
-    # reads phi.image only for the labels with a nonempty column: on pair(3)
-    # with B = K^X that is 27 of the 243
+    # evaluates phi(x) by el_apply only for the labels with a nonempty
+    # column: on pair(3) with B = K^X that is 27 of the 243
     from conftest import groupoid_doc
+    from weakhopf import duality
     ctx = _fresh(groupoid_doc(pair_groupoid(3), "pair3"))
-    phi, seen, image = ctx.phi, [], LinearMapRep.image
-    monkeypatch.setattr(LinearMapRep, "image",
-                        lambda self, label: seen.append(label) or image(self, label))
+    phi, seen, el_apply = ctx.phi, set(), duality.el_apply
+    label_of = {id(endo): x for x, endo in phi.columns.items()}
+
+    def spy(F, images, x):
+        if id(images) in label_of:
+            seen.add(label_of[id(images)])
+        return el_apply(F, images, x)
+    monkeypatch.setattr(duality, "el_apply", spy)
     assert right_linearity(phi, ctx.bsm, ctx.B).ok
     assert sorted(seen, key=phi.domain_basis.index) == [x for x in phi.domain_basis
                                                         if phi.columns[x]]
     assert len(seen) == 27
+
+
+@given(st.sampled_from([{"kind": "rational"}, {"kind": "prime", "p": 7}]),
+       st.sampled_from(["one", "scaled", "several"]), st.data())
+@settings(max_examples=150, deadline=None)
+def test_el_apply_and_phi_apply_equal_the_oracle_evaluation(spec, shape, data):
+    # the shortcut at {k: one} and the sum over the labels both sides share
+    # give the term-by-term evaluation: at one term with coefficient one or
+    # another, at several terms, and at labels whose image is empty or, for
+    # el_apply, absent from the table
+    import oracle
+    from weakhopf.exactmath import field_from_spec
+    from weakhopf.walg import el_apply
+    F = field_from_spec(spec)
+    scalar = st.sampled_from(["1", "2", "-1", "3/2", "5"]).map(F.parse)
+
+    def element(labels, min_size=0):
+        return st.dictionaries(st.sampled_from(labels), scalar, min_size=min_size, max_size=3)
+
+    def point(labels):
+        if shape == "one":
+            return st.sampled_from(labels).map(lambda k: {k: F.one})
+        if shape == "scaled":
+            return st.dictionaries(st.sampled_from(labels), scalar.filter(lambda c: c != F.one),
+                                   min_size=1, max_size=1)
+        return element(labels, 2)
+
+    images = data.draw(st.dictionaries(st.sampled_from("pqr"), element("uvw")))
+    x = data.draw(point("pqrst"))
+    assert el_apply(F, images, x) == oracle.apply_images(F, images, x)
+    endo = st.dictionaries(st.sampled_from(["c1", "c2"]), element("uvw", 1))
+    columns = data.draw(st.fixed_dictionaries({lab: endo for lab in "pqrs"}))
+    phi = LinearMapRep(F, list("pqrs"), ["c1", "c2"], columns)
+    x = data.draw(point("pqrs"))
+    assert phi.apply(x) == oracle.apply_columns(phi, x)
+
+
+@pytest.mark.parametrize("builder", ["groupoid_doc", "m2_doc"])
+def test_verify_writes_through_no_stored_image(builder):
+    # el_apply and phi.apply return the stored image at {k: one}; a full
+    # verify, validation and unit search included, only reads them
+    import copy
+    import conftest
+    from weakhopf.cli import build_report_doc
+    ctx = _fresh(getattr(conftest, builder)(pair_groupoid(3), "pair3"))
+    tables = (ctx.phi.columns, ctx.dsm.right, ctx.dsm.left, ctx.bsm.right,
+              ctx.kgstar.right, ctx.kgstar.left, ctx.kgstar_co.delta)
+    before = copy.deepcopy(tables)
+    assert all(r.holds for r in ctx.verify_all())
+    build_report_doc(ctx, [])
+    assert tables == before
 
 
 def test_sabotaged_phi_gives_witnesses():
