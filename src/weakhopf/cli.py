@@ -93,10 +93,11 @@ def _validation_reports(ctx: VerificationContext):
     ]
 
 
-def _write(path, text) -> bool:
-    """Write text to path, or print why it cannot be written and return False."""
+def _write(path, text="", mode="w") -> bool:
+    """Write text to path (mode "a" with no text only tests that it can be
+    written), or print why it cannot be written and return False."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
@@ -166,7 +167,10 @@ def cmd_verify(args) -> int:
             print(f"error: unknown claim id {cid!r}; known: "
                   f"{', '.join(CLAIM_IDS)} or 'all'", file=sys.stderr)
             return 2
-    ctx = VerificationContext(_resolve(args.instance))
+    inst = _resolve(args.instance)
+    if args.json and not _write(args.json, mode="a"):
+        return 2
+    ctx = VerificationContext(inst)
     results = [ctx.verify(cid) for cid in claims]
     doc = build_report_doc(ctx, results)
 

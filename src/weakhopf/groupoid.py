@@ -210,42 +210,6 @@ def from_group(elements, products) -> Groupoid:
     return g
 
 
-def pair_groupoid(n: int) -> Groupoid:
-    """Objects 1..n with exactly one morphism between any two of them."""
-    if n < 1:
-        raise GroupoidError("pair groupoid needs at least one object")
-    objects = [f"o{i}" for i in range(1, n + 1)]
-
-    def mid(i, j):
-        return f"o{i}" if i == j else f"m{i}_{j}"
-
-    morphs = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            morphs.append(Morphism(mid(i, j), f"o{i}", f"o{j}", mid(j, i)))
-    comp = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                comp[(mid(i, j), mid(j, k))] = mid(i, k)
-    return Groupoid(objects, morphs, comp)
-
-
-def disjoint_union(g1: Groupoid, g2: Groupoid) -> Groupoid:
-    """Side-by-side union; nothing composes across the two pieces."""
-    def tag(prefix, x):
-        return f"{prefix}.{x}"
-
-    objects = [tag("l", e) for e in g1.objects] + [tag("r", e) for e in g2.objects]
-    morphs = [Morphism(tag("l", m.id), tag("l", m.src), tag("l", m.tgt), tag("l", m.inv))
-              for m in g1.morphisms]
-    morphs += [Morphism(tag("r", m.id), tag("r", m.src), tag("r", m.tgt), tag("r", m.inv))
-               for m in g2.morphisms]
-    comp = {(tag("l", a), tag("l", b)): tag("l", c) for (a, b), c in g1.comp.items()}
-    comp.update({(tag("r", a), tag("r", b)): tag("r", c) for (a, b), c in g2.comp.items()})
-    return Groupoid(objects, morphs, comp)
-
-
 def builtin_i2() -> Groupoid:
     """Two objects x, y joined by a single invertible morphism g."""
     morphs = [

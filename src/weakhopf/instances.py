@@ -192,10 +192,6 @@ def load_instance(path) -> Instance:
     return parse_instance(doc)
 
 
-def dump_instance(inst: Instance) -> str:
-    return json.dumps(inst.to_doc(), indent=2, sort_keys=True) + "\n"
-
-
 # -- builtin library ------------------------------------------------------------
 
 

@@ -67,6 +67,7 @@ class FinAlgebra:
         self.unit = unit
         self.name = name
         self.meta = meta or {}
+        self.memo = {}  # per CoStructure: what the axiom checks leave for the transpose's
 
     @cached_property
     def left(self):
@@ -263,11 +264,50 @@ def dual_weak_hopf(alg: FinAlgebra, co: CoStructure):
                     antipode[x][y] = c
 
     dual = FinAlgebra(F, basis, right, unit, name=f"{alg.name}*",
-                      meta={"dual_of": alg})
+                      meta={"dual_of": (alg, co)})
     return dual, CoStructure(F, delta, counit, antipode)
 
 
 # -- axiom checkers -------------------------------------------------------------
+
+ANTIPODE_CHECKS = ("antipode-left", "antipode-right", "antipode-sandwich")
+
+
+def _is_transpose(alg: FinAlgebra, co: CoStructure, src: FinAlgebra, src_co: CoStructure):
+    """Whether alg, co are the exact transpose of src, src_co on the same
+    field and basis, src's tables naming only its basis labels: products
+    and coproducts swapped, unit and counit swapped, antipodes transposed."""
+    F, basis = alg.field, alg.basis
+
+    def entries(a, c):  # {(l, r, x): [lr]_x}, {(l, r, x): [delta(x)]_(l, r)}
+        return ({(l, r, x): w for l, row in a.right.items() for r, p in row.items()
+                 for x, w in p.items()},
+                {(l, r, x): w for x in basis for (l, r), w in c.delta_element({x: F.one}).items()})
+
+    (mul, delta), (mul_t, delta_t) = entries(src, src_co), entries(alg, co)
+    s = {(x, y): c for y in basis for x, c in (src_co.antipode or {}).get(y, {}).items()}
+    return (F is src.field and basis == src.basis and mul_t == delta and delta_t == mul
+            and set(src.unit).union(*mul, *delta, *s) <= src.index.keys()
+            and alg.unit == {x: c for x in basis if (c := src_co.counit.get(x, F.zero)) != F.zero}
+            and all(co.counit.get(x, F.zero) == src.unit.get(x, F.zero) for x in basis)
+            and (co.antipode is None) == (src_co.antipode is None)
+            and s == {(x, y): c for x, img in (co.antipode or {}).items() for y, c in img.items()})
+
+
+def _source_pass(alg: FinAlgebra, co: CoStructure, key, check):
+    """When alg, co are dual_weak_hopf(src, src_co), src is no dual, and
+    _is_transpose holds (asked once per (alg, co)): what check(src, src_co)
+    keeps in src.memo[src_co][key], running it if it has not run."""
+    memo = alg.memo.setdefault(co, {})
+    if "source" not in memo:
+        src, src_co = memo["source"] = alg.meta.get("dual_of", (None, None))
+        if src is None or "dual_of" in src.meta or not _is_transpose(alg, co, src, src_co):
+            memo["source"] = None
+    if memo["source"]:
+        src, src_co = memo["source"]
+        if key not in src.memo.setdefault(src_co, {}):
+            check(src, src_co)
+        return src.memo[src_co][key]
 
 
 def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
@@ -276,50 +316,68 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
     weakened unit axiom for delta^2(1), and the weakened counit axiom.
     Tuples whose sides are zero by construction are skipped, and sides are
     summed by bilinearity: the weak-unit sides one third-leg slice at a
-    time, and the weak-counit sides as rows of eps(ab)."""
+    time, and the weak-counit sides as rows of eps(ab).  On a certified
+    transpose (_source_pass) sides paired with x (x) y (x) z are those of
+    the source's check: [f, g] breaks multiplicativity where delta(xy) and
+    delta(x) delta(y) differ at f (x) g, and, if the source's counit law
+    holds, the weak unit (flipped) where eps((xy)z) and sum eps(x y1) eps(y2 z)
+    (sum eps(x y2) eps(y1 z)) differ."""
     if alg.unit is None:
         raise ValueError("weak bialgebra check needs a unit")
     F = alg.field
     rep = Report(f"weak bialgebra axioms ({alg.name or 'algebra'})")
     deltas = {x: co.delta_element({x: F.one}) for x in alg.basis}
 
-    # coassociativity and counit law, per basis label
+    def summed(terms):  # the terms (key, w), all w != 0, summed per key
+        out = dict(terms)
+        if len(out) < len(terms):  # a key repeats
+            out = {}
+            for key, w in terms:
+                acc(F, out, key, w)
+        return out
+
+    # coassociativity and counit law, per basis label.  A coefficient of
+    # delta(x) and a stored leg weight are nonzero, and so is their product
     for x in alg.basis:
-        e = {x: F.one}
-        delta_id, id_delta = {}, {}  # (delta x id) delta(x), (id x delta) delta(x)
-        for (a, b), c in deltas[x].items():
-            for a1, a2, w in co.delta.get(a, []):
-                acc(F, delta_id, (a1, a2, b), F.mul(c, w))
-            for b1, b2, w in co.delta.get(b, []):
-                acc(F, id_delta, (a, b1, b2), F.mul(c, w))
-        if delta_id != id_delta:
+        dx = deltas[x].items()
+        if (summed([((a1, a2, b), F.mul(c, w)) for (a, b), c in dx
+                    for a1, a2, w in co.delta.get(a, [])])
+                != summed([((a, b1, b2), F.mul(c, w)) for (a, b), c in dx
+                           for b1, b2, w in co.delta.get(b, [])])):
             rep.add("coassociativity", x)
 
         lhs, rhs = {}, {}
-        for (a, b), c in deltas[x].items():
+        for (a, b), c in dx:
             acc(F, lhs, b, F.mul(c, co.counit.get(a, F.zero)))
             acc(F, rhs, a, F.mul(c, co.counit.get(b, F.zero)))
-        if lhs != e or rhs != e:
+        if lhs != {x: F.one} or rhs != {x: F.one}:
             rep.add("counit-law", x)
 
     # delta(xy) == delta(x) delta(y), the sum of ac x bd over the legs (a, b)
     # of delta(x) and (c, d) of delta(y).  Only the y with xy != 0, or with
     # ac and bd both nonzero for some legs, can break the identity
     right, left = alg.right, alg.left
-    with_legs = {}
-    for y in alg.basis:
-        for cd, w in deltas[y].items():
-            with_legs.setdefault(cd, []).append((y, w))
-    for x in alg.basis:
-        prods = {y: {} for y in right.get(x, ())}
-        for (a, b), w in deltas[x].items():
-            for c, ac in right.get(a, {}).items():
-                for d, bd in right.get(b, {}).items():
-                    for y, w2 in with_legs.get((c, d), ()):
-                        acc_tensor(F, prods.setdefault(y, {}), F.mul(w, w2), ac, bd)
-        for y in sorted(prods, key=alg.index.get):
-            if co.delta_element(alg.basis_product(x, y)) != prods[y]:
-                rep.add("coproduct-multiplicative", [x, y])
+    source = _source_pass(alg, co, "weak bialgebra", check_weak_bialgebra)
+    if source is not None:
+        for f, g in sorted(source["coproduct-multiplicative"], key=alg._order):
+            rep.add("coproduct-multiplicative", [f, g])
+    else:
+        with_legs, coords = {}, set()
+        for y in alg.basis:
+            for cd, w in deltas[y].items():
+                with_legs.setdefault(cd, []).append((y, w))
+        for x in alg.basis:
+            prods = {y: {} for y in right.get(x, ())}
+            for (a, b), w in deltas[x].items():
+                for c, ac in right.get(a, {}).items():
+                    for d, bd in right.get(b, {}).items():
+                        for y, w2 in with_legs.get((c, d), ()):
+                            acc_tensor(F, prods.setdefault(y, {}), F.mul(w, w2), ac, bd)
+            for y in sorted(prods, key=alg.index.get):
+                lhs, rhs = co.delta_element(alg.basis_product(x, y)), prods[y]
+                if lhs != rhs:
+                    rep.add("coproduct-multiplicative", [x, y])
+                    coords.update(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
 
     # delta^2(1) == (delta(1) x 1)(1 x delta(1)) == (1 x delta(1))(delta(1) x 1),
     # one third leg t at a time.  Over the legs (a, b), (c, d) of delta(1) =
@@ -328,37 +386,40 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
     # sum H[d] x Q'_t d, with L[b], H[d] the sums of w (a1), w (1c) and Q_t,
     # Q'_t the sums of w (1d)_t c, w (b1)_t a; that of delta^2(1) is
     # delta(P_t).  Each distinct (P_t, Q_t, Q'_t) is compared once
-    one = alg.unit
-    d1 = co.delta_element(one)
-    labels = {lab for ab in d1 for lab in ab}
-    times_one = {lab: alg.multiply({lab: F.one}, one) for lab in labels}
-    one_times = {lab: alg.multiply(one, {lab: F.one}) for lab in labels}
-    L, H, P, Q, Q_flip = {}, {}, {}, {}, {}
-    for (a, b), w in d1.items():
-        el_addto(F, L.setdefault(b, {}), w, times_one[a])
-        el_addto(F, H.setdefault(b, {}), w, one_times[a])
-        P.setdefault(b, {})[a] = w
-        for slices, b_side in ((Q, one_times[b]), (Q_flip, times_one[b])):
-            for t, v in b_side.items():
-                acc(F, slices.setdefault(t, {}), a, F.mul(w, v))
+    if source is not None and source["counit-law"]:
+        unit_ok, flipped_ok = source["weak-unit"], source["weak-unit-flipped"]
+    else:
+        one = alg.unit
+        d1 = co.delta_element(one)
+        labels = {lab for ab in d1 for lab in ab}
+        times_one = {lab: alg.multiply({lab: F.one}, one) for lab in labels}
+        one_times = {lab: alg.multiply(one, {lab: F.one}) for lab in labels}
+        L, H, P, Q, Q_flip = {}, {}, {}, {}, {}
+        for (a, b), w in d1.items():
+            el_addto(F, L.setdefault(b, {}), w, times_one[a])
+            el_addto(F, H.setdefault(b, {}), w, one_times[a])
+            P.setdefault(b, {})[a] = w
+            for slices, b_side in ((Q, one_times[b]), (Q_flip, times_one[b])):
+                for t, v in b_side.items():
+                    acc(F, slices.setdefault(t, {}), a, F.mul(w, v))
 
-    def sliced(outer, q, prods):  # sum outer[b] x (sum q[c] prods[c][b])
-        inner, out = {}, {}
-        for c, v in q.items():
-            for b, prod in prods.get(c, {}).items():
-                if b in outer:
-                    el_addto(F, inner.setdefault(b, {}), v, prod)
-        for b, ib in inner.items():
-            acc_tensor(F, out, F.one, outer[b], ib)
-        return out
+        def sliced(outer, q, prods):  # sum outer[b] x (sum q[c] prods[c][b])
+            inner, out = {}, {}
+            for c, v in q.items():
+                for b, prod in prods.get(c, {}).items():
+                    if b in outer:
+                        el_addto(F, inner.setdefault(b, {}), v, prod)
+            for b, ib in inner.items():
+                acc_tensor(F, out, F.one, outer[b], ib)
+            return out
 
-    distinct = dict.fromkeys(tuple(frozenset(s.get(t, {}).items()) for s in (P, Q, Q_flip))
-                             for t in {**P, **Q, **Q_flip})
-    unit_ok = flipped_ok = True
-    for p, q, q_flip in distinct:
-        dp = co.delta_element(dict(p))
-        unit_ok = unit_ok and sliced(L, dict(q), left) == dp
-        flipped_ok = flipped_ok and sliced(H, dict(q_flip), right) == dp
+        distinct = dict.fromkeys(tuple(frozenset(s.get(t, {}).items()) for s in (P, Q, Q_flip))
+                                 for t in {**P, **Q, **Q_flip})
+        unit_ok = flipped_ok = True
+        for p, q, q_flip in distinct:
+            dp = co.delta_element(dict(p))
+            unit_ok = unit_ok and sliced(L, dict(q), left) == dp
+            flipped_ok = flipped_ok and sliced(H, dict(q_flip), right) == dp
     if not unit_ok:
         rep.add("weak-unit", "delta^2(1)",
                 "(delta(1) x 1)(1 x delta(1)) differs from delta^2(1)")
@@ -378,6 +439,7 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
                 eps.setdefault(a, {})[b] = v
                 eps_left.setdefault(b, set()).add(a)
 
+    mid_ok = flip_ok = True
     for y in alg.basis:
         dy = co.delta.get(y, [])
         xs = set(left.get(y, ()))
@@ -395,11 +457,16 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
             mid, mid_flip = el_apply(F, eps, mid), el_apply(F, eps, mid_flip)
             if lhs == mid == mid_flip:
                 continue
+            mid_ok, flip_ok = mid_ok and lhs == mid, flip_ok and lhs == mid_flip
             for z in sorted({*lhs, *mid, *mid_flip}, key=alg.index.get):
                 v = lhs.get(z, F.zero)
                 if v != mid.get(z, F.zero) or v != mid_flip.get(z, F.zero):
                     rep.add("weak-counit", [x, y, z])
 
+    if source is None:  # read off by the checks of a transpose
+        alg.memo[co]["weak bialgebra"] = {
+            "coproduct-multiplicative": coords, "weak-unit": mid_ok, "weak-unit-flipped": flip_ok,
+            "counit-law": "counit-law" not in rep.checks_failed()}
     rep.info["dim"] = alg.dim
     return rep
 
@@ -407,13 +474,23 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
 def check_antipode(alg: FinAlgebra, co: CoStructure) -> Report:
     """The three antipode identities, exhaustively over basis labels.
     S(x1) x2 is formed once per label, and S(x1) x2 S(x3) is read off it
-    as the sum of w S(p1) p2 S(c) over the legs (p, c) of delta(x)."""
+    as the sum of w S(p1) p2 S(c) over the legs (p, c) of delta(x).  Each
+    identity is Phi == Psi, and the transposes of Phi, Psi are the maps of
+    the same identity on the transpose (eps_t, eps_s and (delta x id) delta
+    map to themselves), so on a certified transpose (_source_pass) f fails
+    it where the source's check finds [Phi(x)]_f != [Psi(x)]_f."""
     if alg.unit is None:
         raise ValueError("antipode check needs a unit")
     if co.antipode is None:
         raise ValueError("no antipode table")
     F = alg.field
     rep = Report(f"antipode axioms ({alg.name or 'algebra'})")
+    source = _source_pass(alg, co, "antipode", check_antipode)
+    if source is not None:
+        for x in alg.basis:
+            for check in (c for c in ANTIPODE_CHECKS if x in source[c]):
+                rep.add(check, x)
+        return rep
     right, left = alg.right, alg.left
     by_first, by_second = {}, {}  # the legs (a, b) of delta(1) by a and by b
     for (a, b), w in co.delta_element(alg.unit).items():
@@ -431,6 +508,7 @@ def check_antipode(alg: FinAlgebra, co: CoStructure) -> Report:
             el_addto(F, out, c, alg.multiply(S(a), {b: F.one}))
         return out
 
+    rows = alg.memo[co]["antipode"] = {check: set() for check in ANTIPODE_CHECKS}
     for x in alg.basis:
         dx = co.delta_element({x: F.one})
 
@@ -444,18 +522,17 @@ def check_antipode(alg: FinAlgebra, co: CoStructure) -> Report:
                 eps = co.counit_element(ax)
                 for b, c in legs.get(a, ()):
                     acc(F, out, b, F.mul(c, eps))
-        if left_l != left_r:
-            rep.add("antipode-left", x)
-        if S_times(x) != right_r:
-            rep.add("antipode-right", x)
 
         # S(x1) x2 S(x3) == S(x), with x1 x x2 x x3 = (delta x id) delta(x)
-        lhs = {}
+        sandwich = {}
         for (p, c), w in dx.items():
-            el_addto(F, lhs, w, alg.multiply(S_times(p), S(c)))
-        if lhs != S(x):
-            rep.add("antipode-sandwich", x)
+            el_addto(F, sandwich, w, alg.multiply(S_times(p), S(c)))
 
+        for check, lhs, rhs in zip(ANTIPODE_CHECKS, (left_l, S_times(x), sandwich),
+                                   (left_r, right_r, S(x))):
+            if lhs != rhs:
+                rep.add(check, x)
+                rows[check].update(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
     return rep
 
 

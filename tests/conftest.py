@@ -1,9 +1,46 @@
 import pytest
 
 from weakhopf.duality import VerificationContext
+from weakhopf.groupoid import Groupoid, GroupoidError, Morphism
 from weakhopf.instances import builtin_doc, builtin_instance, groupoid_to_doc
 
 _CACHE = {}
+
+
+def pair_groupoid(n: int) -> Groupoid:
+    """Objects 1..n with exactly one morphism between any two of them."""
+    if n < 1:
+        raise GroupoidError("pair groupoid needs at least one object")
+    objects = [f"o{i}" for i in range(1, n + 1)]
+
+    def mid(i, j):
+        return f"o{i}" if i == j else f"m{i}_{j}"
+
+    morphs = []
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            morphs.append(Morphism(mid(i, j), f"o{i}", f"o{j}", mid(j, i)))
+    comp = {}
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for k in range(1, n + 1):
+                comp[(mid(i, j), mid(j, k))] = mid(i, k)
+    return Groupoid(objects, morphs, comp)
+
+
+def disjoint_union(g1: Groupoid, g2: Groupoid) -> Groupoid:
+    """Side-by-side union; nothing composes across the two pieces."""
+    def tag(prefix, x):
+        return f"{prefix}.{x}"
+
+    objects = [tag("l", e) for e in g1.objects] + [tag("r", e) for e in g2.objects]
+    morphs = [Morphism(tag("l", m.id), tag("l", m.src), tag("l", m.tgt), tag("l", m.inv))
+              for m in g1.morphisms]
+    morphs += [Morphism(tag("r", m.id), tag("r", m.src), tag("r", m.tgt), tag("r", m.inv))
+               for m in g2.morphisms]
+    comp = {(tag("l", a), tag("l", b)): tag("l", c) for (a, b), c in g1.comp.items()}
+    comp.update({(tag("r", a), tag("r", b)): tag("r", c) for (a, b), c in g2.comp.items()})
+    return Groupoid(objects, morphs, comp)
 
 
 def groupoid_doc(g, name, field=None, k=1):
@@ -104,13 +141,11 @@ def m2_doc(g, name, field=None):
 
 def m2_pair2_doc():
     """m2_doc on the pair groupoid with two objects, over Q."""
-    from weakhopf.groupoid import pair_groupoid
     return m2_doc(pair_groupoid(2), "m2-pair2")
 
 
 def wrong_composition_doc(n):
     """pair(n) with m1_2 * m2_1 (n == 2) or m1_2 * m2_3 (n >= 3) sent to m1_2."""
-    from weakhopf.groupoid import pair_groupoid
     doc = groupoid_doc(pair_groupoid(n), f"pair{n}-wrong")
     last = "m2_1" if n == 2 else "m2_3"
     for entry in doc["groupoid"]["composition"]:

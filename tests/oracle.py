@@ -634,7 +634,7 @@ def dual_weak_hopf(alg: FinAlgebra, co: CoStructure):
             antipode[x] = img
 
     dual = table_algebra(F, basis, mul, unit, name=f"{alg.name}*",
-                         meta={"dual_of": alg})
+                         meta={"dual_of": (alg, co)})
     return dual, CoStructure(F, delta, counit, antipode)
 
 

@@ -7,14 +7,13 @@ import time
 
 import pytest
 
-from conftest import context, skew_ring
+from conftest import context, disjoint_union, pair_groupoid, skew_ring
 from oracle import flatten, rank
 from oracle import sparse_subspace_equal as subspace_equal, stratum_vectors
 from weakhopf.cli import main
 from weakhopf.duality import KERNEL_STRATA, UNCLASSIFIED
 from weakhopf.exactmath import QQ
-from weakhopf.groupoid import (builtin_i2, cyclic_group, disjoint_union,
-                               pair_groupoid, validate_groupoid)
+from weakhopf.groupoid import builtin_i2, cyclic_group, validate_groupoid
 from weakhopf.walg import (check_antipode, check_weak_bialgebra,
                            dual_weak_hopf, groupoid_algebra)
 

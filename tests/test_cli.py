@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from weakhopf.cli import main
 from weakhopf.instances import (BUILTIN_NAMES, builtin_doc, builtin_instance,
-                                dump_instance, load_instance, parse_instance)
+                                load_instance, parse_instance)
 
 
 @pytest.fixture(autouse=True)
@@ -18,7 +18,8 @@ def test_builtin_roundtrip(tmp_path):
     for name in BUILTIN_NAMES:
         inst = builtin_instance(name)
         path = tmp_path / f"{name}.json"
-        path.write_text(dump_instance(inst), encoding="utf-8")
+        path.write_text(json.dumps(inst.to_doc(), indent=2, sort_keys=True) + "\n",
+                        encoding="utf-8")
         again = load_instance(path)
         assert again.digest() == inst.digest()
         assert again.name == inst.name
@@ -212,7 +213,7 @@ def test_reports_are_byte_identical_across_hash_seeds(tmp_path):
     import subprocess
     import sys
     from conftest import groupoid_doc, m2_doc
-    from weakhopf.groupoid import pair_groupoid
+    from conftest import pair_groupoid
     wrong = groupoid_doc(pair_groupoid(3), "pair3", {"kind": "prime", "p": 2**31 - 1})
     for entry in wrong["groupoid"]["composition"]:
         if entry[:2] == ["m1_2", "m2_3"]:
@@ -247,6 +248,19 @@ def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == f"error: cannot write {path}: No such file or directory\n"
     assert not missing.exists()
+
+
+def test_unwritable_report_path_fails_before_verification(tmp_path, capsys, monkeypatch):
+    # the --json path is tried before the verification context is built,
+    # so a path that cannot be written costs no verification work
+    import weakhopf.cli
+
+    def refuse(inst):
+        raise AssertionError("verification ran for an unwritable --json path")
+    monkeypatch.setattr(weakhopf.cli, "VerificationContext", refuse)
+    path = tmp_path / "no-such-dir" / "r.json"
+    assert main(["verify", "z2-trivial", "--json", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {path}: No such file or directory\n")
 
 
 def _schema_breaks():
@@ -352,7 +366,8 @@ def test_schema_errors_exit_2_with_one_line(case, tmp_path, capsys):
 @pytest.mark.parametrize("name", ["z12", "pair4"])
 def test_larger_groupoids_pass_hopf_check_and_validate(name, tmp_path, capsys):
     from conftest import groupoid_doc
-    from weakhopf.groupoid import cyclic_group, pair_groupoid
+    from conftest import pair_groupoid
+    from weakhopf.groupoid import cyclic_group
     g = cyclic_group(12) if name == "z12" else pair_groupoid(4)
     p = tmp_path / f"{name}.json"
     p.write_text(json.dumps(groupoid_doc(g, name)), encoding="utf-8")

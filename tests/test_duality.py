@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import disjoint_union, pair_groupoid
 from oracle import sparse_subspace_equal as subspace_equal, stratum_vectors
 from weakhopf.duality import (COMPLEMENT_STRATA, IMAGE_STRATA, KERNEL_STRATA,
                               UNCLASSIFIED, UNITAL_STRATA, VerificationContext,
                               classify, label_str,
                               phi_is_homomorphism, right_linearity, LinearMapRep)
-from weakhopf.groupoid import builtin_i2, cyclic_group, disjoint_union, pair_groupoid
+from weakhopf.groupoid import builtin_i2, cyclic_group
 from weakhopf.instances import builtin_doc, parse_instance
 
 one = Fraction(1)
@@ -46,7 +47,6 @@ def test_classify_kernel_vectors():
 
 def test_classify_unreachable_component_is_a4():
     # disjoint union: nothing maps from the left piece into the right one
-    from weakhopf.groupoid import disjoint_union
     g = disjoint_union(cyclic_group(2), builtin_i2())
     assert classify(g, "r.x", "l.a", "l.a", False) == "A4"
 
@@ -318,7 +318,6 @@ def _assert_kernel_and_image_match_oracle(ctx):
 
 def _generated(name):
     from conftest import groupoid_doc
-    from weakhopf.groupoid import disjoint_union, pair_groupoid
     g = {"pair2": pair_groupoid(2), "z3": cyclic_group(3),
          "pair2+z3": disjoint_union(pair_groupoid(2), cyclic_group(3))}[name]
     return VerificationContext(parse_instance(groupoid_doc(g, name)))
@@ -364,7 +363,6 @@ def test_kernel_ideal_witnesses_equal_all_labels_oracle(name):
 def test_kernel_ideal_witnesses_equal_oracle_on_broken_composition():
     import oracle
     from conftest import groupoid_doc, spurious_i2_doc
-    from weakhopf.groupoid import pair_groupoid
     wrong = groupoid_doc(pair_groupoid(2), "wrong")
     for entry in wrong["groupoid"]["composition"]:
         if entry[:2] == ["m1_2", "m2_1"]:

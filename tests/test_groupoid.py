@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from conftest import disjoint_union, pair_groupoid
 from weakhopf.groupoid import (Groupoid, GroupoidError, Morphism, builtin_i2,
-                               cyclic_group, disjoint_union, from_group,
-                               pair_groupoid, validate_groupoid)
+                               cyclic_group, from_group, validate_groupoid)
 
 
 def test_single_object_valid():

@@ -3,11 +3,11 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import skew_ring
+from conftest import disjoint_union, pair_groupoid, skew_ring
 from weakhopf.action import DfapAction
 from weakhopf.duality import VerificationContext
 from weakhopf.exactmath import QQ
-from weakhopf.groupoid import builtin_i2, cyclic_group, disjoint_union, pair_groupoid
+from weakhopf.groupoid import builtin_i2, cyclic_group
 from weakhopf.instances import parse_instance
 from weakhopf.smash import find_unit
 

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from conftest import disjoint_union, pair_groupoid
 from weakhopf.exactmath import QQ, PrimeField
-from weakhopf.groupoid import builtin_i2, cyclic_group, disjoint_union, pair_groupoid
+from weakhopf.groupoid import builtin_i2, cyclic_group
 from weakhopf.walg import (CoStructure, check_antipode, check_weak_bialgebra,
                            dual_weak_hopf, el_apply, groupoid_algebra, target_counit)
 
@@ -267,24 +268,29 @@ def test_checkers_equal_oracle_on_generated_groupoids(g, field):
     assert inst.algebra.associativity_violations() == oracle.associativity_violations(inst.algebra)
 
 
-def _sabotaged_i2(edits, field=QQ):
-    """KG of i2 with table entries replaced, as (algebra, costructure); each
-    edit is (table, key, entry)."""
-    alg, co = groupoid_algebra(field, builtin_i2())
+def _edited(alg, co, edits):
+    """(alg, co) with table entries replaced, name and meta kept; each edit
+    is (table, key, entry)."""
     mul, delta, unit = dict(alg.mul), dict(co.delta), dict(alg.unit)
     counit, antipode = dict(co.counit), dict(co.antipode)
     tables = {"mul": mul, "delta": delta, "counit": counit,
               "antipode": antipode, "unit": unit}
     for table, key, entry in edits:
         tables[table][key] = entry
-    return (oracle.table_algebra(field, alg.basis, mul, unit, name="KG"),
-            CoStructure(field, delta, counit, antipode))
+    return (oracle.table_algebra(alg.field, alg.basis, mul, unit, alg.name, alg.meta),
+            CoStructure(alg.field, delta, counit, antipode))
 
 
-def _sabotage(check, *edits, p=None, name=None):
+def _sabotaged_i2(edits, field=QQ):
+    """KG of i2 with table entries replaced, as (algebra, costructure)."""
+    return _edited(*groupoid_algebra(field, builtin_i2()), edits)
+
+
+def _sabotage(check, *edits, p=None, name=None, dual=False):
     """A case for the test below: KG of i2 over Q, or over GF(p), with the
-    edits applied; check is a check the oracle reports on it."""
-    return pytest.param(check, edits, p, id=name or check)
+    edits applied; check is a check the oracle reports on it, or with dual
+    on its dual weak Hopf algebra."""
+    return pytest.param(check, edits, p, dual, id=name or check)
 
 
 SABOTAGES = [
@@ -324,14 +330,45 @@ SABOTAGES = [
     # finding must come first, as in the oracle
     _sabotage("antipode-sandwich", ("mul", ("y", "gi"), {"y": 2 * one}),
               name="sandwich-before-left"),
+    # the dual's checks read these verdicts off the pass of KG's.  delta(x)
+    # = 2 x x x - x x y - y x x + y x y keeps the counit law; the dual's
+    # pairs [f, g] are coordinates of delta(xy), not KG's pairs [x, y]
+    _sabotage("coproduct-multiplicative",
+              ("delta", "x", [("x", "x", 2 * one), ("x", "y", -one), ("y", "x", -one),
+                              ("y", "y", one)]), dual=True, name="dual-coproduct-multiplicative"),
+    # delta(x) = x x g - y x g + y x x keeps the counit law and breaks
+    # only the dual's weak unit, g x x - g x y + x x y only its flip
+    _sabotage("weak-unit", ("delta", "x", [("x", "g", one), ("y", "g", -one), ("y", "x", one)]),
+              dual=True, name="dual-weak-unit"),
+    _sabotage("weak-unit-flipped",
+              ("delta", "x", [("g", "x", one), ("g", "y", -one), ("x", "y", one)]),
+              dual=True, name="dual-weak-unit-flipped"),
+    # delta(g) = x x g breaks KG's counit law, so the dual's unit is no
+    # unit: both weak-unit checks fail there, while KG's weak counit,
+    # compared with eps(x y1) eps(y2 z) and no unit, only flags the flip
+    _sabotage("weak-unit", ("delta", "g", [("x", "g", one)]),
+              dual=True, name="dual-weak-unit-without-counit-law"),
+    # S(x) = x + g, x + gi, x + y: each breaks one identity of KG, and the
+    # dual's labels are the rows where the two sides differ, not KG's
+    _sabotage("antipode-left", ("antipode", "x", {"x": one, "g": one}),
+              dual=True, name="dual-antipode-left"),
+    _sabotage("antipode-right", ("antipode", "x", {"x": one, "gi": one}),
+              dual=True, name="dual-antipode-right"),
+    _sabotage("antipode-sandwich", ("antipode", "x", {"x": one, "y": one}),
+              dual=True, name="dual-antipode-sandwich"),
 ]
 
 
-@pytest.mark.parametrize("check,edits,p", SABOTAGES)
-def test_sabotaged_table_is_caught_as_the_oracle_catches_it(check, edits, p):
+@pytest.mark.parametrize("check,edits,p,dual", SABOTAGES)
+def test_sabotaged_table_is_caught_as_the_oracle_catches_it(check, edits, p, dual):
     alg, co = _sabotaged_i2(edits, QQ if p is None else PrimeField(p))
     assert_checks_match_oracle(alg, co)
     assert_dual_matches_oracle(alg, co)
+    if dual:
+        ref = oracle.dual_weak_hopf(alg, co)
+        alg, co = dual_weak_hopf(alg, co)
+        assert (_axiom_findings(check_weak_bialgebra, check_antipode, alg, co)
+                == _axiom_findings(oracle.check_weak_bialgebra, oracle.check_antipode, *ref))
     rep = check_weak_bialgebra(alg, co)
     rep.merge(check_antipode(alg, co))
     failed = rep.checks_failed() + (["associativity"] if alg.associativity_violations() else [])
@@ -363,6 +400,36 @@ def test_weak_bialgebra_check_on_kgstar_of_z12_makes_few_acc_calls(monkeypatch):
     assert len(calls) < 6000
 
 
+@pytest.mark.parametrize("edit", [("mul", ("g", "g"), {"g": 2 * one}),
+                                  ("delta", "g", [("g", "y", one)]), ("counit", "x", 2 * one),
+                                  ("unit", "g", 2 * one), ("antipode", "g", {"g": one})],
+                         ids=["mul", "delta", "counit", "unit", "antipode"])
+def test_certificate_rejects_a_tampered_transpose(edit):
+    # KG*'s tables edited after dual_weak_hopf, which it still names as its
+    # source: the certificate must fail and the checks run directly, since
+    # KG's pass says nothing of the edit
+    kg, kg_co = groupoid_algebra(QQ, builtin_i2())
+    dual, dual_co = _edited(*dual_weak_hopf(kg, kg_co), [edit])
+    assert (_axiom_findings(check_weak_bialgebra, check_antipode, dual, dual_co)
+            == _axiom_findings(oracle.check_weak_bialgebra, oracle.check_antipode, dual, dual_co))
+    assert dual.meta["dual_of"] == (kg, kg_co) and dual.memo[dual_co]["source"] is None
+
+
+def test_kgstar_check_after_kg_on_z12_makes_few_acc_calls(monkeypatch):
+    # after KG's check, KG*'s reads multiplicativity and the weak unit off
+    # KG's pass, and each side of coassociativity, 12 * 144 terms with
+    # distinct keys, is one dict: only the counit law and the weak counit
+    # call acc, 612 times.  Summing everything through acc took 5,400
+    from weakhopf import walg
+    kg, kg_co = groupoid_algebra(QQ, cyclic_group(12))
+    kgstar, co = dual_weak_hopf(kg, kg_co)
+    assert check_weak_bialgebra(kg, kg_co).ok
+    calls, acc = [], walg.acc
+    monkeypatch.setattr(walg, "acc", lambda *args: calls.append(None) or acc(*args))
+    assert check_weak_bialgebra(kgstar, co).ok
+    assert len(calls) < 1000
+
+
 def test_weak_unit_multiplies_each_leg_by_the_unit_on_its_own_side():
     # unit y and a leg y x g added to delta(y): g1 == g but 1g == 0, so
     # reading 1g as g1 would hide the weak-unit failure the oracle reports
@@ -374,14 +441,10 @@ def test_weak_unit_multiplies_each_leg_by_the_unit_on_its_own_side():
     assert "weak-unit" in check_weak_bialgebra(bad, bad_co).checks_failed()
 
 
-@given(st.sampled_from([builtin_i2(), cyclic_group(3), pair_groupoid(2)]),
-       st.booleans(), st.sampled_from(["mul", "delta", "counit", "antipode", "unit"]),
-       st.sampled_from([QQ, PrimeField(3)]), st.data())
-@settings(max_examples=60, deadline=None)
-def test_checkers_equal_oracle_on_random_sabotage(g, dual, table, field, data):
-    alg, co = groupoid_algebra(field, g)
-    if dual:
-        alg, co = dual_weak_hopf(alg, co)
+def _random_sabotage(pair, table, field, data):
+    """pair with one entry of one table replaced by drawn labels and
+    scalars, the unit kept as a (possibly changed) element."""
+    alg, co = pair
     labels = st.sampled_from(alg.basis)
     scalar = st.sampled_from([field.parse(v) for v in ("-1", "0", "1", "2")])
     element = st.dictionaries(labels, scalar, max_size=2)
@@ -397,7 +460,35 @@ def test_checkers_equal_oracle_on_random_sabotage(g, dual, table, field, data):
         unit[data.draw(labels)] = data.draw(scalar)
     else:
         antipode[data.draw(labels)] = data.draw(element)
-    bad = oracle.table_algebra(field, alg.basis, mul, unit, name=alg.name)
-    bad_co = CoStructure(field, delta, counit, antipode)
+    return (oracle.table_algebra(field, alg.basis, mul, unit, name=alg.name),
+            CoStructure(field, delta, counit, antipode))
+
+
+@given(st.sampled_from([builtin_i2(), cyclic_group(3), pair_groupoid(2)]),
+       st.booleans(), st.sampled_from(["mul", "delta", "counit", "antipode", "unit"]),
+       st.sampled_from([QQ, PrimeField(3)]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_checkers_equal_oracle_on_random_sabotage(g, dual, table, field, data):
+    alg, co = groupoid_algebra(field, g)
+    if dual:
+        alg, co = dual_weak_hopf(alg, co)
+    bad, bad_co = _random_sabotage((alg, co), table, field, data)
     assert_checks_match_oracle(bad, bad_co)
     assert_dual_matches_oracle(bad, bad_co)
+
+
+@given(st.sampled_from([builtin_i2(), cyclic_group(3), pair_groupoid(2)]),
+       st.sampled_from(["mul", "delta", "counit", "antipode", "unit"]),
+       st.sampled_from([QQ, PrimeField(3)]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_transpose_read_offs_equal_oracle_on_random_sabotage(g, table, field, data):
+    # the checks of dual_weak_hopf(bad, bad_co) certify it as bad's exact
+    # transpose and read their verdicts off bad's pass, run before or inside
+    bad, bad_co = _random_sabotage(groupoid_algebra(field, g), table, field, data)
+    dual, dual_co = dual_weak_hopf(bad, bad_co)
+    if data.draw(st.booleans()):
+        _axiom_findings(check_weak_bialgebra, check_antipode, bad, bad_co)
+    assert (_axiom_findings(check_weak_bialgebra, check_antipode, dual, dual_co)
+            == _axiom_findings(oracle.check_weak_bialgebra, oracle.check_antipode,
+                               *oracle.dual_weak_hopf(bad, bad_co)))
+    assert dual.memo[dual_co]["source"] == (bad, bad_co)
