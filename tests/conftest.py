@@ -144,13 +144,31 @@ def m2_pair2_doc():
     return m2_doc(pair_groupoid(2), "m2-pair2")
 
 
-def wrong_composition_doc(n):
+def wrong_composition_doc(n, field=None):
     """pair(n) with m1_2 * m2_1 (n == 2) or m1_2 * m2_3 (n >= 3) sent to m1_2."""
-    doc = groupoid_doc(pair_groupoid(n), f"pair{n}-wrong")
+    doc = groupoid_doc(pair_groupoid(n), f"pair{n}-wrong", field)
     last = "m2_1" if n == 2 else "m2_3"
     for entry in doc["groupoid"]["composition"]:
         if entry[:2] == ["m1_2", last]:
             entry[2] = "m1_2"
+    return doc
+
+
+def wrong_composition_pair3_doc():
+    """The wrong-composition instance of the broken-gfp benchmark workload,
+    up to names: pair(3) over GF(2^31 - 1) with m1_2 * m2_3 declared as m1_2,
+    which breaks KG's weak counit and KG*'s coassociativity and weak unit."""
+    doc = wrong_composition_doc(3, {"kind": "prime", "p": 2**31 - 1})
+    doc["name"] = "wrong-composition-pair3"
+    return doc
+
+
+def missing_composition_z2_doc():
+    """Z/2 over GF(2^31 - 1) with the entry a * a left out of the table:
+    all three antipode identities fail on KG and on KG*."""
+    from weakhopf.groupoid import cyclic_group
+    doc = groupoid_doc(cyclic_group(2), "missing-composition-z2", {"kind": "prime", "p": 2**31 - 1})
+    doc["groupoid"]["composition"].remove(["a", "a", "e"])
     return doc
 
 

@@ -3,8 +3,9 @@
 the spurious-entry i2, the half-unit Z/2 (a rational instance with
 non-integral scalars), Z/4 acting regularly (unital smash products
 over a B that is not the field) and the pair groupoid with two objects
-acting on a sum of M_2 blocks (a non-commutative B), compared byte for
-byte.
+acting on a sum of M_2 blocks (a non-commutative B), and two broken
+groupoids whose KG and KG* fail weak-Hopf axioms (pair(3) with a wrong
+product, Z/2 with a missing one), compared byte for byte.
 
 A change that alters these outputs on purpose regenerates them with
 
@@ -24,9 +25,12 @@ import pytest
 
 GOLDEN = Path(__file__).parent / "golden"
 TARGETS = ("z2-trivial", "z3-trivial", "i2-swap", "ex2.8", "ex2.8-gf2", "spurious-i2",
-           "half-unit-z2", "z4-regular", "m2-pair2")
+           "half-unit-z2", "z4-regular", "m2-pair2", "wrong-composition-pair3",
+           "missing-composition-z2")
 DOCUMENTS = {"spurious-i2": "spurious_i2_doc", "half-unit-z2": "half_unit_z2_doc",
-             "z4-regular": "z4_regular_doc", "m2-pair2": "m2_pair2_doc"}
+             "z4-regular": "z4_regular_doc", "m2-pair2": "m2_pair2_doc",
+             "wrong-composition-pair3": "wrong_composition_pair3_doc",
+             "missing-composition-z2": "missing_composition_z2_doc"}
 
 
 def render(target, workdir):
