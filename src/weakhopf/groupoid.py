@@ -87,13 +87,6 @@ class Groupoid:
     def composable(self, a, b) -> bool:
         return self.tgt(a) == self.src(b)
 
-    def compose(self, a, b):
-        """Product per the table; None when tgt(a) != src(b), whatever a
-        spurious table entry says (the validator reports those)."""
-        if not self.composable(a, b):
-            return None
-        return self.comp.get((a, b))
-
     def hom(self, e, f):
         """Morphisms with src e and tgt f, in declaration order."""
         return [m for m in self.leaving.get(e, ()) if self.tgt(m) == f]

@@ -8,6 +8,7 @@ el_apply evaluates every map given by basis images; at {k: one} it
 returns the stored image, which callers only read.
 """
 
+from collections import Counter
 from functools import cache, cached_property
 
 from .report import Report
@@ -33,6 +34,16 @@ def el_addto(field, out: dict, c, a: dict):
     if c != field.zero:
         for k, v in a.items():
             acc(field, out, k, field.mul(c, v))
+
+
+def _summed(field, terms):
+    """The terms (key, w), all w != 0, summed per key."""
+    out = dict(terms)
+    if len(out) < len(terms):  # a key repeats
+        out = {}
+        for key, w in terms:
+            acc(field, out, key, w)
+    return out
 
 
 def el_apply(field, images: dict, x: dict) -> dict:
@@ -282,7 +293,7 @@ def _is_transpose(alg: FinAlgebra, co: CoStructure, src: FinAlgebra, src_co: CoS
     def entries(a, c):  # {(l, r, x): [lr]_x}, {(l, r, x): [delta(x)]_(l, r)}
         return ({(l, r, x): w for l, row in a.right.items() for r, p in row.items()
                  for x, w in p.items()},
-                {(l, r, x): w for x in basis for (l, r), w in c.delta_element({x: F.one}).items()})
+                _summed(F, [((l, r, x), w) for x in basis for l, r, w in c.delta.get(x, [])]))
 
     (mul, delta), (mul_t, delta_t) = entries(src, src_co), entries(alg, co)
     s = {(x, y): c for y in basis for x, c in (src_co.antipode or {}).get(y, {}).items()}
@@ -310,6 +321,51 @@ def _source_pass(alg: FinAlgebra, co: CoStructure, key, check):
         return src.memo[src_co][key]
 
 
+def _groupoid_pass(alg: FinAlgebra, co: CoStructure):
+    """(g, P, L) when alg, co are groupoid_algebra(alg.field, g) for g =
+    alg.meta["groupoid"] (asked once per (alg, co)), else None: P[a] = {b: ab}
+    is g's composition index and L = alg.left its transpose."""
+    memo = alg.memo.setdefault(co, {})
+    if "groupoid" not in memo:
+        g, memo["groupoid"] = alg.meta.get("groupoid"), None
+        if g is not None:
+            kg, kg_co = groupoid_algebra(alg.field, g)
+            if (alg.basis, alg.right, alg.unit, vars(co)) == (kg.basis, kg.right, kg.unit, vars(kg_co)):
+                memo["groupoid"] = g, {a: dict(row) for a, row in g.after.items()}, alg.left
+    return memo["groupoid"]
+
+
+def _objects_orthogonal(g, P, L):
+    """Whether ef = [e = f] e for all objects e, f."""
+    objs = set(g.objects)
+    return all({f: ef for f, ef in P[e].items() if f in objs} == {e: e} for e in objs)
+
+
+def _kg_weak_counit(alg, g, P, L):
+    """[x, y, z] breaks KG's weak counit where xy = w and z is a key of
+    exactly one of P[w] and P[y]."""
+    return [[x, y, z] for y in alg.basis for x in sorted(L.get(y, ()), key=alg.index.get)
+            for z in sorted(P[P[x][y]].keys() ^ P[y].keys(), key=alg.index.get)]
+
+
+def _kgstar_coalgebra_holds(g, P, L):
+    """Whether KG* is coassociative, {(a, b, c): (ab)c = x} == {(a, b, c):
+    a(bc) = x} for every x: each (ab)c equals its a(bc), and there are as
+    many of the first as of the second; and counital: the pairs (b, eb)
+    and (a, ae), e an object, are the pairs (x, x), each once."""
+    walked = 0
+    for row in P.values():
+        for b, ab in row.items():
+            Pb, walked = P[b], walked + len(P[ab])
+            for c, x in P[ab].items():
+                if row.get(Pb.get(c)) != x:
+                    return False
+    diagonal = Counter((x, x) for x in P)
+    return (walked == sum(len(L.get(bc, ())) for row in P.values() for bc in row.values())
+            and Counter((b, eb) for e in g.objects for b, eb in P[e].items()) == diagonal
+            and Counter((a, P[a][e]) for e in g.objects for a in L.get(e, ())) == diagonal)
+
+
 def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
     """Exhaustive check of the weak bialgebra axioms over basis tuples:
     coassociativity, the counit law, multiplicativity of the coproduct, the
@@ -321,48 +377,47 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
     the source's check: [f, g] breaks multiplicativity where delta(xy) and
     delta(x) delta(y) differ at f (x) g, and, if the source's counit law
     holds, the weak unit (flipped) where eps((xy)z) and sum eps(x y1) eps(y2 z)
-    (sum eps(x y2) eps(y1 z)) differ."""
+    (sum eps(x y2) eps(y1 z)) differ.  On a certified KG (_groupoid_pass),
+    with delta(x) = x (x) x, only the weak unit and counit can fail: the
+    weak counit is read off the composition index, and the weak unit holds
+    if the objects are orthogonal idempotents.  On its certified transpose
+    a check the index shows to hold everywhere is skipped."""
     if alg.unit is None:
         raise ValueError("weak bialgebra check needs a unit")
     F = alg.field
     rep = Report(f"weak bialgebra axioms ({alg.name or 'algebra'})")
-    deltas = {x: co.delta_element({x: F.one}) for x in alg.basis}
-
-    def summed(terms):  # the terms (key, w), all w != 0, summed per key
-        out = dict(terms)
-        if len(out) < len(terms):  # a key repeats
-            out = {}
-            for key, w in terms:
-                acc(F, out, key, w)
-        return out
+    source = _source_pass(alg, co, "weak bialgebra", check_weak_bialgebra)
+    kg = _groupoid_pass(alg, co)
+    dual = source is not None and _groupoid_pass(*alg.memo[co]["source"])
 
     # coassociativity and counit law, per basis label.  A coefficient of
     # delta(x) and a stored leg weight are nonzero, and so is their product
-    for x in alg.basis:
-        dx = deltas[x].items()
-        if (summed([((a1, a2, b), F.mul(c, w)) for (a, b), c in dx
-                    for a1, a2, w in co.delta.get(a, [])])
-                != summed([((a, b1, b2), F.mul(c, w)) for (a, b), c in dx
-                           for b1, b2, w in co.delta.get(b, [])])):
-            rep.add("coassociativity", x)
+    if kg is None and not (dual and _kgstar_coalgebra_holds(*dual)):
+        deltas = {x: co.delta_element({x: F.one}) for x in alg.basis}
+        for x in alg.basis:
+            dx = deltas[x].items()
+            if (_summed(F, [((a1, a2, b), F.mul(c, w)) for (a, b), c in dx
+                            for a1, a2, w in co.delta.get(a, [])])
+                    != _summed(F, [((a, b1, b2), F.mul(c, w)) for (a, b), c in dx
+                                   for b1, b2, w in co.delta.get(b, [])])):
+                rep.add("coassociativity", x)
 
-        lhs, rhs = {}, {}
-        for (a, b), c in dx:
-            acc(F, lhs, b, F.mul(c, co.counit.get(a, F.zero)))
-            acc(F, rhs, a, F.mul(c, co.counit.get(b, F.zero)))
-        if lhs != {x: F.one} or rhs != {x: F.one}:
-            rep.add("counit-law", x)
+            lhs, rhs = {}, {}
+            for (a, b), c in dx:
+                acc(F, lhs, b, F.mul(c, co.counit.get(a, F.zero)))
+                acc(F, rhs, a, F.mul(c, co.counit.get(b, F.zero)))
+            if lhs != {x: F.one} or rhs != {x: F.one}:
+                rep.add("counit-law", x)
 
     # delta(xy) == delta(x) delta(y), the sum of ac x bd over the legs (a, b)
     # of delta(x) and (c, d) of delta(y).  Only the y with xy != 0, or with
     # ac and bd both nonzero for some legs, can break the identity
-    right, left = alg.right, alg.left
-    source = _source_pass(alg, co, "weak bialgebra", check_weak_bialgebra)
+    right, left, coords = alg.right, alg.left, set()
     if source is not None:
         for f, g in sorted(source["coproduct-multiplicative"], key=alg._order):
             rep.add("coproduct-multiplicative", [f, g])
-    else:
-        with_legs, coords = {}, set()
+    elif kg is None:
+        with_legs = {}
         for y in alg.basis:
             for cd, w in deltas[y].items():
                 with_legs.setdefault(cd, []).append((y, w))
@@ -386,7 +441,9 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
     # sum H[d] x Q'_t d, with L[b], H[d] the sums of w (a1), w (1c) and Q_t,
     # Q'_t the sums of w (1d)_t c, w (b1)_t a; that of delta^2(1) is
     # delta(P_t).  Each distinct (P_t, Q_t, Q'_t) is compared once
-    if source is not None and source["counit-law"]:
+    if kg is not None and _objects_orthogonal(*kg):  # then delta(1) = sum e x e is a
+        unit_ok = flipped_ok = True                 # sum of orthogonal idempotents
+    elif source is not None and source["counit-law"]:
         unit_ok, flipped_ok = source["weak-unit"], source["weak-unit-flipped"]
     else:
         one = alg.unit
@@ -431,37 +488,42 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
     # side a combination of the rows eps[w] = eps(w .) of the nonzero values
     # eps(ab).  Only the x with xy != 0 or eps(x y_i) != 0 for a leg y_i of
     # delta(y) can break the identity; z is walked where the rows differ
-    eps, eps_left = {}, {}
-    for a, row in right.items():
-        for b, prod in row.items():
-            v = co.counit_element(prod)
-            if v != F.zero:
-                eps.setdefault(a, {})[b] = v
-                eps_left.setdefault(b, set()).add(a)
-
     mid_ok = flip_ok = True
-    for y in alg.basis:
-        dy = co.delta.get(y, [])
-        xs = set(left.get(y, ()))
-        for y1, y2, _ in dy:
-            xs.update(eps_left.get(y1, ()), eps_left.get(y2, ()))
-        for x in sorted(xs, key=alg.index.get):
-            mid, mid_flip = {}, {}
-            ex = eps.get(x, {})
-            for y1, y2, c in dy:
-                for comb, first, second in ((mid, y1, y2), (mid_flip, y2, y1)):
-                    e1 = ex.get(first)
-                    if e1 is not None:
-                        acc(F, comb, second, F.mul(c, e1))
-            lhs = el_apply(F, eps, alg.basis_product(x, y))
-            mid, mid_flip = el_apply(F, eps, mid), el_apply(F, eps, mid_flip)
-            if lhs == mid == mid_flip:
-                continue
-            mid_ok, flip_ok = mid_ok and lhs == mid, flip_ok and lhs == mid_flip
-            for z in sorted({*lhs, *mid, *mid_flip}, key=alg.index.get):
-                v = lhs.get(z, F.zero)
-                if v != mid.get(z, F.zero) or v != mid_flip.get(z, F.zero):
-                    rep.add("weak-counit", [x, y, z])
+    if kg is not None or (dual and _objects_orthogonal(*dual)):
+        for w in _kg_weak_counit(alg, *kg) if kg else ():
+            rep.add("weak-counit", w)
+            mid_ok = flip_ok = False
+    else:
+        eps, eps_left = {}, {}
+        for a, row in right.items():
+            for b, prod in row.items():
+                v = co.counit_element(prod)
+                if v != F.zero:
+                    eps.setdefault(a, {})[b] = v
+                    eps_left.setdefault(b, set()).add(a)
+
+        for y in alg.basis:
+            dy = co.delta.get(y, [])
+            xs = set(left.get(y, ()))
+            for y1, y2, _ in dy:
+                xs.update(eps_left.get(y1, ()), eps_left.get(y2, ()))
+            for x in sorted(xs, key=alg.index.get):
+                mid, mid_flip = {}, {}
+                ex = eps.get(x, {})
+                for y1, y2, c in dy:
+                    for comb, first, second in ((mid, y1, y2), (mid_flip, y2, y1)):
+                        e1 = ex.get(first)
+                        if e1 is not None:
+                            acc(F, comb, second, F.mul(c, e1))
+                lhs = el_apply(F, eps, alg.basis_product(x, y))
+                mid, mid_flip = el_apply(F, eps, mid), el_apply(F, eps, mid_flip)
+                if lhs == mid == mid_flip:
+                    continue
+                mid_ok, flip_ok = mid_ok and lhs == mid, flip_ok and lhs == mid_flip
+                for z in sorted({*lhs, *mid, *mid_flip}, key=alg.index.get):
+                    v = lhs.get(z, F.zero)
+                    if v != mid.get(z, F.zero) or v != mid_flip.get(z, F.zero):
+                        rep.add("weak-counit", [x, y, z])
 
     if source is None:  # read off by the checks of a transpose
         alg.memo[co]["weak bialgebra"] = {
@@ -478,7 +540,9 @@ def check_antipode(alg: FinAlgebra, co: CoStructure) -> Report:
     identity is Phi == Psi, and the transposes of Phi, Psi are the maps of
     the same identity on the transpose (eps_t, eps_s and (delta x id) delta
     map to themselves), so on a certified transpose (_source_pass) f fails
-    it where the source's check finds [Phi(x)]_f != [Psi(x)]_f."""
+    it where the source's check finds [Phi(x)]_f != [Psi(x)]_f.  On a
+    certified KG (_groupoid_pass) they read {x x^-1} == {objects e: ex != 0},
+    {x^-1 x} == {objects e: xe != 0} and {(x^-1 x) x^-1} == {x^-1}."""
     if alg.unit is None:
         raise ValueError("antipode check needs a unit")
     if co.antipode is None:
@@ -490,6 +554,19 @@ def check_antipode(alg: FinAlgebra, co: CoStructure) -> Report:
         for x in alg.basis:
             for check in (c for c in ANTIPODE_CHECKS if x in source[c]):
                 rep.add(check, x)
+        return rep
+    rows = alg.memo[co]["antipode"] = {check: set() for check in ANTIPODE_CHECKS}
+    if (kg := _groupoid_pass(alg, co)) is not None:
+        g, P, L = kg
+        objs = set(g.objects)
+        for x in alg.basis:
+            xi = g.inv(x)
+            xix = P[xi].get(x)
+            for check, lhs, rhs in zip(ANTIPODE_CHECKS, (P[x].get(xi), xix, P.get(xix, {}).get(xi)),
+                                       (objs & L.get(x, {}).keys(), objs & P[x].keys(), {xi})):
+                if (lhs := {lhs} - {None}) != rhs:
+                    rep.add(check, x)
+                    rows[check] |= lhs ^ rhs
         return rep
     right, left = alg.right, alg.left
     by_first, by_second = {}, {}  # the legs (a, b) of delta(1) by a and by b
@@ -508,7 +585,6 @@ def check_antipode(alg: FinAlgebra, co: CoStructure) -> Report:
             el_addto(F, out, c, alg.multiply(S(a), {b: F.one}))
         return out
 
-    rows = alg.memo[co]["antipode"] = {check: set() for check in ANTIPODE_CHECKS}
     for x in alg.basis:
         dx = co.delta_element({x: F.one})
 

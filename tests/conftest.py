@@ -1,10 +1,21 @@
+from dataclasses import replace
+
 import pytest
+from hypothesis import strategies as st
 
 from weakhopf.duality import VerificationContext
-from weakhopf.groupoid import Groupoid, GroupoidError, Morphism
+from weakhopf.groupoid import Groupoid, GroupoidError, Morphism, builtin_i2, cyclic_group
 from weakhopf.instances import builtin_doc, builtin_instance, groupoid_to_doc
 
 _CACHE = {}
+
+
+def compose(g: Groupoid, a, b):
+    """Product per g's table; None when tgt(a) != src(b), whatever a
+    spurious table entry says (the validator reports those)."""
+    if not g.composable(a, b):
+        return None
+    return g.comp.get((a, b))
 
 
 def pair_groupoid(n: int) -> Groupoid:
@@ -41,6 +52,39 @@ def disjoint_union(g1: Groupoid, g2: Groupoid) -> Groupoid:
     comp = {(tag("l", a), tag("l", b)): tag("l", c) for (a, b), c in g1.comp.items()}
     comp.update({(tag("r", a), tag("r", b)): tag("r", c) for (a, b), c in g2.comp.items()})
     return Groupoid(objects, morphs, comp)
+
+
+BASES = ([pair_groupoid(n) for n in (1, 2, 3)] + [cyclic_group(n) for n in (2, 3, 4, 5)]
+         + [builtin_i2()])
+SABOTAGE_KINDS = ["drop", "spurious", "product", "inv", "src", "tgt"]
+
+
+def sabotaged_groupoid(g, kinds, data):
+    """g broken once per kind, with the entry and value drawn from data:
+    drop a composition entry, add one for a non-composable pair, change a
+    product, or change a morphism's inv, src or tgt."""
+    morphs, comp = list(g.morphisms), dict(g.comp)
+    ids = st.sampled_from(g.morphism_ids())
+    for kind in kinds:
+        if kind in ("drop", "product"):
+            if not comp:
+                continue
+            key = data.draw(st.sampled_from(sorted(comp)))
+            if kind == "drop":
+                del comp[key]
+            else:
+                comp[key] = data.draw(ids)
+        elif kind == "spurious":
+            ends = {m.id: m for m in morphs}
+            free = [(a, b) for a in ends for b in ends
+                    if ends[a].tgt != ends[b].src and (a, b) not in comp]
+            if free:
+                comp[data.draw(st.sampled_from(free))] = data.draw(ids)
+        else:
+            i = data.draw(st.integers(0, len(morphs) - 1))
+            new = data.draw(ids if kind == "inv" else st.sampled_from(g.objects))
+            morphs[i] = replace(morphs[i], **{kind: new})
+    return Groupoid(g.objects, morphs, comp)
 
 
 def groupoid_doc(g, name, field=None, k=1):

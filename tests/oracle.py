@@ -23,6 +23,7 @@ module.
 
 from dataclasses import dataclass, field as dc_field
 
+from conftest import compose
 from weakhopf import exactmath
 from weakhopf.action import DfapAction, ModuleAction
 from weakhopf.duality import (COMPLEMENT_STRATA, IMAGE_STRATA, KERNEL_STRATA, STRATA,
@@ -582,8 +583,8 @@ def groupoid_algebra(field, g) -> FinAlgebra:
     """KG over every pair of labels: u_a u_b = u_{ab} when the table
     defines ab and tgt(a) == src(b), else 0."""
     basis = g.morphism_ids()
-    mul = {(a, b): {g.compose(a, b): field.one} for a in basis for b in basis
-           if g.compose(a, b) is not None}
+    mul = {(a, b): {compose(g, a, b): field.one} for a in basis for b in basis
+           if compose(g, a, b) is not None}
     return table_algebra(field, basis, mul, {e: field.one for e in g.objects}, name="KG")
 
 
@@ -786,7 +787,7 @@ def smash_product(B: FinAlgebra, kg: FinAlgebra, action) -> FinAlgebra:
     mul = {}
     for (a, s) in basis:
         for (b, t) in basis:
-            st = g.compose(s, t)
+            st = compose(g, s, t)
             if st is None:
                 continue
             coeff = B.multiply(B.basis_element(a), action.act_basis(s, b))
@@ -823,7 +824,7 @@ def double_smash(B: FinAlgebra, kg: FinAlgebra, kgstar: FinAlgebra,
                 conv = kgstar.basis_product(n2, t)
                 if not conv:
                     continue
-                ms = g.compose(m, s)
+                ms = compose(g, m, s)
                 if ms is None:
                     continue
                 coeff = B.multiply(B.basis_element(a), action.act_basis(m, b))

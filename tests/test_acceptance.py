@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from conftest import context, disjoint_union, pair_groupoid, skew_ring
+from conftest import compose, context, disjoint_union, pair_groupoid, skew_ring
 from oracle import flatten, rank
 from oracle import sparse_subspace_equal as subspace_equal, stratum_vectors
 from weakhopf.cli import main
@@ -57,9 +57,9 @@ def test_criterion_2_classical_duality(capsys):
         seen = set()
         for (b, m, nn) in ctx.phi.domain_basis:
             endo = ctx.phi.columns[(b, m, nn)]
-            want = {(b, nn): {(b, g.compose(m, nn)): ctx.field.one}}
+            want = {(b, nn): {(b, compose(g, m, nn)): ctx.field.one}}
             ok = ok and endo == want
-            seen.add((g.compose(m, nn), nn))
+            seen.add((compose(g, m, nn), nn))
         ok = ok and len(seen) == n * n
         ok = ok and rank(flatten(ctx.phi)) == n * n
         ok = ok and ctx.ki.dims == {"domain": n * n, "kernel": 0, "image": n * n}

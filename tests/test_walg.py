@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import disjoint_union, pair_groupoid
+from conftest import BASES, SABOTAGE_KINDS, disjoint_union, pair_groupoid, sabotaged_groupoid
 from weakhopf.exactmath import QQ, PrimeField
-from weakhopf.groupoid import builtin_i2, cyclic_group
+from weakhopf.groupoid import Groupoid, Morphism, builtin_i2, cyclic_group
 from weakhopf.walg import (CoStructure, check_antipode, check_weak_bialgebra,
                            dual_weak_hopf, el_apply, groupoid_algebra, target_counit)
 
@@ -376,14 +376,21 @@ def test_sabotaged_table_is_caught_as_the_oracle_catches_it(check, edits, p, dua
     assert check in failed
 
 
+def _bare(alg, co):
+    """alg's tables without its meta, so that no certificate applies and
+    the checks run on the tables alone."""
+    return oracle.table_algebra(alg.field, alg.basis, alg.mul, alg.unit, alg.name), co
+
+
 def test_weak_bialgebra_check_on_kgstar_of_z12_is_below_cubic(monkeypatch):
     # the weak-unit products are summed per nonzero product of two legs of
-    # delta(1); summing per term of delta^2(1) takes 2 * 12^3 + 12^2 calls
+    # delta(1); summing per term of delta^2(1) takes 2 * 12^3 + 12^2 calls.
+    # Bare tables: a certified KG* reads the weak unit off KG's pass
     from weakhopf import walg
     calls, acc_tensor = [], walg.acc_tensor
     monkeypatch.setattr(walg, "acc_tensor",
                         lambda *args: calls.append(args) or acc_tensor(*args))
-    kgstar, co = dual_weak_hopf(*groupoid_algebra(QQ, cyclic_group(12)))
+    kgstar, co = _bare(*dual_weak_hopf(*groupoid_algebra(QQ, cyclic_group(12))))
     assert check_weak_bialgebra(kgstar, co).ok
     assert 0 < len(calls) < 12 ** 3
 
@@ -395,7 +402,7 @@ def test_weak_bialgebra_check_on_kgstar_of_z12_makes_few_acc_calls(monkeypatch):
     from weakhopf import walg
     calls, acc = [], walg.acc
     monkeypatch.setattr(walg, "acc", lambda *args: calls.append(None) or acc(*args))
-    kgstar, co = dual_weak_hopf(*groupoid_algebra(QQ, cyclic_group(12)))
+    kgstar, co = _bare(*dual_weak_hopf(*groupoid_algebra(QQ, cyclic_group(12))))
     assert check_weak_bialgebra(kgstar, co).ok
     assert len(calls) < 6000
 
@@ -419,15 +426,48 @@ def test_kgstar_check_after_kg_on_z12_makes_few_acc_calls(monkeypatch):
     # after KG's check, KG*'s reads multiplicativity and the weak unit off
     # KG's pass, and each side of coassociativity, 12 * 144 terms with
     # distinct keys, is one dict: only the counit law and the weak counit
-    # call acc, 612 times.  Summing everything through acc took 5,400
+    # call acc, 612 times.  Summing everything through acc took 5,400.
+    # A bare KG: on a certified one KG*'s checks read every verdict off
     from weakhopf import walg
-    kg, kg_co = groupoid_algebra(QQ, cyclic_group(12))
+    kg, kg_co = _bare(*groupoid_algebra(QQ, cyclic_group(12)))
     kgstar, co = dual_weak_hopf(kg, kg_co)
     assert check_weak_bialgebra(kg, kg_co).ok
     calls, acc = [], walg.acc
     monkeypatch.setattr(walg, "acc", lambda *args: calls.append(None) or acc(*args))
     assert check_weak_bialgebra(kgstar, co).ok
     assert len(calls) < 1000
+
+
+@pytest.mark.parametrize("edit", [("mul", ("g", "g"), {"x": one}),
+                                  ("delta", "g", [("g", "g", one), ("x", "x", one)]),
+                                  ("counit", "x", 2 * one), ("unit", "g", one),
+                                  ("antipode", "g", {"g": one})],
+                         ids=["mul", "delta", "counit", "unit", "antipode"])
+def test_groupoid_certificate_rejects_tampered_kg(edit):
+    # KG's tables edited after groupoid_algebra, with meta["groupoid"] kept:
+    # the certificate must fail and the checks run on the tables, since the
+    # composition index says nothing of the edit
+    kg, kg_co = _edited(*groupoid_algebra(QQ, builtin_i2()), [edit])
+    dual, dual_co = dual_weak_hopf(kg, kg_co)
+    for alg, co in ((kg, kg_co), (dual, dual_co)):
+        assert (_axiom_findings(check_weak_bialgebra, check_antipode, alg, co)
+                == _axiom_findings(oracle.check_weak_bialgebra, oracle.check_antipode, alg, co))
+    assert kg.meta["groupoid"] is not None and kg.memo[kg_co]["groupoid"] is None
+
+
+def test_checks_on_kg_and_kgstar_of_z12_make_no_field_operations(monkeypatch):
+    # a certified KG and its transpose read every verdict off the
+    # composition index; a fall-back to the tables would add and multiply
+    from weakhopf import walg
+    from weakhopf.exactmath import Rationals
+    kg, kg_co = groupoid_algebra(QQ, cyclic_group(12))
+    kgstar, kgstar_co = dual_weak_hopf(kg, kg_co)
+    calls, acc, mul = [], walg.acc, Rationals.mul
+    monkeypatch.setattr(walg, "acc", lambda *args: calls.append("acc") or acc(*args))
+    monkeypatch.setattr(Rationals, "mul", lambda *args: calls.append("mul") or mul(*args))
+    for alg, co in ((kg, kg_co), (kgstar, kgstar_co)):
+        assert check_weak_bialgebra(alg, co).ok and check_antipode(alg, co).ok
+    assert calls == []
 
 
 def test_weak_unit_multiplies_each_leg_by_the_unit_on_its_own_side():
@@ -492,3 +532,50 @@ def test_transpose_read_offs_equal_oracle_on_random_sabotage(g, table, field, da
             == _axiom_findings(oracle.check_weak_bialgebra, oracle.check_antipode,
                                *oracle.dual_weak_hopf(bad, bad_co)))
     assert dual.memo[dual_co]["source"] == (bad, bad_co)
+
+
+def assert_read_offs_match_oracle(g, field):
+    """The checks of KG and KG* of g, which pass the certificates and are
+    read off g's composition index and KG's pass, against the oracle's on
+    its own KG, built over all pairs, and that KG's all-tuples dual."""
+    kg, kg_co = groupoid_algebra(field, g)
+    ref = oracle.groupoid_algebra(field, g)
+    for (alg, co), (ref_alg, ref_co) in (((kg, kg_co), (ref, kg_co)), (
+            dual_weak_hopf(kg, kg_co), oracle.dual_weak_hopf(ref, kg_co))):
+        assert (_axiom_findings(check_weak_bialgebra, check_antipode, alg, co)
+                == _axiom_findings(oracle.check_weak_bialgebra, oracle.check_antipode,
+                                   ref_alg, ref_co))
+    assert kg.memo[kg_co]["groupoid"] is not None
+
+
+@given(st.sampled_from([b for b in BASES if len(b.morphisms) <= 4]),
+       st.one_of(st.none(), st.sampled_from([b for b in BASES if len(b.morphisms) <= 2])),
+       st.lists(st.sampled_from(SABOTAGE_KINDS), max_size=3),
+       st.sampled_from([QQ, PrimeField(2), PrimeField(3)]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_groupoid_read_offs_equal_oracle_on_random_sabotage(g, other, kinds, field, data):
+    # small bases: the oracle's KG* check grows steeply with the dimension
+    assert_read_offs_match_oracle(
+        sabotaged_groupoid(g if other is None else disjoint_union(g, other), kinds, data), field)
+
+
+def _hand_broken(objects, records, comp):
+    """The groupoid with the morphisms (id, src, tgt), each its own inverse."""
+    return Groupoid(objects, [Morphism(m, s, t, m) for m, s, t in records], comp)
+
+
+@pytest.mark.parametrize("g", [
+    # src and tgt of the objects swapped, ef = e and fe = f: delta(1) =
+    # e x e + f x f is no sum of orthogonal idempotents, yet both weak-unit
+    # products of KG equal delta^2(1)
+    _hand_broken(["e", "f"], [("e", "e", "f"), ("f", "f", "e")],
+                 {("e", "f"): "e", ("f", "e"): "f"}),
+    # x * y left out: every (ab)c agrees with its a(bc), but x(yx) = x(yy)
+    # = x, where xy is undefined, so KG* is not coassociative at x
+    _hand_broken(["e"], [("e", "e", "e"), ("x", "e", "e"), ("y", "e", "e")],
+                 {("e", "e"): "e", ("e", "x"): "x", ("e", "y"): "y", ("x", "e"): "x",
+                  ("x", "x"): "x", ("y", "e"): "y", ("y", "x"): "x", ("y", "y"): "e"}),
+], ids=["objects-swapped", "product-missing"])
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=["Q", "GF2"])
+def test_groupoid_read_offs_equal_oracle_on_hand_broken_groupoids(g, field):
+    assert_read_offs_match_oracle(g, field)
