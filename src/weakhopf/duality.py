@@ -330,7 +330,7 @@ class VerificationContext:
         self.module_report = action_mod.check_module_algebra(
             self.B, self.kg, self.kg_co, self.action)
         self.decomp, self.decomp_report = action_mod.component_decomposition(
-            self.B, self.kg, self.action)
+            self.B, self.action)
         self._closures = {}  # nonempty strata -> closure witnesses
 
     # -- lazily derived pieces ------------------------------------------------
@@ -378,7 +378,7 @@ class VerificationContext:
     def dfap(self):
         """(derived groupoid action, its report)."""
         from .action import derive_dfap_action
-        return derive_dfap_action(self.B, self.kg, self.action, self.decomp)
+        return derive_dfap_action(self.B, self.action, self.decomp)
 
     @cached_property
     def skew(self):

@@ -167,10 +167,12 @@ class Echelon:
     at its pivot, its smallest index, and a zero at every other row's pivot.
     """
 
-    def __init__(self, field):
+    def __init__(self, field, rows=()):
         self.field = field
         self.rows = []       # in insertion order
         self.pivots = {}     # pivot -> position of its row, in insertion order
+        for v in rows:
+            self.add(v)
 
     def reduce(self, v):
         # subtracting a row touches no other pivot, so one pass suffices
@@ -217,9 +219,7 @@ def _subtract(F, v, f, row):
 def rref(field, rows):
     """Reduced row echelon form of sparse rows: (rows, pivots), sorted by
     pivot, zero rows dropped.  Unique for a given row space."""
-    ech = Echelon(field)
-    for r in rows:
-        ech.add(r)
+    ech = Echelon(field, rows)
     order = sorted(ech.pivots.items())
     return [ech.rows[i] for _, i in order], [p for p, _ in order]
 

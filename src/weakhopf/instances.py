@@ -53,8 +53,8 @@ class Instance:
             },
             "action": [
                 [m, b, {k: F.show(v) for k, v in sorted(el.items())}]
-                for (m, b), el in sorted(self.action.table.items())
-                if el
+                for m, row in sorted(self.action.rho.items())
+                for b, el in sorted(row.items())
             ],
         }
         return doc

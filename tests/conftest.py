@@ -1,4 +1,6 @@
+import copy
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
@@ -85,6 +87,46 @@ def sabotaged_groupoid(g, kinds, data):
             new = data.draw(ids if kind == "inv" else st.sampled_from(g.objects))
             morphs[i] = replace(morphs[i], **{kind: new})
     return Groupoid(g.objects, morphs, comp)
+
+
+ACTION_SABOTAGE_KINDS = ["scale", "redirect", "cross", "spurious"]
+
+
+def sabotaged_action(doc, kinds, data):
+    """A copy of doc with its action table broken once per kind, the entry
+    and value drawn from data.  "scale" multiplies a nonzero entry by an
+    integer c from 2 to 4 (read modulo p over GF(p)) and "redirect" sends
+    one to another basis label, as bench/workloads.scaled_action and
+    redirected_action do.  "cross" sends a nonzero entry m.x into the
+    fibre of an object other than src(m), so that pairs that do not
+    compose act nonzero; the fibre of y is the object whose identity
+    sends y to y.  "spurious" makes a zero entry nonzero."""
+    doc = copy.deepcopy(doc)
+    basis, objects = doc["algebra"]["basis"], set(doc["groupoid"]["objects"])
+    src = {m["id"]: m["src"] for m in doc["groupoid"]["morphisms"]}
+    table = {(m, x): el for m, x, el in doc["action"] if el}
+    fibre = {x: m for (m, x), el in table.items() if m in objects and el == {x: "1"}}
+    for kind in kinds:
+        if kind == "spurious":
+            free = [(m, x) for m in src for x in basis if (m, x) not in table]
+            if free:
+                table[data.draw(st.sampled_from(free))] = {data.draw(st.sampled_from(basis)): "1"}
+            continue
+        if not table:
+            continue
+        key = data.draw(st.sampled_from(sorted(table)))
+        if kind == "scale":
+            c = data.draw(st.integers(2, 4))
+            table[key] = {y: str(Fraction(v) * c) for y, v in table[key].items()}
+            continue
+        if kind == "redirect":
+            targets = [y for y in basis if table[key] != {y: "1"}]
+        else:
+            targets = [y for y in basis if fibre.get(y, src[key[0]]) != src[key[0]]]
+        if targets:
+            table[key] = {data.draw(st.sampled_from(targets)): "1"}
+    doc["action"] = [[m, x, el] for (m, x), el in table.items()]
+    return doc
 
 
 def groupoid_doc(g, name, field=None, k=1):

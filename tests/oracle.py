@@ -9,7 +9,8 @@ kernel and image and of the unit search built on them, the
 whole-element multiply form of the two-sided identity test, the
 evaluation of a map given by basis images (on elements and on phi), the
 all-pairs and all-triples form of the groupoid validator, the
-all-tuples forms of the weak-Hopf dual and axiom checkers, the
+all-tuples forms of the weak-Hopf dual and axiom checkers and of the
+module-algebra check, component decomposition and derived action, the
 all-pairs forms of KG, B#KG, B#KG#KG*, the skew groupoid ring, phi and the
 kernel-ideal test, each computing the smash formula itself, the
 per-label classification of the double-smash basis, the
@@ -25,12 +26,12 @@ from dataclasses import dataclass, field as dc_field
 
 from conftest import compose
 from weakhopf import exactmath
-from weakhopf.action import DfapAction, ModuleAction
+from weakhopf.action import ComponentDecomposition, DfapAction, ModuleAction
 from weakhopf.duality import (COMPLEMENT_STRATA, IMAGE_STRATA, KERNEL_STRATA, STRATA,
                               UNCLASSIFIED, UNITAL_STRATA, LinearMapRep, classify,
                               element_str, label_str)
 from weakhopf.report import Report
-from weakhopf.walg import CoStructure, FinAlgebra, acc, el_norm
+from weakhopf.walg import CoStructure, FinAlgebra, acc, el_addto, el_norm, target_counit
 
 
 def table_algebra(field, basis, mul, unit=None, name="", meta=None) -> FinAlgebra:
@@ -773,6 +774,189 @@ def check_antipode(alg: FinAlgebra, co: CoStructure) -> Report:
             rep.add("antipode-sandwich", x)
 
     return rep
+
+
+# -- dense module-algebra, decomposition and derived-action checks -------------
+
+
+def check_module_algebra(B: FinAlgebra, kg: FinAlgebra, kg_co, action: ModuleAction) -> Report:
+    """Exhaustive check of the weak module-algebra conditions:
+    (i) composing the action matches multiplying in the groupoid algebra
+        (so non-composable products must act as zero),
+    (ii) every morphism acts multiplicatively through its coproduct legs,
+    (iii) the action on 1_B factors through the target counit.
+    """
+    if B.unit is None:
+        raise ValueError("module-algebra check needs a unital B")
+    F = B.field
+    rep = Report("weak module-algebra conditions")
+    g = action.groupoid
+    ids = g.morphism_ids()
+
+    for a in ids:
+        for b in ids:
+            prod = kg.basis_product(a, b)
+            for x in B.basis:
+                left = action.act({a: F.one}, action.act_basis(b, x))
+                right = action.act(prod, B.basis_element(x)) if prod else {}
+                if left != right:
+                    rep.add("module-axiom-i", [a, b, x],
+                            "acting by a then b differs from acting by the product")
+
+    for m in ids:
+        legs = kg_co.delta.get(m, [])
+        for x in B.basis:
+            for y in B.basis:
+                lhs = action.act({m: F.one}, B.basis_product(x, y))
+                rhs = {}
+                for m1, m2, c in legs:
+                    term = B.multiply(action.act_basis(m1, x), action.act_basis(m2, y))
+                    el_addto(F, rhs, c, term)
+                if lhs != rhs:
+                    rep.add("module-axiom-ii", [m, x, y],
+                            "action is not multiplicative at this pair")
+
+    for m in ids:
+        lhs = action.act({m: F.one}, B.unit)
+        rhs = action.act(target_counit(kg, kg_co, {m: F.one}), B.unit)
+        if lhs != rhs:
+            rep.add("module-axiom-iii", m,
+                    "action on 1_B does not factor through the target counit")
+
+    rep.info["morphisms"] = len(ids)
+    rep.info["b_dim"] = B.dim
+    return rep
+
+
+def component_decomposition(B: FinAlgebra, kg: FinAlgebra, action: ModuleAction):
+    """Idempotents e.1_B per object and the subspaces B(e.1_B).
+
+    Nothing is assumed: idempotency, orthogonality, centrality and the
+    direct-sum property are all report items, since user actions may
+    violate them.
+    """
+    if B.unit is None:
+        raise ValueError("decomposition needs a unital B")
+    F = B.field
+    g = action.groupoid
+    rep = Report("component decomposition")
+
+    idem = {e: action.act({e: F.one}, B.unit) for e in g.objects}
+
+    for e in g.objects:
+        q = idem[e]
+        if B.multiply(q, q) != q:
+            rep.add("idempotent", e, "e.1_B is not idempotent")
+        for x in B.basis:
+            ex = B.basis_element(x)
+            if B.multiply(q, ex) != B.multiply(ex, q):
+                rep.add("central", [e, x], "e.1_B does not commute with this basis vector")
+    for i, e in enumerate(g.objects):
+        for f in g.objects[i + 1:]:
+            if B.multiply(idem[e], idem[f]) or B.multiply(idem[f], idem[e]):
+                rep.add("orthogonal", [e, f], "idempotents for distinct objects overlap")
+
+    spans = {}
+    total = exactmath.Echelon(F)
+    dim_sum = 0
+    for e in g.objects:
+        ech = spans[e] = exactmath.Echelon(F)
+        for x in B.basis:
+            ech.add(B.to_vector(B.multiply(B.basis_element(x), idem[e])))
+        dim_sum += ech.rank
+        for v in ech.rows:
+            total.add(v)
+    if not (dim_sum == B.dim and total.rank == B.dim):
+        rep.add("direct-sum", {"component_dim_sum": dim_sum, "joint_rank": total.rank,
+                               "b_dim": B.dim},
+                "components do not decompose B as a direct sum")
+
+    component_of = {}
+    homogeneous = True
+    for x in B.basis:
+        vx = B.to_vector(B.basis_element(x))
+        homes = [e for e in g.objects if spans[e].contains(vx)]
+        if len(homes) == 1:
+            component_of[x] = homes[0]
+        else:
+            component_of[x] = None
+            homogeneous = False
+            rep.add("homogeneous-basis", x,
+                    f"basis vector lies in {len(homes)} components")
+
+    rep.info["component_dims"] = {e: spans[e].rank for e in g.objects}
+    return ComponentDecomposition(idem, spans, component_of, homogeneous), rep
+
+
+def derive_dfap_action(B: FinAlgebra, kg: FinAlgebra, action: ModuleAction,
+                       decomp: ComponentDecomposition):
+    """E_g := component of src(g); beta_g := (b -> g.b) restricted to the
+    component of tgt(g).  Reports whether each beta_g is a ring isomorphism
+    onto E_g and whether the two groupoid-action axioms hold."""
+    F = B.field
+    g = action.groupoid
+    rep = Report("derived groupoid action")
+
+    iso_images, ideal_labels = {}, {}
+    for m in g.morphism_ids():
+        target = decomp.spans[g.src(m)]
+        labels = [x for x in B.basis if decomp.component_of.get(x) == g.src(m)]
+        ideal_labels[m] = labels if len(labels) == target.rank else None
+
+        domain = decomp.spans[g.tgt(m)].rows
+        images = []
+        img_span = exactmath.Echelon(F)
+        for v in domain:
+            img = action.act({m: F.one}, B.from_vector(v))
+            images.append(B.to_vector(img))
+            img_span.add(B.to_vector(img))
+        iso_images[m] = images
+
+        if img_span.rank != len(domain):
+            rep.add("iso-injective", m, "restriction of the action is not injective")
+        if not all(target.contains(v) for v in images):
+            rep.add("iso-into", m, "image leaves the component of src(g)")
+        if img_span.rank != target.rank:
+            rep.add("iso-onto", m, "restriction is not onto the component of src(g)")
+
+        # multiplicative on the ideal
+        for i, v in enumerate(domain):
+            for j, w in enumerate(domain):
+                prod = B.multiply(B.from_vector(v), B.from_vector(w))
+                lhs = action.act({m: F.one}, prod)
+                rhs = B.multiply(B.from_vector(images[i]), B.from_vector(images[j]))
+                if lhs != rhs:
+                    rep.add("iso-multiplicative", [m, i, j])
+
+    # ideals: B e_g B stays inside e_g's span
+    for e in g.objects:
+        span = decomp.spans[e]
+        for v in decomp.spans[e].rows:
+            x = B.from_vector(v)
+            for b in B.basis:
+                eb = B.basis_element(b)
+                if not span.contains(B.to_vector(B.multiply(eb, x))):
+                    rep.add("ideal", [e, b], "component is not a left ideal")
+                if not span.contains(B.to_vector(B.multiply(x, eb))):
+                    rep.add("ideal", [e, b], "component is not a right ideal")
+
+    # axiom (i): identities act as the identity on their component
+    for e in g.objects:
+        for v in decomp.spans[e].rows:
+            if action.act({e: F.one}, B.from_vector(v)) != B.from_vector(v):
+                rep.add("axiom-identity", e, "identity morphism does not fix its component")
+
+    # axiom (ii): beta_g beta_h == beta_{gh} on the component of tgt(h); a
+    # missing product is the groupoid validator's to report
+    for a in g.morphism_ids():
+        for b, ab in g.after[a]:
+            for v in decomp.spans[g.tgt(b)].rows:
+                x = B.from_vector(v)
+                lhs = action.act({a: F.one}, action.act({b: F.one}, x))
+                if lhs != action.act({ab: F.one}, x):
+                    rep.add("axiom-composition", [a, b], "composing the maps misses beta_{ab}")
+
+    return DfapAction(iso_images, ideal_labels), rep
 
 
 # -- all-pairs smash products, skew ring and phi ------------------------------

@@ -1,9 +1,16 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import skew_ring
-from weakhopf.action import check_module_algebra
+import oracle
+from conftest import (ACTION_SABOTAGE_KINDS, disjoint_union, groupoid_doc, m2_doc, pair_groupoid,
+                      sabotaged_action, skew_ring, z4_regular_doc)
+from weakhopf.action import check_module_algebra, component_decomposition, derive_dfap_action
+from weakhopf.groupoid import builtin_i2, cyclic_group
+from weakhopf.instances import builtin_doc, parse_instance
+from weakhopf.walg import groupoid_algebra
 
 one = Fraction(1)
 
@@ -132,3 +139,68 @@ def test_decomposition_holds_whenever_action_validates():
             assert ctx.decomp_report.ok
             dfap, rep = ctx.dfap
             assert rep.ok
+
+
+# -- the action layer against the dense oracle --------------------------------
+
+ACTION_BASES = {
+    "pair3": lambda: groupoid_doc(pair_groupoid(3), "pair3"),
+    "pair2-k2": lambda: groupoid_doc(pair_groupoid(2), "pair2-k2", k=2),
+    "z3": lambda: groupoid_doc(cyclic_group(3), "z3"),
+    "i2-pair1": lambda: groupoid_doc(disjoint_union(builtin_i2(), pair_groupoid(1)), "i2-pair1"),
+    "z4-regular": z4_regular_doc,
+    "m2-pair2": lambda: m2_doc(pair_groupoid(2), "m2-pair2"),
+    "m2-pair3": lambda: m2_doc(pair_groupoid(3), "m2-pair3"),
+    "m2-z2": lambda: m2_doc(cyclic_group(2), "m2-z2"),
+    "ex2.8": lambda: builtin_doc("ex2.8"),
+}
+FIELDS = [{"kind": "rational"}, {"kind": "prime", "p": 2}, {"kind": "prime", "p": 3}]
+
+
+def assert_action_layer_matches_oracle(doc):
+    """The module-algebra check, the decomposition and the derived action
+    equal the dense oracle's: report title, findings in order, notes and
+    info, and the decomposition and derived action themselves."""
+    inst = parse_instance(doc)
+    B, act = inst.algebra, inst.action
+    kg, kg_co = groupoid_algebra(inst.field, inst.groupoid)
+    assert ({(m, x): mx for m, row in act.rho.items() for x, mx in row.items()}
+            == {(m, x): mx for x, col in act.by_label.items() for m, mx in col.items()})
+    assert check_module_algebra(B, kg, kg_co, act) == oracle.check_module_algebra(B, kg, kg_co, act)
+    got, got_rep = component_decomposition(B, act)
+    want, want_rep = oracle.component_decomposition(B, kg, act)
+    assert got_rep == want_rep
+    assert (got.idempotents, got.component_of, got.homogeneous) == (
+        want.idempotents, want.component_of, want.homogeneous)
+    assert {e: ech.rows for e, ech in got.spans.items()} == {
+        e: ech.rows for e, ech in want.spans.items()}
+    assert derive_dfap_action(B, act, got) == oracle.derive_dfap_action(B, kg, act, want)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "GF2", "GF3"])
+@pytest.mark.parametrize("base", ACTION_BASES)
+def test_action_layer_equals_oracle_on_the_bases(base, field):
+    assert_action_layer_matches_oracle({**ACTION_BASES[base](), "field": field})
+
+
+@given(st.sampled_from(sorted(ACTION_BASES)), st.sampled_from(FIELDS),
+       st.lists(st.sampled_from(ACTION_SABOTAGE_KINDS), min_size=1, max_size=3), st.data())
+@settings(max_examples=150, deadline=None)
+def test_action_layer_equals_oracle_on_sabotaged_actions(base, field, kinds, data):
+    doc = {**ACTION_BASES[base](), "field": field}
+    assert_action_layer_matches_oracle(sabotaged_action(doc, kinds, data))
+
+
+def test_module_check_on_pair8_is_linear_in_the_composable_triples(monkeypatch):
+    # (i) evaluates two sides per composable triple; (ii) and (iii) a few
+    # per morphism.  The all-triples walk visits n^4 * dim B = 32,768 triples
+    from weakhopf import action
+    n = 8
+    inst = parse_instance(groupoid_doc(pair_groupoid(n), "pair8"))
+    kg, kg_co = groupoid_algebra(inst.field, inst.groupoid)
+    calls, el_apply, act = [], action.el_apply, action.ModuleAction.act
+    monkeypatch.setattr(action, "el_apply", lambda *args: calls.append(1) or el_apply(*args))
+    monkeypatch.setattr(action.ModuleAction, "act",
+                        lambda *args: calls.append(1) or act(*args))
+    assert check_module_algebra(inst.algebra, kg, kg_co, inst.action).ok
+    assert len(calls) <= 3 * n ** 3
