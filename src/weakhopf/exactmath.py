@@ -40,7 +40,9 @@ class Rationals:
         return _integral(Fraction(1) / a)
 
     def parse(self, text):
-        return _integral(Fraction(str(text)))
+        """ASCII digits with an optional leading "-" as int, as Fraction reads them."""
+        digits = type(text) is str and text.isascii() and text.removeprefix("-").isdigit()
+        return int(text) if digits else _integral(Fraction(str(text)))
 
     def show(self, a) -> str:
         return str(a)

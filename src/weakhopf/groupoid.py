@@ -61,6 +61,7 @@ class Groupoid:
         self.after = {m.id: [(b, ab) for b in self.leaving[m.tgt]
                              if (ab := self.comp.get((m.id, b))) is not None]
                       for m in self.morphisms}
+        self.valid = None  # validate_groupoid's verdict, once it has run
 
     # -- basic accessors ----------------------------------------------------
 
@@ -99,14 +100,16 @@ def validate_groupoid(g: Groupoid) -> Report:
     rep = Report("groupoid axioms")
     ids = g.morphism_ids()
     pos = {a: i for i, a in enumerate(ids)}
-    src = {m.id: m.src for m in g.morphisms}
-    tgt = {m.id: m.tgt for m in g.morphisms}
+    src, tgt, inv = ({m.id: getattr(m, k) for m in g.morphisms} for k in ("src", "tgt", "inv"))
     entries = {}  # a -> the b with a table entry (a, b)
     for a, b in g.comp:
         entries.setdefault(a, []).append(b)
 
-    # table defined exactly on the composable pairs
+    # table defined exactly on the composable pairs, as it is for a when
+    # after[a] holds an entry for each b leaving tgt(a) and no other entry
     for a in ids:
+        if len(g.after[a]) == len(g.leaving[tgt[a]]) == len(entries.get(a, ())):
+            continue
         for b in sorted({*g.leaving[tgt[a]], *entries.get(a, ())}, key=pos.get):
             defined, composable = (a, b) in g.comp, tgt[a] == src[b]
             if composable and not defined:
@@ -118,10 +121,9 @@ def validate_groupoid(g: Groupoid) -> Report:
 
     # src/tgt bookkeeping of products
     for (a, b), c in sorted(g.comp.items()):
-        if tgt[a] == src[b]:
-            if src[c] != src[a] or tgt[c] != tgt[b]:
-                rep.add("product-endpoints", [a, b, c],
-                        "src/tgt of the product do not match the factors")
+        if tgt[a] == src[b] and (src[c] != src[a] or tgt[c] != tgt[b]):
+            rep.add("product-endpoints", [a, b, c],
+                    "src/tgt of the product do not match the factors")
 
     # associativity on all composable triples with both products in the table
     for a in ids:
@@ -140,14 +142,13 @@ def validate_groupoid(g: Groupoid) -> Report:
         if g.comp.get((src[a], a)) != a:
             rep.add("left-identity", a, "id_src(a) * a != a")
     for e in g.objects:
-        m = g._lookup(e)
-        if m.src != e or m.tgt != e or m.inv != e:
+        if not src[e] == tgt[e] == inv[e] == e:
             rep.add("identity-record", e, "identity morphism must be a self-loop")
 
     # inverses
     for a in ids:
-        ai = g.inv(a)
-        if g.inv(ai) != a:
+        ai = inv[a]
+        if inv[ai] != a:
             rep.add("inverse-involution", a, "inv(inv(a)) != a")
         if src[ai] != tgt[a] or tgt[ai] != src[a]:
             rep.add("inverse-endpoints", a, "inv(a) must run backwards")
@@ -159,13 +160,14 @@ def validate_groupoid(g: Groupoid) -> Report:
     # (a*b)^-1 == inv(b) * inv(a)
     for (a, b), c in sorted(g.comp.items()):
         if tgt[a] == src[b]:
-            expected = g.comp.get((g.inv(b), g.inv(a)))
-            if expected != g.inv(c):
+            expected = g.comp.get((inv[b], inv[a]))
+            if expected != inv[c]:
                 rep.add("inverse-antihomomorphism", [a, b],
                         "inv(a*b) != inv(b)*inv(a)")
 
     rep.info["objects"] = len(g.objects)
     rep.info["morphisms"] = len(g.morphisms)
+    g.valid = rep.ok
     return rep
 
 

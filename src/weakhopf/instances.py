@@ -64,46 +64,59 @@ class Instance:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _parse_element(field, doc, basis, where):
+def _parse_element(field, doc, basis, where, *at):
+    """doc as an element, zero coefficients dropped; where.format(*at) names it in an error."""
     if not isinstance(doc, dict):
-        raise InstanceFormatError(f"{where}: element must be an object")
+        raise InstanceFormatError(f"{where.format(*at)}: element must be an object")
     out = {}
     for lab, text in doc.items():
         if lab not in basis:
-            raise InstanceFormatError(f"{where}: unknown basis label {lab!r}")
+            raise InstanceFormatError(f"{where.format(*at)}: unknown basis label {lab!r}")
         try:
             val = field.parse(text)
         except (ValueError, ZeroDivisionError) as exc:
-            raise InstanceFormatError(f"{where}: bad coefficient {text!r}: {exc}")
+            raise InstanceFormatError(f"{where.format(*at)}: bad coefficient {text!r}: {exc}")
         if val != field.zero:
             out[lab] = val
     return out
 
 
-def _list(value, where):
+def _list(value, where, *at):
     if not isinstance(value, list):
-        raise InstanceFormatError(f"{where} must be a list")
+        raise InstanceFormatError(f"{where.format(*at)} must be a list")
     return value
 
 
-def _label(lab, where):
+def _label(lab, where, *at):
     """lab as a label: a JSON string, so that any two labels compare."""
     if not isinstance(lab, str):
-        raise InstanceFormatError(f"{where} is not a label (a JSON string): {lab!r}")
+        raise InstanceFormatError(f"{where.format(*at)} is not a label (a JSON string): {lab!r}")
     return lab
 
 
-def _labels(values, where):
-    return [_label(lab, f"{where}[{i}]") for i, lab in enumerate(_list(values, where))]
+def _labels(values, where, *at):
+    for i, lab in enumerate(_list(values, where, *at)):
+        if not isinstance(lab, str):
+            _label(lab, where + "[{}]", *at, i)
+    return values
 
 
-def _triples(rows, where):
-    """The [label, label, element] rows of a table section."""
-    for i, entry in enumerate(_list(rows, where)):
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise InstanceFormatError(f"{where}[{i}] is not a [label, label, element] triple")
-        _labels(entry[:2], f"{where}[{i}]")
-    return rows
+def _read_table(rows, where, read):
+    """read(a, b, el) for each row [a, b, el], a and b labels, in order; a row
+    of another shape is reported first, even if read raises at an earlier one."""
+    rows = _list(rows, where)
+    try:
+        for entry in rows:
+            if not (isinstance(entry, list) and len(entry) == 3
+                    and isinstance(entry[0], str) and isinstance(entry[1], str)):
+                raise InstanceFormatError(where)
+            read(*entry)
+    except InstanceFormatError:
+        for i, entry in enumerate(rows):
+            if not (isinstance(entry, list) and len(entry) == 3):
+                raise InstanceFormatError(f"{where}[{i}] is not a [label, label, element] triple")
+            _labels(entry[:2], where + "[{}]", i)
+        raise
 
 
 def parse_instance(doc: dict) -> Instance:
@@ -122,15 +135,14 @@ def parse_instance(doc: dict) -> Instance:
     if not gdoc.get("objects"):
         raise InstanceFormatError("groupoid has no objects")
     try:
-        morphs = [Morphism(*(_label(m[k], f"morphisms[{i}].{k}")
+        morphs = [Morphism(*(_label(m[k], "morphisms[{}].{}", i, k)
                              for k in ("id", "src", "tgt", "inv")))
                   for i, m in enumerate(gdoc.get("morphisms", []))]
         comp = {}
         for i, entry in enumerate(_list(gdoc.get("composition", []), "composition")):
-            a, b, c = _labels(entry, f"composition[{i}]")
+            a, b, c = _labels(entry, "composition[{}]", i)
             if (a, b) in comp:
-                raise InstanceFormatError(
-                    f"composition table maps ({a!r}, {b!r}) twice")
+                raise InstanceFormatError(f"composition table maps ({a!r}, {b!r}) twice")
             comp[(a, b)] = c
         groupoid = Groupoid(_labels(gdoc["objects"], "groupoid objects"), morphs, comp)
     except GroupoidError as exc:
@@ -142,38 +154,38 @@ def parse_instance(doc: dict) -> Instance:
     if not isinstance(adoc, dict) or "basis" not in adoc or "unit" not in adoc:
         raise InstanceFormatError("algebra section needs basis and unit")
     basis = _labels(adoc["basis"], "algebra basis")
-    if len(set(basis)) != len(basis):
-        raise InstanceFormatError("duplicate algebra basis labels")
     bset = set(basis)
+    if len(bset) != len(basis):
+        raise InstanceFormatError("duplicate algebra basis labels")
     right, pairs = {}, set()
-    for a, b, el in _triples(adoc.get("multiplication", []), "multiplication"):
+
+    def read_product(a, b, el):
         if a not in bset or b not in bset:
             unknown = " and ".join(repr(lab) for lab in dict.fromkeys((a, b)) if lab not in bset)
             raise InstanceFormatError(f"multiplication references unknown label {unknown}")
         if (a, b) in pairs:
             raise InstanceFormatError(f"multiplication table maps ({a!r}, {b!r}) twice")
         pairs.add((a, b))
-        if prod := _parse_element(field, el, bset, f"multiplication ({a}, {b})"):
+        if prod := _parse_element(field, el, bset, "multiplication ({}, {})", a, b):
             right.setdefault(a, {})[b] = prod
+    _read_table(adoc.get("multiplication", []), "multiplication", read_product)
     unit = _parse_element(field, adoc["unit"], bset, "unit")
     if not unit:
         raise InstanceFormatError("algebra unit is zero; B needs a nonzero unit")
     algebra = FinAlgebra(field, basis, right, unit, name="B")
 
-    table = {}
-    mids = set(groupoid.morphism_ids())
-    for m, b, el in _triples(doc.get("action", []), "action"):
+    table, mids = {}, set(groupoid.morphism_ids())
+
+    def read_action(m, b, el):
         if m not in mids:
             raise InstanceFormatError(f"action references unknown morphism {m!r}")
         if b not in bset:
             raise InstanceFormatError(f"action references unknown basis label {b!r}")
         if (m, b) in table:
             raise InstanceFormatError(f"action table maps ({m!r}, {b!r}) twice")
-        table[(m, b)] = _parse_element(field, el, bset, f"action ({m}, {b})")
-    for m in groupoid.morphism_ids():
-        for b in basis:
-            table.setdefault((m, b), {})
-    action = ModuleAction(groupoid, algebra, table)
+        table[(m, b)] = _parse_element(field, el, bset, "action ({}, {})", m, b)
+    _read_table(doc.get("action", []), "action", read_action)
+    action = ModuleAction(groupoid, algebra, table, total=False)
 
     name = doc.get("name", "")
     if not isinstance(name, str):
@@ -195,10 +207,6 @@ def load_instance(path) -> Instance:
 # -- builtin library ------------------------------------------------------------
 
 
-def _trivial_action_doc(groupoid):
-    return [[m, "b", {"b": "1"}] for m in groupoid.morphism_ids()]
-
-
 def _z_trivial(n, name):
     g = cyclic_group(n)
     return {
@@ -207,7 +215,7 @@ def _z_trivial(n, name):
         "groupoid": groupoid_to_doc(g),
         "algebra": {"basis": ["b"], "unit": {"b": "1"},
                     "multiplication": [["b", "b", {"b": "1"}]]},
-        "action": _trivial_action_doc(g),
+        "action": [[m, "b", {"b": "1"}] for m in g.morphism_ids()],
     }
 
 

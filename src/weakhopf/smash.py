@@ -18,15 +18,15 @@ from .walg import FinAlgebra, acc
 
 def smash_product(B: FinAlgebra, kg: FinAlgebra, action) -> FinAlgebra:
     """(a # u_s)(b # u_t) = a(s.b) # u_{st}, zero when st is undefined.
-    a(s.b) is formed once per (a, s, b) and emitted for each t composable
-    with s whose product the table defines, in basis order of the pairs."""
+    a(s.b) is formed once per (a, s, b) with s.b != 0 (read off rho[s]) and
+    emitted for each t composable with s whose product the table defines."""
     F = B.field
     g = action.groupoid
     basis = [(b, m) for b in B.basis for m in g.morphism_ids()]
     right = {}
     for (a, s) in basis:
-        for b in B.basis:
-            coeff = B.multiply(B.basis_element(a), action.act_basis(s, b))
+        for b, sb in action.rho[s].items():
+            coeff = B.multiply({a: F.one}, sb)
             if coeff:
                 for t, st in g.after[s]:
                     right.setdefault((a, s), {})[(b, t)] = {(lab, st): c for lab, c in coeff.items()}

@@ -9,7 +9,8 @@ kernel and image and of the unit search built on them, the
 whole-element multiply form of the two-sided identity test, the
 evaluation of a map given by basis images (on elements and on phi), the
 all-pairs and all-triples form of the groupoid validator, the
-all-tuples forms of the weak-Hopf dual and axiom checkers and of the
+all-tuples forms of the weak-Hopf dual and axiom checkers, the target
+counit formed per element, the all-tuples forms of the
 module-algebra check, component decomposition and derived action, the
 all-pairs forms of KG, B#KG, B#KG#KG*, the skew groupoid ring, phi and the
 kernel-ideal test, each computing the smash formula itself, the
@@ -17,12 +18,14 @@ per-label classification of the double-smash basis, the
 all-pairs forms of phi's multiplicativity and right-linearity checks and
 of the closure test, the span-comparison forms of the thm2.2, rem2.7
 and thm2.9 verifiers on sparse_subspace_equal, and the kernel-echelon
-forms of the thm2.2 and thm2.6 verifiers and of the kernel-ideal test.
+forms of the thm2.2 and thm2.6 verifiers and of the kernel-ideal test,
+and the instance parser that checks one field or row at a time.
 Tests compare the engine against these; nothing in src/ imports this
 module.
 """
 
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 
 from conftest import compose
 from weakhopf import exactmath
@@ -30,8 +33,10 @@ from weakhopf.action import ComponentDecomposition, DfapAction, ModuleAction
 from weakhopf.duality import (COMPLEMENT_STRATA, IMAGE_STRATA, KERNEL_STRATA, STRATA,
                               UNCLASSIFIED, UNITAL_STRATA, LinearMapRep, classify,
                               element_str, label_str)
+from weakhopf.groupoid import Groupoid, GroupoidError, Morphism
+from weakhopf.instances import Instance, InstanceFormatError
 from weakhopf.report import Report
-from weakhopf.walg import CoStructure, FinAlgebra, acc, el_addto, el_norm, target_counit
+from weakhopf.walg import CoStructure, FinAlgebra, acc, el_addto, el_norm
 
 
 def table_algebra(field, basis, mul, unit=None, name="", meta=None) -> FinAlgebra:
@@ -779,6 +784,18 @@ def check_antipode(alg: FinAlgebra, co: CoStructure) -> Report:
 # -- dense module-algebra, decomposition and derived-action checks -------------
 
 
+def target_counit(alg: FinAlgebra, co: CoStructure, x: dict) -> dict:
+    """sum eps(1_1 x) 1_2 over the coproduct of the unit, with delta(1)
+    formed and each leg multiplied by x on every call."""
+    if alg.unit is None:
+        raise ValueError("target counit needs a unit")
+    F = alg.field
+    out = {}
+    for (a, b), c in co.delta_element(alg.unit).items():
+        el_addto(F, out, F.mul(c, co.counit_element(alg.multiply({a: F.one}, x))), {b: F.one})
+    return out
+
+
 def check_module_algebra(B: FinAlgebra, kg: FinAlgebra, kg_co, action: ModuleAction) -> Report:
     """Exhaustive check of the weak module-algebra conditions:
     (i) composing the action matches multiplying in the groupoid algebra
@@ -1315,3 +1332,131 @@ def verify_thm2_9(ctx):
              f"psi injective on C: {inj}",
              f"psi(B0) equals span(A1): {b0_eq_a1}"]
     return ctx._result("thm2.9", holds, dims, witnesses, notes)
+
+
+# -- the instance parser, one check at a time ----------------------------------
+
+
+def parse_scalar(field, text):
+    """text as a scalar of field, rationals always through Fraction."""
+    if field.kind == "rational":
+        return exactmath._integral(Fraction(str(text)))
+    return field.parse(text)
+
+
+def _parse_element(field, doc, basis, where):
+    if not isinstance(doc, dict):
+        raise InstanceFormatError(f"{where}: element must be an object")
+    out = {}
+    for lab, text in doc.items():
+        if lab not in basis:
+            raise InstanceFormatError(f"{where}: unknown basis label {lab!r}")
+        try:
+            val = parse_scalar(field, text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InstanceFormatError(f"{where}: bad coefficient {text!r}: {exc}")
+        if val != field.zero:
+            out[lab] = val
+    return out
+
+
+def _list(value, where):
+    if not isinstance(value, list):
+        raise InstanceFormatError(f"{where} must be a list")
+    return value
+
+
+def _label(lab, where):
+    """lab as a label: a JSON string, so that any two labels compare."""
+    if not isinstance(lab, str):
+        raise InstanceFormatError(f"{where} is not a label (a JSON string): {lab!r}")
+    return lab
+
+
+def _labels(values, where):
+    return [_label(lab, f"{where}[{i}]") for i, lab in enumerate(_list(values, where))]
+
+
+def _triples(rows, where):
+    """The [label, label, element] rows of a table section."""
+    for i, entry in enumerate(_list(rows, where)):
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise InstanceFormatError(f"{where}[{i}] is not a [label, label, element] triple")
+        _labels(entry[:2], f"{where}[{i}]")
+    return rows
+
+
+def parse_instance(doc: dict) -> Instance:
+    """The instance parser that walks each table once to check its shapes
+    and once to read it, builds every error location up front and fills
+    the action table in before ModuleAction normalises it."""
+    if not isinstance(doc, dict):
+        raise InstanceFormatError("instance document must be a JSON object")
+    try:
+        field = exactmath.field_from_spec(doc["field"])
+    except (AttributeError, KeyError, ValueError, TypeError) as exc:
+        raise InstanceFormatError(f"bad field spec: {exc}")
+
+    gdoc = doc.get("groupoid")
+    if not isinstance(gdoc, dict):
+        raise InstanceFormatError("missing groupoid section")
+    if not gdoc.get("objects"):
+        raise InstanceFormatError("groupoid has no objects")
+    try:
+        morphs = [Morphism(*(_label(m[k], f"morphisms[{i}].{k}")
+                             for k in ("id", "src", "tgt", "inv")))
+                  for i, m in enumerate(gdoc.get("morphisms", []))]
+        comp = {}
+        for i, entry in enumerate(_list(gdoc.get("composition", []), "composition")):
+            a, b, c = _labels(entry, f"composition[{i}]")
+            if (a, b) in comp:
+                raise InstanceFormatError(
+                    f"composition table maps ({a!r}, {b!r}) twice")
+            comp[(a, b)] = c
+        groupoid = Groupoid(_labels(gdoc["objects"], "groupoid objects"), morphs, comp)
+    except GroupoidError as exc:
+        raise InstanceFormatError(f"groupoid: {exc}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InstanceFormatError(f"groupoid section malformed: {exc}")
+
+    adoc = doc.get("algebra")
+    if not isinstance(adoc, dict) or "basis" not in adoc or "unit" not in adoc:
+        raise InstanceFormatError("algebra section needs basis and unit")
+    basis = _labels(adoc["basis"], "algebra basis")
+    if len(set(basis)) != len(basis):
+        raise InstanceFormatError("duplicate algebra basis labels")
+    bset = set(basis)
+    right, pairs = {}, set()
+    for a, b, el in _triples(adoc.get("multiplication", []), "multiplication"):
+        if a not in bset or b not in bset:
+            unknown = " and ".join(repr(lab) for lab in dict.fromkeys((a, b)) if lab not in bset)
+            raise InstanceFormatError(f"multiplication references unknown label {unknown}")
+        if (a, b) in pairs:
+            raise InstanceFormatError(f"multiplication table maps ({a!r}, {b!r}) twice")
+        pairs.add((a, b))
+        if prod := _parse_element(field, el, bset, f"multiplication ({a}, {b})"):
+            right.setdefault(a, {})[b] = prod
+    unit = _parse_element(field, adoc["unit"], bset, "unit")
+    if not unit:
+        raise InstanceFormatError("algebra unit is zero; B needs a nonzero unit")
+    algebra = FinAlgebra(field, basis, right, unit, name="B")
+
+    table = {}
+    mids = set(groupoid.morphism_ids())
+    for m, b, el in _triples(doc.get("action", []), "action"):
+        if m not in mids:
+            raise InstanceFormatError(f"action references unknown morphism {m!r}")
+        if b not in bset:
+            raise InstanceFormatError(f"action references unknown basis label {b!r}")
+        if (m, b) in table:
+            raise InstanceFormatError(f"action table maps ({m!r}, {b!r}) twice")
+        table[(m, b)] = _parse_element(field, el, bset, f"action ({m}, {b})")
+    for m in groupoid.morphism_ids():
+        for b in basis:
+            table.setdefault((m, b), {})
+    action = ModuleAction(groupoid, algebra, table)
+
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise InstanceFormatError("name must be a string")
+    return Instance(name, field, groupoid, algebra, action)

@@ -204,3 +204,16 @@ def test_module_check_on_pair8_is_linear_in_the_composable_triples(monkeypatch):
                         lambda *args: calls.append(1) or act(*args))
     assert check_module_algebra(inst.algebra, kg, kg_co, inst.action).ok
     assert len(calls) <= 3 * n ** 3
+
+
+def test_module_check_on_pair8_forms_delta_of_one_once(monkeypatch):
+    # axiom (iii) reads the target counit of every morphism off one delta(1),
+    # not one per morphism
+    from weakhopf.walg import CoStructure
+    inst = parse_instance(groupoid_doc(pair_groupoid(8), "pair8"))
+    kg, kg_co = groupoid_algebra(inst.field, inst.groupoid)
+    calls, delta_element = [], CoStructure.delta_element
+    monkeypatch.setattr(CoStructure, "delta_element",
+                        lambda *args: calls.append(1) or delta_element(*args))
+    assert check_module_algebra(inst.algebra, kg, kg_co, inst.action).ok
+    assert len(calls) == 1

@@ -380,6 +380,27 @@ def test_larger_groupoids_pass_hopf_check_and_validate(name, tmp_path, capsys):
                      "PASS decomposition"]
 
 
+def test_commands_walk_the_composable_triples_once(tmp_path, monkeypatch, capsys):
+    # validate_groupoid walks them; when it finds nothing, KG* is
+    # coassociative and counital and its own walk is skipped.  On a broken
+    # groupoid the walk still runs
+    from conftest import groupoid_doc, missing_composition_z2_doc
+    from weakhopf import walg
+    from weakhopf.groupoid import cyclic_group
+    walks, holds = [], walg._kgstar_coalgebra_holds
+    monkeypatch.setattr(walg, "_kgstar_coalgebra_holds",
+                        lambda *args: walks.append(1) or holds(*args))
+    z8, broken = tmp_path / "z8.json", tmp_path / "missing.json"
+    z8.write_text(json.dumps(groupoid_doc(cyclic_group(8), "z8")), encoding="utf-8")
+    broken.write_text(json.dumps(missing_composition_z2_doc()), encoding="utf-8")
+    for cmd in ("hopf-check", "validate", "verify"):
+        assert main([cmd, str(z8)]) == 0
+    assert walks == []
+    assert capsys.readouterr().out.splitlines()[:3] == ["PASS groupoid", "PASS kg", "PASS kg-dual"]
+    assert main(["hopf-check", str(broken)]) == 1
+    assert len(walks) == 1
+
+
 def test_validate_builds_only_what_it_reports(monkeypatch, capsys):
     from weakhopf import duality, smash
 

@@ -436,6 +436,21 @@ def test_smash_product_forms_each_coefficient_once(monkeypatch):
     assert 0 < len(calls) <= B.dim * len(ctx.groupoid.morphisms) * B.dim
 
 
+def test_smash_product_on_pair8_multiplies_only_along_nonzero_action_entries(monkeypatch):
+    # a(s.b) is formed for the b with s.b != 0: dim B per nonzero entry, 512
+    # B.multiply calls on pair(8) k=1, where every (a, s, b) would be 4,096
+    from conftest import groupoid_doc
+    from weakhopf.smash import smash_product
+    from weakhopf.walg import groupoid_algebra
+    inst = parse_instance(groupoid_doc(pair_groupoid(8), "pair8"))
+    B, calls = inst.algebra, []
+    multiply = B.multiply
+    monkeypatch.setattr(B, "multiply", lambda x, y: calls.append(1) or multiply(x, y))
+    smash_product(B, groupoid_algebra(inst.field, inst.groupoid)[0], inst.action)
+    nonzero = sum(map(len, inst.action.rho.values()))
+    assert nonzero == 64 and len(calls) <= B.dim * nonzero
+
+
 GENERATED = ([pair_groupoid(n) for n in (1, 2, 3)] + [cyclic_group(n) for n in (2, 3, 4, 5)]
              + [disjoint_union(pair_groupoid(2), cyclic_group(3))])
 FIELDS = [{"kind": "rational"}, {"kind": "prime", "p": 2}, {"kind": "prime", "p": 3}]

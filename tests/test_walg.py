@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 import oracle
 from conftest import BASES, SABOTAGE_KINDS, disjoint_union, pair_groupoid, sabotaged_groupoid
 from weakhopf.exactmath import QQ, PrimeField
-from weakhopf.groupoid import Groupoid, Morphism, builtin_i2, cyclic_group
-from weakhopf.walg import (CoStructure, check_antipode, check_weak_bialgebra,
-                           dual_weak_hopf, el_apply, groupoid_algebra, target_counit)
+from weakhopf.groupoid import Groupoid, Morphism, builtin_i2, cyclic_group, validate_groupoid
+from weakhopf.walg import (CoStructure, check_antipode, check_weak_bialgebra, dual_weak_hopf,
+                           el_apply, groupoid_algebra, target_counit, target_counit_images)
 
 one = Fraction(1)
 
@@ -140,6 +140,23 @@ def test_target_counit_on_i2(kg_i2):
 def test_target_counit_one_object():
     kg, co = groupoid_algebra(QQ, cyclic_group(2))
     assert target_counit(kg, co, {"a": one}) == {"e": one}
+
+
+@given(st.sampled_from([builtin_i2(), cyclic_group(3), pair_groupoid(2)]), st.booleans(),
+       st.sampled_from(["mul", "delta", "counit", "antipode", "unit"]),
+       st.sampled_from([QQ, PrimeField(3)]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_target_counit_equals_oracle_on_random_sabotage(g, dual, table, field, data):
+    # the images of the basis labels, read off one delta(1), against delta(1)
+    # formed and multiplied out per element; and on a drawn element
+    alg, co = _random_sabotage(groupoid_algebra(field, g), table, field, data)
+    if dual:
+        alg, co = dual_weak_hopf(alg, co)
+    images = target_counit_images(alg, co)
+    for y in alg.basis:
+        assert images.get(y, {}) == oracle.target_counit(alg, co, {y: field.one})
+    x = data.draw(st.dictionaries(st.sampled_from(alg.basis), st.sampled_from([field.one, 2])))
+    assert target_counit(alg, co, x) == oracle.target_counit(alg, co, x)
 
 
 def test_missing_unit_rejected():
@@ -554,9 +571,14 @@ def assert_read_offs_match_oracle(g, field):
        st.sampled_from([QQ, PrimeField(2), PrimeField(3)]), st.data())
 @settings(max_examples=100, deadline=None)
 def test_groupoid_read_offs_equal_oracle_on_random_sabotage(g, other, kinds, field, data):
-    # small bases: the oracle's KG* check grows steeply with the dimension
-    assert_read_offs_match_oracle(
-        sabotaged_groupoid(g if other is None else disjoint_union(g, other), kinds, data), field)
+    # small bases: the oracle's KG* check grows steeply with the dimension.
+    # Then again once validate_groupoid has run: its verdict, when clean,
+    # stands in for KG*'s coalgebra walk
+    g = sabotaged_groupoid(g if other is None else disjoint_union(g, other), kinds, data)
+    assert_read_offs_match_oracle(g, field)
+    assert g.valid is None
+    assert validate_groupoid(g).ok is g.valid
+    assert_read_offs_match_oracle(g, field)
 
 
 def _hand_broken(objects, records, comp):
