@@ -28,8 +28,9 @@ class Groupoid:
     """Objects, morphism records and the composition table, with the
     composition index every construction reads: leaving[e], the ids with
     src e, and after[a], the defined products [(b, a*b)] (tgt(a) == src(b)
-    and the table has the entry), both in declaration order.  A Groupoid
-    is never mutated after construction; the index relies on it."""
+    and the table has the entry), both in declaration order.  Records,
+    table and index are never mutated after construction, and the index
+    relies on it; only valid is set later, by validate_groupoid."""
 
     def __init__(self, objects, morphisms, comp):
         self.objects = list(objects)

@@ -67,7 +67,8 @@ class FinAlgebra:
     parse_instance checks outside tables, and the constructions here and in
     smash and action emit their own.  unit is an element or None.
     Nothing is assumed: associativity and the unit law are checked, not
-    taken on faith.
+    taken on faith.  The tables are never mutated after construction;
+    left, and the record of groupoid_algebra, rely on it.
     """
 
     def __init__(self, field, basis, right, unit=None, name="", meta=None):
@@ -78,7 +79,6 @@ class FinAlgebra:
         self.unit = unit
         self.name = name
         self.meta = meta or {}
-        self.memo = {}  # per CoStructure: what the axiom checks leave for the transpose's
 
     @cached_property
     def left(self):
@@ -149,13 +149,10 @@ class FinAlgebra:
                 for w in ab:
                     triples.update((a, b, c) for c in right.get(w, ()))
                     triples.update((x, a, b) for x in left.get(w, ()))
-        one = self.field.one
-        return [(a, b, c) for a, b, c in sorted(triples, key=self._order)
+        one, order = self.field.one, self.index.get
+        return [(a, b, c) for a, b, c in sorted(triples, key=lambda t: tuple(map(order, t)))
                 if self.multiply(self.basis_product(a, b), {c: one})
                 != self.multiply({a: one}, self.basis_product(b, c))]
-
-    def _order(self, labels):
-        return tuple(self.index[lab] for lab in labels)
 
     def unit_violations(self):
         """("left", b) when ub != b and ("right", b) when bu != b, for the
@@ -182,7 +179,14 @@ class CoStructure:
 
     delta[label] is a list of (left, right, scalar) triples; counit maps a
     label to a scalar; antipode maps a label to an element or is None.
+    The tables are never mutated after construction.  groupoid is the
+    record groupoid_algebra(field, g) leaves on KG's, (KG, g, P, L, False),
+    and dual_weak_hopf on that of KG* built from it, (KG*, g, P, L, True):
+    P[a] = {b: ab} is g's composition index, L = KG.left its transpose.
+    A check reads it only when its first entry is the algebra it was given.
     """
+
+    groupoid = None
 
     def __init__(self, field, delta, counit, antipode=None):
         self.field = field
@@ -230,20 +234,25 @@ def groupoid_algebra(field, g):
     grouplike comultiplication, counit 1, antipode by inversion."""
     basis = g.morphism_ids()
     # a missing entry is the validator's to report
-    right = {a: {b: {ab: field.one} for b, ab in g.after[a]} for a in basis if g.after[a]}
+    P = {a: dict(g.after[a]) for a in basis}
+    right = {a: {b: {ab: field.one} for b, ab in row.items()} for a, row in P.items() if row}
     unit = {e: field.one for e in g.objects}
-    alg = FinAlgebra(field, basis, right, unit, name="KG", meta={"groupoid": g})
+    alg = FinAlgebra(field, basis, right, unit, name="KG")
     delta = {m: [(m, m, field.one)] for m in basis}
     counit = {m: field.one for m in basis}
     antipode = {m: {g.inv(m): field.one} for m in basis}
-    return alg, CoStructure(field, delta, counit, antipode)
+    co = CoStructure(field, delta, counit, antipode)
+    co.groupoid = alg, g, P, alg.left, False
+    return alg, co
 
 
 def dual_weak_hopf(alg: FinAlgebra, co: CoStructure):
     """Finite dual on the same labels: products by walking delta,
     coproducts by walking the factorizations recorded in the products,
     counit from the unit, antipode transposed.  Tables come out in basis
-    order, and products whose legs cancel are dropped."""
+    order, and products whose legs cancel are dropped.  When co carries
+    the record of groupoid_algebra for this very alg, the dual's coalgebra
+    carries it over."""
     F = alg.field
     if alg.unit is None:
         raise ValueError("dual construction needs a unital algebra")
@@ -274,9 +283,11 @@ def dual_weak_hopf(alg: FinAlgebra, co: CoStructure):
                 if x in antipode:
                     antipode[x][y] = c
 
-    dual = FinAlgebra(F, basis, right, unit, name=f"{alg.name}*",
-                      meta={"dual_of": (alg, co)})
-    return dual, CoStructure(F, delta, counit, antipode)
+    dual = FinAlgebra(F, basis, right, unit, name=f"{alg.name}*")
+    dual_co = CoStructure(F, delta, counit, antipode)
+    if (kg := _record(alg, co, False)) is not None:
+        dual_co.groupoid = (dual, *kg, True)
+    return dual, dual_co
 
 
 # -- axiom checkers -------------------------------------------------------------
@@ -284,55 +295,11 @@ def dual_weak_hopf(alg: FinAlgebra, co: CoStructure):
 ANTIPODE_CHECKS = ("antipode-left", "antipode-right", "antipode-sandwich")
 
 
-def _is_transpose(alg: FinAlgebra, co: CoStructure, src: FinAlgebra, src_co: CoStructure):
-    """Whether alg, co are the exact transpose of src, src_co on the same
-    field and basis, src's tables naming only its basis labels: products
-    and coproducts swapped, unit and counit swapped, antipodes transposed."""
-    F, basis = alg.field, alg.basis
-
-    def entries(a, c):  # {(l, r, x): [lr]_x}, {(l, r, x): [delta(x)]_(l, r)}
-        return ({(l, r, x): w for l, row in a.right.items() for r, p in row.items()
-                 for x, w in p.items()},
-                _summed(F, [((l, r, x), w) for x in basis for l, r, w in c.delta.get(x, [])]))
-
-    (mul, delta), (mul_t, delta_t) = entries(src, src_co), entries(alg, co)
-    s = {(x, y): c for y in basis for x, c in (src_co.antipode or {}).get(y, {}).items()}
-    return (F is src.field and basis == src.basis and mul_t == delta and delta_t == mul
-            and set(src.unit).union(*mul, *delta, *s) <= src.index.keys()
-            and alg.unit == {x: c for x in basis if (c := src_co.counit.get(x, F.zero)) != F.zero}
-            and all(co.counit.get(x, F.zero) == src.unit.get(x, F.zero) for x in basis)
-            and (co.antipode is None) == (src_co.antipode is None)
-            and s == {(x, y): c for x, img in (co.antipode or {}).items() for y, c in img.items()})
-
-
-def _source_pass(alg: FinAlgebra, co: CoStructure, key, check):
-    """When alg, co are dual_weak_hopf(src, src_co), src is no dual, and
-    _is_transpose holds (asked once per (alg, co)): what check(src, src_co)
-    keeps in src.memo[src_co][key], running it if it has not run."""
-    memo = alg.memo.setdefault(co, {})
-    if "source" not in memo:
-        src, src_co = memo["source"] = alg.meta.get("dual_of", (None, None))
-        if src is None or "dual_of" in src.meta or not _is_transpose(alg, co, src, src_co):
-            memo["source"] = None
-    if memo["source"]:
-        src, src_co = memo["source"]
-        if key not in src.memo.setdefault(src_co, {}):
-            check(src, src_co)
-        return src.memo[src_co][key]
-
-
-def _groupoid_pass(alg: FinAlgebra, co: CoStructure):
-    """(g, P, L) when alg, co are groupoid_algebra(alg.field, g) for g =
-    alg.meta["groupoid"] (asked once per (alg, co)), else None: P[a] = {b: ab}
-    is g's composition index and L = alg.left its transpose."""
-    memo = alg.memo.setdefault(co, {})
-    if "groupoid" not in memo:
-        g, memo["groupoid"] = alg.meta.get("groupoid"), None
-        if g is not None:
-            kg, kg_co = groupoid_algebra(alg.field, g)
-            if (alg.basis, alg.right, alg.unit, vars(co)) == (kg.basis, kg.right, kg.unit, vars(kg_co)):
-                memo["groupoid"] = g, {a: dict(row) for a, row in g.after.items()}, alg.left
-    return memo["groupoid"]
+def _record(alg: FinAlgebra, co: CoStructure, dual: bool):
+    """(g, P, L) when co carries the record of KG (dual False) or of KG*
+    (dual True) for this very alg, else None."""
+    rec = co.groupoid
+    return rec[1:4] if rec is not None and rec[0] is alg and rec[4] is dual else None
 
 
 def _objects_orthogonal(g, P, L):
@@ -372,24 +339,20 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
     weakened unit axiom for delta^2(1), and the weakened counit axiom.
     Tuples whose sides are zero by construction are skipped, and sides are
     summed by bilinearity: the weak-unit sides one third-leg slice at a
-    time, and the weak-counit sides as rows of eps(ab).  On a certified
-    transpose (_source_pass) sides paired with x (x) y (x) z are those of
-    the source's check: [f, g] breaks multiplicativity where delta(xy) and
-    delta(x) delta(y) differ at f (x) g, and, if the source's counit law
-    holds, the weak unit (flipped) where eps((xy)z) and sum eps(x y1) eps(y2 z)
-    (sum eps(x y2) eps(y1 z)) differ.  On a certified KG (_groupoid_pass),
-    with delta(x) = x (x) x, only the weak unit and counit can fail: the
-    weak counit is read off the composition index, and the weak unit holds
-    if the objects are orthogonal idempotents.  On its certified transpose
-    a check the index shows to hold everywhere is skipped, as are the
-    coalgebra axioms of a groupoid that validate_groupoid found valid."""
+    time, and the weak-counit sides as rows of eps(ab).  On a recorded KG
+    (CoStructure.groupoid), with delta(x) = x (x) x, only the weak unit
+    and counit can fail: the weak counit is read off the composition
+    index, and the weak unit holds if the objects are orthogonal
+    idempotents.  On a recorded KG*, paired with x (x) y (x) z, delta(xy)
+    == delta(x) delta(y) as KG's coproduct is multiplicative, and the weak
+    unit and its flip hold exactly when KG's weak counit does; a check the
+    index shows to hold everywhere is skipped, as are the coalgebra axioms
+    of a groupoid that validate_groupoid found valid."""
     if alg.unit is None:
         raise ValueError("weak bialgebra check needs a unit")
     F = alg.field
     rep = Report(f"weak bialgebra axioms ({alg.name or 'algebra'})")
-    source = _source_pass(alg, co, "weak bialgebra", check_weak_bialgebra)
-    kg = _groupoid_pass(alg, co)
-    dual = source is not None and _groupoid_pass(*alg.memo[co]["source"])
+    kg, dual = _record(alg, co, False), _record(alg, co, True)
 
     # coassociativity and counit law, per basis label.  A coefficient of
     # delta(x) and a stored leg weight are nonzero, and so is their product
@@ -413,11 +376,8 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
     # delta(xy) == delta(x) delta(y), the sum of ac x bd over the legs (a, b)
     # of delta(x) and (c, d) of delta(y).  Only the y with xy != 0, or with
     # ac and bd both nonzero for some legs, can break the identity
-    right, left, coords = alg.right, alg.left, set()
-    if source is not None:
-        for f, g in sorted(source["coproduct-multiplicative"], key=alg._order):
-            rep.add("coproduct-multiplicative", [f, g])
-    elif kg is None:
+    right, left = alg.right, alg.left
+    if kg is None and dual is None:
         with_legs = {}
         for y in alg.basis:
             for cd, w in deltas[y].items():
@@ -433,7 +393,6 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
                 lhs, rhs = co.delta_element(alg.basis_product(x, y)), prods[y]
                 if lhs != rhs:
                     rep.add("coproduct-multiplicative", [x, y])
-                    coords.update(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
 
     # delta^2(1) == (delta(1) x 1)(1 x delta(1)) == (1 x delta(1))(delta(1) x 1),
     # one third leg t at a time.  Over the legs (a, b), (c, d) of delta(1) =
@@ -444,8 +403,8 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
     # delta(P_t).  Each distinct (P_t, Q_t, Q'_t) is compared once
     if kg is not None and _objects_orthogonal(*kg):  # then delta(1) = sum e x e is a
         unit_ok = flipped_ok = True                 # sum of orthogonal idempotents
-    elif source is not None and source["counit-law"]:
-        unit_ok, flipped_ok = source["weak-unit"], source["weak-unit-flipped"]
+    elif dual is not None:
+        unit_ok = flipped_ok = not _kg_weak_counit(alg, *dual)
     else:
         one = alg.unit
         d1 = co.delta_element(one)
@@ -489,11 +448,9 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
     # side a combination of the rows eps[w] = eps(w .) of the nonzero values
     # eps(ab).  Only the x with xy != 0 or eps(x y_i) != 0 for a leg y_i of
     # delta(y) can break the identity; z is walked where the rows differ
-    mid_ok = flip_ok = True
     if kg is not None or (dual and _objects_orthogonal(*dual)):
         for w in _kg_weak_counit(alg, *kg) if kg else ():
             rep.add("weak-counit", w)
-            mid_ok = flip_ok = False
     else:
         eps, eps_left = {}, {}
         for a, row in right.items():
@@ -520,16 +477,11 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
                 mid, mid_flip = el_apply(F, eps, mid), el_apply(F, eps, mid_flip)
                 if lhs == mid == mid_flip:
                     continue
-                mid_ok, flip_ok = mid_ok and lhs == mid, flip_ok and lhs == mid_flip
                 for z in sorted({*lhs, *mid, *mid_flip}, key=alg.index.get):
                     v = lhs.get(z, F.zero)
                     if v != mid.get(z, F.zero) or v != mid_flip.get(z, F.zero):
                         rep.add("weak-counit", [x, y, z])
 
-    if source is None:  # read off by the checks of a transpose
-        alg.memo[co]["weak bialgebra"] = {
-            "coproduct-multiplicative": coords, "weak-unit": mid_ok, "weak-unit-flipped": flip_ok,
-            "counit-law": "counit-law" not in rep.checks_failed()}
     rep.info["dim"] = alg.dim
     return rep
 
@@ -538,36 +490,32 @@ def check_antipode(alg: FinAlgebra, co: CoStructure) -> Report:
     """The three antipode identities, exhaustively over basis labels.
     S(x1) x2 is formed once per label, and S(x1) x2 S(x3) is read off it
     as the sum of w S(p1) p2 S(c) over the legs (p, c) of delta(x).  Each
-    identity is Phi == Psi, and the transposes of Phi, Psi are the maps of
-    the same identity on the transpose (eps_t, eps_s and (delta x id) delta
-    map to themselves), so on a certified transpose (_source_pass) f fails
-    it where the source's check finds [Phi(x)]_f != [Psi(x)]_f.  On a
-    certified KG (_groupoid_pass) they read {x x^-1} == {objects e: ex != 0},
-    {x^-1 x} == {objects e: xe != 0} and {(x^-1 x) x^-1} == {x^-1}."""
+    identity is Phi == Psi.  On a recorded KG (CoStructure.groupoid) they
+    read {x x^-1} == {objects e: ex != 0}, {x^-1 x} == {objects e: xe != 0}
+    and {(x^-1 x) x^-1} == {x^-1}.  The transposes of Phi, Psi are the maps
+    of the same identity on KG* (eps_t, eps_s and (delta x id) delta map
+    to themselves), so on a recorded KG* f fails it where f lies in one
+    side of KG's reading and not the other."""
     if alg.unit is None:
         raise ValueError("antipode check needs a unit")
     if co.antipode is None:
         raise ValueError("no antipode table")
     F = alg.field
     rep = Report(f"antipode axioms ({alg.name or 'algebra'})")
-    source = _source_pass(alg, co, "antipode", check_antipode)
-    if source is not None:
-        for x in alg.basis:
-            for check in (c for c in ANTIPODE_CHECKS if x in source[c]):
-                rep.add(check, x)
-        return rep
-    rows = alg.memo[co]["antipode"] = {check: set() for check in ANTIPODE_CHECKS}
-    if (kg := _groupoid_pass(alg, co)) is not None:
-        g, P, L = kg
-        objs = set(g.objects)
+    kg, dual = _record(alg, co, False), _record(alg, co, True)
+    if kg or dual:
+        g, P, L = kg or dual
+        objs, failed = set(g.objects), set()  # the pairs (check, label) that fail
         for x in alg.basis:
             xi = g.inv(x)
             xix = P[xi].get(x)
             for check, lhs, rhs in zip(ANTIPODE_CHECKS, (P[x].get(xi), xix, P.get(xix, {}).get(xi)),
                                        (objs & L.get(x, {}).keys(), objs & P[x].keys(), {xi})):
                 if (lhs := {lhs} - {None}) != rhs:
-                    rep.add(check, x)
-                    rows[check] |= lhs ^ rhs
+                    failed.update((check, f) for f in (lhs ^ rhs if dual else (x,)))
+        for x in alg.basis:
+            for check in (c for c in ANTIPODE_CHECKS if (c, x) in failed):
+                rep.add(check, x)
         return rep
     right, left = alg.right, alg.left
     by_first, by_second = {}, {}  # the legs (a, b) of delta(1) by a and by b
@@ -609,19 +557,15 @@ def check_antipode(alg: FinAlgebra, co: CoStructure) -> Report:
                                    (left_r, right_r, S(x))):
             if lhs != rhs:
                 rep.add(check, x)
-                rows[check].update(k for k in lhs.keys() | rhs.keys() if lhs.get(k) != rhs.get(k))
     return rep
 
 
-def target_counit(alg: FinAlgebra, co: CoStructure, x: dict) -> dict:
-    """sum eps(1_1 x) 1_2 over the coproduct of the unit.  On a groupoid
-    algebra this sends u_g to the identity at src(g)."""
-    return el_apply(alg.field, target_counit_images(alg, co), x)
-
-
 def target_counit_images(alg: FinAlgebra, co: CoStructure) -> dict:
-    """{y: target_counit(alg, co, {y: one})} over the y with 1_1 y != 0 for
-    a leg 1_1, forming delta(1) once and reading eps(1_1 y) off 1_1's row."""
+    """The target counit x -> sum eps(1_1 x) 1_2 over the coproduct of the
+    unit, as its images {y: image} (el_apply evaluates it) over the y with
+    1_1 y != 0 for a leg 1_1, forming delta(1) once and reading eps(1_1 y)
+    off 1_1's row.  On a groupoid algebra it sends u_g to the identity at
+    src(g)."""
     if alg.unit is None:
         raise ValueError("target counit needs a unit")
     F, out = alg.field, {}

@@ -640,8 +640,7 @@ def dual_weak_hopf(alg: FinAlgebra, co: CoStructure):
                     img[y] = c
             antipode[x] = img
 
-    dual = table_algebra(F, basis, mul, unit, name=f"{alg.name}*",
-                         meta={"dual_of": (alg, co)})
+    dual = table_algebra(F, basis, mul, unit, name=f"{alg.name}*")
     return dual, CoStructure(F, delta, counit, antipode)
 
 

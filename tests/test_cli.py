@@ -401,6 +401,22 @@ def test_commands_walk_the_composable_triples_once(tmp_path, monkeypatch, capsys
     assert len(walks) == 1
 
 
+def test_commands_build_kg_and_kgstar_once(monkeypatch, capsys):
+    # KG's coalgebra records the composition index where KG is built, so
+    # no check builds KG again
+    from weakhopf import walg
+    calls = []
+    for name in ("groupoid_algebra", "dual_weak_hopf"):
+        fn = getattr(walg, name)
+        monkeypatch.setattr(walg, name, lambda *args, fn=fn, name=name:
+                            calls.append(name) or fn(*args))
+    for cmd in ("hopf-check", "validate", "verify"):
+        calls.clear()
+        assert main([cmd, "i2-swap"]) == 0
+        assert calls == ["groupoid_algebra", "dual_weak_hopf"], cmd
+    capsys.readouterr()
+
+
 def test_validate_builds_only_what_it_reports(monkeypatch, capsys):
     from weakhopf import duality, smash
 

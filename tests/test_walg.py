@@ -9,7 +9,7 @@ from conftest import BASES, SABOTAGE_KINDS, disjoint_union, pair_groupoid, sabot
 from weakhopf.exactmath import QQ, PrimeField
 from weakhopf.groupoid import Groupoid, Morphism, builtin_i2, cyclic_group, validate_groupoid
 from weakhopf.walg import (CoStructure, check_antipode, check_weak_bialgebra, dual_weak_hopf,
-                           el_apply, groupoid_algebra, target_counit, target_counit_images)
+                           el_apply, groupoid_algebra, target_counit_images)
 
 one = Fraction(1)
 
@@ -131,15 +131,16 @@ def test_identity_antipode_fails(kg_i2):
 
 def test_target_counit_on_i2(kg_i2):
     alg, co = kg_i2
-    assert target_counit(alg, co, {"g": one}) == {"x": one}
-    assert target_counit(alg, co, {"gi": one}) == {"y": one}
-    assert target_counit(alg, co, {"x": one}) == {"x": one}
-    assert target_counit(alg, co, {"y": one}) == {"y": one}
+    images = target_counit_images(alg, co)
+    assert el_apply(QQ, images, {"g": one}) == {"x": one}
+    assert el_apply(QQ, images, {"gi": one}) == {"y": one}
+    assert el_apply(QQ, images, {"x": one}) == {"x": one}
+    assert el_apply(QQ, images, {"y": one}) == {"y": one}
 
 
 def test_target_counit_one_object():
     kg, co = groupoid_algebra(QQ, cyclic_group(2))
-    assert target_counit(kg, co, {"a": one}) == {"e": one}
+    assert el_apply(QQ, target_counit_images(kg, co), {"a": one}) == {"e": one}
 
 
 @given(st.sampled_from([builtin_i2(), cyclic_group(3), pair_groupoid(2)]), st.booleans(),
@@ -156,7 +157,7 @@ def test_target_counit_equals_oracle_on_random_sabotage(g, dual, table, field, d
     for y in alg.basis:
         assert images.get(y, {}) == oracle.target_counit(alg, co, {y: field.one})
     x = data.draw(st.dictionaries(st.sampled_from(alg.basis), st.sampled_from([field.one, 2])))
-    assert target_counit(alg, co, x) == oracle.target_counit(alg, co, x)
+    assert el_apply(field, images, x) == oracle.target_counit(alg, co, x)
 
 
 def test_missing_unit_rejected():
@@ -347,9 +348,10 @@ SABOTAGES = [
     # finding must come first, as in the oracle
     _sabotage("antipode-sandwich", ("mul", ("y", "gi"), {"y": 2 * one}),
               name="sandwich-before-left"),
-    # the dual's checks read these verdicts off the pass of KG's.  delta(x)
-    # = 2 x x x - x x y - y x x + y x y keeps the counit law; the dual's
-    # pairs [f, g] are coordinates of delta(xy), not KG's pairs [x, y]
+    # the dual of an edited KG carries no record, so its checks run on the
+    # tables.  delta(x) = 2 x x x - x x y - y x x + y x y keeps the counit
+    # law; the dual's pairs [f, g] are coordinates of delta(xy), not KG's
+    # pairs [x, y]
     _sabotage("coproduct-multiplicative",
               ("delta", "x", [("x", "x", 2 * one), ("x", "y", -one), ("y", "x", -one),
                               ("y", "y", one)]), dual=True, name="dual-coproduct-multiplicative"),
@@ -394,15 +396,15 @@ def test_sabotaged_table_is_caught_as_the_oracle_catches_it(check, edits, p, dua
 
 
 def _bare(alg, co):
-    """alg's tables without its meta, so that no certificate applies and
-    the checks run on the tables alone."""
+    """A copy of alg's tables, paired with co: a record of co names alg,
+    not the copy, so the checks run on the tables alone."""
     return oracle.table_algebra(alg.field, alg.basis, alg.mul, alg.unit, alg.name), co
 
 
 def test_weak_bialgebra_check_on_kgstar_of_z12_is_below_cubic(monkeypatch):
     # the weak-unit products are summed per nonzero product of two legs of
     # delta(1); summing per term of delta^2(1) takes 2 * 12^3 + 12^2 calls.
-    # Bare tables: a certified KG* reads the weak unit off KG's pass
+    # Bare tables: KG* as built reads the weak unit off the composition index
     from weakhopf import walg
     calls, acc_tensor = [], walg.acc_tensor
     monkeypatch.setattr(walg, "acc_tensor",
@@ -415,7 +417,8 @@ def test_weak_bialgebra_check_on_kgstar_of_z12_is_below_cubic(monkeypatch):
 def test_weak_bialgebra_check_on_kgstar_of_z12_makes_few_acc_calls(monkeypatch):
     # KG* of a group has one distinct third-leg slice of delta^2(1), so the
     # weak unit costs O(12^2) acc calls; building delta^2(1) and the two
-    # products whole took 3 * 12^3, and the check then made 10,128 in all
+    # products whole took 3 * 12^3, and the check then made 10,128 in all.
+    # Every KG* without its record, as of an edited KG, takes this path
     from weakhopf import walg
     calls, acc = [], walg.acc
     monkeypatch.setattr(walg, "acc", lambda *args: calls.append(None) or acc(*args))
@@ -429,30 +432,15 @@ def test_weak_bialgebra_check_on_kgstar_of_z12_makes_few_acc_calls(monkeypatch):
                                   ("unit", "g", 2 * one), ("antipode", "g", {"g": one})],
                          ids=["mul", "delta", "counit", "unit", "antipode"])
 def test_certificate_rejects_a_tampered_transpose(edit):
-    # KG*'s tables edited after dual_weak_hopf, which it still names as its
-    # source: the certificate must fail and the checks run directly, since
-    # KG's pass says nothing of the edit
+    # KG*'s tables edited after dual_weak_hopf: the edited copy carries no
+    # record and its checks run on the tables, since the composition index
+    # says nothing of the edit
     kg, kg_co = groupoid_algebra(QQ, builtin_i2())
-    dual, dual_co = _edited(*dual_weak_hopf(kg, kg_co), [edit])
+    kgstar, kgstar_co = dual_weak_hopf(kg, kg_co)
+    dual, dual_co = _edited(kgstar, kgstar_co, [edit])
     assert (_axiom_findings(check_weak_bialgebra, check_antipode, dual, dual_co)
             == _axiom_findings(oracle.check_weak_bialgebra, oracle.check_antipode, dual, dual_co))
-    assert dual.meta["dual_of"] == (kg, kg_co) and dual.memo[dual_co]["source"] is None
-
-
-def test_kgstar_check_after_kg_on_z12_makes_few_acc_calls(monkeypatch):
-    # after KG's check, KG*'s reads multiplicativity and the weak unit off
-    # KG's pass, and each side of coassociativity, 12 * 144 terms with
-    # distinct keys, is one dict: only the counit law and the weak counit
-    # call acc, 612 times.  Summing everything through acc took 5,400.
-    # A bare KG: on a certified one KG*'s checks read every verdict off
-    from weakhopf import walg
-    kg, kg_co = _bare(*groupoid_algebra(QQ, cyclic_group(12)))
-    kgstar, co = dual_weak_hopf(kg, kg_co)
-    assert check_weak_bialgebra(kg, kg_co).ok
-    calls, acc = [], walg.acc
-    monkeypatch.setattr(walg, "acc", lambda *args: calls.append(None) or acc(*args))
-    assert check_weak_bialgebra(kgstar, co).ok
-    assert len(calls) < 1000
+    assert dual_co.groupoid is None and kgstar_co.groupoid[0] is kgstar
 
 
 @pytest.mark.parametrize("edit", [("mul", ("g", "g"), {"x": one}),
@@ -461,15 +449,32 @@ def test_kgstar_check_after_kg_on_z12_makes_few_acc_calls(monkeypatch):
                                   ("antipode", "g", {"g": one})],
                          ids=["mul", "delta", "counit", "unit", "antipode"])
 def test_groupoid_certificate_rejects_tampered_kg(edit):
-    # KG's tables edited after groupoid_algebra, with meta["groupoid"] kept:
-    # the certificate must fail and the checks run on the tables, since the
+    # KG's tables edited after groupoid_algebra: the edited copy and its
+    # dual carry no record, and their checks run on the tables, since the
     # composition index says nothing of the edit
-    kg, kg_co = _edited(*groupoid_algebra(QQ, builtin_i2()), [edit])
+    genuine, genuine_co = groupoid_algebra(QQ, builtin_i2())
+    kg, kg_co = _edited(genuine, genuine_co, [edit])
     dual, dual_co = dual_weak_hopf(kg, kg_co)
     for alg, co in ((kg, kg_co), (dual, dual_co)):
         assert (_axiom_findings(check_weak_bialgebra, check_antipode, alg, co)
                 == _axiom_findings(oracle.check_weak_bialgebra, oracle.check_antipode, alg, co))
-    assert kg.meta["groupoid"] is not None and kg.memo[kg_co]["groupoid"] is None
+    assert kg_co.groupoid is None and dual_co.groupoid is None
+    assert genuine_co.groupoid[0] is genuine
+
+
+def test_mismatched_pairs_carry_no_record():
+    # the record names the algebra it was built with: a genuine coalgebra
+    # next to an edited copy of KG, genuine KG next to a fresh coalgebra,
+    # and the dual of the copy with the genuine coalgebra all take the
+    # tables, and each edit shows in the oracle's findings
+    kg, kg_co = groupoid_algebra(QQ, builtin_i2())
+    copy, _ = _edited(kg, kg_co, [("mul", ("g", "gi"), {"x": 2 * one})])
+    _, fresh_co = _edited(kg, kg_co, [("counit", "x", 2 * one)])
+    for alg, co in ((copy, kg_co), (kg, fresh_co), dual_weak_hopf(copy, kg_co)):
+        assert co.groupoid is None or co.groupoid[0] is not alg
+        ref = _axiom_findings(oracle.check_weak_bialgebra, oracle.check_antipode, alg, co)
+        assert _axiom_findings(check_weak_bialgebra, check_antipode, alg, co) == ref
+        assert ref[1]
 
 
 def test_checks_on_kg_and_kgstar_of_z12_make_no_field_operations(monkeypatch):
@@ -539,8 +544,8 @@ def test_checkers_equal_oracle_on_random_sabotage(g, dual, table, field, data):
        st.sampled_from([QQ, PrimeField(3)]), st.data())
 @settings(max_examples=60, deadline=None)
 def test_transpose_read_offs_equal_oracle_on_random_sabotage(g, table, field, data):
-    # the checks of dual_weak_hopf(bad, bad_co) certify it as bad's exact
-    # transpose and read their verdicts off bad's pass, run before or inside
+    # dual_weak_hopf(bad, bad_co) carries no record, since bad is a copy,
+    # so its checks run on the tables, whether or not bad's ran first
     bad, bad_co = _random_sabotage(groupoid_algebra(field, g), table, field, data)
     dual, dual_co = dual_weak_hopf(bad, bad_co)
     if data.draw(st.booleans()):
@@ -548,21 +553,24 @@ def test_transpose_read_offs_equal_oracle_on_random_sabotage(g, table, field, da
     assert (_axiom_findings(check_weak_bialgebra, check_antipode, dual, dual_co)
             == _axiom_findings(oracle.check_weak_bialgebra, oracle.check_antipode,
                                *oracle.dual_weak_hopf(bad, bad_co)))
-    assert dual.memo[dual_co]["source"] == (bad, bad_co)
+    assert bad_co.groupoid is None and dual_co.groupoid is None
 
 
 def assert_read_offs_match_oracle(g, field):
-    """The checks of KG and KG* of g, which pass the certificates and are
-    read off g's composition index and KG's pass, against the oracle's on
-    its own KG, built over all pairs, and that KG's all-tuples dual."""
+    """The checks of KG and KG* of g, which carry their records and are
+    read off g's composition index, against the oracle's on its own KG,
+    built over all pairs, and that KG's all-tuples dual.  KG*'s run
+    before KG's and again after, with the same findings."""
     kg, kg_co = groupoid_algebra(field, g)
+    dual, dual_co = dual_weak_hopf(kg, kg_co)
+    assert kg_co.groupoid[0] is kg and dual_co.groupoid[0] is dual
     ref = oracle.groupoid_algebra(field, g)
-    for (alg, co), (ref_alg, ref_co) in (((kg, kg_co), (ref, kg_co)), (
-            dual_weak_hopf(kg, kg_co), oracle.dual_weak_hopf(ref, kg_co))):
-        assert (_axiom_findings(check_weak_bialgebra, check_antipode, alg, co)
-                == _axiom_findings(oracle.check_weak_bialgebra, oracle.check_antipode,
-                                   ref_alg, ref_co))
-    assert kg.memo[kg_co]["groupoid"] is not None
+    first = _axiom_findings(check_weak_bialgebra, check_antipode, dual, dual_co)
+    assert (_axiom_findings(check_weak_bialgebra, check_antipode, kg, kg_co)
+            == _axiom_findings(oracle.check_weak_bialgebra, oracle.check_antipode, ref, kg_co))
+    assert (first == _axiom_findings(check_weak_bialgebra, check_antipode, dual, dual_co)
+            == _axiom_findings(oracle.check_weak_bialgebra, oracle.check_antipode,
+                               *oracle.dual_weak_hopf(ref, kg_co)))
 
 
 @given(st.sampled_from([b for b in BASES if len(b.morphisms) <= 4]),
@@ -579,6 +587,25 @@ def test_groupoid_read_offs_equal_oracle_on_random_sabotage(g, other, kinds, fie
     assert g.valid is None
     assert validate_groupoid(g).ok is g.valid
     assert_read_offs_match_oracle(g, field)
+
+
+@given(st.sampled_from([pair_groupoid(3), disjoint_union(pair_groupoid(2), cyclic_group(4)),
+                        cyclic_group(8)]),
+       st.lists(st.sampled_from(SABOTAGE_KINDS), max_size=3),
+       st.sampled_from([QQ, PrimeField(2)]), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_read_offs_equal_the_table_path_beyond_the_oracle(g, kinds, field, validated, data):
+    # the oracle's KG* check is too slow above 6 morphisms; here the
+    # read-offs of KG and KG* are compared with the table path of the same
+    # tables (_bare), with and without a recorded validation
+    g = sabotaged_groupoid(g, kinds, data)
+    if validated:
+        validate_groupoid(g)
+    kg, kg_co = groupoid_algebra(field, g)
+    for alg, co in ((kg, kg_co), dual_weak_hopf(kg, kg_co)):
+        assert co.groupoid[0] is alg
+        assert (_axiom_findings(check_weak_bialgebra, check_antipode, alg, co)
+                == _axiom_findings(check_weak_bialgebra, check_antipode, *_bare(alg, co)))
 
 
 def _hand_broken(objects, records, comp):
