@@ -16,18 +16,16 @@ from .walg import FinAlgebra, el_addto, el_apply, target_counit_images
 class ModuleAction:
     """Left action of a groupoid algebra on B, kept as its nonzero entries:
     rho[m] = {x: m.x} and by_label[x] = {m: m.x}, in basis and declaration
-    order; a pair in neither acts as zero.  The table {(m, x): m.x}, with no
-    zero coefficient, must be total unless total=False (missing pairs zero)."""
+    order; a pair in neither acts as zero.  The table {(m, x): m.x} has no
+    zero coefficient, and a pair missing from it acts as zero."""
 
-    def __init__(self, groupoid, algebra, table, total=True):
+    def __init__(self, groupoid, algebra, table):
         self.groupoid, self.algebra = groupoid, algebra
         self.rho = {m: {} for m in groupoid.morphism_ids()}
         self.by_label = {x: {} for x in algebra.basis}
         for m, row in self.rho.items():
             for x in algebra.basis:
-                if (mx := table.get((m, x))) is None and total:
-                    raise ValueError(f"action table missing entry for ({m!r}, {x!r})")
-                if mx:
+                if mx := table.get((m, x)):
                     row[x] = self.by_label[x][m] = mx
 
     def act_basis(self, m, x) -> dict:

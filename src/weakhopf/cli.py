@@ -105,17 +105,22 @@ def _write(path, text="", mode="w") -> bool:
     return True
 
 
-def cmd_validate(args) -> int:
-    reports = _validation_reports(VerificationContext(_resolve(args.instance)))
+def _print_reports(reports, witness) -> int:
+    """PASS/FAIL per report and a line per failed check, with the first
+    witness when witness is set; the exit code."""
     ok = True
     for name, rep in reports:
         ok = ok and rep.ok
         print(f"{_mark(rep.ok)} {name}")
         if not rep.ok:
             for item in rep.to_json()["findings"]:
-                print(f"    {item['check']}: {item['count']} violation(s), "
-                      f"e.g. {item['witnesses'][0].get('witness')!r}")
+                example = f", e.g. {item['witnesses'][0].get('witness')!r}" if witness else ""
+                print(f"    {item['check']}: {item['count']} violation(s){example}")
     return 0 if ok else 1
+
+
+def cmd_validate(args) -> int:
+    return _print_reports(_validation_reports(VerificationContext(_resolve(args.instance))), True)
 
 
 def _claim_line(res) -> str:
@@ -222,14 +227,7 @@ def cmd_hopf_check(args) -> int:
     kgstar, kgstar_co = dual_weak_hopf(kg, kg_co)
     reports = [("groupoid", grep), ("kg", _weak_hopf_report(kg, kg_co)),
                ("kg-dual", _weak_hopf_report(kgstar, kgstar_co))]
-    ok = True
-    for name, rep in reports:
-        ok = ok and rep.ok
-        print(f"{_mark(rep.ok)} {name}")
-        if not rep.ok:
-            for item in rep.to_json()["findings"]:
-                print(f"    {item['check']}: {item['count']} violation(s)")
-    return 0 if ok else 1
+    return _print_reports(reports, False)
 
 
 @functools.cache

@@ -185,7 +185,7 @@ def parse_instance(doc: dict) -> Instance:
             raise InstanceFormatError(f"action table maps ({m!r}, {b!r}) twice")
         table[(m, b)] = _parse_element(field, el, bset, "action ({}, {})", m, b)
     _read_table(doc.get("action", []), "action", read_action)
-    action = ModuleAction(groupoid, algebra, table, total=False)
+    action = ModuleAction(groupoid, algebra, table)
 
     name = doc.get("name", "")
     if not isinstance(name, str):

@@ -446,10 +446,10 @@ def apply_columns(phi, x: dict) -> dict:
 def associativity_violations(alg):
     """Exhaustive check of (ab)c == a(bc) over basis triples."""
     out = []
-    table = {}
+    table, mul = {}, alg.mul
     for a in alg.basis:
         for b in alg.basis:
-            p = alg.mul.get((a, b))
+            p = mul.get((a, b))
             if p:
                 table[(a, b)] = p
     for a in alg.basis:
@@ -466,11 +466,11 @@ def associativity_violations(alg):
 
 def tensor_mul(alg, t, u, legs):
     """Componentwise product of two tensors with the given number of legs."""
-    F = alg.field
+    F, mul = alg.field, alg.mul
     out = {}
     for ka, ca in t.items():
         for kb, cb in u.items():
-            parts = [alg.mul.get((ka[i], kb[i]), None) for i in range(legs)]
+            parts = [mul.get((ka[i], kb[i]), None) for i in range(legs)]
             if any(p is None for p in parts):
                 continue
             c = F.mul(ca, cb)
@@ -618,12 +618,12 @@ def dual_weak_hopf(alg: FinAlgebra, co: CoStructure):
                 mul[(f, h)] = out
     unit = {x: co.counit.get(x, F.zero) for x in basis}
 
-    delta = {}
+    delta, products = {}, alg.mul
     for x in basis:
         pairs = []
         for a in basis:
             for b in basis:
-                c = alg.mul.get((a, b), {}).get(x, F.zero)
+                c = products.get((a, b), {}).get(x, F.zero)
                 if c != F.zero:
                     pairs.append((a, b, c))
         delta[x] = pairs
@@ -1387,8 +1387,7 @@ def _triples(rows, where):
 
 def parse_instance(doc: dict) -> Instance:
     """The instance parser that walks each table once to check its shapes
-    and once to read it, builds every error location up front and fills
-    the action table in before ModuleAction normalises it."""
+    and once to read it and builds every error location up front."""
     if not isinstance(doc, dict):
         raise InstanceFormatError("instance document must be a JSON object")
     try:
@@ -1450,9 +1449,6 @@ def parse_instance(doc: dict) -> Instance:
         if (m, b) in table:
             raise InstanceFormatError(f"action table maps ({m!r}, {b!r}) twice")
         table[(m, b)] = _parse_element(field, el, bset, f"action ({m}, {b})")
-    for m in groupoid.morphism_ids():
-        for b in basis:
-            table.setdefault((m, b), {})
     action = ModuleAction(groupoid, algebra, table)
 
     name = doc.get("name", "")

@@ -116,12 +116,6 @@ def test_skew_ring_unavailable_when_basis_inhomogeneous(ctx_ex28):
     assert "homogeneous" in err
 
 
-def test_action_table_must_be_total(ctx_i2):
-    from weakhopf.action import ModuleAction
-    with pytest.raises(ValueError):
-        ModuleAction(ctx_i2.groupoid, ctx_i2.B, {})
-
-
 def test_module_check_requires_unital_b(ctx_i2):
     from weakhopf.walg import FinAlgebra
     nob = FinAlgebra(ctx_i2.field, ["e1"], {}, None)

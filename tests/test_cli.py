@@ -387,9 +387,9 @@ def test_commands_walk_the_composable_triples_once(tmp_path, monkeypatch, capsys
     from conftest import groupoid_doc, missing_composition_z2_doc
     from weakhopf import walg
     from weakhopf.groupoid import cyclic_group
-    walks, holds = [], walg._kgstar_coalgebra_holds
-    monkeypatch.setattr(walg, "_kgstar_coalgebra_holds",
-                        lambda *args: walks.append(1) or holds(*args))
+    walks, walk = [], walg._kgstar_coalgebra
+    monkeypatch.setattr(walg, "_kgstar_coalgebra",
+                        lambda *args: walks.append(1) or walk(*args))
     z8, broken = tmp_path / "z8.json", tmp_path / "missing.json"
     z8.write_text(json.dumps(groupoid_doc(cyclic_group(8), "z8")), encoding="utf-8")
     broken.write_text(json.dumps(missing_composition_z2_doc()), encoding="utf-8")
