@@ -76,9 +76,9 @@ def _resolve(target: str):
         f"(builtins: {', '.join(BUILTIN_NAMES)})")
 
 
-def _weak_hopf_report(alg, co):
-    rep = check_weak_bialgebra(alg, co)
-    rep.merge(check_antipode(alg, co))
+def _weak_hopf_report(alg, rec):
+    rep = check_weak_bialgebra(alg, rec)
+    rep.merge(check_antipode(alg, rec))
     return rep
 
 
@@ -86,8 +86,8 @@ def _validation_reports(ctx: VerificationContext):
     return [
         ("groupoid", ctx.groupoid_report),
         ("algebra-b", ctx.b_report),
-        ("kg-weak-hopf", _weak_hopf_report(ctx.kg, ctx.kg_co)),
-        ("kg-dual-weak-hopf", _weak_hopf_report(ctx.kgstar, ctx.kgstar_co)),
+        ("kg-weak-hopf", _weak_hopf_report(ctx.kg, ctx.kg_rec)),
+        ("kg-dual-weak-hopf", _weak_hopf_report(ctx.kgstar, ctx.kgstar_rec)),
         ("module-algebra", ctx.module_report),
         ("decomposition", ctx.decomp_report),
     ]
@@ -223,10 +223,10 @@ def cmd_hopf_check(args) -> int:
     from .walg import dual_weak_hopf, groupoid_algebra
 
     grep = validate_groupoid(inst.groupoid)
-    kg, kg_co = groupoid_algebra(inst.field, inst.groupoid)
-    kgstar, kgstar_co = dual_weak_hopf(kg, kg_co)
-    reports = [("groupoid", grep), ("kg", _weak_hopf_report(kg, kg_co)),
-               ("kg-dual", _weak_hopf_report(kgstar, kgstar_co))]
+    kg, kg_rec = groupoid_algebra(inst.field, inst.groupoid)
+    kgstar, kgstar_rec = dual_weak_hopf(kg, kg_rec)
+    reports = [("groupoid", grep), ("kg", _weak_hopf_report(kg, kg_rec)),
+               ("kg-dual", _weak_hopf_report(kgstar, kgstar_rec))]
     return _print_reports(reports, False)
 
 

@@ -324,11 +324,10 @@ class VerificationContext:
         for w in self.B.unit_violations():
             self.b_report.add("b-unit", list(w))
 
-        self.kg, self.kg_co = walg_mod.groupoid_algebra(self.field, self.groupoid)
-        self.kgstar, self.kgstar_co = walg_mod.dual_weak_hopf(self.kg, self.kg_co)
+        self.kg, self.kg_rec = walg_mod.groupoid_algebra(self.field, self.groupoid)
+        self.kgstar, self.kgstar_rec = walg_mod.dual_weak_hopf(self.kg, self.kg_rec)
 
-        self.module_report = action_mod.check_module_algebra(
-            self.B, self.kg, self.kg_co, self.action)
+        self.module_report = action_mod.check_module_algebra(self.B, self.kg, self.action)
         self.decomp, self.decomp_report = action_mod.component_decomposition(
             self.B, self.action)
         self._closures = {}  # nonempty strata -> closure witnesses
@@ -343,7 +342,7 @@ class VerificationContext:
     @cached_property
     def dsm(self):
         from .smash import double_smash
-        return double_smash(self.bsm, self.kgstar, self.kgstar_co)
+        return double_smash(self.bsm)
 
     @cached_property
     def phi(self):

@@ -13,7 +13,7 @@ is the unit), and an exact linear solve when neither settles it.
 """
 
 from . import exactmath
-from .walg import FinAlgebra, acc
+from .walg import FinAlgebra
 
 
 def smash_product(B: FinAlgebra, kg: FinAlgebra, action) -> FinAlgebra:
@@ -34,48 +34,34 @@ def smash_product(B: FinAlgebra, kg: FinAlgebra, action) -> FinAlgebra:
                       meta={"B": B, "kg": kg, "action": action, "groupoid": g})
 
 
-def double_smash(bsm: FinAlgebra, kgstar: FinAlgebra, kgstar_co) -> FinAlgebra:
-    """B#KG#KG* with the dual acting through its coproduct legs:
+def double_smash(bsm: FinAlgebra) -> FinAlgebra:
+    """B#KG#KG*, read off the nonzero products of B#KG and the groupoid's
+    composition index:
 
-        (a # u_m # r_n)(b # u_s # r_t)
-            = sum over coproduct legs n -> n1 x n2 with n1 == s of
-              (a # u_m)(b # u_s) # r_{n2} r_t
+        (a # u_m # r_n)(b # u_s # r_t) = a(m.b) # u_{ms} # r_t
 
-    For a groupoid dual this collapses to a(m.b) # u_{ms} # r_t when the
-    product s*t exists and equals n, and zero otherwise.  Only the nonzero
-    products of B#KG and KG* are visited.
+    for each t with st defined and equal to n, and zero otherwise.  This
+    is the product through the legs r_{n1} (x) r_{n2} of KG*'s coproduct
+    (the factorizations n1 n2 = n) with n1 == s, as r_{n2} r_t =
+    [n2 = t] r_t.  KG* enters only through that rule.
 
     The keys come out in basis order: (a, m), n and (b, s) are walked in
-    basis order, and for fixed (s, n) so is t.  dual_weak_hopf lists the
-    legs of delta(r_n) sorted by (n1, n2), and in KG* r_a r_b = delta_ab r_a,
-    so t runs over the second legs n2 in order.  Products whose legs cancel
-    are dropped.
+    basis order, and so is t in g.after[s].
     """
-    F = bsm.field
-    one = F.one
-    legs = {}  # (s, n) -> the legs (n2, c) of delta(r_n) with first factor s
-    for n in kgstar.basis:
-        for n1, n2, c in kgstar_co.delta.get(n, []):
-            legs.setdefault((n1, n), []).append((n2, c))
+    g = bsm.meta["groupoid"]
+    ids = g.morphism_ids()
     right = {}
     for a, m in bsm.basis:
-        row = bsm.right.get((a, m), {})
-        for n in kgstar.basis:
-            out_row = {}
-            for (b, s), prod in row.items():
-                for n2, c in legs.get((s, n), ()):
-                    for t, conv in kgstar.right.get(n2, {}).items():
-                        terms = {(lab, ms, rho): cb if c == one == cr else F.mul(c, F.mul(cb, cr))
-                                 for (lab, ms), cb in prod.items() for rho, cr in conv.items()}
-                        out = out_row.setdefault((b, s, t), terms)
-                        if out is not terms:
-                            for k, w in terms.items():
-                                acc(F, out, k, w)
-            if out_row := {k: out for k, out in out_row.items() if out}:
-                right[(a, m, n)] = out_row
-    basis = [(b, m, n) for (b, m) in bsm.basis for n in kgstar.basis]
-    return FinAlgebra(F, basis, right, None, name="B#KG#KG*",
-                      meta={**bsm.meta, "kgstar": kgstar})
+        by_n = {}  # n -> the row of (a, m, n)
+        for (b, s), prod in bsm.right.get((a, m), {}).items():
+            for t, n in g.after[s]:
+                terms = {(lab, ms, t): c for (lab, ms), c in prod.items()}
+                by_n.setdefault(n, {})[(b, s, t)] = terms
+        for n in ids:
+            if n in by_n:
+                right[(a, m, n)] = by_n[n]
+    basis = [(b, m, n) for (b, m) in bsm.basis for n in ids]
+    return FinAlgebra(bsm.field, basis, right, None, name="B#KG#KG*", meta=bsm.meta)
 
 
 def find_unit(alg: FinAlgebra, candidate=None):

@@ -1,5 +1,7 @@
-"""Finite-dimensional algebras by structure constants, coalgebra data, and
-the groupoid algebra / dual constructions with their axiom checkers.
+"""Finite-dimensional algebras by structure constants, the groupoid
+algebra KG and its dual KG*, and their weak Hopf axiom checkers.  Neither
+carries coalgebra tables: both coalgebras are known through the record of
+the groupoid's composition index that groupoid_algebra builds.
 
 Elements are finitely supported dicts {basis label: scalar}; zero
 coefficients are never stored.  The owning algebra carries the field, so
@@ -164,108 +166,56 @@ class FinAlgebra:
                 or el_apply(F, self.right.get(z, {}), y) != {z: F.one}]
 
 
-class CoStructure:
-    """Comultiplication, counit and (optional) antipode tables.
-
-    delta[label] is a list of (left, right, scalar) triples; counit maps a
-    label to a scalar; antipode maps a label to an element or is None.
-    The tables are never mutated after construction.  groupoid is the
-    record groupoid_algebra(field, g) leaves on KG's, (KG, g, P, L, False),
-    and dual_weak_hopf on that of KG* built from it, (KG*, g, P, L, True):
-    P[a] = {b: ab} is g's composition index, L = KG.left its transpose.
-    The checks accept a pair only when its first entry is the algebra they
-    were given.
+class GroupoidRecord:
+    """What src/ knows of KG's coalgebra and of all of KG*, as
+    groupoid_algebra and dual_weak_hopf leave it: alg, the algebra it
+    belongs to, the groupoid g, its composition index P[a] = {b: ab} and
+    L = KG.left, the transpose of P.  KG's coproduct is x -> x (x) x, its
+    counit 1 and its antipode x -> x^-1; KG* is the function algebra on the
+    same labels, with the pointwise product and the coproduct of r_x
+    summing r_a (x) r_b over ab = x.  kg is None on KG's record and is
+    KG's record on KG*'s.  KG's weak-counit and antipode findings, which
+    KG*'s checks read too, are walked once, on KG's record, when first
+    read.  The checks accept a record only next to its alg.
     """
 
-    groupoid = None
+    def __init__(self, alg, g, P, L, kg=None):
+        self.alg, self.g, self.P, self.L, self.kg = alg, g, P, L, kg
 
-    def __init__(self, field, delta, counit, antipode=None):
-        self.field = field
-        self.delta = {k: [(a, b, c) for (a, b, c) in v if c != field.zero]
-                      for k, v in delta.items()}
-        self.counit = dict(counit)
-        self.antipode = ({k: el_norm(field, v) for k, v in antipode.items()}
-                         if antipode is not None else None)
+    @cached_property
+    def weak_counit(self):
+        return _kg_weak_counit(self.alg, self.P, self.L)
 
-    def delta_element(self, x: dict) -> dict:
-        """Comultiplication of an element, as {(l1, l2): scalar}."""
-        F = self.field
-        out = {}
-        for lab, c in x.items():
-            for a, b, w in self.delta.get(lab, []):
-                acc(F, out, (a, b), F.mul(c, w))
-        return out
-
-    def counit_element(self, x: dict):
-        F = self.field
-        acc = F.zero
-        for lab, c in x.items():
-            acc = F.add(acc, F.mul(c, self.counit.get(lab, F.zero)))
-        return acc
+    @cached_property
+    def antipode_failures(self):
+        return _kg_antipode(self.alg, self.g, self.P, self.L)
 
 
 # -- constructions -------------------------------------------------------------
 
 
 def groupoid_algebra(field, g):
-    """The groupoid algebra: u_a u_b = u_{ab} when tgt(a) == src(b), else 0;
-    grouplike comultiplication, counit 1, antipode by inversion."""
+    """The groupoid algebra: u_a u_b = u_{ab} when tgt(a) == src(b), else 0,
+    and its record, the only form of its coalgebra."""
     basis = g.morphism_ids()
     # a missing entry is the validator's to report
     P = {a: dict(g.after[a]) for a in basis}
     right = {a: {b: {ab: field.one} for b, ab in row.items()} for a, row in P.items() if row}
     unit = {e: field.one for e in g.objects}
     alg = FinAlgebra(field, basis, right, unit, name="KG")
-    delta = {m: [(m, m, field.one)] for m in basis}
-    counit = {m: field.one for m in basis}
-    antipode = {m: {g.inv(m): field.one} for m in basis}
-    co = CoStructure(field, delta, counit, antipode)
-    co.groupoid = alg, g, P, alg.left, False
-    return alg, co
+    return alg, GroupoidRecord(alg, g, P, alg.left)
 
 
-def dual_weak_hopf(alg: FinAlgebra, co: CoStructure):
-    """Finite dual on the same labels: products by walking delta,
-    coproducts by walking the factorizations recorded in the products,
-    counit from the unit, antipode transposed.  Tables come out in basis
-    order, and products whose legs cancel are dropped.  When co carries
-    the record of groupoid_algebra for this very alg, the dual's coalgebra
-    carries it over."""
-    F = alg.field
-    if alg.unit is None:
-        raise ValueError("dual construction needs a unital algebra")
-    basis, order = list(alg.basis), alg.index.get
-
-    right = {}
-    for x in basis:
-        for a, b, c in co.delta.get(x, []):
-            if a in alg.index and b in alg.index:
-                acc(F, right.setdefault(a, {}).setdefault(b, {}), x, c)
-    right = {a: row for a in sorted(right, key=order)
-             if (row := {b: right[a][b] for b in sorted(right[a], key=order) if right[a][b]})}
-    unit = {x: c for x in basis if (c := co.counit.get(x, F.zero)) != F.zero}
-
-    delta = {x: [] for x in basis}
-    for a in sorted(alg.right, key=order):
-        row = alg.right[a]
-        for b in sorted(row, key=order):
-            for x, c in row[b].items():
-                delta[x].append((a, b, c))
-    counit = {x: alg.unit.get(x, F.zero) for x in basis}
-
-    antipode = None
-    if co.antipode is not None:
-        antipode = {x: {} for x in basis}
-        for y in basis:
-            for x, c in co.antipode.get(y, {}).items():
-                if x in antipode:
-                    antipode[x][y] = c
-
-    dual = FinAlgebra(F, basis, right, unit, name=f"{alg.name}*")
-    dual_co = CoStructure(F, delta, counit, antipode)
-    if (rec := co.groupoid) is not None and rec[0] is alg and not rec[4]:
-        dual_co.groupoid = (dual, *rec[1:4], True)
-    return dual, dual_co
+def dual_weak_hopf(alg: FinAlgebra, rec: GroupoidRecord):
+    """KG* of KG and its record: r_x r_y = [x = y] r_x on KG's labels, with
+    the unit sum r_x, KG's counit, and a record that carries KG's.  Any
+    other pair, KG* and its record included, raises ValueError."""
+    if _record(alg, rec).kg is not None:
+        raise ValueError(f"{alg.name} is a dual already")
+    one = alg.field.one
+    dual = FinAlgebra(alg.field, alg.basis, {x: {x: {x: one}} for x in alg.basis},
+                      {x: one for x in alg.basis}, name="KG*")
+    return dual, GroupoidRecord(dual, rec.g, rec.P, rec.L, rec)
 
 
 # -- axiom checkers -------------------------------------------------------------
@@ -273,14 +223,13 @@ def dual_weak_hopf(alg: FinAlgebra, co: CoStructure):
 ANTIPODE_CHECKS = ("antipode-left", "antipode-right", "antipode-sandwich")
 
 
-def _record(alg: FinAlgebra, co: CoStructure):
-    """(g, P, L, dual) of co's record, which must name this very alg: the
-    checks read KG and KG* off the composition index alone."""
-    rec = co.groupoid
-    if rec is None or rec[0] is not alg:
+def _record(alg: FinAlgebra, rec) -> GroupoidRecord:
+    """rec, which must be the record of this very alg: the checks read KG
+    and KG* off the composition index alone."""
+    if not isinstance(rec, GroupoidRecord) or rec.alg is not alg:
         raise ValueError(f"{alg.name or 'algebra'} is not KG or KG* as groupoid_algebra "
                          "and dual_weak_hopf record them")
-    return rec[1:]
+    return rec
 
 
 def _objects_orthogonal(g, P):
@@ -310,13 +259,13 @@ def _kg_weak_unit(F, g, P):
 
 
 def _kg_weak_counit(alg, P, L):
-    """The findings [x, y, z] of KG's weak counit, in basis order, one at
-    a time: xy = w and z is a key of exactly one of P[w] and P[y]."""
+    """The findings [x, y, z] of KG's weak counit, in basis order: xy = w
+    and z is a key of exactly one of P[w] and P[y]."""
     order = alg.index.get
-    for y in alg.basis:
-        for x in sorted((x for x in L.get(y, ()) if P[P[x][y]].keys() != P[y].keys()), key=order):
-            for z in sorted(P[P[x][y]].keys() ^ P[y].keys(), key=order):
-                yield [x, y, z]
+    return [[x, y, z] for y in alg.basis
+            for x in sorted((x for x in L.get(y, ()) if P[P[x][y]].keys() != P[y].keys()),
+                            key=order)
+            for z in sorted(P[P[x][y]].keys() ^ P[y].keys(), key=order)]
 
 
 def _kgstar_coalgebra(F, g, P):
@@ -364,11 +313,11 @@ def _kgstar_weak_counit(alg, g, P):
     return sorted(found, key=lambda w: (order(w[1]), order(w[0]), order(w[2])))
 
 
-def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
-    """The weak bialgebra axioms of KG or KG*, as recorded on co
-    (CoStructure.groupoid), exhaustively over basis tuples: coassociativity,
-    the counit law, multiplicativity of the coproduct, the weakened unit
-    axiom for delta^2(1), and the weakened counit axiom, each read off the
+def check_weak_bialgebra(alg: FinAlgebra, rec: GroupoidRecord) -> Report:
+    """The weak bialgebra axioms of KG or KG*, as recorded on rec,
+    exhaustively over basis tuples: coassociativity, the counit law,
+    multiplicativity of the coproduct, the weakened unit axiom for
+    delta^2(1), and the weakened counit axiom, each read off the
     composition index.  On KG, with delta(x) = x (x) x, only the weak unit
     and counit can fail, and the weak unit holds if the objects are
     orthogonal idempotents.  On KG*, paired with x (x) y (x) z, delta(xy)
@@ -376,9 +325,10 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
     unit and its flip hold exactly when KG's weak counit does; its
     coalgebra axioms hold on a groupoid that validate_groupoid found
     valid, and are walked otherwise.  Any other pair raises ValueError."""
-    g, P, L, dual = _record(alg, co)
+    rec = _record(alg, rec)
+    g, P, kg = rec.g, rec.P, rec.kg
     rep = Report(f"weak bialgebra axioms ({alg.name or 'algebra'})")
-    if dual and not g.valid:
+    if kg is not None and not g.valid:
         coassoc, counit = _kgstar_coalgebra(alg.field, g, P)
         for x in alg.basis:
             if x in coassoc:
@@ -386,8 +336,8 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
             if x in counit:
                 rep.add("counit-law", x)
 
-    if dual:
-        unit_ok = flipped_ok = next(_kg_weak_counit(alg, P, L), None) is None
+    if kg is not None:
+        unit_ok = flipped_ok = not kg.weak_counit
     elif _objects_orthogonal(g, P):  # then delta(1) = sum e x e is a sum
         unit_ok = flipped_ok = True  # of orthogonal idempotents
     else:
@@ -399,14 +349,28 @@ def check_weak_bialgebra(alg: FinAlgebra, co: CoStructure) -> Report:
         rep.add("weak-unit-flipped", "delta^2(1)",
                 "(1 x delta(1))(delta(1) x 1) differs from delta^2(1)")
 
-    for w in _kgstar_weak_counit(alg, g, P) if dual else _kg_weak_counit(alg, P, L):
+    for w in rec.weak_counit if kg is None else _kgstar_weak_counit(alg, g, P):
         rep.add("weak-counit", w)
     rep.info["dim"] = alg.dim
     return rep
 
 
-def check_antipode(alg: FinAlgebra, co: CoStructure) -> Report:
-    """The three antipode identities of KG or KG*, as recorded on co,
+def _kg_antipode(alg, g, P, L):
+    """The identities (check, x, lhs ^ rhs) that KG fails at x, in basis
+    and check order, with KG's reading of each side as in check_antipode."""
+    objs, failed = set(g.objects), []
+    for x in alg.basis:
+        xi = g.inv(x)
+        xix = P[xi].get(x)
+        for check, lhs, rhs in zip(ANTIPODE_CHECKS, (P[x].get(xi), xix, P.get(xix, {}).get(xi)),
+                                   (objs & L.get(x, {}).keys(), objs & P[x].keys(), {xi})):
+            if (lhs := {lhs} - {None}) != rhs:
+                failed.append((check, x, lhs ^ rhs))
+    return failed
+
+
+def check_antipode(alg: FinAlgebra, rec: GroupoidRecord) -> Report:
+    """The three antipode identities of KG or KG*, as recorded on rec,
     exhaustively over basis labels.  Each identity is Phi == Psi.  On KG
     they read {x x^-1} == {objects e: ex != 0}, {x^-1 x} == {objects e:
     xe != 0} and {(x^-1 x) x^-1} == {x^-1}.  The transposes of Phi, Psi
@@ -414,32 +378,14 @@ def check_antipode(alg: FinAlgebra, co: CoStructure) -> Report:
     id) delta map to themselves), so on KG* f fails it where f lies in one
     side of KG's reading and not the other.  Any other pair raises
     ValueError."""
-    g, P, L, dual = _record(alg, co)
+    rec = _record(alg, rec)
     rep = Report(f"antipode axioms ({alg.name or 'algebra'})")
-    objs, failed = set(g.objects), set()  # the pairs (check, label) that fail
-    for x in alg.basis:
-        xi = g.inv(x)
-        xix = P[xi].get(x)
-        for check, lhs, rhs in zip(ANTIPODE_CHECKS, (P[x].get(xi), xix, P.get(xix, {}).get(xi)),
-                                   (objs & L.get(x, {}).keys(), objs & P[x].keys(), {xi})):
-            if (lhs := {lhs} - {None}) != rhs:
-                failed.update((check, f) for f in (lhs ^ rhs if dual else (x,)))
+    if rec.kg is None:
+        for check, x, _ in rec.antipode_failures:
+            rep.add(check, x)
+        return rep
+    failed = {(check, f) for check, _, sides in rec.kg.antipode_failures for f in sides}
     for x in alg.basis:
         for check in (c for c in ANTIPODE_CHECKS if (c, x) in failed):
             rep.add(check, x)
     return rep
-
-
-def target_counit_images(alg: FinAlgebra, co: CoStructure) -> dict:
-    """The target counit x -> sum eps(1_1 x) 1_2 over the coproduct of the
-    unit, as its images {y: image} (el_apply evaluates it) over the y with
-    1_1 y != 0 for a leg 1_1, forming delta(1) once and reading eps(1_1 y)
-    off 1_1's row.  On a groupoid algebra it sends u_g to the identity at
-    src(g)."""
-    if alg.unit is None:
-        raise ValueError("target counit needs a unit")
-    F, out = alg.field, {}
-    for (a, b), c in co.delta_element(alg.unit).items():
-        for y, ay in alg.right.get(a, {}).items():
-            el_addto(F, out.setdefault(y, {}), F.mul(c, co.counit_element(ay)), {b: F.one})
-    return out

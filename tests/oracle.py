@@ -8,7 +8,8 @@ flatten of phi's columns (index r * dim + c), dense forms of phi's
 kernel and image and of the unit search built on them, the
 whole-element multiply form of the two-sided identity test, the
 evaluation of a map given by basis images (on elements and on phi), the
-all-pairs and all-triples form of the groupoid validator, the
+all-pairs and all-triples form of the groupoid validator, the general
+coalgebra tables (CoStructure, with KG's as groupoid_coalgebra), the
 all-tuples forms of the weak-Hopf dual and axiom checkers, the target
 counit formed per element, the all-tuples forms of the
 module-algebra check, component decomposition and derived action, the
@@ -36,7 +37,41 @@ from weakhopf.duality import (COMPLEMENT_STRATA, IMAGE_STRATA, KERNEL_STRATA, ST
 from weakhopf.groupoid import Groupoid, GroupoidError, Morphism
 from weakhopf.instances import Instance, InstanceFormatError
 from weakhopf.report import Report
-from weakhopf.walg import CoStructure, FinAlgebra, acc, el_addto, el_norm
+from weakhopf.walg import FinAlgebra, acc, el_addto, el_norm
+
+
+class CoStructure:
+    """Comultiplication, counit and (optional) antipode tables: the general
+    coalgebra that the engine knows only for KG, and for KG* only through
+    KG's record.
+
+    delta[label] is a list of (left, right, scalar) triples; counit maps a
+    label to a scalar; antipode maps a label to an element or is None.
+    """
+
+    def __init__(self, field, delta, counit, antipode=None):
+        self.field = field
+        self.delta = {k: [(a, b, c) for (a, b, c) in v if c != field.zero]
+                      for k, v in delta.items()}
+        self.counit = dict(counit)
+        self.antipode = ({k: el_norm(field, v) for k, v in antipode.items()}
+                         if antipode is not None else None)
+
+    def delta_element(self, x: dict) -> dict:
+        """Comultiplication of an element, as {(l1, l2): scalar}."""
+        F = self.field
+        out = {}
+        for lab, c in x.items():
+            for a, b, w in self.delta.get(lab, []):
+                acc(F, out, (a, b), F.mul(c, w))
+        return out
+
+    def counit_element(self, x: dict):
+        F = self.field
+        total = F.zero
+        for lab, c in x.items():
+            total = F.add(total, F.mul(c, self.counit.get(lab, F.zero)))
+        return total
 
 
 def table_algebra(field, basis, mul, unit=None, name="", meta=None) -> FinAlgebra:
@@ -594,6 +629,15 @@ def groupoid_algebra(field, g) -> FinAlgebra:
     return table_algebra(field, basis, mul, {e: field.one for e in g.objects}, name="KG")
 
 
+def groupoid_coalgebra(field, g) -> CoStructure:
+    """KG's coalgebra as tables: delta(u_m) = u_m x u_m, counit 1 and the
+    antipode u_m -> u_inv(m)."""
+    basis = g.morphism_ids()
+    return CoStructure(field, {m: [(m, m, field.one)] for m in basis},
+                       {m: field.one for m in basis},
+                       {m: {g.inv(m): field.one} for m in basis})
+
+
 def dual_weak_hopf(alg: FinAlgebra, co: CoStructure):
     """Finite dual on the same labels: products from delta, coproducts by
     enumerating the factorizations recorded in mul, counit from the unit,
@@ -813,7 +857,7 @@ def check_module_algebra(B: FinAlgebra, kg: FinAlgebra, kg_co, action: ModuleAct
         for b in ids:
             prod = kg.basis_product(a, b)
             for x in B.basis:
-                left = action.act({a: F.one}, action.act_basis(b, x))
+                left = action.act({a: F.one}, action.rho[b].get(x, {}))
                 right = action.act(prod, B.basis_element(x)) if prod else {}
                 if left != right:
                     rep.add("module-axiom-i", [a, b, x],
@@ -826,7 +870,7 @@ def check_module_algebra(B: FinAlgebra, kg: FinAlgebra, kg_co, action: ModuleAct
                 lhs = action.act({m: F.one}, B.basis_product(x, y))
                 rhs = {}
                 for m1, m2, c in legs:
-                    term = B.multiply(action.act_basis(m1, x), action.act_basis(m2, y))
+                    term = B.multiply(action.rho[m1].get(x, {}), action.rho[m2].get(y, {}))
                     el_addto(F, rhs, c, term)
                 if lhs != rhs:
                     rep.add("module-axiom-ii", [m, x, y],
@@ -990,7 +1034,7 @@ def smash_product(B: FinAlgebra, kg: FinAlgebra, action) -> FinAlgebra:
             st = compose(g, s, t)
             if st is None:
                 continue
-            coeff = B.multiply(B.basis_element(a), action.act_basis(s, b))
+            coeff = B.multiply(B.basis_element(a), action.rho[s].get(b, {}))
             out = {(lab, st): c for lab, c in coeff.items()}
             if out:
                 mul[((a, s), (b, t))] = out
@@ -1027,7 +1071,7 @@ def double_smash(B: FinAlgebra, kg: FinAlgebra, kgstar: FinAlgebra,
                 ms = compose(g, m, s)
                 if ms is None:
                     continue
-                coeff = B.multiply(B.basis_element(a), action.act_basis(m, b))
+                coeff = B.multiply(B.basis_element(a), action.rho[m].get(b, {}))
                 for lab, cb in coeff.items():
                     for rho, cr in conv.items():
                         acc(F, out, (lab, ms, rho), F.mul(c, F.mul(cb, cr)))

@@ -35,11 +35,11 @@ def test_criterion_1_weak_hopf_axiom_suite(capsys):
     ok = True
     for g in library:
         ok = ok and validate_groupoid(g).ok
-        kg, kg_co = groupoid_algebra(QQ, g)
-        dual, dual_co = dual_weak_hopf(kg, kg_co)
-        for alg, co in ((kg, kg_co), (dual, dual_co)):
-            ok = ok and check_weak_bialgebra(alg, co).ok
-            ok = ok and check_antipode(alg, co).ok
+        kg, kg_rec = groupoid_algebra(QQ, g)
+        dual, dual_rec = dual_weak_hopf(kg, kg_rec)
+        for alg, rec in ((kg, kg_rec), (dual, dual_rec)):
+            ok = ok and check_weak_bialgebra(alg, rec).ok
+            ok = ok and check_antipode(alg, rec).ok
     elapsed = time.time() - t0
     ok = ok and elapsed < 10
     with capsys.disabled():

@@ -35,8 +35,8 @@ def test_builtin_docs_parse_to_same_digest():
 def test_ex28_builtin_action_values():
     inst = builtin_instance("ex2.8")
     F = inst.field
-    assert inst.action.act_basis("g", "e3") == {"e1": F.one}
-    assert inst.action.act_basis("t", "e3") == {"e2": F.one}
+    assert inst.action.rho["g"].get("e3", {}) == {"e1": F.one}
+    assert inst.action.rho["t"].get("e3", {}) == {"e2": F.one}
     assert len(inst.groupoid.morphisms) == 4
     assert inst.algebra.dim == 3
 
@@ -401,9 +401,30 @@ def test_commands_walk_the_composable_triples_once(tmp_path, monkeypatch, capsys
     assert len(walks) == 1
 
 
+def test_commands_walk_kg_findings_once(tmp_path, monkeypatch, capsys):
+    # KG*'s weak unit and antipode are read off KG's weak-counit and
+    # antipode findings, which KG*'s record reaches through KG's: each is
+    # walked once per command, on a valid groupoid and on a broken one
+    from conftest import missing_composition_z2_doc
+    from weakhopf import walg
+    calls = []
+    for name in ("_kg_weak_counit", "_kg_antipode"):
+        fn = getattr(walg, name)
+        monkeypatch.setattr(walg, name, lambda *args, fn=fn, name=name:
+                            calls.append(name) or fn(*args))
+    broken = tmp_path / "missing.json"
+    broken.write_text(json.dumps(missing_composition_z2_doc()), encoding="utf-8")
+    for target, code in (("i2-swap", 0), (str(broken), 1)):
+        for cmd in ("hopf-check", "validate", "verify"):
+            calls.clear()
+            assert main([cmd, target]) == code
+            assert sorted(calls) == ["_kg_antipode", "_kg_weak_counit"], (cmd, target)
+    capsys.readouterr()
+
+
 def test_commands_build_kg_and_kgstar_once(monkeypatch, capsys):
-    # KG's coalgebra records the composition index where KG is built, so
-    # no check builds KG again
+    # KG's record holds the composition index where KG is built, so no
+    # check builds KG again
     from weakhopf import walg
     calls = []
     for name in ("groupoid_algebra", "dual_weak_hopf"):

@@ -666,7 +666,7 @@ def test_phi_checks_and_double_smash_make_few_field_ops_on_z8(monkeypatch):
     calls = []
     for op in ("add", "sub", "mul"):
         monkeypatch.setattr(F, op, lambda *args, fn=getattr(F, op): calls.append(None) or fn(*args))
-    assert double_smash(ctx.bsm, ctx.kgstar, ctx.kgstar_co).mul == dsm.mul
+    assert double_smash(ctx.bsm).mul == dsm.mul
     assert not calls
     calls.clear()
     assert phi_is_homomorphism(phi, dsm).ok
@@ -738,7 +738,7 @@ def test_verify_writes_through_no_stored_image(builder):
     from weakhopf.cli import build_report_doc
     ctx = _fresh(getattr(conftest, builder)(pair_groupoid(3), "pair3"))
     tables = (ctx.phi.columns, ctx.dsm.right, ctx.dsm.left, ctx.bsm.right,
-              ctx.kgstar.right, ctx.kgstar.left, ctx.kgstar_co.delta)
+              ctx.kgstar.right, ctx.kgstar.left, ctx.kgstar_rec.P)
     before = copy.deepcopy(tables)
     assert all(r.holds for r in ctx.verify_all())
     build_report_doc(ctx, [])

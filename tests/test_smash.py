@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import compose, disjoint_union, pair_groupoid, skew_ring
+from conftest import (BASES, SABOTAGE_KINDS, compose, disjoint_union, pair_groupoid,
+                      sabotaged_groupoid, skew_ring)
 from weakhopf.action import DfapAction
 from weakhopf.duality import VerificationContext
 from weakhopf.exactmath import QQ
@@ -261,6 +263,15 @@ def skew_outcome(build, bsm):
     return skew.basis
 
 
+def oracle_double_smash(ctx):
+    """The all-pairs double smash of ctx, fed the oracle's own KG and KG*,
+    built over all pairs from KG's coalgebra tables."""
+    import oracle
+    kg, g = oracle.groupoid_algebra(ctx.field, ctx.groupoid), ctx.groupoid
+    kgstar, kgstar_co = oracle.dual_weak_hopf(kg, oracle.groupoid_coalgebra(ctx.field, g))
+    return oracle.double_smash(ctx.B, ctx.kg, kgstar, kgstar_co, ctx.action)
+
+
 def assert_read_offs_match_oracle(ctx, dfap=None):
     """B#KG, and the double smash, phi and the skew ring read off it, equal
     the constructions that compute the smash formula over all label pairs,
@@ -274,8 +285,7 @@ def assert_read_offs_match_oracle(ctx, dfap=None):
     assert ctx.bsm.basis == ref_bsm.basis
     assert ordered(ctx.bsm.mul) == ordered(ref_bsm.mul)
     assert ordered(ctx.strata) == ordered(oracle.strata(ctx))
-    dsm = double_smash(ctx.bsm, ctx.kgstar, ctx.kgstar_co)
-    ref = oracle.double_smash(ctx.B, ctx.kg, ctx.kgstar, ctx.kgstar_co, ctx.action)
+    dsm, ref = double_smash(ctx.bsm), oracle_double_smash(ctx)
     assert dsm.basis == ref.basis
     assert ordered(dsm.mul) == ordered(ref.mul)
     phi, ref_phi = build_phi(dsm, ctx.bsm), oracle.build_phi(ref, ctx.bsm)
@@ -328,10 +338,10 @@ def assert_constructions_well_formed(ctx):
     all-pairs constructions."""
     import oracle
     assert_rows_well_formed(ctx.kg, oracle.groupoid_algebra(ctx.field, ctx.groupoid))
-    assert_rows_well_formed(ctx.kgstar, oracle.dual_weak_hopf(ctx.kg, ctx.kg_co)[0])
+    assert_rows_well_formed(ctx.kgstar, oracle.dual_weak_hopf(
+        ctx.kg, oracle.groupoid_coalgebra(ctx.field, ctx.groupoid))[0])
     assert_rows_well_formed(ctx.bsm, oracle.smash_product(ctx.B, ctx.kg, ctx.action))
-    assert_rows_well_formed(ctx.dsm, oracle.double_smash(ctx.B, ctx.kg, ctx.kgstar,
-                                                         ctx.kgstar_co, ctx.action))
+    assert_rows_well_formed(ctx.dsm, oracle_double_smash(ctx))
     if ctx.skew[0] is not None:
         skew_ring(ctx)
 
@@ -356,27 +366,31 @@ def test_constructions_emit_well_formed_rows():
 
 
 def test_constructions_drop_products_whose_legs_cancel():
-    # delta(u_g) = u_g x u_g - u_g x u_g in KG of i2 cancels r_g r_g in
-    # KG*, and two cancelling legs of delta(r_x) cancel the double-smash
-    # products that run through them; both are dropped, as the oracles
-    # drop them
+    # the engine builds KG* and the double smash from the composition index
+    # alone and refuses any other coalgebra.  The oracles, the references of
+    # the row tests above, take coproduct tables: delta(u_g) = u_g x u_g -
+    # u_g x u_g in KG of i2 cancels r_g r_g in KG*, and two cancelling legs
+    # of delta(r_x) cancel the double-smash products that run through them;
+    # both oracles drop them
     import oracle
     from conftest import context
-    from weakhopf.smash import double_smash
-    from weakhopf.walg import CoStructure, dual_weak_hopf
+    from weakhopf.walg import dual_weak_hopf
     ctx = context("i2-swap")
-    co, star_co = ctx.kg_co, ctx.kgstar_co
-    bad_co = CoStructure(QQ, {**co.delta, "g": [("g", "g", one), ("g", "g", -one)]},
-                         co.counit, co.antipode)
-    dual, _ = dual_weak_hopf(ctx.kg, bad_co)
-    assert ctx.kgstar.basis_product("g", "g") and not dual.basis_product("g", "g")
-    assert_rows_well_formed(dual, oracle.dual_weak_hopf(ctx.kg, bad_co)[0])
-    bad_star_co = CoStructure(QQ, {**star_co.delta, "x": [("x", "x", one), ("x", "x", -one)]},
-                              star_co.counit, star_co.antipode)
-    dsm = double_smash(ctx.bsm, ctx.kgstar, bad_star_co)
+    co = oracle.groupoid_coalgebra(QQ, ctx.groupoid)
+    kgstar, star_co = oracle.dual_weak_hopf(ctx.kg, co)
+    bad_co = oracle.CoStructure(QQ, {**co.delta, "g": [("g", "g", one), ("g", "g", -one)]},
+                                co.counit, co.antipode)
+    with pytest.raises(ValueError):
+        dual_weak_hopf(ctx.kg, bad_co)
+    dual, _ = oracle.dual_weak_hopf(ctx.kg, bad_co)
+    assert kgstar.basis_product("g", "g") and not dual.basis_product("g", "g")
+    bad_star_co = oracle.CoStructure(
+        QQ, {**star_co.delta, "x": [("x", "x", one), ("x", "x", -one)]},
+        star_co.counit, star_co.antipode)
+    dsm = oracle.double_smash(ctx.B, ctx.kg, kgstar, bad_star_co, ctx.action)
     assert len(dsm.mul) < len(ctx.dsm.mul)
-    assert_rows_well_formed(dsm, oracle.double_smash(ctx.B, ctx.kg, ctx.kgstar,
-                                                     bad_star_co, ctx.action))
+    for alg in (dual, dsm):
+        assert all(prod for row in alg.right.values() for prod in row.values())
 
 
 def smash_identity_failures(ctx):
@@ -399,7 +413,7 @@ def smash_identity_failures(ctx):
              != embed(B.basis_product(a, b))],
             [(m, b) for m in g.morphism_ids() for b in B.basis
              if bsm.multiply(tagged(B.unit, m), {(b, e): F.one for e in g.objects})
-             != tagged(act.act_basis(m, b), m)])
+             != tagged(act.rho[m].get(b, {}), m)])
 
 
 def test_smash_product_satisfies_its_defining_identities():
@@ -522,3 +536,27 @@ def test_spurious_composition_entry_multiplies_to_zero_everywhere():
     for ((_, m, _), (_, s, _)), prod in ctx.dsm.mul.items():
         assert {ms for _, ms, _ in prod} <= set(ctx.kg.basis_product(m, s))
     skew_ring(ctx)  # B#KG restricted to the skew labels
+
+
+@given(st.sampled_from([b for b in BASES if len(b.morphisms) <= 4]),
+       st.lists(st.sampled_from(SABOTAGE_KINDS), min_size=1, max_size=3),
+       st.sampled_from([{"kind": "rational"}, {"kind": "prime", "p": 2}]),
+       st.integers(1, 2), st.data())
+@settings(max_examples=80, deadline=None)
+def test_module_check_and_double_smash_equal_oracle_on_broken_groupoids(g, kinds, field, k, data):
+    # the double smash read off g.after, and the module-algebra check with
+    # KG's grouplike legs and its target counit read off KG.left, against
+    # the oracles fed the oracle's own KG* and KG's coalgebra tables, on
+    # groupoids broken in up to three places
+    import oracle
+    from conftest import groupoid_doc
+    from weakhopf.action import check_module_algebra
+    from weakhopf.smash import double_smash
+    doc = groupoid_doc(sabotaged_groupoid(g, kinds, data), "broken", field, k)
+    ctx = VerificationContext(parse_instance(doc))
+    dsm, ref = double_smash(ctx.bsm), oracle_double_smash(ctx)
+    assert dsm.basis == ref.basis
+    assert ordered(dsm.mul) == ordered(ref.mul)
+    kg_co = oracle.groupoid_coalgebra(ctx.field, ctx.groupoid)
+    assert (check_module_algebra(ctx.B, ctx.kg, ctx.action)
+            == oracle.check_module_algebra(ctx.B, ctx.kg, kg_co, ctx.action))
