@@ -14,7 +14,6 @@ byte-identical JSON on every run.
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -23,6 +22,7 @@ from .duality import (CLAIM_IDS, CLASSIFIER_RULES, VerificationContext,
                       element_str, phi_is_homomorphism, right_linearity)
 from .instances import (BUILTIN_NAMES, InstanceFormatError, builtin_doc,
                         builtin_instance, load_instance)
+from .report import dumps
 from .smash import find_unit
 from .walg import check_antipode, check_weak_bialgebra
 
@@ -160,7 +160,7 @@ def build_report_doc(ctx: VerificationContext, results) -> dict:
         "strata": dict(ctx.strata_dims),
         "units": units,
         "validation": validation,
-        "diagnostics": ctx.diagnostics(),
+        "diagnostics": ctx.diagnostics,
         "claims": [r.to_json() for r in results],
     }
 
@@ -194,7 +194,7 @@ def cmd_verify(args) -> int:
             print(f"    {d}")
 
     if args.json:
-        if not _write(args.json, json.dumps(doc, indent=2, sort_keys=True) + "\n"):
+        if not _write(args.json, dumps(doc) + "\n"):
             return 2
         print(f"report written to {args.json}")
     valid = all(section["ok"] for section in doc["validation"].values())
@@ -207,7 +207,7 @@ def cmd_builtin(args) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = dumps(doc) + "\n"
     if args.out:
         if not _write(args.out, text):
             return 2

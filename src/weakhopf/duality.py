@@ -9,12 +9,15 @@ closed), prop2.4 (its identity element), prop2.5 (annihilation), thm2.6
 ring comparison).
 
 The claims are decided on labels, supports and ranks, never by comparing
-spans.  phi is its column table, evaluated by LinearMapRep.apply and
-walg.el_apply; at {k: one} both return the stored image, read-only.
-phi's two checks and the closure tests visit only the pairs that phi's
-nonzero columns or the nonzero double-smash products reach.
+spans.  phi is its table of nonzero columns, evaluated by
+LinearMapRep.apply and walg.el_apply; at {k: one} both return the stored
+image, read-only.  A label without a column is sent to zero and is its
+own kernel vector; only the other columns are eliminated.  phi's two
+checks and the closure tests visit only the pairs that phi's nonzero
+columns or the nonzero double-smash products reach.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -104,7 +107,8 @@ def classify_basis(dsm, groupoid, decomp, action):
 class LinearMapRep:
     """A linear map into endomorphisms of B#KG, stored per domain basis
     element as a column map: codomain basis label -> image element, with
-    no empty image.  The column table is the map; nothing else is kept."""
+    no empty image.  A label with no column, or an empty one, is sent to
+    zero.  The column table is the map; nothing else is kept."""
 
     field: object
     domain_basis: list
@@ -113,61 +117,78 @@ class LinearMapRep:
 
     def apply(self, element: dict) -> dict:
         """Endomorphism attached to a domain element (weighted sum); at
-        {k: one}, the stored columns[k] itself, read-only."""
+        {k: one}, the stored column of k itself, read-only."""
         F = self.field
         if len(element) == 1:
             (k, c), = element.items()
             if c == F.one:
-                return self.columns[k]
+                return self.columns.get(k, {})
         out = {}
         for lab, c in element.items():
-            for col, img in self.columns[lab].items():
+            for col, img in self.columns.get(lab, {}).items():
                 el_addto(F, out.setdefault(col, {}), c, img)
         return {col: img for col, img in out.items() if img}
 
     def null_space(self, labels):
         """exactmath.null_space of the columns of labels, each entry keyed
-        by its (row, column) pair of codomain labels: (kernel basis over
-        positions in labels, pivot positions)."""
-        return null_space(self.field, [
-            {(row, col): w for col, img in self.columns[lab].items() for row, w in img.items()}
-            for lab in labels])
+        by its (row, column) pair of codomain labels, with the zero columns
+        left out of the elimination: (the positions in labels of the zero
+        columns, each free with a unit kernel vector; (free position,
+        kernel vector) for the other kernel vectors, over positions in
+        labels; pivot positions)."""
+        zero, nonzero, cols = [], [], []
+        for j, lab in enumerate(labels):
+            if endo := self.columns.get(lab):
+                nonzero.append(j)
+                cols.append({(row, col): w for col, img in endo.items()
+                             for row, w in img.items()})
+            else:
+                zero.append(j)
+        kernel, pivots = null_space(self.field, cols)
+        pivot_set = set(pivots)
+        free = [j for i, j in enumerate(nonzero) if i not in pivot_set]
+        eliminated = [(f, {nonzero[i]: w for i, w in v.items()}) for f, v in zip(free, kernel)]
+        return zero, eliminated, [nonzero[i] for i in pivots]
 
 
 def build_phi(dsm, bsm) -> LinearMapRep:
     """phi(a#u_g#r_h) sends b#u_l to (a#u_g)(b#u_l) when l == h, else 0:
     its column (a, g, h) is row (a, g) of B#KG restricted to the labels
-    (b, h)."""
+    (b, h).  One pass over the nonzero products of B#KG files each under
+    its l, so a label that no product reaches gets no column."""
     for key in ("B", "kg", "action"):
         if dsm.meta.get(key) is not bsm.meta.get(key):
             raise ValueError("smash products come from different parents")
-    columns = {(a, g, h): {(b, l): img for (b, l), img in bsm.right.get((a, g), {}).items()
-                           if l == h}
-               for (a, g, h) in dsm.basis}
+    columns = {}
+    for (a, g), row in bsm.right.items():
+        for (b, l), img in row.items():
+            columns.setdefault((a, g, l), {})[(b, l)] = img
     return LinearMapRep(dsm.field, list(dsm.basis), list(bsm.basis), columns)
 
 
 def phi_is_homomorphism(phi: LinearMapRep, dsm) -> Report:
-    """phi(xy) == phi(x) phi(y) over all domain basis pairs.  Only the y
-    with xy != 0, or whose phi(y) reaches a column of phi(x), are visited;
-    for any other y both sides are zero.  phi.apply and el_apply read an
-    element {k: one} off the stored column or image."""
-    F = phi.field
+    """phi(xy) == phi(x) phi(y) over all domain basis pairs.  Only the x
+    with a nonzero column or a nonzero product, and for each only the y
+    with xy != 0 or whose phi(y) reaches a column of phi(x), are visited;
+    for any other pair both sides are zero.  When phi(x) = 0 the right
+    side is zero, so only phi(xy) = 0 is tested.  phi.apply and el_apply
+    read an element {k: one} off the stored column or image."""
+    F, right, order = phi.field, dsm.right, dsm.index.get
     rep = Report("phi is multiplicative")
     reaching = {}  # codomain label -> the y whose phi(y) has it in an image
-    for y in phi.domain_basis:
-        for img in phi.columns[y].values():
+    for y, endo in phi.columns.items():
+        for img in endo.values():
             for mid in img:
                 reaching.setdefault(mid, set()).add(y)
-    order = {lab: i for i, lab in enumerate(phi.domain_basis)}
-    for x in phi.domain_basis:
-        ex = phi.columns[x]
-        ys = set(dsm.right.get(x, ())).union(*(reaching.get(mid, ()) for mid in ex))
-        for y in sorted(ys, key=order.get):
+    for x in sorted(right.keys() | {x for x, endo in phi.columns.items() if endo}, key=order):
+        ex = phi.columns.get(x, {})
+        ys = set(right.get(x, ())).union(*(reaching.get(mid, ()) for mid in ex))
+        for y in sorted(ys, key=order):
             rhs = {}
-            for col, img in phi.columns[y].items():
-                if v := el_apply(F, ex, img):
-                    rhs[col] = v
+            if ex:
+                for col, img in phi.columns.get(y, {}).items():
+                    if v := el_apply(F, ex, img):
+                        rhs[col] = v
             if phi.apply(dsm.basis_product(x, y)) != rhs:
                 rep.add("phi-multiplicative", [list(x), list(y)])
     return rep
@@ -202,16 +223,22 @@ def right_linearity(phi: LinearMapRep, bsm, B) -> Report:
 
 @dataclass
 class KernelImage:
-    kernel: list      # sparse vectors over the domain basis
+    """ker phi: a unit vector per label of zero and the vectors of
+    eliminated.  Its readers visit both in the domain order of their free
+    column, a zero label being its own."""
+
+    zero: list        # the domain labels phi sends to zero, in basis order
+    eliminated: list  # (free position, kernel vector over domain positions)
     dims: dict
 
 
 def kernel_and_image(phi: LinearMapRep) -> KernelImage:
-    """One elimination: the kernel basis, and the dimensions of the
-    domain, the kernel and the image."""
-    kernel, pivots = phi.null_space(phi.domain_basis)
-    dims = {"domain": len(phi.domain_basis), "kernel": len(kernel), "image": len(pivots)}
-    return KernelImage(kernel, dims)
+    """One elimination over the nonzero columns: the kernel basis, and
+    the dimensions of the domain, the kernel and the image."""
+    zero, eliminated, pivots = phi.null_space(phi.domain_basis)
+    basis = phi.domain_basis
+    dims = {"domain": len(basis), "kernel": len(zero) + len(eliminated), "image": len(pivots)}
+    return KernelImage([basis[j] for j in zero], eliminated, dims)
 
 
 # -- identity candidates --------------------------------------------------------
@@ -402,7 +429,7 @@ class VerificationContext:
         """(rank of the phi columns of labels, the labels whose column
         lies in the span of the columns of the labels before them: the
         positions that are not pivots)."""
-        _, pivots = self.phi.null_space(labels)
+        _, _, pivots = self.phi.null_space(labels)
         pivots = set(pivots)
         return len(pivots), [lab for j, lab in enumerate(labels) if j not in pivots]
 
@@ -420,8 +447,10 @@ class VerificationContext:
         return (self.groupoid_report.ok and self.b_report.ok
                 and self.module_report.ok and self.decomp_report.ok)
 
+    @cached_property
     def diagnostics(self):
-        """Human-readable list naming every violated axiom or convention."""
+        """Human-readable list naming every violated axiom or convention;
+        built once, as the reports it reads are final after __init__."""
         out = []
         for name, rep in (("groupoid", self.groupoid_report),
                           ("algebra B", self.b_report),
@@ -440,7 +469,7 @@ class VerificationContext:
     def _result(self, claim, holds, dims, witnesses, notes):
         conditional = not (self.validated and self.classification_total)
         if conditional:
-            notes = list(notes) + self.diagnostics()
+            notes = list(notes) + self.diagnostics
         return ClaimResult(claim, holds, conditional, dims, witnesses, notes)
 
     # -- verifiers ----------------------------------------------------------------
@@ -458,16 +487,18 @@ class VerificationContext:
     def _verify_thm2_2(self) -> ClaimResult:
         # the kernel equals the span of the kernel-strata labels iff each
         # kernel vector is supported on them and each of their phi columns
-        # is zero.  A label of an image stratum lies in the kernel plus the
-        # span of the stratum's earlier labels iff its phi column lies in
-        # the span of theirs.
-        F, dsm = self.field, self.dsm
-        strata_labels = self.stratum_labels(KERNEL_STRATA)
-        support = {dsm.index[lab] for lab in strata_labels}
-        witnesses = [{"kernel_vector_outside_strata": element_str(F, dsm.from_vector(v))}
-                     for v in self.ki.kernel if not support.issuperset(v)]
+        # is zero; a zero label is supported on itself.  A label of an image
+        # stratum lies in the kernel plus the span of the stratum's earlier
+        # labels iff its phi column lies in the span of theirs.
+        F, dsm, ki = self.field, self.dsm, self.ki
+        support = {lab for name in KERNEL_STRATA for lab in self.strata[name]}
+        outside = [(dsm.index[lab], label_str(lab)) for lab in ki.zero if lab not in support]
+        outside += [(f, element_str(F, dsm.from_vector(v))) for f, v in ki.eliminated
+                    if not support.issuperset(map(dsm.basis.__getitem__, v))]
+        witnesses = [{"kernel_vector_outside_strata": w} for _, w in sorted(outside)]
         witnesses += [{"stratum_vector_outside_kernel": label_str(lab)}
-                      for lab in strata_labels if self.phi.columns[lab]]
+                      for lab in sorted((lab for lab, endo in self.phi.columns.items()
+                                         if endo and lab in support), key=dsm.index.get)]
         eq = not witnesses
         for name in IMAGE_STRATA:
             _, dependent = self.phi_rank(self.stratum_labels([name]))
@@ -475,7 +506,7 @@ class VerificationContext:
                           for lab in dependent]
         dims = dict(self.ki.dims)
         dims["strata"] = dict(self.strata_dims)
-        dims["kernel_strata_span"] = len(strata_labels)
+        dims["kernel_strata_span"] = len(support)
         notes = [f"kernel equals the span of A3+A4+A5+A6: {eq}"]
         return self._result("thm2.2", not witnesses, dims, witnesses, notes)
 
@@ -546,11 +577,11 @@ class VerificationContext:
 
     def _verify_thm2_6(self) -> ClaimResult:
         # kernel (+) span(S) is direct iff phi is injective on span(S)
-        kernel = self.ki.kernel
+        kernel = self.ki.dims["kernel"]
         s_labels = self.stratum_labels(IMAGE_STRATA)
         dim = self.dsm.dim
         rank_s = self.image_strata_rank
-        decomposes = rank_s == len(s_labels) and len(kernel) + len(s_labels) == dim
+        decomposes = rank_s == len(s_labels) and kernel + len(s_labels) == dim
 
         sp_dim = len(self.stratum_labels(UNITAL_STRATA))
         t_dim = len(self.stratum_labels(COMPLEMENT_STRATA))
@@ -567,7 +598,7 @@ class VerificationContext:
         not_ideal = self.kernel_ideal_witnesses()
         ideal_ok = not not_ideal
         witnesses += [{"kernel_not_ideal_at": label_str(z)} for z in not_ideal]
-        dims = {"dim": dim, "kernel": len(kernel), "S": len(s_labels),
+        dims = {"dim": dim, "kernel": kernel, "S": len(s_labels),
                 "S'": sp_dim, "T": t_dim}
         holds = decomposes and split and ideal_ok and closed
         notes = [f"whole space = kernel (+) image strata: {decomposes}",
@@ -580,19 +611,26 @@ class VerificationContext:
         """Per kernel vector v and basis label z, z once for each of vz and
         zv (in that order) that phi does not send to zero.  Only the z that
         some label of v multiplies to a nonzero product are visited; for any
-        other z both products are zero."""
-        F, dsm = self.field, self.dsm
-        right, left = dsm.right, dsm.left
-        out = []
-        for v in self.ki.kernel:
+        other z both products are zero.  A zero label v, one without a phi
+        column, is a kernel vector; vz and zv are read off right[v] and
+        left[v], so only the zero labels with a nonzero product are visited."""
+        F, dsm, phi = self.field, self.dsm, self.phi
+        right, left, order = dsm.right, dsm.left, dsm.index.get
+        found = []  # (free position, witnesses)
+        for z0 in right.keys() | left.keys():
+            if not phi.columns.get(z0):
+                row, col = right.get(z0, {}), left.get(z0, {})
+                found.append((order(z0), [
+                    z for z in sorted(row.keys() | col.keys(), key=order)
+                    for prod in (row.get(z), col.get(z)) if prod and phi.apply(prod)]))
+        for f, v in self.ki.eliminated:
             dv = dsm.from_vector(v)
             zs = {z for lab in dv for z in (*right.get(lab, ()), *left.get(lab, ()))}
-            for z in sorted(zs, key=dsm.index.get):
-                ez = {z: F.one}
-                for prod in (dsm.multiply(dv, ez), dsm.multiply(ez, dv)):
-                    if self.phi.apply(prod):
-                        out.append(z)
-        return out
+            found.append((f, [z for z in sorted(zs, key=order)
+                              for prod in (dsm.multiply(dv, {z: F.one}),
+                                           dsm.multiply({z: F.one}, dv))
+                              if phi.apply(prod)]))
+        return [z for _, zs in sorted(found) for z in zs]
 
     def _verify_rem2_7(self) -> ClaimResult:
         rank_phi_s = self.image_strata_rank
@@ -623,13 +661,15 @@ class VerificationContext:
         whole_ok = len(d1) + len(c_labels) == n_dom
 
         # rank of phi(psi(C)), then of phi o psi, and exactness bookkeeping;
-        # C comes first, so its dependent labels are those the rank of C misses
-        rank, dependent = self.phi_rank(c_labels + d1)
-        rank_c = len(c_labels) - sum(g.composable(m, h) for _, m, h in dependent)
+        # C comes first, so the rank of C is its number of pivots
+        zero, _, pivots = self.phi.null_space(c_labels + d1)
+        rank, rank_c = len(pivots), bisect_left(pivots, len(c_labels))
         exact = len(d1) + rank_c == n_dom
         # D1 is spanned by basis labels: it is the kernel of phi o psi iff
-        # phi o psi is zero on each of them and the dimensions agree
-        d1_eq_kernel = not any(self.phi.columns[lab] for lab in d1) and len(d1) == n_dom - rank
+        # phi o psi is zero on each of them, the last len(d1) positions, and
+        # the dimensions agree
+        d1_zero = len(zero) - bisect_left(zero, len(c_labels)) == len(d1)
+        d1_eq_kernel = d1_zero and len(d1) == n_dom - rank
 
         # psi(B0) == span(A1): both are spanned by basis labels
         b0 = [lab for lab in c_labels if g.src(lab[1]) == g.tgt(lab[1])]

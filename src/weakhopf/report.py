@@ -1,7 +1,10 @@
 """Structured check reports: every validator returns a Report whose
-findings carry the violated check name and a concrete witness."""
+findings carry the violated check name and a concrete witness.  dumps
+writes a report document as JSON."""
 
+import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 
 WITNESS_CAP = 12  # findings kept per check in serialized output
 
@@ -63,3 +66,45 @@ class Report:
             "notes": list(self.notes),
             "info": dict(self.info),
         }
+
+
+def dumps(doc) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True), byte for byte.  With an
+    indent the standard library encodes in pure Python; this walks dicts
+    with str keys, lists, tuples, str, bool, None and int itself, and hands
+    any other value to json.dumps, indented to its depth."""
+    out = []
+    _dump(doc, out, "\n")
+    return "".join(out)
+
+
+def _dump(x, out, newline):
+    t = type(x)
+    if t is str:
+        out.append(_quote(x))
+    elif x is None or t is bool:
+        out.append("null" if x is None else "true" if x else "false")
+    elif t is int:
+        out.append(int.__repr__(x))
+    elif t is dict and all(type(k) is str for k in x):
+        if not x:
+            out.append("{}")
+            return
+        inner, sep = newline + "  ", "{"
+        for k in sorted(x):
+            out += (sep, inner, _quote(k), ": ")
+            _dump(x[k], out, inner)
+            sep = ","
+        out += (newline, "}")
+    elif t is list or t is tuple:
+        if not x:
+            out.append("[]")
+            return
+        inner, sep = newline + "  ", "["
+        for v in x:
+            out += (sep, inner)
+            _dump(v, out, inner)
+            sep = ","
+        out += (newline, "]")
+    else:
+        out.append(json.dumps(x, indent=2, sort_keys=True).replace("\n", newline))

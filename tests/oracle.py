@@ -343,7 +343,7 @@ def row_major(phi, labels):
     index = {lab: i for i, lab in enumerate(phi.codomain_basis)}
     n = len(index)
     return [{index[row] * n + index[col]: w
-             for col, img in phi.columns[lab].items() for row, w in img.items()}
+             for col, img in phi.columns.get(lab, {}).items() for row, w in img.items()}
             for lab in labels]
 
 
@@ -1156,10 +1156,24 @@ def strata(ctx):
     return out
 
 
+def merged_kernel(field, zero, eliminated):
+    """A kernel basis in the order of its free columns: a unit vector per
+    zero position, merged with the (free position, vector) pairs the
+    elimination found."""
+    units = [(j, {j: field.one}) for j in zero]
+    return [v for _, v in sorted(units + eliminated, key=lambda fv: fv[0])]
+
+
+def kernel_vectors(ctx):
+    """The engine's kernel basis as sparse vectors over the domain."""
+    index = ctx.dsm.index
+    return merged_kernel(ctx.field, [index[lab] for lab in ctx.ki.zero], ctx.ki.eliminated)
+
+
 def kernel_echelon(ctx):
     """A fresh echelon of ker phi."""
     ech = exactmath.Echelon(ctx.field)
-    for v in ctx.ki.kernel:
+    for v in kernel_vectors(ctx):
         ech.add(v)
     return ech
 
@@ -1175,7 +1189,7 @@ def kernel_ideal_witnesses(ctx):
     F, dsm = ctx.field, ctx.dsm
     ker_ech = kernel_echelon(ctx)
     out = []
-    for v in ctx.ki.kernel:
+    for v in kernel_vectors(ctx):
         dv = dsm.from_vector(v)
         for z in dsm.basis:
             ez = {z: F.one}
@@ -1194,10 +1208,10 @@ def kernel_ideal_witnesses(ctx):
 def phi_is_homomorphism(phi, dsm) -> Report:
     rep = Report("phi is multiplicative")
     for x in phi.domain_basis:
-        ex = phi.columns[x]
+        ex = phi.columns.get(x, {})
         for y in phi.domain_basis:
             lhs = apply_columns(phi, dsm.basis_product(x, y))
-            rhs = compose_endos(phi, ex, phi.columns[y])
+            rhs = compose_endos(phi, ex, phi.columns.get(y, {}))
             if lhs != rhs:
                 rep.add("phi-multiplicative", [list(x), list(y)])
     return rep
@@ -1222,7 +1236,7 @@ def right_linearity(phi, bsm, B) -> Report:
     rep = Report("image endomorphisms are right B-linear")
     right_factors = {b: {(b, e): F.one for e in g.objects} for b in B.basis}
     for x in phi.domain_basis:
-        endo = phi.columns[x]
+        endo = phi.columns.get(x, {})
         for z in bsm.basis:
             for b in B.basis:
                 zb = bsm.multiply({z: F.one}, right_factors[b])
@@ -1260,7 +1274,7 @@ def closure_witnesses(ctx, names):
 
 def verify_thm2_2(ctx):
     F = ctx.field
-    kernel = ctx.ki.kernel
+    kernel = kernel_vectors(ctx)
     span_ker_strata = stratum_vectors(ctx, KERNEL_STRATA)
     eq = sparse_subspace_equal(F, kernel, span_ker_strata)
     ker_ech = kernel_echelon(ctx)
@@ -1294,7 +1308,7 @@ def verify_thm2_2(ctx):
 
 
 def verify_thm2_6(ctx):
-    kernel = ctx.ki.kernel
+    kernel = kernel_vectors(ctx)
     s_vectors = stratum_vectors(ctx, IMAGE_STRATA)
     dim = ctx.dsm.dim
     ech = kernel_echelon(ctx)

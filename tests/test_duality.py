@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import disjoint_union, pair_groupoid
-from oracle import sparse_subspace_equal as subspace_equal, stratum_vectors
+from oracle import kernel_vectors, sparse_subspace_equal as subspace_equal, stratum_vectors
 from weakhopf.duality import (COMPLEMENT_STRATA, IMAGE_STRATA, KERNEL_STRATA,
                               UNCLASSIFIED, UNITAL_STRATA, VerificationContext,
                               classify, label_str,
@@ -104,7 +104,7 @@ def test_ex28_gf2_strata(ctx_ex28_gf2):
 
 def test_phi_column_zero_when_legs_non_composable(ctx_i2):
     # (g, g) is not composable, so the endomorphism is zero
-    assert ctx_i2.phi.columns[("e1", "g", "g")] == {}
+    assert not ctx_i2.phi.columns.get(("e1", "g", "g"))
 
 
 def test_phi_column_supported_on_matching_slice(ctx_i2):
@@ -130,7 +130,7 @@ def test_kernel_dims_i2(ctx_i2):
 
 def test_kernel_matches_classifier_on_i2(ctx_i2):
     vecs = stratum_vectors(ctx_i2, KERNEL_STRATA)
-    assert subspace_equal(ctx_i2.field, ctx_i2.ki.kernel, vecs)
+    assert subspace_equal(ctx_i2.field, kernel_vectors(ctx_i2), vecs)
 
 
 def test_rank_nullity_everywhere(ctx_i2, ctx_z2, ctx_z3, ctx_ex28, ctx_ex28_gf2):
@@ -277,7 +277,7 @@ def test_claims_complete_with_diagnostics_on_ex28(ctx_ex28, ctx_ex28_gf2):
         results = ctx.verify_all()
         assert all(r.conditional for r in results)
         assert any(not r.holds for r in results)
-        diags = ctx.diagnostics()
+        diags = ctx.diagnostics
         assert any("module-axiom-ii" in d for d in diags)
         assert any("classification partial" in d for d in diags)
 
@@ -301,7 +301,7 @@ def test_kernel_strata_never_meet_image_strata(ctx_i2, ctx_z2, ctx_z3, ctx_ex28_
         if not ctx.module_report.ok:
             continue
         for lab in ctx.stratum_labels(("A1", "A2", "A7", "A8", "A9", "A10")):
-            assert ctx.phi.columns[lab]
+            assert ctx.phi.columns.get(lab)
 
 
 # -- the sparse kernel and image against the dense oracle ----------------------
@@ -312,7 +312,7 @@ def _assert_kernel_and_image_match_oracle(ctx):
     F, phi = ctx.field, ctx.phi
     kernel, image, _ = oracle.kernel_and_image(phi)
     n_dom = len(phi.domain_basis)
-    assert [oracle.dense(v, n_dom, F) for v in ctx.ki.kernel] == kernel
+    assert [oracle.dense(v, n_dom, F) for v in oracle.kernel_vectors(ctx)] == kernel
     assert ctx.ki.dims["image"] == len(image)
 
 
@@ -533,7 +533,7 @@ def _sabotage(ctx, data):
     columns = {x: {col: dict(img) for col, img in endo.items()}
                for x, endo in phi.columns.items()}
     cod_index = {lab: i for i, lab in enumerate(phi.codomain_basis)}
-    x = data.draw(st.sampled_from([x for x in phi.domain_basis if columns[x]]))
+    x = data.draw(st.sampled_from([x for x in phi.domain_basis if columns.get(x)]))
     col = data.draw(st.sampled_from(sorted(columns[x], key=cod_index.get)))
     row = data.draw(st.sampled_from(sorted(columns[x][col], key=cod_index.get)))
     w = columns[x][col].pop(row)
@@ -550,14 +550,14 @@ def _sabotage(ctx, data):
     elif how == "copy":
         columns[x][col][row] = w
         y = data.draw(st.sampled_from(phi.domain_basis))
-        columns[y].setdefault(col, {})[row] = w
+        columns.setdefault(y, {}).setdefault(col, {})[row] = w
     elif how == "term":
         columns[x][col][row] = w
         if other != row:
             columns[x][col][other] = c
     elif how == "copy-column":
         y = data.draw(st.sampled_from(phi.domain_basis))
-        columns[x] = dict(columns[y])
+        columns[x] = dict(columns.get(y, {}))
     if not columns[x].get(col, True):
         del columns[x][col]
     return LinearMapRep(F, list(phi.domain_basis), list(phi.codomain_basis), columns)
@@ -607,7 +607,9 @@ def _assert_phi_null_space_is_one_block_elimination(phi, labels):
     # the oracle keys rows by r * dim + c, not by (row, column) label
     # pairs; row keys only group entries, so the answer must not change
     import oracle
-    kernel, pivots = phi.null_space(labels)
+    zero, eliminated, pivots = phi.null_space(labels)
+    assert zero == [j for j, lab in enumerate(labels) if not phi.columns.get(lab)]
+    kernel = oracle.merged_kernel(phi.field, zero, eliminated)
     want_kernel, want_pivots = oracle.null_space(phi.field, oracle.row_major(phi, labels))
     assert pivots == want_pivots
     assert [list(v.items()) for v in kernel] == [list(v.items()) for v in want_kernel]
@@ -634,6 +636,68 @@ def test_phi_null_space_equals_one_block_elimination_on_m2_family(n):
     _assert_phi_null_space_is_one_block_elimination(ctx.phi, ctx.stratum_labels(IMAGE_STRATA))
     for labels in ctx.strata.values():
         _assert_phi_null_space_is_one_block_elimination(ctx.phi, labels)
+
+
+def test_zero_columns_skip_the_elimination_and_from_vector(monkeypatch):
+    # on pair(6) with B = K^X, 7,560 of the 7,776 labels have phi = 0 and
+    # the kernel is exactly those labels: the elimination sees only the
+    # 216 nonzero columns, and thm2.2 and thm2.6 read the zero labels
+    # without turning any kernel vector into an element
+    from conftest import groupoid_doc
+    from weakhopf import duality
+    from weakhopf.walg import FinAlgebra
+    ctx = _fresh(groupoid_doc(pair_groupoid(6), "pair6"))
+    phi, seen, null_space = ctx.phi, [], duality.null_space
+    monkeypatch.setattr(duality, "null_space",
+                        lambda F, cols: seen.append(cols) or null_space(F, cols))
+    ki = duality.kernel_and_image(phi)
+    assert len(seen) == 1 and all(seen[0])
+    assert len(seen[0]) == sum(map(bool, phi.columns.values())) == 216
+    assert ki.dims == {"domain": 7776, "kernel": 7560, "image": 216}
+    assert ki.zero == [x for x in phi.domain_basis if not phi.columns.get(x)]
+    assert ki.eliminated == []
+    ctx.ki = ki
+    calls, from_vector = [], FinAlgebra.from_vector
+    monkeypatch.setattr(FinAlgebra, "from_vector",
+                        lambda self, v: calls.append(v) or from_vector(self, v))
+    assert ctx.verify("thm2.2").holds and ctx.verify("thm2.6").holds
+    assert calls == []
+
+
+def _mix_kernel(ctx, data):
+    """phi with a zero column replaced by a multiple, or by the sum, of
+    one or two nonzero columns, so that the elimination finds kernel
+    vectors of several terms, and a nonzero column not copied dropped, so
+    that a zero label can fall outside the kernel strata."""
+    F, phi = ctx.field, ctx.phi
+    columns = dict(phi.columns)
+    nonzero = [x for x in phi.domain_basis if columns.get(x)]
+    zero = [x for x in phi.domain_basis if not columns.get(x)]
+    used = set()
+    for x in data.draw(st.lists(st.sampled_from(zero), min_size=1, max_size=3, unique=True)):
+        ys = data.draw(st.lists(st.sampled_from(nonzero), min_size=1, max_size=2, unique=True))
+        c = F.parse(data.draw(st.sampled_from(["1", "2", "-1"])))
+        columns[x] = phi.apply({y: c for y in ys})
+        used.update(ys)
+    for x in data.draw(st.lists(st.sampled_from(nonzero), max_size=2, unique=True)):
+        if x not in used:
+            del columns[x]
+    return LinearMapRep(F, list(phi.domain_basis), list(phi.codomain_basis), columns)
+
+
+@given(st.sampled_from(["i2", "m2-pair2", "pair2"]),
+       st.sampled_from([FIELDS[0], {"kind": "prime", "p": 7}]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_witnesses_equal_oracle_with_zero_labels_and_eliminated_vectors(name, field, data):
+    # no benchmark or golden instance has both kinds of kernel vector; the
+    # thm2.2 and thm2.6 witnesses must still be the oracle's, in its order
+    from hypothesis import assume
+    ctx = _fresh(_perturbable_doc(name, field))
+    ctx.phi = _mix_kernel(ctx, data)
+    ki = ctx.ki
+    assume(ki.zero and any(len(v) > 1 for _, v in ki.eliminated))
+    _assert_kernel_and_image_match_oracle(ctx)
+    assert_duality_matches_oracle(ctx)
 
 
 @pytest.mark.parametrize("name", ["z8-trivial", "z4-regular"])
@@ -690,7 +754,7 @@ def test_right_linearity_reads_only_nonempty_columns(monkeypatch):
     monkeypatch.setattr(duality, "el_apply", spy)
     assert right_linearity(phi, ctx.bsm, ctx.B).ok
     assert sorted(seen, key=phi.domain_basis.index) == [x for x in phi.domain_basis
-                                                        if phi.columns[x]]
+                                                        if phi.columns.get(x)]
     assert len(seen) == 27
 
 
@@ -751,7 +815,7 @@ def test_sabotaged_phi_gives_witnesses():
     from conftest import groupoid_doc
     ctx = _fresh(groupoid_doc(pair_groupoid(2), "sabotaged"))
     F, phi = ctx.field, ctx.phi
-    x = next(x for x in phi.domain_basis if not phi.columns[x])
+    x = next(x for x in phi.domain_basis if not phi.columns.get(x))
     col, img = next(iter(phi.columns[phi.domain_basis[0]].items()))
     columns = {**phi.columns, x: {col: img}}
     ctx.phi = LinearMapRep(F, list(phi.domain_basis), list(phi.codomain_basis), columns)

@@ -291,7 +291,9 @@ def assert_read_offs_match_oracle(ctx, dfap=None):
     phi, ref_phi = build_phi(dsm, ctx.bsm), oracle.build_phi(ref, ctx.bsm)
     assert phi.domain_basis == ref_phi.domain_basis
     assert phi.codomain_basis == ref_phi.codomain_basis
-    assert ordered(phi.columns) == ordered(ref_phi.columns)
+    # a label has no engine column exactly when the oracle's is empty
+    assert {lab: ordered(col) for lab, col in phi.columns.items()} \
+        == {lab: ordered(col) for lab, col in ref_phi.columns.items() if col}
     dfap = dfap or ctx.dfap[0]
     assert (skew_outcome(lambda: skew_groupoid_ring(ctx.bsm, dfap), ctx.bsm)
             == skew_outcome(lambda: oracle.skew_groupoid_ring(ctx.B, ctx.action, dfap), ctx.bsm))
