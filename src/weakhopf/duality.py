@@ -23,7 +23,7 @@ from functools import cached_property
 
 from .exactmath import null_space
 from .report import WITNESS_CAP, Report
-from .walg import acc, el_addto, el_apply
+from .walg import acc, el_addto, el_apply, el_sum
 
 STRATA = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9", "A10")
 UNCLASSIFIED = "unclassified"
@@ -80,24 +80,28 @@ def classify(groupoid, component, g, h, in_image):
 
 
 def classify_basis(dsm, groupoid, decomp, action):
-    """{stratum: its double-smash labels in basis order} over STRATA and
-    UNCLASSIFIED.  A stratum depends on (b, g, h) only through the class
-    (component of b, src g, tgt g, tgt g == src h, b in the image of g):
-    classify runs once per class, on the first (g, h) seen in it."""
-    B = action.algebra
-    spans = action.image_spans()
-    in_image = {(b, g): spans[g].contains(B.to_vector(B.basis_element(b)))
-                for b in B.basis for g in spans}
+    """({stratum: its double-smash labels in basis order} over STRATA and
+    UNCLASSIFIED, {(b, g): (tgt g, {tgt g == src h: stratum of (b, g, h)})}).
+    A stratum depends on (b, g, h) only through the class (component of b,
+    src g, tgt g, tgt g == src h, b in the image of g): the image is tested
+    once per (b, g), and classify runs once per class, on its first (g, h).
+    dsm.basis runs over b, then g, then h, as double_smash builds it."""
+    B, spans, ids = action.algebra, action.image_spans(), groupoid.morphism_ids()
     ends = {m.id: (m.src, m.tgt) for m in groupoid.morphisms}
+    after = {t: [ends[h][0] == t for h in ids] for t in groupoid.objects}
+    reps = {t: {c: ids[kinds.index(c)] for c in set(kinds)} for t, kinds in after.items()}
     strata = {s: [] for s in (*STRATA, UNCLASSIFIED)}
-    stratum_of = {}  # class -> stratum
-    for lab in dsm.basis:
-        b, g, h = lab
-        key = (decomp.component_of.get(b), *ends[g], ends[g][1] == ends[h][0], in_image[(b, g)])
-        if key not in stratum_of:
-            stratum_of[key] = classify(groupoid, key[0], g, h, key[-1])
-        strata[stratum_of[key]].append(lab)
-    return strata
+    seen, by_pair, labels = {}, {}, iter(dsm.basis)  # class but h -> {kind of h: stratum}
+    for b in B.basis:
+        comp, vec = decomp.component_of.get(b), B.to_vector(B.basis_element(b))
+        for g in ids:
+            (s, t), inside = ends[g], spans[g].contains(vec)
+            if (key := (comp, s, t, inside)) not in seen:
+                seen[key] = {c: classify(groupoid, comp, g, h, inside) for c, h in reps[t].items()}
+            by_pair[(b, g)] = t, (names := seen[key])
+            for composable, lab in zip(after[t], labels):
+                strata[names[composable]].append(lab)
+    return strata, by_pair
 
 
 # -- the map phi ---------------------------------------------------------------
@@ -114,6 +118,12 @@ class LinearMapRep:
     domain_basis: list
     codomain_basis: list
     columns: dict           # domain label -> {codomain label: element dict}
+
+    @cached_property
+    def flat(self):
+        """Each nonempty column as one vector keyed by (row, column)."""
+        return {lab: {(row, col): w for col, img in endo.items() for row, w in img.items()}
+                for lab, endo in self.columns.items() if endo}
 
     def apply(self, element: dict) -> dict:
         """Endomorphism attached to a domain element (weighted sum); at
@@ -136,15 +146,10 @@ class LinearMapRep:
         columns, each free with a unit kernel vector; (free position,
         kernel vector) for the other kernel vectors, over positions in
         labels; pivot positions)."""
-        zero, nonzero, cols = [], [], []
-        for j, lab in enumerate(labels):
-            if endo := self.columns.get(lab):
-                nonzero.append(j)
-                cols.append({(row, col): w for col, img in endo.items()
-                             for row, w in img.items()})
-            else:
-                zero.append(j)
-        kernel, pivots = null_space(self.field, cols)
+        flat = self.flat
+        zero = [j for j, lab in enumerate(labels) if lab not in flat]
+        nonzero = [j for j, lab in enumerate(labels) if lab in flat]
+        kernel, pivots = null_space(self.field, [flat[labels[j]] for j in nonzero])
         pivot_set = set(pivots)
         free = [j for i, j in enumerate(nonzero) if i not in pivot_set]
         eliminated = [(f, {nonzero[i]: w for i, w in v.items()}) for f, v in zip(free, kernel)]
@@ -171,8 +176,9 @@ def phi_is_homomorphism(phi: LinearMapRep, dsm) -> Report:
     with a nonzero column or a nonzero product, and for each only the y
     with xy != 0 or whose phi(y) reaches a column of phi(x), are visited;
     for any other pair both sides are zero.  When phi(x) = 0 the right
-    side is zero, so only phi(xy) = 0 is tested.  phi.apply and el_apply
-    read an element {k: one} off the stored column or image."""
+    side is zero, so only phi(xy) = 0 is tested; only the failing y of
+    each x are sorted.  phi.apply and el_apply read an element {k: one}
+    off the stored column or image."""
     F, right, order = phi.field, dsm.right, dsm.index.get
     rep = Report("phi is multiplicative")
     reaching = {}  # codomain label -> the y whose phi(y) has it in an image
@@ -183,41 +189,44 @@ def phi_is_homomorphism(phi: LinearMapRep, dsm) -> Report:
     for x in sorted(right.keys() | {x for x, endo in phi.columns.items() if endo}, key=order):
         ex = phi.columns.get(x, {})
         ys = set(right.get(x, ())).union(*(reaching.get(mid, ()) for mid in ex))
-        for y in sorted(ys, key=order):
+        bad = []
+        for y in ys:
             rhs = {}
             if ex:
                 for col, img in phi.columns.get(y, {}).items():
                     if v := el_apply(F, ex, img):
                         rhs[col] = v
             if phi.apply(dsm.basis_product(x, y)) != rhs:
-                rep.add("phi-multiplicative", [list(x), list(y)])
+                bad.append(y)
+        for y in sorted(bad, key=order):
+            rep.add("phi-multiplicative", [list(x), list(y)])
     return rep
 
 
 def right_linearity(phi: LinearMapRep, bsm, B) -> Report:
     """Whether each phi(x) commutes with right multiplication by
-    b # (sum of identity legs); reported, never assumed.  Only the (z, b)
-    where z, or a label of z (b # sum), is a column of phi(x) are visited;
-    for any other (z, b) both sides are zero.  With zbs[b] the table of
-    right multiplication by b # sum, the sides phi(x)(z (b # sum)) and
-    (phi(x) z)(b # sum) are one el_apply each."""
-    F = phi.field
-    g = bsm.meta["groupoid"]
+    b # (sum of identity legs); reported, never assumed.  zbs[b] = {z:
+    z (b # sum)} is summed off the entries (b, e) of bsm.right with e an
+    object.  For each nonzero phi(x), the z that are a column of phi(x),
+    or whose terms have a label that is, are visited in basis order
+    against every b; for any other z both sides, one el_apply each, are 0."""
+    F, objects = phi.field, set(bsm.meta["groupoid"].objects)
     rep = Report("image endomorphisms are right B-linear")
-    zbs, through = {}, {}  # b -> {z: z (b # sum)}; label -> the (z, b) reaching it
-    for b in B.basis:
-        right_factor = {(b, e): F.one for e in g.objects}
-        zbs[b] = {z: bsm.multiply({z: F.one}, right_factor) for z in bsm.basis}
-        for z, zb in zbs[b].items():
-            for lab in zb:
-                through.setdefault(lab, set()).add((z, b))
+    zbs, through = {b: {} for b in B.basis}, {}  # label -> the z whose z (b # sum) has it
+    for z, row in bsm.right.items():
+        for (b, e), prod in row.items():
+            if e in objects:
+                zb = zbs[b].get(z)
+                zbs[b][z] = prod if zb is None else el_sum(F, [(F.one, zb), (F.one, prod)])
+                for lab in prod:
+                    through.setdefault(lab, set()).add(z)
     for x in filter(phi.columns.get, phi.domain_basis):  # phi(x) = 0 has both sides zero
         endo = phi.columns[x]
-        pairs = {(z, b) for z in endo for b in B.basis}.union(
-            *(through.get(lab, ()) for lab in endo))
-        for z, b in sorted(pairs, key=lambda zb: (bsm.index[zb[0]], B.index[zb[1]])):
-            if el_apply(F, endo, zbs[b][z]) != el_apply(F, zbs[b], endo.get(z, {})):
-                rep.add("right-linearity", [list(x), list(z), b])
+        for z in sorted(set(endo).union(*(through.get(lab, ()) for lab in endo)),
+                        key=bsm.index.get):
+            for b, table in zbs.items():
+                if el_apply(F, endo, table.get(z, {})) != el_apply(F, table, endo.get(z, {})):
+                    rep.add("right-linearity", [list(x), list(z), b])
     return rep
 
 
@@ -315,15 +324,15 @@ def element_str(field, element: dict) -> str:
 
 def closure_witnesses(dsm, labels):
     """Products of two of the labels that leave their span, in basis order;
-    only the nonzero products are visited."""
+    each nonzero product is tested once, and only the failing y sorted."""
     allowed = set(labels)
     witnesses = []
     for x in labels:
-        for y in sorted(allowed.intersection(dsm.right.get(x, ())), key=dsm.index.get):
-            bad = [lab for lab in dsm.basis_product(x, y) if lab not in allowed]
-            if bad:
-                witnesses.append({"product_escapes": [label_str(x), label_str(y)],
-                                  "offending": [label_str(b) for b in bad]})
+        row = dsm.right.get(x, {})
+        bad = [y for y, prod in row.items() if y in allowed and not allowed.issuperset(prod)]
+        for y in sorted(bad, key=dsm.index.get):
+            witnesses.append({"product_escapes": [label_str(x), label_str(y)],
+                              "offending": [label_str(b) for b in row[y] if b not in allowed]})
     return witnesses
 
 
@@ -376,9 +385,13 @@ class VerificationContext:
         return build_phi(self.dsm, self.bsm)
 
     @cached_property
+    def classes(self):
+        return classify_basis(self.dsm, self.groupoid, self.decomp, self.action)
+
+    @property
     def strata(self):
         """{stratum: its double-smash labels in basis order}."""
-        return classify_basis(self.dsm, self.groupoid, self.decomp, self.action)
+        return self.classes[0]
 
     @property
     def strata_dims(self):
@@ -491,14 +504,18 @@ class VerificationContext:
         # stratum lies in the kernel plus the span of the stratum's earlier
         # labels iff its phi column lies in the span of theirs.
         F, dsm, ki = self.field, self.dsm, self.ki
-        support = {lab for name in KERNEL_STRATA for lab in self.strata[name]}
-        outside = [(dsm.index[lab], label_str(lab)) for lab in ki.zero if lab not in support]
+        by_pair, src = self.classes[1], {m.id: m.src for m in self.groupoid.morphisms}
+
+        def supported(lab):  # in a kernel stratum, read off classify_basis's table
+            t, names = by_pair[lab[:2]]
+            return names[src[lab[2]] == t] in KERNEL_STRATA
+        outside = [(dsm.index[lab], label_str(lab)) for lab in ki.zero if not supported(lab)]
         outside += [(f, element_str(F, dsm.from_vector(v))) for f, v in ki.eliminated
-                    if not support.issuperset(map(dsm.basis.__getitem__, v))]
+                    if not all(supported(dsm.basis[j]) for j in v)]
         witnesses = [{"kernel_vector_outside_strata": w} for _, w in sorted(outside)]
         witnesses += [{"stratum_vector_outside_kernel": label_str(lab)}
                       for lab in sorted((lab for lab, endo in self.phi.columns.items()
-                                         if endo and lab in support), key=dsm.index.get)]
+                                         if endo and supported(lab)), key=dsm.index.get)]
         eq = not witnesses
         for name in IMAGE_STRATA:
             _, dependent = self.phi_rank(self.stratum_labels([name]))
@@ -506,7 +523,7 @@ class VerificationContext:
                           for lab in dependent]
         dims = dict(self.ki.dims)
         dims["strata"] = dict(self.strata_dims)
-        dims["kernel_strata_span"] = len(support)
+        dims["kernel_strata_span"] = sum(len(self.strata[name]) for name in KERNEL_STRATA)
         notes = [f"kernel equals the span of A3+A4+A5+A6: {eq}"]
         return self._result("thm2.2", not witnesses, dims, witnesses, notes)
 

@@ -38,6 +38,16 @@ def el_addto(field, out: dict, c, a: dict):
             acc(field, out, k, field.mul(c, v))
 
 
+def el_sum(field, terms) -> dict:
+    """Sum of c * a over the terms (c, a); a lone term c == one is its a, read-only."""
+    if len(terms) == 1 and terms[0][0] == field.one:
+        return terms[0][1]
+    out = {}
+    for c, a in terms:
+        el_addto(field, out, c, a)
+    return out
+
+
 def el_apply(field, images: dict, x: dict) -> dict:
     """The map with basis images images[label] (absent: zero) at x, summed
     over the labels of both; at x = {k: one}, the stored images[k], read-only."""
@@ -147,23 +157,26 @@ class FinAlgebra:
                 != self.multiply({a: one}, self.basis_product(b, c))]
 
     def unit_violations(self):
-        """("left", b) when ub != b and ("right", b) when bu != b, for the
-        basis labels b in order; tested as in not_fixed."""
-        if self.unit is None:
-            return []
-        F, u = self.field, self.element(self.unit)
-        return [(side, b) for b in self.basis
-                for side, prods in (("left", self.left), ("right", self.right))
-                if el_apply(F, prods.get(b, {}), u) != {b: F.one}]
+        """("left", b) when ub != b and ("right", b) when bu != b, in basis order."""
+        return [] if self.unit is None else self.moved(self.unit, self.basis)
+
+    def moved(self, y: dict, labels) -> list:
+        """(side, z) for the labels z, in the order given, with yz != z
+        (side "left") or zy != z ("right").  The terms of yz and zy are
+        gathered for every z in one pass over right[a] and left[a] for the
+        labels a of y, so each product with a factor in y is read once."""
+        F, y = self.field, self.element(y)
+        yz, zy = {}, {}  # z -> the terms (c, product) of yz, of zy
+        for a, c in y.items():
+            for terms, row in ((yz, self.right.get(a, {})), (zy, self.left.get(a, {}))):
+                for z, prod in row.items():
+                    terms.setdefault(z, []).append((c, prod))
+        return [(side, z) for z in labels for side, terms in (("left", yz), ("right", zy))
+                if el_sum(F, terms.get(z, ())) != {z: F.one}]
 
     def not_fixed(self, y: dict, labels) -> list:
-        """The labels z, in the order given, with yz != z or zy != z.  yz
-        is summed over the a of y with az != 0, read off left[z]; zy over
-        the b of y with zb != 0, read off right[z]."""
-        F, y = self.field, self.element(y)
-        return [z for z in labels
-                if el_apply(F, self.left.get(z, {}), y) != {z: F.one}
-                or el_apply(F, self.right.get(z, {}), y) != {z: F.one}]
+        """The labels z, in the order given, with yz != z or zy != z."""
+        return list(dict.fromkeys(z for _, z in self.moved(y, labels)))
 
 
 class GroupoidRecord:

@@ -258,6 +258,21 @@ def missing_composition_z2_doc():
     return doc
 
 
+def twin_identity_doc(field=None):
+    """A broken one-object groupoid, over GF(2) by default: the identity
+    records of the objects e and f both leave e, h*e = h for every h, and
+    a*f = a, so that B#KG multiplies z = x#u_a on the right by b#u_e and by
+    b#u_f to the same nonzero product, and the two cancel in z (b # sum).
+    As e*f = f, they do not cancel for x#u_e, which phi(b#u_a#r_a) sends
+    x#u_a to, so right-linearity fails there."""
+    ids = ["e", "f", "a"]
+    comp = {(h, "e"): h for h in ids}
+    comp.update({("e", "f"): "f", ("f", "f"): "f", ("a", "f"): "a",
+                 ("e", "a"): "a", ("f", "a"): "a", ("a", "a"): "e"})
+    g = Groupoid(["e", "f"], [Morphism(h, "e", "e", h) for h in ids], comp)
+    return groupoid_doc(g, "twin-identity", field or {"kind": "prime", "p": 2})
+
+
 def skew_ring(ctx):
     """B*G of ctx built by the all-pairs oracle, after checking that its
     basis is the engine's skew labels and its table B#KG restricted to

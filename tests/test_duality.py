@@ -426,18 +426,36 @@ def test_closure_walk_runs_once_per_label_set(monkeypatch):
     assert len(walks) == len(set(walks)) == 2
 
 
-def test_closure_and_claims_equal_oracle_on_broken_composition():
-    from conftest import spurious_i2_doc, wrong_composition_doc
+def _wrong_twice_doc():
     # pair(2) with m1_2 * o2 wrong as well: two products of one left
     # factor escape, so the order of the right factors shows
+    from conftest import wrong_composition_doc
     twice = wrong_composition_doc(2)
     next(e for e in twice["groupoid"]["composition"] if e[:2] == ["m1_2", "o2"])[2] = "o1"
+    return twice
+
+
+def test_closure_and_claims_equal_oracle_on_broken_composition():
+    from conftest import spurious_i2_doc, wrong_composition_doc
+    twice = _wrong_twice_doc()
     docs = [wrong_composition_doc(2), wrong_composition_doc(3), twice, spurious_i2_doc()]
     for doc in docs:
         assert_duality_matches_oracle(_fresh(doc))
     ctx = _fresh(twice)
     lefts = [w["product_escapes"][0] for w in ctx._closure_check(UNITAL_STRATA)]
     assert len(lefts) > len(set(lefts))
+
+
+def test_closure_witnesses_do_not_depend_on_row_order():
+    # the double smash emits each row in basis order; the witnesses of a
+    # table with every row reversed must still come in basis order
+    from weakhopf.duality import closure_witnesses
+    from weakhopf.walg import FinAlgebra
+    ctx = _fresh(_wrong_twice_doc())
+    dsm, labels = ctx.dsm, ctx.stratum_labels(UNITAL_STRATA)
+    flipped = FinAlgebra(dsm.field, dsm.basis,
+                         {x: dict(reversed(row.items())) for x, row in dsm.right.items()})
+    assert closure_witnesses(flipped, labels) == closure_witnesses(dsm, labels)
 
 
 GENERATED = ([pair_groupoid(n) for n in (1, 2, 3)] + [cyclic_group(n) for n in (2, 3, 4, 5)]
@@ -756,6 +774,83 @@ def test_right_linearity_reads_only_nonempty_columns(monkeypatch):
     assert sorted(seen, key=phi.domain_basis.index) == [x for x in phi.domain_basis
                                                         if phi.columns.get(x)]
     assert len(seen) == 27
+
+
+def _one_pass_docs():
+    from conftest import m2_doc, twin_identity_doc, z4_regular_doc
+    gf2 = {"kind": "prime", "p": 2}
+    return {"m2-pair2-gf2": m2_doc(pair_groupoid(2), "m2", gf2),
+            "m2-pair3-gf2": m2_doc(pair_groupoid(3), "m2", gf2),
+            "m2-z2-gf2": m2_doc(cyclic_group(2), "m2", gf2),
+            "twin-identity": twin_identity_doc(), "z4-regular": z4_regular_doc()}
+
+
+@pytest.mark.parametrize("name", list(_one_pass_docs()))
+def test_right_linearity_makes_no_multiply_call_and_equals_oracle(monkeypatch, name):
+    # z (b # sum) is summed off the rows of B#KG, where the terms of a
+    # non-diagonal B gather and, on the twin identities over GF(2), the
+    # terms for e and f cancel: the findings stay the oracle's, in order
+    import oracle
+    from weakhopf.walg import FinAlgebra
+    ctx = _fresh(_one_pass_docs()[name])
+    want = _findings(oracle.right_linearity(ctx.phi, ctx.bsm, ctx.B))
+    calls, multiply = [], FinAlgebra.multiply
+    monkeypatch.setattr(FinAlgebra, "multiply",
+                        lambda self, x, y: calls.append(x) or multiply(self, x, y))
+    assert _findings(right_linearity(ctx.phi, ctx.bsm, ctx.B)) == want
+    assert calls == []
+    if name == "twin-identity":
+        assert len(want[1]) == 7
+
+
+@pytest.mark.parametrize("name", ["m2-pair3-gf2", "twin-identity", "z4-regular"])
+def test_classify_basis_tests_each_pair_once_and_classifies_each_class_once(monkeypatch, name):
+    from weakhopf import duality
+    from weakhopf.exactmath import Echelon
+    ctx = _fresh(_one_pass_docs()[name])
+    B, g, comp = ctx.B, ctx.groupoid, ctx.decomp.component_of
+    spans = ctx.action.image_spans()
+    inside = {(b, m): spans[m].contains(B.to_vector({b: ctx.field.one}))
+              for b in B.basis for m in g.morphism_ids()}
+    classes = {(comp.get(b), g.src(m), g.tgt(m), g.composable(m, h), inside[(b, m)])
+               for b, m, h in ctx.dsm.basis}
+    tests, classified = [], []
+    contains, classify_one = Echelon.contains, duality.classify
+    monkeypatch.setattr(Echelon, "contains", lambda self, v: tests.append(v) or contains(self, v))
+    monkeypatch.setattr(duality, "classify",
+                        lambda *args: classified.append(args) or classify_one(*args))
+    strata, by_pair = duality.classify_basis(ctx.dsm, g, ctx.decomp, ctx.action)
+    assert len(tests) == len(inside) == B.dim * len(g.morphisms)
+    assert len(classified) == len(classes)
+    assert {(c, g.src(m), g.tgt(m), g.composable(m, h), i)
+            for _, c, m, h, i in classified} == classes
+    assert {lab: s for s, labels in strata.items() for lab in labels} \
+        == {lab: classify_one(g, comp.get(lab[0]), lab[1], lab[2], inside[lab[:2]])
+            for lab in ctx.dsm.basis}
+    assert by_pair.keys() == inside.keys()
+
+
+def test_phi_columns_are_flattened_once_per_verify(monkeypatch):
+    # the nine rank queries of a verify (the kernel, six image strata, S
+    # and thm2.9's C + D1) all eliminate the same flattened columns
+    from functools import cached_property
+    from conftest import m2_pair2_doc
+    from weakhopf import duality
+    ctx = _fresh(m2_pair2_doc())
+    flattened, queries, eliminated = [], [], []
+    flat, query, null_space = LinearMapRep.flat.func, LinearMapRep.null_space, duality.null_space
+    prop = cached_property(lambda self: flattened.append(self) or flat(self))
+    prop.__set_name__(LinearMapRep, "flat")
+    monkeypatch.setattr(LinearMapRep, "flat", prop)
+    monkeypatch.setattr(LinearMapRep, "null_space",
+                        lambda self, labels: queries.append(labels) or query(self, labels))
+    monkeypatch.setattr(duality, "null_space",
+                        lambda F, cols: eliminated.extend(cols) or null_space(F, cols))
+    ctx.verify_all()
+    assert len(queries) == 9
+    assert flattened == [ctx.phi]
+    cols = {id(col) for col in ctx.phi.flat.values()}
+    assert eliminated and all(id(col) in cols for col in eliminated)
 
 
 @given(st.sampled_from([{"kind": "rational"}, {"kind": "prime", "p": 7}]),

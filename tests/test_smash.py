@@ -209,6 +209,52 @@ def _table(products):
                                 {pair: {lab: one} for pair, lab in products.items()})
 
 
+class _CountedRow(dict):
+    """A table row that counts each product read off it, under (side, the
+    row's label, the product's other factor)."""
+
+    def __init__(self, row, key, reads):
+        super().__init__(row)
+        self.key, self.reads = key, reads
+
+    def items(self):
+        self.reads.update(self.key + (z,) for z in dict.keys(self))
+        return super().items()
+
+    def __getitem__(self, z):
+        self.reads[self.key + (z,)] += 1
+        return super().__getitem__(z)
+
+    def get(self, z, default=None):
+        return self[z] if z in self else default
+
+
+@pytest.mark.parametrize("name", ["m2-pair2-gf2", "twin-identity", "z4-regular"])
+def test_not_fixed_reads_each_product_in_y_rows_once_and_equals_oracle(name):
+    # yz and zy are summed off right[a] and left[a] for the labels a of y,
+    # each product once, whatever labels are asked about; the sums gather
+    # terms on M_2 blocks and cancel over GF(2) on the twin identities
+    from collections import Counter
+    import oracle
+    from test_duality import _one_pass_docs
+    from weakhopf.walg import FinAlgebra
+    ctx = VerificationContext(parse_instance(_one_pass_docs()[name]))
+    reads = Counter()
+    for alg, candidates in ((ctx.bsm, [smash_unit_candidate(ctx)]),
+                            (ctx.dsm, [ctx.y_morph, ctx.y_obj])):
+        counted = FinAlgebra(alg.field, alg.basis,
+                             {a: _CountedRow(row, ("right", a), reads) for a, row in alg.right.items()})
+        counted.left = {b: _CountedRow(row, ("left", b), reads) for b, row in counted.left.items()}
+        for y in candidates:
+            want = oracle.not_fixed(alg, y, alg.basis)
+            for labels in (alg.basis, alg.basis[::2]):
+                reads.clear()
+                assert counted.not_fixed(y, labels) == [z for z in want if z in set(labels)]
+                assert reads == Counter({(side, a, z): 1 for a in y for side, table
+                                         in (("right", alg.right), ("left", alg.left))
+                                         for z in table.get(a, ())})
+
+
 def test_one_sided_unit_candidate_is_rejected():
     # aa = a, ab = b, bb = b and ba = 0: every label occurs in some ax and
     # some xb, a is a left unit and not a right one, and no unit exists;
