@@ -136,8 +136,8 @@ def build_report_doc(ctx: VerificationContext, results) -> dict:
     for name, rep in _validation_reports(ctx):
         validation[name] = rep.to_json()
         all_ok = all_ok and rep.ok
-    phi_rep = phi_is_homomorphism(ctx.phi, ctx.dsm)
-    lin_rep = right_linearity(ctx.phi, ctx.bsm, ctx.B)
+    phi_rep = phi_is_homomorphism(ctx.phi, ctx.dsm, ctx.validated)
+    lin_rep = right_linearity(ctx.phi, ctx.bsm, ctx.B, ctx.validated)
     validation["phi-multiplicative"] = phi_rep.to_json()
     validation["phi-image-right-linear"] = lin_rep.to_json()
     # neither smash product is assumed unital; report what a search finds.

@@ -12,9 +12,9 @@ The claims are decided on labels, supports and ranks, never by comparing
 spans.  phi is its table of nonzero columns, evaluated by
 LinearMapRep.apply and walg.el_apply; at {k: one} both return the stored
 image, read-only.  A label without a column is sent to zero and is its
-own kernel vector; only the other columns are eliminated.  phi's two
-checks and the closure tests visit only the pairs that phi's nonzero
-columns or the nonzero double-smash products reach.
+own kernel vector; only the other columns are eliminated.  Unless B#KG's
+associativity settles them, phi's two checks and the closure tests visit
+only the pairs that phi's nonzero columns or double-smash products reach.
 """
 
 from bisect import bisect_left
@@ -118,6 +118,7 @@ class LinearMapRep:
     domain_basis: list
     codomain_basis: list
     columns: dict           # domain label -> {codomain label: element dict}
+    bsm: object = None      # the B#KG build_phi read the columns off; None on any other map
 
     @cached_property
     def flat(self):
@@ -168,19 +169,22 @@ def build_phi(dsm, bsm) -> LinearMapRep:
     for (a, g), row in bsm.right.items():
         for (b, l), img in row.items():
             columns.setdefault((a, g, l), {})[(b, l)] = img
-    return LinearMapRep(dsm.field, list(dsm.basis), list(bsm.basis), columns)
+    return LinearMapRep(dsm.field, list(dsm.basis), list(bsm.basis), columns, bsm)
 
 
-def phi_is_homomorphism(phi: LinearMapRep, dsm) -> Report:
-    """phi(xy) == phi(x) phi(y) over all domain basis pairs.  Only the x
-    with a nonzero column or a nonzero product, and for each only the y
-    with xy != 0 or whose phi(y) reaches a column of phi(x), are visited;
-    for any other pair both sides are zero.  When phi(x) = 0 the right
-    side is zero, so only phi(xy) = 0 is tested; only the failing y of
-    each x are sorted.  phi.apply and el_apply read an element {k: one}
-    off the stored column or image."""
+def phi_is_homomorphism(phi: LinearMapRep, dsm, validated=False) -> Report:
+    """phi(xy) == phi(x) phi(y) over all domain basis pairs.  At x =
+    a#u_m#r_n, y = b#u_s#r_t and c#u_l the sides are [l = t][st = n] times
+    ((a#u_m)(b#u_s))(c#u_t) and (a#u_m)((b#u_s)(c#u_t)), as xy = [st = n]
+    (a#u_m)(b#u_s) # r_t and (b#u_s)(c#u_t) carries u_st; hence the report
+    is empty if validated, phi.bsm is dsm's B#KG and it is associative.  Else
+    only the x with a nonzero column or product, and for each the y with
+    xy != 0 or whose phi(y) reaches a column of phi(x), are visited (other
+    pairs give 0 = 0); if phi(x) = 0 only phi(xy) = 0 is tested."""
     F, right, order = phi.field, dsm.right, dsm.index.get
     rep = Report("phi is multiplicative")
+    if validated and (bsm := phi.bsm) and bsm is dsm.meta.get("bsm") and bsm.associative:
+        return rep
     reaching = {}  # codomain label -> the y whose phi(y) has it in an image
     for y, endo in phi.columns.items():
         for img in endo.values():
@@ -203,15 +207,19 @@ def phi_is_homomorphism(phi: LinearMapRep, dsm) -> Report:
     return rep
 
 
-def right_linearity(phi: LinearMapRep, bsm, B) -> Report:
-    """Whether each phi(x) commutes with right multiplication by
-    b # (sum of identity legs); reported, never assumed.  zbs[b] = {z:
-    z (b # sum)} is summed off the entries (b, e) of bsm.right with e an
-    object.  For each nonzero phi(x), the z that are a column of phi(x),
-    or whose terms have a label that is, are visited in basis order
-    against every b; for any other z both sides, one el_apply each, are 0."""
+def right_linearity(phi: LinearMapRep, bsm, B, validated=False) -> Report:
+    """Whether each phi(x) commutes with right multiplication by b # (sum
+    of identity legs).  On a valid groupoid z = c#u_s times b#u_e is zero
+    unless e = tgt(s), and then carries u_s, so at x = a#u_m#r_n the sides
+    are [s = n] times ((a#u_m) z)(b # sum) and (a#u_m)(z (b # sum)); hence
+    the report is empty if validated, phi.bsm is bsm, B its B and bsm associative.
+    Else zbs[b] = {z: z (b # sum)} is summed off bsm.right's entries (b, e),
+    e an object, and for each nonzero phi(x) the z that are a column of
+    phi(x), or have a term that is, are visited in basis order against every b."""
     F, objects = phi.field, set(bsm.meta["groupoid"].objects)
     rep = Report("image endomorphisms are right B-linear")
+    if validated and phi.bsm is bsm and B is bsm.meta["B"] and bsm.associative:
+        return rep
     zbs, through = {b: {} for b in B.basis}, {}  # label -> the z whose z (b # sum) has it
     for z, row in bsm.right.items():
         for (b, e), prod in row.items():

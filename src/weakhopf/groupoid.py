@@ -121,7 +121,7 @@ def validate_groupoid(g: Groupoid) -> Report:
                         "table entry for a non-composable pair")
 
     # src/tgt bookkeeping of products
-    for (a, b), c in sorted(g.comp.items()):
+    for (a, b), c in (table := sorted(g.comp.items())):
         if tgt[a] == src[b] and (src[c] != src[a] or tgt[c] != tgt[b]):
             rep.add("product-endpoints", [a, b, c],
                     "src/tgt of the product do not match the factors")
@@ -159,7 +159,7 @@ def validate_groupoid(g: Groupoid) -> Report:
             rep.add("inverse-left", a, "inv(a) * a must be the identity at tgt(a)")
 
     # (a*b)^-1 == inv(b) * inv(a)
-    for (a, b), c in sorted(g.comp.items()):
+    for (a, b), c in table:
         if tgt[a] == src[b]:
             expected = g.comp.get((inv[b], inv[a]))
             if expected != inv[c]:

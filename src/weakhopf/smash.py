@@ -19,7 +19,8 @@ from .walg import FinAlgebra
 def smash_product(B: FinAlgebra, kg: FinAlgebra, action) -> FinAlgebra:
     """(a # u_s)(b # u_t) = a(s.b) # u_{st}, zero when st is undefined.
     a(s.b) is formed once per (a, s, b) with s.b != 0 (read off rho[s]) and
-    emitted for each t composable with s whose product the table defines."""
+    emitted for each t composable with s whose product the table defines.
+    Its generators start from the (b, g), g over KG's generators but no object."""
     F = B.field
     g = action.groupoid
     basis = [(b, m) for b in B.basis for m in g.morphism_ids()]
@@ -30,8 +31,10 @@ def smash_product(B: FinAlgebra, kg: FinAlgebra, action) -> FinAlgebra:
             if coeff:
                 for t, st in g.after[s]:
                     right.setdefault((a, s), {})[(b, t)] = {(lab, st): c for lab, c in coeff.items()}
+    objects = set(g.objects)
+    first = [(b, m) for b in B.basis for m in kg.generators if m not in objects]
     return FinAlgebra(F, basis, right, None, name="B#KG",
-                      meta={"B": B, "kg": kg, "action": action, "groupoid": g})
+                      meta={"B": B, "kg": kg, "action": action, "groupoid": g}, first=first)
 
 
 def double_smash(bsm: FinAlgebra) -> FinAlgebra:
@@ -46,7 +49,7 @@ def double_smash(bsm: FinAlgebra) -> FinAlgebra:
     [n2 = t] r_t.  KG* enters only through that rule.
 
     The keys come out in basis order: (a, m), n and (b, s) are walked in
-    basis order, and so is t in g.after[s].
+    basis order, and so is t in g.after[s].  Its meta records bsm.
     """
     g = bsm.meta["groupoid"]
     ids = g.morphism_ids()
@@ -61,7 +64,7 @@ def double_smash(bsm: FinAlgebra) -> FinAlgebra:
             if n in by_n:
                 right[(a, m, n)] = by_n[n]
     basis = [(b, m, n) for (b, m) in bsm.basis for n in ids]
-    return FinAlgebra(bsm.field, basis, right, None, name="B#KG#KG*", meta=bsm.meta)
+    return FinAlgebra(bsm.field, basis, right, None, name="B#KG#KG*", meta={**bsm.meta, "bsm": bsm})
 
 
 def find_unit(alg: FinAlgebra, candidate=None):

@@ -70,10 +70,10 @@ class FinAlgebra:
     smash and action emit their own.  unit is an element or None.
     Nothing is assumed: associativity and the unit law are checked, not
     taken on faith.  The tables are never mutated after construction;
-    left, and the record of groupoid_algebra, rely on it.
+    left, generators, associative and groupoid_algebra's record rely on it.
     """
 
-    def __init__(self, field, basis, right, unit=None, name="", meta=None):
+    def __init__(self, field, basis, right, unit=None, name="", meta=None, first=()):
         self.field = field
         self.basis = list(basis)
         self.index = {b: i for i, b in enumerate(self.basis)}
@@ -81,6 +81,7 @@ class FinAlgebra:
         self.unit = unit
         self.name = name
         self.meta = meta or {}
+        self.first = first  # the labels generators tries before the basis
 
     @cached_property
     def left(self):
@@ -155,6 +156,54 @@ class FinAlgebra:
         return [(a, b, c) for a, b, c in sorted(triples, key=lambda t: tuple(map(order, t)))
                 if self.multiply(self.basis_product(a, b), {c: one})
                 != self.multiply({a: one}, self.basis_product(b, c))]
+
+    @cached_property
+    def generators(self) -> list:
+        """A generating set: each label of first, then of the basis, joins it
+        unless it is a nonzero single-term product of generated labels, met
+        by reading once the row and column of each newly generated label."""
+        F, right, left = self.field, self.right, self.left
+        gens, generated = [], set()
+        for u in (*self.first, *self.basis):
+            if u in generated:
+                continue
+            gens.append(u)
+            generated.add(u)
+            todo = [u]
+            for w in todo:  # todo grows while it is read
+                for row in (right.get(w, {}), left.get(w, {})):
+                    for v, prod in row.items():
+                        if v in generated and len(prod) == 1:
+                            (p, c), = prod.items()
+                            if p not in generated and c != F.zero:
+                                generated.add(p)
+                                todo.append(p)
+        return gens
+
+    @cached_property
+    def associative(self) -> bool:
+        """Whether (xy)z == x(yz) for all x, y, z, by Light's test: the y at
+        which it holds form a subalgebra, so y runs over the generators.  The
+        rows {z: (xy)z} and {x: x(yz)} are read off right and left at xy, yz."""
+        F, right, left = self.field, self.right, self.left
+        def table(row, ahead):  # {p: {q: the sum of c * ahead[w][q] over the terms c w of row[p]}}
+            out = {}
+            for p, prod in row.items():
+                if len(prod) == 1 and F.one in prod.values():  # a lone w: ahead[w], stored
+                    out[p] = ahead.get(next(iter(prod)), {})
+                    continue
+                terms = {}
+                for w, c in prod.items():
+                    for q, wq in ahead.get(w, {}).items():
+                        terms.setdefault(q, []).append((c, wq))
+                out[p] = {q: s for q, ts in terms.items() if (s := el_sum(F, ts))}
+            return out
+        for y in self.generators:
+            xz, zx = table(left.get(y, {}), right), table(right.get(y, {}), left)
+            if sum(map(len, xz.values())) != sum(map(len, zx.values())) or any(
+                    zx.get(z, {}).get(x) != s for x, row in xz.items() for z, s in row.items()):
+                return False
+        return True
 
     def unit_violations(self):
         """("left", b) when ub != b and ("right", b) when bu != b, in basis order."""

@@ -385,9 +385,9 @@ def assert_duality_matches_oracle(ctx):
     forms."""
     import oracle
     phi = ctx.phi
-    assert _findings(phi_is_homomorphism(phi, ctx.dsm)) \
+    assert _findings(phi_is_homomorphism(phi, ctx.dsm, ctx.validated)) \
         == _findings(oracle.phi_is_homomorphism(phi, ctx.dsm))
-    assert _findings(right_linearity(phi, ctx.bsm, ctx.B)) \
+    assert _findings(right_linearity(phi, ctx.bsm, ctx.B, ctx.validated)) \
         == _findings(oracle.right_linearity(phi, ctx.bsm, ctx.B))
     for names in (UNITAL_STRATA, IMAGE_STRATA, COMPLEMENT_STRATA):
         assert ctx._closure_check(names) == oracle.closure_witnesses(ctx, names)
@@ -400,6 +400,12 @@ def assert_duality_matches_oracle(ctx):
 
 def _fresh(doc):
     return VerificationContext(parse_instance(doc))
+
+
+def _walked(phi):
+    """phi's columns as a map with no B#KG record, so that phi's two checks
+    walk even on a validated instance."""
+    return LinearMapRep(phi.field, phi.domain_basis, phi.codomain_basis, phi.columns)
 
 
 def test_duality_equals_oracle_on_builtins():
@@ -469,6 +475,82 @@ FIELDS = [{"kind": "rational"}, {"kind": "prime", "p": 2}, {"kind": "prime", "p"
 def test_duality_equals_oracle_on_generated_groupoids(g, field):
     from conftest import groupoid_doc
     assert_duality_matches_oracle(_fresh(groupoid_doc(g, "generated", field)))
+
+
+# -- the report's phi sections: read off B#KG's associativity, or walked ------
+
+
+def _right_zero_doc(n):
+    """Z/n's records with a * b = b: a broken groupoid (a * e = e) whose B#KG
+    is associative, over B = K, while right-linearity fails."""
+    from conftest import groupoid_doc
+    doc = groupoid_doc(cyclic_group(n), f"right-zero-z{n}")
+    for entry in doc["groupoid"]["composition"]:
+        entry[2] = entry[1]
+    return doc
+
+
+def _report_docs():
+    import conftest
+    from weakhopf.instances import BUILTIN_NAMES
+    docs = {name: builtin_doc(name) for name in BUILTIN_NAMES}
+    docs.update({f"generated-{i}": conftest.groupoid_doc(g, i)
+                 for i, g in zip(GENERATED_IDS, GENERATED)})
+    docs.update({"m2-pair2": conftest.m2_pair2_doc(),
+                 "m2-z2": conftest.m2_doc(cyclic_group(2), "m2-z2"),
+                 "m2-pair2-gf2": conftest.m2_doc(pair_groupoid(2), "m2", {"kind": "prime", "p": 2}),
+                 "z4-regular": conftest.z4_regular_doc(), "half-unit-z2": conftest.half_unit_z2_doc(),
+                 "spurious-i2": conftest.spurious_i2_doc(), "twin-identity": conftest.twin_identity_doc(),
+                 "wrong-composition-pair3": conftest.wrong_composition_pair3_doc(),
+                 "right-zero-z2": _right_zero_doc(2), "right-zero-z3": _right_zero_doc(3)})
+    return docs
+
+
+BROKEN = ("ex2.8", "ex2.8-gf2", "spurious-i2", "twin-identity", "wrong-composition-pair3",
+          "right-zero-z2", "right-zero-z3")
+
+
+def assert_report_phi_sections_equal_oracle(ctx):
+    """build_report_doc's phi-multiplicative and phi-image-right-linear
+    sections are the oracle's all-pairs reports; returns the sections."""
+    import oracle
+    from weakhopf.cli import build_report_doc
+    validation = build_report_doc(ctx, [])["validation"]
+    assert validation["phi-multiplicative"] \
+        == oracle.phi_is_homomorphism(ctx.phi, ctx.dsm).to_json()
+    assert validation["phi-image-right-linear"] \
+        == oracle.right_linearity(ctx.phi, ctx.bsm, ctx.B).to_json()
+    return validation
+
+
+@pytest.mark.parametrize("name", list(_report_docs()))
+def test_report_phi_sections_equal_oracle(name):
+    # validated instances take the verdict of B#KG's associativity; the
+    # broken ones walk, as the right-zero tables show: their B#KG is
+    # associative, yet right-linearity fails
+    ctx = _fresh(_report_docs()[name])
+    assert ctx.validated == (name not in BROKEN)
+    validation = assert_report_phi_sections_equal_oracle(ctx)
+    if ctx.validated:
+        assert ctx.bsm.associative
+    if name.startswith("right-zero"):
+        assert ctx.bsm.associative and not validation["phi-image-right-linear"]["ok"]
+
+
+@pytest.mark.parametrize("name", ["z4-regular", "m2-pair2", "generated-pair2"])
+def test_report_phi_sections_walk_when_bsm_is_not_associative(monkeypatch, name):
+    # one product of B#KG scaled by 2 before the double smash and phi are
+    # read off it: the instance still validates, Light's test fails, and
+    # the walks give the oracle's findings, in order
+    ctx = _fresh(_report_docs()[name])
+    F, bsm = ctx.field, ctx.bsm
+    a = next(a for a in bsm.basis if bsm.right.get(a))
+    b, prod = next(iter(bsm.right[a].items()))
+    scaled = {lab: F.mul(c, F.parse("2")) for lab, c in prod.items()}
+    monkeypatch.setitem(bsm.right, a, {**bsm.right[a], b: scaled})
+    assert ctx.validated and not bsm.associative
+    validation = assert_report_phi_sections_equal_oracle(ctx)
+    assert not validation["phi-multiplicative"]["ok"]
 
 
 @given(st.sampled_from([builtin_i2(), cyclic_group(2), cyclic_group(3), pair_groupoid(2)]),
@@ -740,7 +822,8 @@ def test_phi_checks_and_double_smash_make_few_field_ops_on_z8(monkeypatch):
     # multiplicativity check and multiplying out every coefficient 1,536 in
     # the double smash; reading them off phi.image and skipping unit
     # coefficients takes 128 and 512, and writing a key met once as formed,
-    # not added to zero, takes none in the double smash
+    # not added to zero, takes none in the double smash.  phi is a copy
+    # with no B#KG record, so the check walks on this validated instance
     from conftest import groupoid_doc
     from weakhopf.smash import double_smash
     ctx = _fresh(groupoid_doc(cyclic_group(8), "z8-trivial"))
@@ -751,18 +834,55 @@ def test_phi_checks_and_double_smash_make_few_field_ops_on_z8(monkeypatch):
     assert double_smash(ctx.bsm).mul == dsm.mul
     assert not calls
     calls.clear()
-    assert phi_is_homomorphism(phi, dsm).ok
+    assert phi_is_homomorphism(_walked(phi), dsm, ctx.validated).ok
     assert len(calls) <= 256
+
+
+class _Reads(dict):
+    """A table that records the label of each row read off it by get."""
+
+    def __init__(self, table, reads):
+        super().__init__(table)
+        self.reads = reads
+
+    def get(self, key, default=None):
+        self.reads.append(key)
+        return super().get(key, default)
+
+
+def test_phi_checks_test_associativity_at_the_one_generator_of_z8(monkeypatch):
+    # on Z/8 with B = K, B#KG is generated by e#u_a1 alone; the two checks
+    # read phi's verdicts off Light's test at that label: its row and
+    # column, and the 8 stored rows and 8 stored columns they reach, with
+    # no sum and no field operation, where the walk above made up to 256
+    # field operations in phi's multiplicativity check alone
+    from conftest import groupoid_doc
+    from weakhopf import walg
+    ctx = _fresh(groupoid_doc(cyclic_group(8), "z8-trivial"))
+    F, phi, dsm, bsm = ctx.field, ctx.phi, ctx.dsm, ctx.bsm
+    y = (ctx.B.basis[0], "a1")
+    assert ctx.validated and bsm.first == [y] and bsm.generators == [y]
+    calls, reads, el_sum = [], [], walg.el_sum
+    for op in ("add", "sub", "mul"):
+        monkeypatch.setattr(F, op, lambda *args, fn=getattr(F, op): calls.append(None) or fn(*args))
+    monkeypatch.setattr(walg, "el_sum", lambda F, terms: calls.append(terms) or el_sum(F, terms))
+    for side in ("right", "left"):
+        monkeypatch.setattr(bsm, side, _Reads(getattr(bsm, side), reads))
+    assert phi_is_homomorphism(phi, dsm, True).ok
+    assert right_linearity(phi, bsm, ctx.B, True).ok
+    assert len(reads) == 2 * (1 + 8) and reads[0] == reads[9] == y
+    assert calls == []
 
 
 def test_right_linearity_reads_only_nonempty_columns(monkeypatch):
     # phi(x) = 0 makes both sides zero for every (z, b), so right_linearity
     # evaluates phi(x) by el_apply only for the labels with a nonempty
-    # column: on pair(3) with B = K^X that is 27 of the 243
+    # column: on pair(3) with B = K^X that is 27 of the 243.  phi is a
+    # copy with no B#KG record, so the check walks
     from conftest import groupoid_doc
     from weakhopf import duality
     ctx = _fresh(groupoid_doc(pair_groupoid(3), "pair3"))
-    phi, seen, el_apply = ctx.phi, set(), duality.el_apply
+    phi, seen, el_apply = _walked(ctx.phi), set(), duality.el_apply
     label_of = {id(endo): x for x, endo in phi.columns.items()}
 
     def spy(F, images, x):
@@ -770,7 +890,7 @@ def test_right_linearity_reads_only_nonempty_columns(monkeypatch):
             seen.add(label_of[id(images)])
         return el_apply(F, images, x)
     monkeypatch.setattr(duality, "el_apply", spy)
-    assert right_linearity(phi, ctx.bsm, ctx.B).ok
+    assert right_linearity(phi, ctx.bsm, ctx.B, ctx.validated).ok
     assert sorted(seen, key=phi.domain_basis.index) == [x for x in phi.domain_basis
                                                         if phi.columns.get(x)]
     assert len(seen) == 27
@@ -789,7 +909,8 @@ def _one_pass_docs():
 def test_right_linearity_makes_no_multiply_call_and_equals_oracle(monkeypatch, name):
     # z (b # sum) is summed off the rows of B#KG, where the terms of a
     # non-diagonal B gather and, on the twin identities over GF(2), the
-    # terms for e and f cancel: the findings stay the oracle's, in order
+    # terms for e and f cancel: the findings stay the oracle's, in order.
+    # phi is a copy with no B#KG record, so the check walks
     import oracle
     from weakhopf.walg import FinAlgebra
     ctx = _fresh(_one_pass_docs()[name])
@@ -797,7 +918,7 @@ def test_right_linearity_makes_no_multiply_call_and_equals_oracle(monkeypatch, n
     calls, multiply = [], FinAlgebra.multiply
     monkeypatch.setattr(FinAlgebra, "multiply",
                         lambda self, x, y: calls.append(x) or multiply(self, x, y))
-    assert _findings(right_linearity(ctx.phi, ctx.bsm, ctx.B)) == want
+    assert _findings(right_linearity(_walked(ctx.phi), ctx.bsm, ctx.B, ctx.validated)) == want
     assert calls == []
     if name == "twin-identity":
         assert len(want[1]) == 7

@@ -1,3 +1,4 @@
+import functools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import oracle
 from conftest import BASES, SABOTAGE_KINDS, disjoint_union, pair_groupoid, sabotaged_groupoid
 from weakhopf.exactmath import QQ, PrimeField
 from weakhopf.groupoid import Groupoid, Morphism, builtin_i2, cyclic_group, validate_groupoid
-from weakhopf.walg import (check_antipode, check_weak_bialgebra, dual_weak_hopf, el_apply,
+from weakhopf.walg import (check_antipode, check_weak_bialgebra, dual_weak_hopf, el_apply, el_norm,
                            groupoid_algebra)
 
 one = Fraction(1)
@@ -240,11 +241,26 @@ def assert_refused(alg, co):
             call(alg, co)
 
 
+def assert_associative_matches_oracle(alg):
+    """Light's test on alg.generators gives the oracle's verdict, and every
+    basis label is a generator or a nonzero single-term product of
+    generated labels."""
+    assert alg.associative == (not oracle.associativity_violations(alg))
+    generated, grown = set(alg.generators), True
+    while grown:
+        grown = {w for (a, b), prod in alg.mul.items() if a in generated and b in generated
+                 and len(prod) == 1 for w, c in prod.items() if c != alg.field.zero} - generated
+        generated |= grown
+    assert generated == set(alg.basis)
+    assert len(set(alg.generators)) == len(alg.generators)
+
+
 def assert_tables_match_oracle(alg, co):
     """Edited tables carry no record: the engine refuses them, while the
     associativity and the unit violations equal the oracle's."""
     assert_refused(alg, co)
     assert alg.associativity_violations() == oracle.associativity_violations(alg)
+    assert_associative_matches_oracle(alg)
     assert alg.unit_violations() == oracle.unit_violations(alg)
 
 
@@ -270,12 +286,98 @@ def assert_read_offs_match_oracle(g, field):
         assert found == _axiom_findings(oracle.check_weak_bialgebra, oracle.check_antipode,
                                         ref_alg, ref_co)
         assert alg.associativity_violations() == oracle.associativity_violations(ref_alg)
+        assert_associative_matches_oracle(alg)
         assert alg.unit_violations() == oracle.unit_violations(ref_alg)
         failed.append(list(dict.fromkeys(f.check for f in found[1]))
                       + ["associativity"] * bool(alg.associativity_violations())
                       + ["unit"] * bool(alg.unit_violations()))
     assert first == _axiom_findings(check_weak_bialgebra, check_antipode, dual, dual_rec)
     return failed
+
+
+def _quotient_table(F, labels, c):
+    """K[x]/(x^d - sum_m c[m] x^m) on the labels x^0..x^(d-1): associative,
+    with a multi-term product x^i x^j once i + j >= d and c has two terms."""
+    d, mul = len(labels), {}
+    for i in range(d):
+        for j in range(d):
+            poly = [F.zero] * (i + j) + [F.one]
+            for k in range(i + j, d - 1, -1):  # x^k = sum_m c[m] x^(k - d + m)
+                top, poly[k] = poly[k], F.zero
+                for m in range(d):
+                    poly[k - d + m] = F.add(poly[k - d + m], F.mul(top, c[m]))
+            mul[(labels[i], labels[j])] = dict(zip(labels, poly))
+    return mul
+
+
+def _edit_product(F, prod, edit, labels, data):
+    """prod with one term scaled by 2, moved to another label, or dropped."""
+    prod = dict(prod)
+    lab = data.draw(st.sampled_from(sorted(prod, key=labels.index)))
+    if edit == "scale":
+        prod[lab] = F.mul(prod[lab], F.parse("2"))
+    elif edit == "redirect":
+        prod[data.draw(st.sampled_from(labels))] = prod.pop(lab)
+    else:
+        del prod[lab]
+    return prod
+
+
+EDITS = ["none", "scale", "redirect", "drop"]
+
+
+@given(st.sampled_from([QQ, PrimeField(2), PrimeField(3)]), st.integers(1, 4),
+       st.sampled_from(["random", "quotient"]), st.sampled_from(EDITS), st.data())
+@settings(max_examples=300, deadline=None)
+def test_associative_equals_oracle_on_random_tables(F, dim, kind, edit, data):
+    # random products, sparse and multi-term, and the associative quotient
+    # tables K[x]/(f), each with at most one entry edited; the basis order
+    # and the labels tried first vary the greedy generating set
+    labels = [f"x{i}" for i in range(dim)]
+    coeff = st.sampled_from(["1", "2", "-1", "0"]).map(F.parse)
+    if kind == "random":
+        mul = {(a, b): data.draw(st.dictionaries(st.sampled_from(labels), coeff, max_size=2))
+               for a in labels for b in labels if data.draw(st.booleans())}
+    else:
+        mul = _quotient_table(F, labels, [data.draw(coeff) for _ in labels])
+    products = [pair for pair, prod in mul.items() if any(c != F.zero for c in prod.values())]
+    if edit != "none" and products:
+        pair = data.draw(st.sampled_from(products))
+        mul[pair] = _edit_product(F, el_norm(F, mul[pair]), edit, labels, data)
+    alg = oracle.table_algebra(F, data.draw(st.permutations(labels)), mul)
+    alg.first = data.draw(st.lists(st.sampled_from(labels), max_size=2))
+    assert_associative_matches_oracle(alg)
+    if kind == "quotient" and edit == "none":
+        assert alg.associative
+
+
+@functools.cache
+def _smash(name):
+    from conftest import m2_pair2_doc, z4_regular_doc
+    from weakhopf.duality import VerificationContext
+    from weakhopf.instances import parse_instance
+    doc = m2_pair2_doc() if name == "m2-pair2" else z4_regular_doc()
+    return VerificationContext(parse_instance(doc)).bsm
+
+
+@given(st.sampled_from(["m2-pair2", "z4-regular"]), st.sampled_from(EDITS), st.data())
+@settings(max_examples=40, deadline=None)
+def test_associative_equals_oracle_on_edited_smash_products(name, edit, data):
+    # B#KG of a non-commutative B and of Z/4 acting regularly, seeded with
+    # the (b, g) for KG's generators, with one product entry edited
+    from weakhopf.walg import FinAlgebra
+    bsm = _smash(name)
+    right = {a: dict(row) for a, row in bsm.right.items()}
+    if edit != "none":
+        a = data.draw(st.sampled_from(sorted(right, key=bsm.index.get)))
+        b = data.draw(st.sampled_from(sorted(right[a], key=bsm.index.get)))
+        right[a][b] = _edit_product(bsm.field, right[a][b], edit, bsm.basis, data)
+        if not right[a][b]:  # a table stores no zero product
+            del right[a][b]
+    alg = FinAlgebra(bsm.field, bsm.basis, right, first=bsm.first)
+    assert_associative_matches_oracle(alg)
+    if edit == "none":
+        assert alg.associative and alg.generators == bsm.generators
 
 
 @pytest.mark.parametrize("p", [None, 2])
@@ -288,6 +390,7 @@ def test_checkers_equal_oracle_on_builtins(p):
         if p is None:
             for alg in (ctx.B, ctx.bsm, ctx.dsm):
                 assert alg.associativity_violations() == oracle.associativity_violations(alg)
+                assert_associative_matches_oracle(alg)
 
 
 GENERATED = [pair_groupoid(n) for n in (1, 2, 3)] + [cyclic_group(n) for n in (2, 3, 4, 5)]
