@@ -249,27 +249,28 @@ def derive_dfap_action(B: FinAlgebra, action: ModuleAction, decomp: ComponentDec
 
 
 def skew_groupoid_ring(bsm: FinAlgebra, dfap: DfapAction) -> list:
-    """The basis labels (b, g), b in the ideal at g, of the twisted ring
-    on symbols b.delta_g: (x delta_g)(y delta_h) = x beta_g(y) delta_{gh}
-    when gh exists, else 0.
+    """The B#KG positions of the labels (b, g), b in the ideal at g, of the
+    twisted ring on symbols b.delta_g: (x delta_g)(y delta_h) = x beta_g(y)
+    delta_{gh} when gh exists, else 0.
 
     Since beta_g(y) = g.y, the ring is B#KG restricted to these labels;
     the restriction must be closed.  Needs a homogeneous B basis so the
     symbols can be labeled by basis vectors; raises otherwise.
     """
-    g = bsm.meta["groupoid"]
-    for m in g.morphism_ids():
+    P, B = bsm.meta["positions"], bsm.meta["B"]
+    for m in P.ids:
         if dfap.ideal_labels.get(m) is None:
             raise ValueError(
                 f"skew ring needs a homogeneous basis for the ideal at {m!r}")
 
-    basis = [(b, m) for m in g.morphism_ids() for b in dfap.ideal_labels[m]]
-    index = {lab: i for i, lab in enumerate(basis)}
+    basis = [P.pos(B.index[b], j) for j, m in enumerate(P.ids) for b in dfap.ideal_labels[m]]
+    index = {x: i for i, x in enumerate(basis)}
     for x in basis:
         row = bsm.right.get(x, {})
         for y in sorted((y for y in row if y in index), key=index.get):
-            for lab, ab in row[y]:
-                if (lab, ab) not in index:
+            for k in row[y]:
+                if k not in index:
+                    lab, ab = bsm.label(k)
                     raise ValueError(
                         f"skew product left the ideal at {ab!r} (label {lab!r})")
     return basis

@@ -142,13 +142,14 @@ def build_report_doc(ctx: VerificationContext, results) -> dict:
     validation["phi-image-right-linear"] = lin_rep.to_json()
     # neither smash product is assumed unital; report what a search finds.
     # The closed forms (1_(1).1_B)#1_(2) are the candidates: sum_e (e.1_B)#u_e
-    # for B#KG, read off y_obj, and y_obj itself for B#KG#KG*
+    # for B#KG, at x for the positions pos(x, n) of y_obj, and y_obj for B#KG#KG*
     units = {}
-    smash_candidate = {(b, e): c for (b, e, _), c in ctx.y_obj.items()}
+    split = ctx.dsm.meta["positions"].split
+    smash_candidate = {split(q)[0]: c for q, c in ctx.y_obj.items()}
     for key, alg, candidate in (("smash", ctx.bsm, smash_candidate),
                                 ("double_smash", ctx.dsm, ctx.y_obj)):
         u = find_unit(alg, candidate)
-        units[key] = None if u is None else element_str(ctx.field, u)
+        units[key] = None if u is None else element_str(ctx.field, u, alg.label)
     return {
         "engine": {"name": "weakhopf", "version": __version__},
         "instance": {

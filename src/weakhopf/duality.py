@@ -9,12 +9,15 @@ closed), prop2.4 (its identity element), prop2.5 (annihilation), thm2.6
 ring comparison).
 
 The claims are decided on labels, supports and ranks, never by comparing
-spans.  phi is its table of nonzero columns, evaluated by
-LinearMapRep.apply and walg.el_apply; at {k: one} both return the stored
-image, read-only.  A label without a column is sent to zero and is its
-own kernel vector; only the other columns are eliminated.  Unless B#KG's
-associativity settles them, phi's two checks and the closure tests visit
-only the pairs that phi's nonzero columns or double-smash products reach.
+spans, on basis positions as smash.Positions lays them out (split(q) of
+a double-smash position q is the B#KG position of (b, g) and the index of
+h); a witness or printed element names its label.
+phi is its table of nonzero columns, evaluated by LinearMapRep.apply and
+walg.el_apply; at {k: one} both return the stored image, read-only.  A
+label without a column is sent to zero and is its own kernel vector; only
+the other columns are eliminated.  Unless B#KG's associativity settles
+them, phi's two checks and the closure tests visit only the pairs that
+phi's nonzero columns or double-smash products reach.
 """
 
 from bisect import bisect_left
@@ -80,27 +83,28 @@ def classify(groupoid, component, g, h, in_image):
 
 
 def classify_basis(dsm, groupoid, decomp, action):
-    """({stratum: its double-smash labels in basis order} over STRATA and
-    UNCLASSIFIED, {(b, g): (tgt g, {tgt g == src h: stratum of (b, g, h)})}).
-    A stratum depends on (b, g, h) only through the class (component of b,
-    src g, tgt g, tgt g == src h, b in the image of g): the image is tested
-    once per (b, g), and classify runs once per class, on its first (g, h).
-    dsm.basis runs over b, then g, then h, as double_smash builds it."""
+    """({stratum: its double-smash positions in order} over STRATA and
+    UNCLASSIFIED, [(tgt g, {tgt g == src h: stratum of (b, g, h)}) per B#KG
+    position of (b, g)]).  A stratum depends on (b, g, h) only through the
+    class (component of b, src g, tgt g, tgt g == src h, b in the image of
+    g): the image is tested once per (b, g), and classify runs once per
+    class, on its first (g, h).  Positions run over b, then g, then h."""
     B, spans, ids = action.algebra, action.image_spans(), groupoid.morphism_ids()
-    ends = {m.id: (m.src, m.tgt) for m in groupoid.morphisms}
-    after = {t: [ends[h][0] == t for h in ids] for t in groupoid.objects}
+    ends = [(m.src, m.tgt) for m in groupoid.morphisms]
+    after = {t: [s == t for s, _ in ends] for t in groupoid.objects}
     reps = {t: {c: ids[kinds.index(c)] for c in set(kinds)} for t, kinds in after.items()}
     strata = {s: [] for s in (*STRATA, UNCLASSIFIED)}
-    seen, by_pair, labels = {}, {}, iter(dsm.basis)  # class but h -> {kind of h: stratum}
+    seen, by_pair, P = {}, [], dsm.meta["positions"]  # class but h -> {kind of h: stratum}
     for b in B.basis:
         comp, vec = decomp.component_of.get(b), B.to_vector(B.basis_element(b))
-        for g in ids:
-            (s, t), inside = ends[g], spans[g].contains(vec)
+        for g, (s, t) in zip(ids, ends):
+            inside = spans[g].contains(vec)
             if (key := (comp, s, t, inside)) not in seen:
                 seen[key] = {c: classify(groupoid, comp, g, h, inside) for c, h in reps[t].items()}
-            by_pair[(b, g)] = t, (names := seen[key])
-            for composable, lab in zip(after[t], labels):
-                strata[names[composable]].append(lab)
+            names = seen[key]
+            for q, composable in enumerate(after[t], P.pos(len(by_pair), 0)):
+                strata[names[composable]].append(q)
+            by_pair.append((t, names))
     return strata, by_pair
 
 
@@ -112,7 +116,10 @@ class LinearMapRep:
     """A linear map into endomorphisms of B#KG, stored per domain basis
     element as a column map: codomain basis label -> image element, with
     no empty image.  A label with no column, or an empty one, is sent to
-    zero.  The column table is the map; nothing else is kept."""
+    zero.  The column table is the map and never changes, so flat and the
+    eliminations of null_space are kept.  build_phi's labels are basis
+    positions, and flat and null_space need codomain labels that are:
+    the codomain basis must be 0, 1, ..., n - 1."""
 
     field: object
     domain_basis: list
@@ -122,9 +129,18 @@ class LinearMapRep:
 
     @cached_property
     def flat(self):
-        """Each nonempty column as one vector keyed by (row, column)."""
-        return {lab: {(row, col): w for col, img in endo.items() for row, w in img.items()}
+        """Each nonempty column as one vector, its entry at (row, column)
+        keyed by the int row * n + column, n the codomain dimension."""
+        n = len(self.codomain_basis)
+        if any(i != c for i, c in enumerate(self.codomain_basis)):
+            raise ValueError("flat needs codomain labels that are positions 0..n-1")
+        return {lab: {row * n + col: w for col, img in endo.items() for row, w in img.items()}
                 for lab, endo in self.columns.items() if endo}
+
+    @cached_property
+    def eliminations(self):
+        """{the labels of a sequence of nonzero columns: its null_space}."""
+        return {}
 
     def apply(self, element: dict) -> dict:
         """Endomorphism attached to a domain element (weighted sum); at
@@ -141,16 +157,19 @@ class LinearMapRep:
         return {col: img for col, img in out.items() if img}
 
     def null_space(self, labels):
-        """exactmath.null_space of the columns of labels, each entry keyed
-        by its (row, column) pair of codomain labels, with the zero columns
-        left out of the elimination: (the positions in labels of the zero
-        columns, each free with a unit kernel vector; (free position,
+        """exactmath.null_space of the flat columns of labels, with the zero
+        columns left out of the elimination and each distinct sequence of
+        nonzero columns eliminated once: (the positions in labels of the
+        zero columns, each free with a unit kernel vector; (free position,
         kernel vector) for the other kernel vectors, over positions in
         labels; pivot positions)."""
-        flat = self.flat
-        zero = [j for j, lab in enumerate(labels) if lab not in flat]
-        nonzero = [j for j, lab in enumerate(labels) if lab in flat]
-        kernel, pivots = null_space(self.field, [flat[labels[j]] for j in nonzero])
+        flat, zero, nonzero = self.flat, [], []
+        for j, lab in enumerate(labels):
+            (nonzero if lab in flat else zero).append(j)
+        memo = self.eliminations
+        if (key := tuple(labels[j] for j in nonzero)) not in memo:
+            memo[key] = null_space(self.field, [flat[lab] for lab in key])
+        kernel, pivots = memo[key]
         pivot_set = set(pivots)
         free = [j for i, j in enumerate(nonzero) if i not in pivot_set]
         eliminated = [(f, {nonzero[i]: w for i, w in v.items()}) for f, v in zip(free, kernel)]
@@ -159,17 +178,17 @@ class LinearMapRep:
 
 def build_phi(dsm, bsm) -> LinearMapRep:
     """phi(a#u_g#r_h) sends b#u_l to (a#u_g)(b#u_l) when l == h, else 0:
-    its column (a, g, h) is row (a, g) of B#KG restricted to the labels
+    its column pos(x, h) is row x of B#KG, x the position of (a, g), at the
     (b, h).  One pass over the nonzero products of B#KG files each under
     its l, so a label that no product reaches gets no column."""
     for key in ("B", "kg", "action"):
         if dsm.meta.get(key) is not bsm.meta.get(key):
             raise ValueError("smash products come from different parents")
-    columns = {}
-    for (a, g), row in bsm.right.items():
-        for (b, l), img in row.items():
-            columns.setdefault((a, g, l), {})[(b, l)] = img
-    return LinearMapRep(dsm.field, list(dsm.basis), list(bsm.basis), columns, bsm)
+    columns, P = {}, bsm.meta["positions"]
+    for x, row in bsm.right.items():
+        for y, img in row.items():
+            columns.setdefault(P.pos(x, P.split(y)[1]), {})[y] = img
+    return LinearMapRep(dsm.field, dsm.basis, bsm.basis, columns, bsm)
 
 
 def phi_is_homomorphism(phi: LinearMapRep, dsm, validated=False) -> Report:
@@ -181,7 +200,7 @@ def phi_is_homomorphism(phi: LinearMapRep, dsm, validated=False) -> Report:
     only the x with a nonzero column or product, and for each the y with
     xy != 0 or whose phi(y) reaches a column of phi(x), are visited (other
     pairs give 0 = 0); if phi(x) = 0 only phi(xy) = 0 is tested."""
-    F, right, order = phi.field, dsm.right, dsm.index.get
+    F, right = phi.field, dsm.right
     rep = Report("phi is multiplicative")
     if validated and (bsm := phi.bsm) and bsm is dsm.meta.get("bsm") and bsm.associative:
         return rep
@@ -190,7 +209,7 @@ def phi_is_homomorphism(phi: LinearMapRep, dsm, validated=False) -> Report:
         for img in endo.values():
             for mid in img:
                 reaching.setdefault(mid, set()).add(y)
-    for x in sorted(right.keys() | {x for x, endo in phi.columns.items() if endo}, key=order):
+    for x in sorted(right.keys() | {x for x, endo in phi.columns.items() if endo}):
         ex = phi.columns.get(x, {})
         ys = set(right.get(x, ())).union(*(reaching.get(mid, ()) for mid in ex))
         bad = []
@@ -202,8 +221,8 @@ def phi_is_homomorphism(phi: LinearMapRep, dsm, validated=False) -> Report:
                         rhs[col] = v
             if phi.apply(dsm.basis_product(x, y)) != rhs:
                 bad.append(y)
-        for y in sorted(bad, key=order):
-            rep.add("phi-multiplicative", [list(x), list(y)])
+        for y in sorted(bad):
+            rep.add("phi-multiplicative", [list(dsm.label(x)), list(dsm.label(y))])
     return rep
 
 
@@ -213,28 +232,31 @@ def right_linearity(phi: LinearMapRep, bsm, B, validated=False) -> Report:
     unless e = tgt(s), and then carries u_s, so at x = a#u_m#r_n the sides
     are [s = n] times ((a#u_m) z)(b # sum) and (a#u_m)(z (b # sum)); hence
     the report is empty if validated, phi.bsm is bsm, B its B and bsm associative.
-    Else zbs[b] = {z: z (b # sum)} is summed off bsm.right's entries (b, e),
-    e an object, and for each nonzero phi(x) the z that are a column of
-    phi(x), or have a term that is, are visited in basis order against every b."""
-    F, objects = phi.field, set(bsm.meta["groupoid"].objects)
+    Else zbs[i] = {z: z (b # sum)}, b = B.basis[i], is summed off bsm.right's
+    entries (b, e), e an object, and for each nonzero phi(x) the z that are
+    a column of phi(x), or have a term that is, are visited in basis order
+    against every b."""
+    F, P = phi.field, bsm.meta["positions"]
+    objects = set(bsm.meta["groupoid"].objects)
     rep = Report("image endomorphisms are right B-linear")
     if validated and phi.bsm is bsm and B is bsm.meta["B"] and bsm.associative:
         return rep
-    zbs, through = {b: {} for b in B.basis}, {}  # label -> the z whose z (b # sum) has it
+    zbs, through = [{} for _ in B.basis], {}  # label -> the z whose z (b # sum) has it
     for z, row in bsm.right.items():
-        for (b, e), prod in row.items():
-            if e in objects:
-                zb = zbs[b].get(z)
-                zbs[b][z] = prod if zb is None else el_sum(F, [(F.one, zb), (F.one, prod)])
+        for y, prod in row.items():
+            ib, e = P.split(y)
+            if P.ids[e] in objects:
+                zb = (table := zbs[ib]).get(z)
+                table[z] = prod if zb is None else el_sum(F, [(F.one, zb), (F.one, prod)])
                 for lab in prod:
                     through.setdefault(lab, set()).add(z)
     for x in filter(phi.columns.get, phi.domain_basis):  # phi(x) = 0 has both sides zero
         endo = phi.columns[x]
-        for z in sorted(set(endo).union(*(through.get(lab, ()) for lab in endo)),
-                        key=bsm.index.get):
-            for b, table in zbs.items():
+        for z in sorted(set(endo).union(*(through.get(lab, ()) for lab in endo))):
+            for b, table in zip(B.basis, zbs):
                 if el_apply(F, endo, table.get(z, {})) != el_apply(F, table, endo.get(z, {})):
-                    rep.add("right-linearity", [list(x), list(z), b])
+                    xb, h = P.split(x)
+                    rep.add("right-linearity", [[*bsm.label(xb), P.ids[h]], list(bsm.label(z)), b])
     return rep
 
 
@@ -261,28 +283,26 @@ def kernel_and_image(phi: LinearMapRep) -> KernelImage:
 # -- identity candidates --------------------------------------------------------
 
 
-def identity_candidates(B, action, groupoid):
+def identity_candidates(B, action, groupoid, P):
     """Two candidates for an identity of the unital corner.
 
     The all-morphism sum follows the literal formula (one term per
     morphism l, carried by u at tgt(l)); the object sum dedups it to one
     term per object.  In the one-object case the first is |G| times the
-    second, which is why both are kept and tested.
+    second, which is why both are kept and tested.  Both are elements of
+    the double smash, keyed by its positions P.
     """
-    F = B.field
-    y_morph = {}
-    for l in groupoid.morphism_ids():
-        img = action.act({l: F.one}, B.unit)
-        tl = groupoid.tgt(l)
-        for n in groupoid.leaving[tl]:
-            for lab, c in img.items():
-                acc(F, y_morph, (lab, tl, n), c)
-    y_obj = {}
-    for e in groupoid.objects:
-        img = action.act({e: F.one}, B.unit)
+    F, pos, mid = B.field, P.pos, P.index
+
+    def add(out, img, e):  # out += img # u_e # (the sum of the r_n leaving e)
         for n in groupoid.leaving[e]:
             for lab, c in img.items():
-                acc(F, y_obj, (lab, e, n), c)
+                acc(F, out, pos(pos(B.index[lab], mid[e]), mid[n]), c)
+    y_morph, y_obj = {}, {}
+    for l in P.ids:
+        add(y_morph, action.act({l: F.one}, B.unit), groupoid.tgt(l))
+    for e in groupoid.objects:
+        add(y_obj, action.act({e: F.one}, B.unit), e)
     return y_morph, y_obj
 
 
@@ -311,6 +331,9 @@ class ClaimResult:
 
 
 def label_str(lab):
+    """lab as printed; a bare int is a position not turned into its label."""
+    if isinstance(lab, int):
+        raise TypeError(f"position {lab} printed without its label")
     if isinstance(lab, tuple):
         if len(lab) == 3:
             return f"{lab[0]}#u_{lab[1]}#r_{lab[2]}"
@@ -319,28 +342,29 @@ def label_str(lab):
     return str(lab)
 
 
-def element_str(field, element: dict) -> str:
+def element_str(field, element: dict, label=lambda k: k) -> str:
+    """element by terms sorted as printed, label(k) being the label of key k."""
     if not element:
         return "0"
     parts = []
-    for lab in sorted(element, key=label_str):
-        c = element[lab]
-        parts.append(f"{field.show(c)}*{label_str(lab)}" if c != field.one
-                     else label_str(lab))
+    for lab, c in sorted(((label_str(label(k)), c) for k, c in element.items()),
+                         key=lambda t: t[0]):
+        parts.append(f"{field.show(c)}*{lab}" if c != field.one else lab)
     return " + ".join(parts)
 
 
 def closure_witnesses(dsm, labels):
     """Products of two of the labels that leave their span, in basis order;
     each nonzero product is tested once, and only the failing y sorted."""
-    allowed = set(labels)
+    allowed, name = set(labels), dsm.label
     witnesses = []
     for x in labels:
         row = dsm.right.get(x, {})
         bad = [y for y, prod in row.items() if y in allowed and not allowed.issuperset(prod)]
-        for y in sorted(bad, key=dsm.index.get):
-            witnesses.append({"product_escapes": [label_str(x), label_str(y)],
-                              "offending": [label_str(b) for b in row[y] if b not in allowed]})
+        for y in sorted(bad):
+            witnesses.append({"product_escapes": [label_str(name(x)), label_str(name(y))],
+                              "offending": [label_str(name(b)) for b in row[y]
+                                            if b not in allowed]})
     return witnesses
 
 
@@ -411,7 +435,8 @@ class VerificationContext:
 
     @cached_property
     def _identity_candidates(self):
-        return identity_candidates(self.B, self.action, self.groupoid)
+        return identity_candidates(self.B, self.action, self.groupoid,
+                                   self.bsm.meta["positions"])
 
     @property
     def y_morph(self):
@@ -440,11 +465,15 @@ class VerificationContext:
     # -- helpers ----------------------------------------------------------------
 
     def stratum_labels(self, names):
-        """The basis labels in the named strata, in basis order."""
+        """The basis positions in the named strata, in order."""
         lists = [self.strata[name] for name in names if self.strata[name]]
         if len(lists) == 1:
             return lists[0]
-        return sorted((lab for labels in lists for lab in labels), key=self.dsm.index.get)
+        return sorted(q for labels in lists for q in labels)
+
+    def name(self, q):
+        """The printed label of the double-smash position q."""
+        return label_str(self.dsm.label(q))
 
     def phi_rank(self, labels):
         """(rank of the phi columns of labels, the labels whose column
@@ -511,24 +540,24 @@ class VerificationContext:
         # is zero; a zero label is supported on itself.  A label of an image
         # stratum lies in the kernel plus the span of the stratum's earlier
         # labels iff its phi column lies in the span of theirs.
-        F, dsm, ki = self.field, self.dsm, self.ki
-        by_pair, src = self.classes[1], {m.id: m.src for m in self.groupoid.morphisms}
+        F, ki, by_pair = self.field, self.ki, self.classes[1]
+        src, split = [m.src for m in self.groupoid.morphisms], self.dsm.meta["positions"].split
 
-        def supported(lab):  # in a kernel stratum, read off classify_basis's table
-            t, names = by_pair[lab[:2]]
-            return names[src[lab[2]] == t] in KERNEL_STRATA
-        outside = [(dsm.index[lab], label_str(lab)) for lab in ki.zero if not supported(lab)]
-        outside += [(f, element_str(F, dsm.from_vector(v))) for f, v in ki.eliminated
-                    if not all(supported(dsm.basis[j]) for j in v)]
+        def supported(q):  # in a kernel stratum, read off classify_basis's table
+            x, h = split(q)
+            t, names = by_pair[x]
+            return names[src[h] == t] in KERNEL_STRATA
+        outside = [(q, self.name(q)) for q in ki.zero if not supported(q)]
+        outside += [(f, element_str(F, v, self.dsm.label)) for f, v in ki.eliminated
+                    if not all(map(supported, v))]
         witnesses = [{"kernel_vector_outside_strata": w} for _, w in sorted(outside)]
-        witnesses += [{"stratum_vector_outside_kernel": label_str(lab)}
-                      for lab in sorted((lab for lab, endo in self.phi.columns.items()
-                                         if endo and supported(lab)), key=dsm.index.get)]
+        witnesses += [{"stratum_vector_outside_kernel": self.name(q)}
+                      for q in sorted(q for q, endo in self.phi.columns.items()
+                                      if endo and supported(q))]
         eq = not witnesses
         for name in IMAGE_STRATA:
             _, dependent = self.phi_rank(self.stratum_labels([name]))
-            witnesses += [{"stratum_meets_kernel": [name, label_str(lab)]}
-                          for lab in dependent]
+            witnesses += [{"stratum_meets_kernel": [name, self.name(q)]} for q in dependent]
         dims = dict(self.ki.dims)
         dims["strata"] = dict(self.strata_dims)
         dims["kernel_strata_span"] = sum(len(self.strata[name]) for name in KERNEL_STRATA)
@@ -560,7 +589,7 @@ class VerificationContext:
         notes = []
         for name, y in self._candidates():
             not_fixed = self.dsm.not_fixed(y, corner)
-            witnesses += [{"candidate": name, "not_fixed": label_str(z)} for z in not_fixed]
+            witnesses += [{"candidate": name, "not_fixed": self.name(z)} for z in not_fixed]
             ok = not not_fixed
             in_span = all(lab in corner_set for lab in y)
             yy = {}  # y y, over the pairs (a, b) of terms with ab != 0
@@ -588,11 +617,11 @@ class VerificationContext:
             for z in a2:
                 if self.dsm.multiply(y, {z: F.one}):
                     ok = False
-                    witnesses.append({"candidate": name, "left_survivor": label_str(z)})
+                    witnesses.append({"candidate": name, "left_survivor": self.name(z)})
             for z in right:
                 if self.dsm.multiply({z: F.one}, y):
                     ok = False
-                    witnesses.append({"candidate": name, "right_survivor": label_str(z)})
+                    witnesses.append({"candidate": name, "right_survivor": self.name(z)})
             if ok:
                 passing.append(name)
         if not a2 and not right:
@@ -622,7 +651,7 @@ class VerificationContext:
 
         not_ideal = self.kernel_ideal_witnesses()
         ideal_ok = not not_ideal
-        witnesses += [{"kernel_not_ideal_at": label_str(z)} for z in not_ideal]
+        witnesses += [{"kernel_not_ideal_at": self.name(z)} for z in not_ideal]
         dims = {"dim": dim, "kernel": kernel, "S": len(s_labels),
                 "S'": sp_dim, "T": t_dim}
         holds = decomposes and split and ideal_ok and closed
@@ -640,18 +669,18 @@ class VerificationContext:
         column, is a kernel vector; vz and zv are read off right[v] and
         left[v], so only the zero labels with a nonzero product are visited."""
         F, dsm, phi = self.field, self.dsm, self.phi
-        right, left, order = dsm.right, dsm.left, dsm.index.get
+        right, left = dsm.right, dsm.left
         found = []  # (free position, witnesses)
         for z0 in right.keys() | left.keys():
             if not phi.columns.get(z0):
                 row, col = right.get(z0, {}), left.get(z0, {})
-                found.append((order(z0), [
-                    z for z in sorted(row.keys() | col.keys(), key=order)
+                found.append((z0, [
+                    z for z in sorted(row.keys() | col.keys())
                     for prod in (row.get(z), col.get(z)) if prod and phi.apply(prod)]))
         for f, v in self.ki.eliminated:
             dv = dsm.from_vector(v)
             zs = {z for lab in dv for z in (*right.get(lab, ()), *left.get(lab, ()))}
-            found.append((f, [z for z in sorted(zs, key=order)
+            found.append((f, [z for z in sorted(zs)
                               for prod in (dsm.multiply(dv, {z: F.one}),
                                            dsm.multiply({z: F.one}, dv))
                               if phi.apply(prod)]))
@@ -675,12 +704,15 @@ class VerificationContext:
             return self._result("thm2.9", False, {}, [],
                                 [f"skew ring unavailable: {err}"])
         _, dfap_report = self.dfap
-        g = self.groupoid
-        # psi(b delta_m # r_h) is the double-smash basis label b#u_m#r_h
-        dom = [(b, m, h) for (b, m) in skew for h in g.morphism_ids()]
+        P = self.dsm.meta["positions"]
+        ends = [(m.src, m.tgt) for m in self.groupoid.morphisms]  # by morphism index
+        # psi(b delta_m # r_h) is the double-smash basis label b#u_m#r_h, at
+        # pos(x, h) for x the B#KG position of (b, m); dom holds (q, m, h)
+        dom = [(P.pos(x, h), m, h) for x, m in [(x, P.split(x)[1]) for x in skew]
+               for h in range(P.M)]
         n_dom = len(dom)
-        d1 = [lab for lab in dom if not g.composable(lab[1], lab[2])]
-        c_labels = [lab for lab in dom if g.composable(lab[1], lab[2])]
+        d1 = [q for q, m, h in dom if ends[m][1] != ends[h][0]]
+        c_labels = [q for q, m, h in dom if ends[m][1] == ends[h][0]]
 
         # whole = C (+) D1
         whole_ok = len(d1) + len(c_labels) == n_dom
@@ -697,7 +729,7 @@ class VerificationContext:
         d1_eq_kernel = d1_zero and len(d1) == n_dom - rank
 
         # psi(B0) == span(A1): both are spanned by basis labels
-        b0 = [lab for lab in c_labels if g.src(lab[1]) == g.tgt(lab[1])]
+        b0 = [q for q, m, h in dom if ends[m][1] == ends[h][0] and ends[m][0] == ends[m][1]]
         a1 = self.stratum_labels(["A1"])
         b0_eq_a1 = set(b0) == set(a1)
 

@@ -1,7 +1,10 @@
 """Smash products B#KG and B#KG#KG*, and the search for a unit.
 
-Basis labels are tuples: (b, g) for B#KG and (b, g, h) for the double
-smash, ordered lexicographically by (B index, morphism index, dual index).
+Both are keyed by basis position, as their meta["positions"] records:
+(b, g) sits at pos(iB, ig) and (b, g, h) at pos(pos(iB, ig), ih), for iB
+the index of b in B's basis and ig, ih those of g, h among the morphism
+ids.  Positions order the labels lexicographically; alg.label(i) names
+one where it is printed.
 smash_product is the only place the smash formula a(s.b) # u_{st} is
 computed: the double smash, the skew groupoid ring and phi are read off
 the nonzero products of the B#KG it returns.  Neither product is assumed
@@ -16,25 +19,51 @@ from . import exactmath
 from .walg import FinAlgebra
 
 
+class Positions:
+    """How B#KG and B#KG#KG* key their labels.  With M morphisms, in
+    morphism_ids() order, the pair of a position i (of b in B, or of (b, g)
+    in B#KG) and a morphism index j sits at pos(i, j) = i * M + j, and
+    split(q) gives (i, j) back.  The loops of this module inline pos."""
+
+    def __init__(self, ids):
+        self.ids, self.M = ids, len(ids)
+        self.index = {m: j for j, m in enumerate(ids)}  # morphism id -> its index
+
+    def pos(self, i, j):
+        return i * self.M + j
+
+    def split(self, q):
+        return divmod(q, self.M)
+
+
 def smash_product(B: FinAlgebra, kg: FinAlgebra, action) -> FinAlgebra:
     """(a # u_s)(b # u_t) = a(s.b) # u_{st}, zero when st is undefined.
     a(s.b) is formed once per (a, s, b) with s.b != 0 (read off rho[s]) and
     emitted for each t composable with s whose product the table defines.
-    Its generators start from the (b, g), g over KG's generators but no object."""
-    F = B.field
-    g = action.groupoid
-    basis = [(b, m) for b in B.basis for m in g.morphism_ids()]
+    Its generators start from the (b, g), g over KG's generators but no
+    object.  Its meta keeps the positions and after[s], g.after by
+    morphism index."""
+    F, g, pos = B.field, action.groupoid, B.index
+    P = Positions(g.morphism_ids())
+    M, ids, mid = P.M, P.ids, P.index
+    after = [[(mid[t], mid[st]) for t, st in g.after[s]] for s in ids]
     right = {}
-    for (a, s) in basis:
-        for b, sb in action.rho[s].items():
-            coeff = B.multiply({a: F.one}, sb)
-            if coeff:
-                for t, st in g.after[s]:
-                    right.setdefault((a, s), {})[(b, t)] = {(lab, st): c for lab, c in coeff.items()}
-    objects = set(g.objects)
-    first = [(b, m) for b in B.basis for m in kg.generators if m not in objects]
-    return FinAlgebra(F, basis, right, None, name="B#KG",
-                      meta={"B": B, "kg": kg, "action": action, "groupoid": g}, first=first)
+    for x in range(B.dim * M):
+        ia, s = P.split(x)  # x is the position of (a, s)
+        for b, sb in action.rho[ids[s]].items():
+            if coeff := B.multiply({B.basis[ia]: F.one}, sb):
+                terms = [(pos[lab] * M, c) for lab, c in coeff.items()]
+                for t, st in after[s]:
+                    right.setdefault(x, {})[pos[b] * M + t] = {k + st: c for k, c in terms}
+
+    def label(x):
+        ib, m = P.split(x)
+        return B.basis[ib], ids[m]
+    first = [P.pos(ib, mid[m]) for ib in range(B.dim) for m in kg.generators
+             if m not in g.objects]
+    return FinAlgebra(F, range(B.dim * M), right, None, name="B#KG", first=first, label=label,
+                      meta={"B": B, "kg": kg, "action": action, "groupoid": g,
+                            "positions": P, "after": after})
 
 
 def double_smash(bsm: FinAlgebra) -> FinAlgebra:
@@ -48,23 +77,26 @@ def double_smash(bsm: FinAlgebra) -> FinAlgebra:
     (the factorizations n1 n2 = n) with n1 == s, as r_{n2} r_t =
     [n2 = t] r_t.  KG* enters only through that rule.
 
-    The keys come out in basis order: (a, m), n and (b, s) are walked in
-    basis order, and so is t in g.after[s].  Its meta records bsm.
+    The keys come out in basis order: the rows of B#KG and their keys are
+    in basis order, t in after[s] is too, and each row's n are sorted.
+    Its meta records bsm.
     """
-    g = bsm.meta["groupoid"]
-    ids = g.morphism_ids()
+    P, after = bsm.meta["positions"], bsm.meta["after"]
+    M = P.M
     right = {}
-    for a, m in bsm.basis:
-        by_n = {}  # n -> the row of (a, m, n)
-        for (b, s), prod in bsm.right.get((a, m), {}).items():
-            for t, n in g.after[s]:
-                terms = {(lab, ms, t): c for (lab, ms), c in prod.items()}
-                by_n.setdefault(n, {})[(b, s, t)] = terms
-        for n in ids:
-            if n in by_n:
-                right[(a, m, n)] = by_n[n]
-    basis = [(b, m, n) for (b, m) in bsm.basis for n in ids]
-    return FinAlgebra(bsm.field, basis, right, None, name="B#KG#KG*", meta={**bsm.meta, "bsm": bsm})
+    for x, row in bsm.right.items():
+        by_n = {}  # n -> the row of pos(x, n)
+        for y, prod in row.items():
+            for t, n in after[y % M]:
+                by_n.setdefault(n, {})[y * M + t] = {k * M + t: c for k, c in prod.items()}
+        for n in sorted(by_n):
+            right[x * M + n] = by_n[n]
+
+    def label(q):
+        x, n = P.split(q)
+        return (*bsm.label(x), P.ids[n])
+    return FinAlgebra(bsm.field, range(bsm.dim * M), right, None, name="B#KG#KG*",
+                      meta={**bsm.meta, "bsm": bsm}, label=label)
 
 
 def find_unit(alg: FinAlgebra, candidate=None):

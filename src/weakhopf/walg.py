@@ -71,12 +71,16 @@ class FinAlgebra:
     Nothing is assumed: associativity and the unit law are checked, not
     taken on faith.  The tables are never mutated after construction;
     left, generators, associative and groupoid_algebra's record rely on it.
+    A basis given as range(n) is positional: its entries are ints, it is
+    its own index, and label(i) gives the label at position i.
     """
 
-    def __init__(self, field, basis, right, unit=None, name="", meta=None, first=()):
+    def __init__(self, field, basis, right, unit=None, name="", meta=None, first=(), label=None):
         self.field = field
-        self.basis = list(basis)
-        self.index = {b: i for i, b in enumerate(self.basis)}
+        positional = type(basis) is range  # its own index, as range(n)[i] == i
+        self.basis = basis if positional else list(basis)
+        self.index = basis if positional else {b: i for i, b in enumerate(self.basis)}
+        self.label = label or (lambda x: x)  # the label of a basis entry, where it is printed
         self.right = right
         self.unit = unit
         self.name = name
@@ -152,7 +156,7 @@ class FinAlgebra:
                 for w in ab:
                     triples.update((a, b, c) for c in right.get(w, ()))
                     triples.update((x, a, b) for x in left.get(w, ()))
-        one, order = self.field.one, self.index.get
+        one, order = self.field.one, self.index.__getitem__
         return [(a, b, c) for a, b, c in sorted(triples, key=lambda t: tuple(map(order, t)))
                 if self.multiply(self.basis_product(a, b), {c: one})
                 != self.multiply({a: one}, self.basis_product(b, c))]

@@ -230,6 +230,45 @@ def m2_pair2_doc():
     return m2_doc(pair_groupoid(2), "m2-pair2")
 
 
+def mk_doc(n, k, field=None):
+    """pair(n) acting on B, the sum of M_k over the objects (basis o.ij and
+    E_ij E_jl = E_il inside one block).  A morphism m: s -> t sends block t
+    to block s by Ad(P_s P_t^-1), where P = I + pN at the p-th object, N
+    the nilpotent shift with ones at (i, i + 1); the inverse of I + pN is
+    the sum of (-p)^r N^r.  The vertex groups are trivial, so this is an
+    action for every n and k; with k == 2 it is m2_doc on pair(n).  The
+    products of B#KG have up to k terms, a regime B = K^X never reaches."""
+    g = pair_groupoid(n)
+    pos = {e: p for p, e in enumerate(g.objects)}
+    ks = range(1, k + 1)
+
+    def unitriangular(p):  # (I + pN, its inverse)
+        return ([[int(i == j) + p * (j == i + 1) for j in ks] for i in ks],
+                [[(-p) ** (j - i) if j >= i else 0 for j in ks] for i in ks])
+
+    def times(X, Y):
+        return [[sum(X[i][r] * Y[r][j] for r in range(k)) for j in range(k)] for i in range(k)]
+
+    def ad(m, i, j):  # A E_ij A^-1 = sum over (a, b) of A[a][i] A^-1[j][b] E_ab
+        (Ps, Psi), (Pt, Pti) = unitriangular(pos[m.src]), unitriangular(pos[m.tgt])
+        A, Ai = times(Ps, Pti), times(Pt, Psi)
+        return {f"{m.src}.{a}{b}": str(c) for a in ks for b in ks
+                if (c := A[a - 1][i - 1] * Ai[j - 1][b - 1])}
+
+    basis = [f"{e}.{i}{j}" for e in g.objects for i in ks for j in ks]
+    return {
+        "name": f"m{k}-pair{n}",
+        "field": field or {"kind": "rational"},
+        "groupoid": groupoid_to_doc(g),
+        "algebra": {"basis": basis,
+                    "unit": {f"{e}.{i}{i}": "1" for e in g.objects for i in ks},
+                    "multiplication": [[f"{e}.{i}{j}", f"{e}.{j}{l}", {f"{e}.{i}{l}": "1"}]
+                                       for e in g.objects for i in ks for j in ks for l in ks]},
+        "action": [[m.id, f"{m.tgt}.{i}{j}", ad(m, i, j)] for m in g.morphisms
+                   for i in ks for j in ks],
+    }
+
+
 def wrong_composition_doc(n, field=None):
     """pair(n) with m1_2 * m2_1 (n == 2) or m1_2 * m2_3 (n >= 3) sent to m1_2."""
     doc = groupoid_doc(pair_groupoid(n), f"pair{n}-wrong", field)
@@ -276,13 +315,15 @@ def twin_identity_doc(field=None):
 def skew_ring(ctx):
     """B*G of ctx built by the all-pairs oracle, after checking that its
     basis is the engine's skew labels and its table B#KG restricted to
-    them, as the engine, which keeps only the labels, takes it to be."""
+    them, as the engine, which keeps only the labels, takes it to be; the
+    engine's positions are read as labels."""
     import oracle
-    labels, err = ctx.skew
+    view = oracle.LabelView(ctx)
+    labels, err = view.skew
     assert err is None, err
     ring = oracle.skew_groupoid_ring(ctx.B, ctx.action, ctx.dfap[0])
     assert ring.basis == labels
-    assert ring.mul == {(x, y): prod for (x, y), prod in ctx.bsm.mul.items()
+    assert ring.mul == {(x, y): prod for (x, y), prod in view.bsm.mul.items()
                         if x in ring.index and y in ring.index}
     return ring
 

@@ -27,13 +27,14 @@ module.
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 
 from conftest import compose
 from weakhopf import exactmath
 from weakhopf.action import ComponentDecomposition, DfapAction, ModuleAction
 from weakhopf.duality import (COMPLEMENT_STRATA, IMAGE_STRATA, KERNEL_STRATA, STRATA,
-                              UNCLASSIFIED, UNITAL_STRATA, LinearMapRep, classify,
-                              element_str, label_str)
+                              UNCLASSIFIED, UNITAL_STRATA, KernelImage, LinearMapRep,
+                              classify, element_str, label_str)
 from weakhopf.groupoid import Groupoid, GroupoidError, Morphism
 from weakhopf.instances import Instance, InstanceFormatError
 from weakhopf.report import Report
@@ -1122,6 +1123,87 @@ def skew_groupoid_ring(B: FinAlgebra, action: ModuleAction, dfap: DfapAction) ->
     # no unit asserted; callers can search for one if they care
     return table_algebra(F, basis, mul, None, name="B*G",
                          meta={"B": B, "action": action})
+
+
+# -- the engine's positional tables, read back as labels ----------------------
+#
+# B#KG, B#KG#KG* and phi are keyed by basis position inside the engine; the
+# all-pairs forms above and below work on labels.  Each comparison turns
+# the engine's positions into labels first, key order included.
+
+
+def labelled(alg):
+    """A positional algebra with each position replaced by its label, key
+    order kept; any other algebra as it is."""
+    if type(alg.basis) is not range:
+        return alg
+    lab = alg.label
+    right = {lab(x): {lab(y): {lab(k): c for k, c in prod.items()} for y, prod in row.items()}
+             for x, row in alg.right.items()}
+    return FinAlgebra(alg.field, [lab(i) for i in alg.basis], right, None, alg.name, alg.meta,
+                      [lab(i) for i in alg.first])
+
+
+def labelled_map(phi, dsm, bsm):
+    """phi with its domain positions named by dsm and its codomain ones by bsm."""
+    d, b = dsm.label, bsm.label
+    columns = {d(x): {b(col): {b(k): c for k, c in img.items()} for col, img in endo.items()}
+               for x, endo in phi.columns.items()}
+    return LinearMapRep(phi.field, [d(x) for x in phi.domain_basis],
+                        [b(y) for y in phi.codomain_basis], columns)
+
+
+class LabelView:
+    """A VerificationContext whose smash products, phi, strata, kernel,
+    identity candidates and skew ring are read back as labels, each built
+    when first read from what the context then holds; any other attribute
+    is the context's own."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+
+    def __getattr__(self, name):
+        return getattr(self.ctx, name)
+
+    @cached_property
+    def bsm(self):
+        return labelled(self.ctx.bsm)
+
+    @cached_property
+    def dsm(self):
+        return labelled(self.ctx.dsm)
+
+    @cached_property
+    def phi(self):
+        return labelled_map(self.ctx.phi, self.ctx.dsm, self.ctx.bsm)
+
+    def labels(self, positions):
+        return [self.ctx.dsm.label(q) for q in positions]
+
+    @cached_property
+    def strata(self):
+        return {name: self.labels(qs) for name, qs in self.ctx.strata.items()}
+
+    def stratum_labels(self, names):
+        return self.labels(self.ctx.stratum_labels(names))
+
+    @cached_property
+    def ki(self):
+        ki = self.ctx.ki
+        return KernelImage(self.labels(ki.zero), ki.eliminated, ki.dims)
+
+    @property
+    def y_morph(self):
+        return {self.ctx.dsm.label(q): c for q, c in self.ctx.y_morph.items()}
+
+    @property
+    def y_obj(self):
+        return {self.ctx.dsm.label(q): c for q, c in self.ctx.y_obj.items()}
+
+    @property
+    def skew(self):
+        skew, err = self.ctx.skew
+        return (None if skew is None else [self.ctx.bsm.label(x) for x in skew]), err
 
 
 def build_phi(dsm, bsm) -> LinearMapRep:

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import (ACTION_SABOTAGE_KINDS, disjoint_union, groupoid_doc, m2_doc, pair_groupoid,
-                      sabotaged_action, skew_ring, z4_regular_doc)
+from conftest import (ACTION_SABOTAGE_KINDS, disjoint_union, groupoid_doc, m2_doc, mk_doc,
+                      pair_groupoid, sabotaged_action, skew_ring, z4_regular_doc)
 from weakhopf.action import check_module_algebra, component_decomposition, derive_dfap_action
 from weakhopf.groupoid import builtin_i2, cyclic_group
 from weakhopf.instances import builtin_doc, parse_instance
@@ -91,7 +91,7 @@ def test_derived_action_composition_axiom(ctx_i2):
 
 def test_skew_ring_i2(ctx_i2):
     skew = skew_ring(ctx_i2)
-    assert ctx_i2.skew[0] == [("e1", "x"), ("e2", "y"), ("e1", "g"), ("e2", "gi")]
+    assert oracle.LabelView(ctx_i2).skew[0] == [("e1", "x"), ("e2", "y"), ("e1", "g"), ("e2", "gi")]
     # (e1 d_g)(e2 d_gi) = e1 beta_g(e2) d_x = e1 d_x
     assert skew.basis_product(("e1", "g"), ("e2", "gi")) == {("e1", "x"): one}
     # non-composable symbols multiply to zero
@@ -146,6 +146,7 @@ ACTION_BASES = {
     "m2-pair2": lambda: m2_doc(pair_groupoid(2), "m2-pair2"),
     "m2-pair3": lambda: m2_doc(pair_groupoid(3), "m2-pair3"),
     "m2-z2": lambda: m2_doc(cyclic_group(2), "m2-z2"),
+    "m3-pair2": lambda: mk_doc(2, 3),
     "ex2.8": lambda: builtin_doc("ex2.8"),
 }
 FIELDS = [{"kind": "rational"}, {"kind": "prime", "p": 2}, {"kind": "prime", "p": 3}]

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import disjoint_union, pair_groupoid
-from oracle import kernel_vectors, sparse_subspace_equal as subspace_equal, stratum_vectors
+from oracle import LabelView, kernel_vectors, sparse_subspace_equal as subspace_equal, stratum_vectors
 from weakhopf.duality import (COMPLEMENT_STRATA, IMAGE_STRATA, KERNEL_STRATA,
                               UNCLASSIFIED, UNITAL_STRATA, VerificationContext,
-                              classify, label_str,
+                              classify, kernel_and_image, label_str,
                               phi_is_homomorphism, right_linearity, LinearMapRep)
 from weakhopf.groupoid import builtin_i2, cyclic_group
 from weakhopf.instances import builtin_doc, parse_instance
@@ -61,7 +61,7 @@ def test_i2_strata_table(ctx_i2):
         "A1": 4, "A2": 0, "A3": 16, "A4": 0, "A5": 0, "A6": 8,
         "A7": 4, "A8": 0, "A9": 0, "A10": 0, "unclassified": 0,
     }
-    cls = {lab: name for name, labels in ctx_i2.strata.items() for lab in labels}
+    cls = {lab: name for name, labels in LabelView(ctx_i2).strata.items() for lab in labels}
     assert cls[("e1", "x", "x")] == "A1"
     assert cls[("e2", "y", "gi")] == "A1"
     assert cls[("e1", "g", "gi")] == "A7"
@@ -104,11 +104,11 @@ def test_ex28_gf2_strata(ctx_ex28_gf2):
 
 def test_phi_column_zero_when_legs_non_composable(ctx_i2):
     # (g, g) is not composable, so the endomorphism is zero
-    assert not ctx_i2.phi.columns.get(("e1", "g", "g"))
+    assert not LabelView(ctx_i2).phi.columns.get(("e1", "g", "g"))
 
 
 def test_phi_column_supported_on_matching_slice(ctx_i2):
-    endo = ctx_i2.phi.columns[("e1", "g", "gi")]
+    endo = LabelView(ctx_i2).phi.columns[("e1", "g", "gi")]
     assert set(endo) == {("e2", "gi")}
     assert endo[("e2", "gi")] == {("e1", "x"): one}
 
@@ -149,14 +149,15 @@ def test_sabotaged_phi_fails_homomorphism(ctx_z2):
     phi = ctx_z2.phi
     F = ctx_z2.field
     bsm = ctx_z2.bsm
+    M = len(ctx_z2.kg.basis)
     columns = {}
-    for (a, g, h) in phi.domain_basis:
+    for x in phi.domain_basis:  # the position of (a, g, h), with (a, g) at x // M
         col = {}
-        for (b, l) in bsm.basis:
-            img = bsm.multiply({(a, g): F.one}, {(b, l): F.one})
+        for y in bsm.basis:
+            img = bsm.multiply({x // M: F.one}, {y: F.one})
             if img:
-                col[(b, l)] = img
-        columns[(a, g, h)] = col
+                col[y] = img
+        columns[x] = col
     broken = LinearMapRep(F, list(phi.domain_basis), list(phi.codomain_basis), columns)
     rep = phi_is_homomorphism(broken, ctx_z2.dsm)
     assert not rep.ok
@@ -170,9 +171,10 @@ def test_phi_image_right_linear_on_valid_instances(ctx_i2, ctx_z2):
 def test_compose_endos_order(ctx_z2):
     # phi(x) phi(y) must mean "apply phi(y) first"
     from oracle import compose_endos
-    phi = ctx_z2.phi
+    view = LabelView(ctx_z2)
+    phi = view.phi
     exy = compose_endos(phi, phi.columns[("b", "a", "a")], phi.columns[("b", "a", "e")])
-    prod = ctx_z2.dsm.basis_product(("b", "a", "a"), ("b", "a", "e"))
+    prod = view.dsm.basis_product(("b", "a", "a"), ("b", "a", "e"))
     assert phi.apply(prod) == exy
 
 
@@ -180,8 +182,9 @@ def test_compose_endos_order(ctx_z2):
 
 
 def test_identity_candidates_z2(ctx_z2):
-    assert ctx_z2.y_obj == {("b", "e", "e"): one, ("b", "e", "a"): one}
-    assert ctx_z2.y_morph == {("b", "e", "e"): Fraction(2), ("b", "e", "a"): Fraction(2)}
+    view = LabelView(ctx_z2)
+    assert view.y_obj == {("b", "e", "e"): one, ("b", "e", "a"): one}
+    assert view.y_morph == {("b", "e", "e"): Fraction(2), ("b", "e", "a"): Fraction(2)}
     # the object sum is a two-sided identity of the whole 4-dim algebra
     for z in ctx_z2.dsm.basis:
         ez = {z: one}
@@ -199,12 +202,13 @@ def test_identity_candidates_trivial_group():
                     "multiplication": [["b", "b", {"b": "1"}]]},
         "action": [["e", "b", {"b": "1"}]],
     }
-    ctx = VerificationContext(parse_instance(doc))
+    ctx = LabelView(VerificationContext(parse_instance(doc)))
     assert ctx.y_obj == ctx.y_morph == {("b", "e", "e"): one}
 
 
 def test_identity_candidates_i2(ctx_i2):
     # object sum: one idempotent per object, dual legs tailing off src
+    ctx_i2 = LabelView(ctx_i2)
     assert ctx_i2.y_obj == {("e1", "x", "x"): one, ("e1", "x", "g"): one,
                             ("e2", "y", "y"): one, ("e2", "y", "gi"): one}
     extra = {("e1", "y", "y"): one, ("e1", "y", "gi"): one,
@@ -218,6 +222,7 @@ def test_ex28_morphism_sum_extends_displayed_identity(ctx_ex28):
     # the four displayed terms: (g.1_B) # u_t # (r_t + r_gi) plus
     # (gi.1_B) # u_s # (r_s + r_g); the all-morphism sum adds the
     # object-indexed terms on top of them
+    ctx_ex28 = LabelView(ctx_ex28)
     F = ctx_ex28.field
     act = ctx_ex28.action
     displayed = {}
@@ -384,16 +389,16 @@ def assert_duality_matches_oracle(ctx):
     thm2.9 verdicts equal the all-pairs, kernel-echelon and subspace_equal
     forms."""
     import oracle
-    phi = ctx.phi
+    phi, view = ctx.phi, LabelView(ctx)
     assert _findings(phi_is_homomorphism(phi, ctx.dsm, ctx.validated)) \
-        == _findings(oracle.phi_is_homomorphism(phi, ctx.dsm))
+        == _findings(oracle.phi_is_homomorphism(view.phi, view.dsm))
     assert _findings(right_linearity(phi, ctx.bsm, ctx.B, ctx.validated)) \
-        == _findings(oracle.right_linearity(phi, ctx.bsm, ctx.B))
+        == _findings(oracle.right_linearity(view.phi, view.bsm, ctx.B))
     for names in (UNITAL_STRATA, IMAGE_STRATA, COMPLEMENT_STRATA):
-        assert ctx._closure_check(names) == oracle.closure_witnesses(ctx, names)
+        assert ctx._closure_check(names) == oracle.closure_witnesses(view, names)
     for cid, ref in (("thm2.2", oracle.verify_thm2_2), ("thm2.6", oracle.verify_thm2_6),
                      ("rem2.7", oracle.verify_rem2_7), ("thm2.9", oracle.verify_thm2_9)):
-        got, want = ctx.verify(cid), ref(ctx)
+        got, want = ctx.verify(cid), ref(view)
         assert got.to_json() == want.to_json()
         assert got.witnesses == want.witnesses
 
@@ -460,7 +465,8 @@ def test_closure_witnesses_do_not_depend_on_row_order():
     ctx = _fresh(_wrong_twice_doc())
     dsm, labels = ctx.dsm, ctx.stratum_labels(UNITAL_STRATA)
     flipped = FinAlgebra(dsm.field, dsm.basis,
-                         {x: dict(reversed(row.items())) for x, row in dsm.right.items()})
+                         {x: dict(reversed(row.items())) for x, row in dsm.right.items()},
+                         label=dsm.label)
     assert closure_witnesses(flipped, labels) == closure_witnesses(dsm, labels)
 
 
@@ -515,11 +521,11 @@ def assert_report_phi_sections_equal_oracle(ctx):
     sections are the oracle's all-pairs reports; returns the sections."""
     import oracle
     from weakhopf.cli import build_report_doc
-    validation = build_report_doc(ctx, [])["validation"]
+    validation, view = build_report_doc(ctx, [])["validation"], LabelView(ctx)
     assert validation["phi-multiplicative"] \
-        == oracle.phi_is_homomorphism(ctx.phi, ctx.dsm).to_json()
+        == oracle.phi_is_homomorphism(view.phi, view.dsm).to_json()
     assert validation["phi-image-right-linear"] \
-        == oracle.right_linearity(ctx.phi, ctx.bsm, ctx.B).to_json()
+        == oracle.right_linearity(view.phi, view.bsm, ctx.B).to_json()
     return validation
 
 
@@ -593,7 +599,7 @@ def test_thm29_compares_b0_and_a1_as_label_sets():
     res = ctx.verify("thm2.9")
     assert res.dimensions["B0"] == res.dimensions["A1"] == 4
     assert "psi(B0) equals span(A1): False" in res.notes
-    assert res.to_json() == oracle.verify_thm2_9(ctx).to_json()
+    assert res.to_json() == oracle.verify_thm2_9(LabelView(ctx)).to_json()
 
 
 @pytest.mark.parametrize("field", [FIELDS[0], {"kind": "prime", "p": 7}], ids=["q", "gf7"])
@@ -693,10 +699,11 @@ def test_phi_checks_equal_oracle_on_perturbed_phi(name, field, data):
     import oracle
     ctx = _fresh(_perturbable_doc(name, field))
     ctx.phi = phi = _sabotage(ctx, data)
+    view = LabelView(ctx)
     assert _findings(phi_is_homomorphism(phi, ctx.dsm)) \
-        == _findings(oracle.phi_is_homomorphism(phi, ctx.dsm))
+        == _findings(oracle.phi_is_homomorphism(view.phi, view.dsm))
     assert _findings(right_linearity(phi, ctx.bsm, ctx.B)) \
-        == _findings(oracle.right_linearity(phi, ctx.bsm, ctx.B))
+        == _findings(oracle.right_linearity(view.phi, view.bsm, ctx.B))
     assert ctx.kernel_ideal_witnesses() == oracle.kernel_ideal_witnesses(ctx)
 
 
@@ -860,7 +867,7 @@ def test_phi_checks_test_associativity_at_the_one_generator_of_z8(monkeypatch):
     from weakhopf import walg
     ctx = _fresh(groupoid_doc(cyclic_group(8), "z8-trivial"))
     F, phi, dsm, bsm = ctx.field, ctx.phi, ctx.dsm, ctx.bsm
-    y = (ctx.B.basis[0], "a1")
+    y = ctx.kg.index["a1"]  # the position of (B.basis[0], "a1")
     assert ctx.validated and bsm.first == [y] and bsm.generators == [y]
     calls, reads, el_sum = [], [], walg.el_sum
     for op in ("add", "sub", "mul"):
@@ -914,7 +921,8 @@ def test_right_linearity_makes_no_multiply_call_and_equals_oracle(monkeypatch, n
     import oracle
     from weakhopf.walg import FinAlgebra
     ctx = _fresh(_one_pass_docs()[name])
-    want = _findings(oracle.right_linearity(ctx.phi, ctx.bsm, ctx.B))
+    view = LabelView(ctx)
+    want = _findings(oracle.right_linearity(view.phi, view.bsm, ctx.B))
     calls, multiply = [], FinAlgebra.multiply
     monkeypatch.setattr(FinAlgebra, "multiply",
                         lambda self, x, y: calls.append(x) or multiply(self, x, y))
@@ -933,8 +941,9 @@ def test_classify_basis_tests_each_pair_once_and_classifies_each_class_once(monk
     spans = ctx.action.image_spans()
     inside = {(b, m): spans[m].contains(B.to_vector({b: ctx.field.one}))
               for b in B.basis for m in g.morphism_ids()}
+    labels = LabelView(ctx).dsm.basis
     classes = {(comp.get(b), g.src(m), g.tgt(m), g.composable(m, h), inside[(b, m)])
-               for b, m, h in ctx.dsm.basis}
+               for b, m, h in labels}
     tests, classified = [], []
     contains, classify_one = Echelon.contains, duality.classify
     monkeypatch.setattr(Echelon, "contains", lambda self, v: tests.append(v) or contains(self, v))
@@ -945,10 +954,10 @@ def test_classify_basis_tests_each_pair_once_and_classifies_each_class_once(monk
     assert len(classified) == len(classes)
     assert {(c, g.src(m), g.tgt(m), g.composable(m, h), i)
             for _, c, m, h, i in classified} == classes
-    assert {lab: s for s, labels in strata.items() for lab in labels} \
+    assert {ctx.dsm.label(q): s for s, qs in strata.items() for q in qs} \
         == {lab: classify_one(g, comp.get(lab[0]), lab[1], lab[2], inside[lab[:2]])
-            for lab in ctx.dsm.basis}
-    assert by_pair.keys() == inside.keys()
+            for lab in labels}
+    assert [ctx.bsm.label(x) for x in range(len(by_pair))] == list(inside)
 
 
 def test_phi_columns_are_flattened_once_per_verify(monkeypatch):
@@ -1054,7 +1063,7 @@ def test_thm26_needs_phi_injective_on_the_image_strata():
     res = ctx.verify("thm2.6")
     assert res.dimensions["kernel"] + res.dimensions["S"] == res.dimensions["dim"]
     assert "whole space = kernel (+) image strata: False" in res.notes
-    assert {"stratum_meets_kernel": ["A1", label_str(y)]} in ctx.verify("thm2.2").witnesses
+    assert {"stratum_meets_kernel": ["A1", label_str(ctx.dsm.label(y))]} in ctx.verify("thm2.2").witnesses
     assert_duality_matches_oracle(ctx)
 
 
@@ -1072,3 +1081,155 @@ def test_generated_valid_instances_hold_alike_over_q_and_gfp(g):
             assert res.holds and not res.conditional, (res.claim, res.notes)
         runs.append((ctx.strata_dims, ctx.ki.dims, [r.to_json() for r in results]))
     assert runs[0] == runs[1]
+
+
+# -- phi's eliminations, once per distinct sequence of nonzero columns --------
+
+
+def _spied_verify(monkeypatch, ctx):
+    """The (labels, answer) of each phi.null_space call of a verify, and the
+    column lists that reached exactmath's elimination; the spies are gone
+    on return."""
+    from weakhopf import duality
+    queries, eliminated = [], []
+    query, null_space = LinearMapRep.null_space, duality.null_space
+
+    def spy(self, labels):
+        queries.append((list(labels), query(self, labels)))
+        return queries[-1][1]
+    monkeypatch.setattr(LinearMapRep, "null_space", spy)
+    monkeypatch.setattr(duality, "null_space",
+                        lambda F, cols: eliminated.append(cols) or null_space(F, cols))
+    ctx.verify_all()
+    monkeypatch.undo()
+    return queries, eliminated
+
+
+@pytest.mark.parametrize("name", ["z8-trivial", "pair3"])
+def test_each_sequence_of_nonzero_columns_is_eliminated_once_per_verify(monkeypatch, name):
+    # on Z/8 the kernel, thm2.2's A1, the image strata and thm2.9's C + D1
+    # all eliminate the same 64 columns; on pair(3) label lists of 243, 27
+    # and 81 labels share one sequence of 27.  Each answer equals that of a
+    # fresh map with nothing memoised
+    from collections import Counter
+    from conftest import groupoid_doc
+    g = cyclic_group(8) if name == "z8-trivial" else pair_groupoid(3)
+    ctx = _fresh(groupoid_doc(g, name))
+    phi = ctx.phi
+    queries, eliminated = _spied_verify(monkeypatch, ctx)
+    uses = Counter(tuple(lab for lab in labels if phi.columns.get(lab)) for labels, _ in queries)
+    assert len(eliminated) == len(uses) < len(queries) == 9
+    assert max((n, len(seq)) for seq, n in uses.items() if seq) \
+        == {"z8-trivial": (4, 64), "pair3": (3, 27)}[name]
+    for labels, got in queries:
+        fresh = LinearMapRep(phi.field, phi.domain_basis, phi.codomain_basis, phi.columns)
+        assert fresh.null_space(labels) == got
+
+
+@pytest.mark.parametrize("name", ["m2-pair2", "i2"])
+def test_memoised_null_space_equals_a_fresh_one_on_reordered_labels(name):
+    # the same nonzero columns in another order, or another set of as many,
+    # is another elimination: with a zero column given a copy of a nonzero
+    # one, the pivots and kernel vectors follow the order
+    ctx = _fresh(_perturbable_doc(name, FIELDS[0]))
+    phi, labels = ctx.phi, list(ctx.phi.domain_basis)
+    x = next(x for x in labels if not phi.columns.get(x))
+    y = next(y for y in labels if phi.columns.get(y))
+    phi = LinearMapRep(phi.field, phi.domain_basis, phi.codomain_basis,
+                       {**phi.columns, x: phi.columns[y]})
+    orders = [labels, labels[::-1], labels[1:] + labels[:1], labels[::2], labels[1::2]]
+    for order in orders + orders:
+        fresh = LinearMapRep(phi.field, phi.domain_basis, phi.codomain_basis, phi.columns)
+        assert phi.null_space(order) == fresh.null_space(order)
+
+
+# -- positions inside the engine, labels at its boundary -----------------------
+
+
+def _builtin_and_golden_contexts():
+    import conftest
+    from test_golden import DOCUMENTS
+    from weakhopf.instances import BUILTIN_NAMES
+    docs = [builtin_doc(name) for name in BUILTIN_NAMES]
+    docs += [getattr(conftest, builder)() for builder in DOCUMENTS.values()]
+    return [_fresh(doc) for doc in docs]
+
+
+def test_positional_tables_hold_only_int_keys():
+    # B#KG, B#KG#KG* and phi are keyed by basis position: every row, every
+    # product, every column and every image, and the strata, the kernel,
+    # the identity candidates and the skew labels read off them
+    for ctx in _builtin_and_golden_contexts():
+        for table in (ctx.bsm.right, ctx.dsm.right, ctx.phi.columns):
+            for x, row in table.items():
+                assert type(x) is int
+                for y, prod in row.items():
+                    assert type(y) is int and all(type(k) is int for k in prod)
+        assert type(ctx.bsm.basis) is type(ctx.dsm.basis) is range
+        assert all(type(q) is int for qs in ctx.strata.values() for q in qs)
+        assert all(type(q) is int for q in (*ctx.ki.zero, *ctx.y_obj, *ctx.y_morph))
+        assert ctx.skew[0] is None or all(type(x) is int for x in ctx.skew[0])
+
+
+def test_label_str_refuses_a_position_that_leaks_into_a_witness():
+    # a position is printed only through its label; a witness that reaches
+    # label_str as a bare int fails loudly instead of printing a number
+    with pytest.raises(TypeError):
+        label_str(3)
+    assert label_str(("e1", "g", "gi")) == "e1#u_g#r_gi" and label_str("e1") == "e1"
+    ctx = _fresh(builtin_doc("ex2.8"))
+    assert ctx.verify("thm2.2").witnesses
+    ctx.dsm.label = lambda q: q
+    with pytest.raises(TypeError):
+        ctx.verify("thm2.2")
+
+
+def test_flat_and_null_space_refuse_codomain_labels_that_are_not_positions():
+    # flat keys the entry at (row, column) by row * n + column, which names
+    # one entry only if the codomain labels are the positions 0..n-1; the
+    # kernel's zero labels are read back through the domain basis
+    F = _fresh(builtin_doc("z2-trivial")).field
+    columns = {"p": {"c1": {"u": F.one}}, "q": {"c2": {"u": F.one}}}
+    with pytest.raises(ValueError):
+        LinearMapRep(F, list("pqr"), ["c1", "c2"], columns).null_space(list("pqr"))
+    phi = LinearMapRep(F, list("pqr"), [0, 1], {"p": {0: {1: F.one}}, "q": {1: {1: F.one}}})
+    ki = kernel_and_image(phi)
+    assert ki.zero == ["r"] and ki.dims == {"domain": 3, "kernel": 1, "image": 2}
+
+
+# -- B = a sum of M_k blocks: products with many terms ------------------------
+
+
+def test_mk_family_with_two_by_two_blocks_is_the_m2_family():
+    from conftest import m2_doc, mk_doc
+    for n in (2, 3):
+        assert mk_doc(n, 2) == dict(m2_doc(pair_groupoid(n), "m2-pair" + str(n)), name=f"m2-pair{n}")
+
+
+@pytest.mark.parametrize("field", [FIELDS[0], {"kind": "prime", "p": 7}], ids=["q", "gf7"])
+def test_mk_family_equals_oracle_through_labels_and_holds(field):
+    # M_3 blocks on pair(2): the nonzero products of B#KG have one, two
+    # or three terms
+    import oracle
+    from conftest import mk_doc
+    from test_smash import assert_find_unit_matches_oracle, assert_read_offs_match_oracle
+    ctx = _fresh(mk_doc(2, 3, field))
+    assert ctx.validated
+    assert {len(prod) for row in ctx.bsm.right.values() for prod in row.values()} == {1, 2, 3}
+    assert_read_offs_match_oracle(ctx)
+    assert_duality_matches_oracle(ctx)
+    assert_find_unit_matches_oracle(ctx, "m3-pair2")
+    assert ctx.kernel_ideal_witnesses() == oracle.kernel_ideal_witnesses(ctx)
+    for res in ctx.verify_all():
+        assert res.holds and not res.conditional, (res.claim, res.notes)
+
+
+@pytest.mark.parametrize("n, k", [(2, 3), (3, 3), (3, 4)])
+def test_mk_family_has_the_closed_form_kernel_and_image(n, k):
+    # domain k^2 n^5, image k^2 n^3, without the oracle
+    from conftest import mk_doc
+    ctx = _fresh(mk_doc(n, k))
+    assert ctx.ki.dims == {"domain": k * k * n ** 5, "kernel": k * k * (n ** 5 - n ** 3),
+                           "image": k * k * n ** 3}
+    for res in ctx.verify_all():
+        assert res.holds and not res.conditional, (res.claim, res.notes)

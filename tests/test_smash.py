@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import (BASES, SABOTAGE_KINDS, compose, disjoint_union, pair_groupoid,
                       sabotaged_groupoid, skew_ring)
+from oracle import LabelView, labelled, labelled_map
 from weakhopf.action import DfapAction
 from weakhopf.duality import VerificationContext
 from weakhopf.exactmath import QQ
@@ -23,20 +24,20 @@ def harpoon(rho_label, z: dict) -> dict:
 
 
 def test_smash_product_rule_i2(ctx_i2):
-    bsm = ctx_i2.bsm
+    bsm = labelled(ctx_i2.bsm)
     assert bsm.basis_product(("e1", "g"), ("e2", "gi")) == {("e1", "x"): one}
     assert bsm.basis_product(("e1", "g"), ("e1", "g")) == {}
 
 
 def test_smash_product_group_trivial(ctx_z2):
-    bsm = ctx_z2.bsm
+    bsm = labelled(ctx_z2.bsm)
     assert bsm.basis_product(("b", "a"), ("b", "a")) == {("b", "e"): one}
 
 
 def test_smash_basis_order_is_lexicographic(ctx_i2):
-    assert ctx_i2.bsm.basis[:4] == [("e1", "x"), ("e1", "y"), ("e1", "g"), ("e1", "gi")]
-    assert ctx_i2.dsm.basis[0] == ("e1", "x", "x")
-    assert ctx_i2.dsm.basis[1] == ("e1", "x", "y")
+    assert labelled(ctx_i2.bsm).basis[:4] == [("e1", "x"), ("e1", "y"), ("e1", "g"), ("e1", "gi")]
+    assert labelled(ctx_i2.dsm).basis[0] == ("e1", "x", "x")
+    assert labelled(ctx_i2.dsm).basis[1] == ("e1", "x", "y")
 
 
 def test_harpoon():
@@ -49,7 +50,7 @@ def test_harpoon():
 
 
 def test_double_smash_rule(ctx_i2):
-    dsm = ctx_i2.dsm
+    dsm = labelled(ctx_i2.dsm)
     # the dual leg splits through the coproduct: the second factor's u and
     # rho legs must multiply back to the first factor's rho leg
     assert dsm.basis_product(("e1", "g", "gi"), ("e2", "gi", "x")) == \
@@ -66,7 +67,7 @@ def test_double_smash_rule(ctx_i2):
 def test_double_smash_group_case_is_matrix_units(ctx_z2):
     # (m, n) -> (row m*n, column n) identifies the product table with the
     # 2x2 matrix units over the label set {e, a}
-    dsm, g = ctx_z2.dsm, ctx_z2.groupoid
+    dsm, g = labelled(ctx_z2.dsm), ctx_z2.groupoid
     for (_, m, n) in dsm.basis:
         for (_, s, t) in dsm.basis:
             got = dsm.basis_product(("b", m, n), ("b", s, t))
@@ -85,7 +86,8 @@ def test_smash_products_associative_on_valid_instances(ctx_i2, ctx_z2, ctx_z3):
 def test_smash_products_not_associative_for_broken_action(ctx_ex28):
     # the action fails the module axioms, and the failure is visible here:
     # (e1#u_s)(e3#u_s) evaluates before e3 can annihilate
-    v = ctx_ex28.bsm.associativity_violations()
+    bsm = ctx_ex28.bsm
+    v = [tuple(map(bsm.label, t)) for t in bsm.associativity_violations()]
     assert (("e1", "s"), ("e3", "s"), ("e1", "s")) in v
     assert ctx_ex28.dsm.associativity_violations() != []
 
@@ -94,7 +96,7 @@ def test_left_identity_on_matching_basis_vectors(ctx_i2):
     # sum_e (e.1_B # u_e) fixes b # u_g whenever b sits in the component at
     # src(g); no global unit is claimed
     F = ctx_i2.field
-    bsm, g, d = ctx_i2.bsm, ctx_i2.groupoid, ctx_i2.decomp
+    bsm, g, d = labelled(ctx_i2.bsm), ctx_i2.groupoid, ctx_i2.decomp
     s = {}
     for e in g.objects:
         for lab, c in d.idempotents[e].items():
@@ -124,9 +126,9 @@ def test_mismatched_parents_rejected(ctx_i2, ctx_z2):
 
 def smash_unit_candidate(ctx):
     """sum over objects e of (e.1_B) # u_e, the closed form of the unit of
-    B#KG."""
-    F = ctx.field
-    return {(b, e): c for e in ctx.groupoid.objects
+    B#KG, over its positions."""
+    F, M = ctx.field, len(ctx.kg.basis)
+    return {ctx.B.index[b] * M + ctx.kg.index[e]: c for e in ctx.groupoid.objects
             for b, c in ctx.action.act({e: F.one}, ctx.B.unit).items()}
 
 
@@ -175,6 +177,25 @@ def test_closed_form_candidates_are_the_units_of_z4_regular(monkeypatch):
     assert len(candidate) == 4
     assert find_unit(ctx.bsm, candidate) == candidate
     assert find_unit(ctx.dsm, ctx.y_obj) == ctx.y_obj
+
+
+def test_report_confirms_both_units_from_their_closed_forms(monkeypatch):
+    # build_report_doc reads B#KG's candidate off y_obj, at the B#KG
+    # position q // M of each double-smash position q; on Z/4 acting
+    # regularly both candidates are the units, so no equation is solved
+    from conftest import z4_regular_doc
+    from weakhopf import exactmath
+    from weakhopf.cli import build_report_doc
+    ctx = VerificationContext(parse_instance(z4_regular_doc()))
+    ctx.dsm, ctx.ki  # built before the elimination is switched off
+
+    def unused(*args):
+        raise AssertionError("find_unit ran the elimination")
+    monkeypatch.setattr(exactmath, "rref", unused)
+    units = build_report_doc(ctx, [])["units"]
+    assert units["smash"] == " + ".join(f"x{i}#u_e" for i in range(4))
+    assert units["double_smash"] == " + ".join(
+        f"x{i}#u_e#r_{n}" for i in range(4) for n in ("a1", "a2", "a3", "e"))
 
 
 @given(st.integers(min_value=1, max_value=3), st.sampled_from([2, 3]), st.booleans(),
@@ -295,16 +316,18 @@ def ordered(x):
 
 
 def skew_outcome(build, bsm):
-    """The skew labels, or what was raised.  The oracle's ring gives its
-    basis once its table is checked to be that of bsm restricted to it,
-    as the engine, which keeps only the labels, takes it to be."""
+    """The skew labels, or what was raised.  The engine's positions are
+    named by bsm's labels.  The oracle's ring gives its basis once its
+    table is checked to be that of bsm restricted to it, as the engine,
+    which keeps only the labels, takes it to be."""
     try:
         skew = build()
     except ValueError as exc:
         return "raised", str(exc)
     if isinstance(skew, list):
-        return skew
-    assert skew.mul == {(x, y): prod for (x, y), prod in bsm.mul.items()
+        return [bsm.label(x) for x in skew]
+    view = labelled(bsm)
+    assert skew.mul == {(x, y): prod for (x, y), prod in view.mul.items()
                         if x in skew.index and y in skew.index}
     return skew.basis
 
@@ -321,20 +344,23 @@ def oracle_double_smash(ctx):
 def assert_read_offs_match_oracle(ctx, dfap=None):
     """B#KG, and the double smash, phi and the skew ring read off it, equal
     the constructions that compute the smash formula over all label pairs,
-    key order included; the strata equal the per-label classification.
-    The skew ring is built on the derived action unless dfap is given."""
+    key order included, once positions are read as labels; the strata
+    equal the per-label classification.  The skew ring is built on the
+    derived action unless dfap is given."""
     import oracle
     from weakhopf.action import skew_groupoid_ring
     from weakhopf.duality import build_phi
     from weakhopf.smash import double_smash
+    view = LabelView(ctx)
     ref_bsm = oracle.smash_product(ctx.B, ctx.kg, ctx.action)
-    assert ctx.bsm.basis == ref_bsm.basis
-    assert ordered(ctx.bsm.mul) == ordered(ref_bsm.mul)
-    assert ordered(ctx.strata) == ordered(oracle.strata(ctx))
+    assert view.bsm.basis == ref_bsm.basis
+    assert ordered(view.bsm.mul) == ordered(ref_bsm.mul)
+    assert ordered(view.strata) == ordered(oracle.strata(view))
     dsm, ref = double_smash(ctx.bsm), oracle_double_smash(ctx)
-    assert dsm.basis == ref.basis
-    assert ordered(dsm.mul) == ordered(ref.mul)
-    phi, ref_phi = build_phi(dsm, ctx.bsm), oracle.build_phi(ref, ctx.bsm)
+    assert labelled(dsm).basis == ref.basis
+    assert ordered(labelled(dsm).mul) == ordered(ref.mul)
+    phi, ref_phi = build_phi(dsm, ctx.bsm), oracle.build_phi(ref, view.bsm)
+    phi = labelled_map(phi, dsm, ctx.bsm)
     assert phi.domain_basis == ref_phi.domain_basis
     assert phi.codomain_basis == ref_phi.codomain_basis
     # a label has no engine column exactly when the oracle's is empty
@@ -372,13 +398,14 @@ def test_read_offs_equal_oracle_on_golden_documents_and_a_missing_entry():
 
 def assert_rows_well_formed(alg, ref):
     """alg's rows hold no empty product and no zero coefficient and name
-    only basis labels, and alg.mul is ref's table, key order included."""
+    only basis labels, and alg.mul is ref's table, key order included,
+    once positions are read as labels."""
     for a, row in alg.right.items():
         assert a in alg.index
         for b, prod in row.items():
             assert b in alg.index and prod
             assert all(lab in alg.index and c != alg.field.zero for lab, c in prod.items())
-    assert ordered(alg.mul) == ordered(ref.mul)
+    assert ordered(labelled(alg).mul) == ordered(ref.mul)
 
 
 def assert_constructions_well_formed(ctx):
@@ -445,7 +472,7 @@ def smash_identity_failures(ctx):
     """The pairs (a, b) of B labels at which a -> sum_e a(e.1_B) # u_e is
     not multiplicative into B#KG, and the (g, b) at which
     (1_B # u_g)(b # sum_e u_e) != (g.b) # u_g."""
-    F, B, g, act, bsm = ctx.field, ctx.B, ctx.groupoid, ctx.action, ctx.bsm
+    F, B, g, act, bsm = ctx.field, ctx.B, ctx.groupoid, ctx.action, labelled(ctx.bsm)
 
     def tagged(x, m):  # x # u_m
         return {(lab, m): c for lab, c in x.items()}
@@ -578,10 +605,11 @@ def test_spurious_composition_entry_multiplies_to_zero_everywhere():
     ctx = VerificationContext(parse_instance(spurious_i2_doc()))
     assert "composition-spurious" in ctx.groupoid_report.checks_failed()
     assert ctx.kg.basis_product("g", "g") == {}
-    assert ctx.bsm.basis_product(("e1", "g"), ("e2", "g")) == {}
-    for ((_, s), (_, t)), prod in ctx.bsm.mul.items():
+    view = LabelView(ctx)
+    assert view.bsm.basis_product(("e1", "g"), ("e2", "g")) == {}
+    for ((_, s), (_, t)), prod in view.bsm.mul.items():
         assert {m for _, m in prod} <= set(ctx.kg.basis_product(s, t))
-    for ((_, m, _), (_, s, _)), prod in ctx.dsm.mul.items():
+    for ((_, m, _), (_, s, _)), prod in view.dsm.mul.items():
         assert {ms for _, ms, _ in prod} <= set(ctx.kg.basis_product(m, s))
     skew_ring(ctx)  # B#KG restricted to the skew labels
 
@@ -602,7 +630,7 @@ def test_module_check_and_double_smash_equal_oracle_on_broken_groupoids(g, kinds
     from weakhopf.smash import double_smash
     doc = groupoid_doc(sabotaged_groupoid(g, kinds, data), "broken", field, k)
     ctx = VerificationContext(parse_instance(doc))
-    dsm, ref = double_smash(ctx.bsm), oracle_double_smash(ctx)
+    dsm, ref = labelled(double_smash(ctx.bsm)), oracle_double_smash(ctx)
     assert dsm.basis == ref.basis
     assert ordered(dsm.mul) == ordered(ref.mul)
     kg_co = oracle.groupoid_coalgebra(ctx.field, ctx.groupoid)
