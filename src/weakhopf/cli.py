@@ -13,8 +13,10 @@ byte-identical JSON on every run.
 """
 
 import argparse
+import contextlib
 import functools
 import os
+import stat
 import sys
 
 from . import __version__
@@ -93,12 +95,15 @@ def _validation_reports(ctx: VerificationContext):
     ]
 
 
-def _write(path, text="", mode="w") -> bool:
-    """Write text to path (mode "a" with no text only tests that it can be
-    written), or print why it cannot be written and return False."""
+def _write(path, text, fh=None) -> bool:
+    """Write text to path, or through fh, a handle open on path in append
+    mode, emptying a nonempty regular file first (a FIFO or a device is
+    written as it is); or print why it cannot be written and return False."""
     try:
-        with open(path, mode, encoding="utf-8") as fh:
-            fh.write(text)
+        with fh or open(path, "w", encoding="utf-8") as out:
+            if fh and stat.S_ISREG((st := os.fstat(fh.fileno())).st_mode) and st.st_size:
+                fh.truncate(0)
+            out.write(text)
     except OSError as exc:
         print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         return False
@@ -174,32 +179,36 @@ def cmd_verify(args) -> int:
                   f"{', '.join(CLAIM_IDS)} or 'all'", file=sys.stderr)
             return 2
     inst = _resolve(args.instance)
-    if args.json and not _write(args.json, mode="a"):
+    try:  # the report's handle, opened before any verification work
+        fh = args.json and open(args.json, "a", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {args.json}: {exc.strerror or exc}", file=sys.stderr)
         return 2
-    ctx = VerificationContext(inst)
-    results = [ctx.verify(cid) for cid in claims]
-    doc = build_report_doc(ctx, results)
+    with fh or contextlib.nullcontext():  # closed on every way out
+        ctx = VerificationContext(inst)
+        results = [ctx.verify(cid) for cid in claims]
+        doc = build_report_doc(ctx, results)
 
-    name = ctx.instance.name or args.instance
-    print(f"instance {name}  field={ctx.field.describe()}  "
-          f"digest={doc['instance']['digest'][:12]}")
-    for res in results:
-        print(_claim_line(res))
-        for note in res.notes:
-            print(f"    {note}")
-    strata = " ".join(f"{k}={v}" for k, v in sorted(ctx.strata_dims.items()))
-    print(f"strata: {strata}")
-    if doc["diagnostics"]:
-        print("diagnostics:")
-        for d in doc["diagnostics"]:
-            print(f"    {d}")
+        name = ctx.instance.name or args.instance
+        print(f"instance {name}  field={ctx.field.describe()}  "
+              f"digest={doc['instance']['digest'][:12]}")
+        for res in results:
+            print(_claim_line(res))
+            for note in res.notes:
+                print(f"    {note}")
+        strata = " ".join(f"{k}={v}" for k, v in sorted(ctx.strata_dims.items()))
+        print(f"strata: {strata}")
+        if doc["diagnostics"]:
+            print("diagnostics:")
+            for d in doc["diagnostics"]:
+                print(f"    {d}")
 
-    if args.json:
-        if not _write(args.json, dumps(doc) + "\n"):
-            return 2
-        print(f"report written to {args.json}")
-    valid = all(section["ok"] for section in doc["validation"].values())
-    return 0 if valid and all(r.holds for r in results) else 1
+        if args.json:
+            if not _write(args.json, dumps(doc) + "\n", fh):
+                return 2
+            print(f"report written to {args.json}")
+        valid = all(section["ok"] for section in doc["validation"].values())
+        return 0 if valid and all(r.holds for r in results) else 1
 
 
 def cmd_builtin(args) -> int:

@@ -15,9 +15,11 @@ h); a witness or printed element names its label.
 phi is its table of nonzero columns, evaluated by LinearMapRep.apply and
 walg.el_apply; at {k: one} both return the stored image, read-only.  A
 label without a column is sent to zero and is its own kernel vector; only
-the other columns are eliminated.  Unless B#KG's associativity settles
-them, phi's two checks and the closure tests visit only the pairs that
-phi's nonzero columns or double-smash products reach.
+the other columns are eliminated.  The double smash is a view that
+stores no product: the closure tests, and on a valid groupoid prop2.4's
+identity test, work per product of B#KG.  Unless B#KG's associativity
+settles them, phi's two checks and the kernel-ideal test visit only the
+pairs that phi's nonzero columns or double-smash products reach.
 """
 
 from bisect import bisect_left
@@ -202,7 +204,7 @@ def phi_is_homomorphism(phi: LinearMapRep, dsm, validated=False) -> Report:
     pairs give 0 = 0); if phi(x) = 0 only phi(xy) = 0 is tested."""
     F, right = phi.field, dsm.right
     rep = Report("phi is multiplicative")
-    if validated and (bsm := phi.bsm) and bsm is dsm.meta.get("bsm") and bsm.associative:
+    if multiplicative_by_associativity(phi, dsm, validated):
         return rep
     reaching = {}  # codomain label -> the y whose phi(y) has it in an image
     for y, endo in phi.columns.items():
@@ -210,8 +212,8 @@ def phi_is_homomorphism(phi: LinearMapRep, dsm, validated=False) -> Report:
             for mid in img:
                 reaching.setdefault(mid, set()).add(y)
     for x in sorted(right.keys() | {x for x, endo in phi.columns.items() if endo}):
-        ex = phi.columns.get(x, {})
-        ys = set(right.get(x, ())).union(*(reaching.get(mid, ()) for mid in ex))
+        ex, row = phi.columns.get(x, {}), right.get(x, {})
+        ys = set(row).union(*(reaching.get(mid, ()) for mid in ex))
         bad = []
         for y in ys:
             rhs = {}
@@ -219,11 +221,18 @@ def phi_is_homomorphism(phi: LinearMapRep, dsm, validated=False) -> Report:
                 for col, img in phi.columns.get(y, {}).items():
                     if v := el_apply(F, ex, img):
                         rhs[col] = v
-            if phi.apply(dsm.basis_product(x, y)) != rhs:
+            if phi.apply(row.get(y, {})) != rhs:
                 bad.append(y)
         for y in sorted(bad):
             rep.add("phi-multiplicative", [list(dsm.label(x)), list(dsm.label(y))])
     return rep
+
+
+def multiplicative_by_associativity(phi: LinearMapRep, dsm, validated) -> bool:
+    """Whether phi_is_homomorphism's reading makes phi multiplicative
+    without a walk: validated, phi read off dsm's B#KG, and it associative."""
+    return bool(validated and (bsm := phi.bsm) and bsm is dsm.meta.get("bsm")
+                and bsm.associative)
 
 
 def right_linearity(phi: LinearMapRep, bsm, B, validated=False) -> Report:
@@ -353,19 +362,34 @@ def element_str(field, element: dict, label=lambda k: k) -> str:
     return " + ".join(parts)
 
 
-def closure_witnesses(dsm, labels):
-    """Products of two of the labels that leave their span, in basis order;
-    each nonzero product is tested once, and only the failing y sorted."""
-    allowed, name = set(labels), dsm.label
-    witnesses = []
-    for x in labels:
-        row = dsm.right.get(x, {})
-        bad = [y for y, prod in row.items() if y in allowed and not allowed.issuperset(prod)]
-        for y in sorted(bad):
-            witnesses.append({"product_escapes": [label_str(name(x)), label_str(name(y))],
-                              "offending": [label_str(name(b)) for b in row[y]
-                                            if b not in allowed]})
-    return witnesses
+def closure_witnesses(dsm, by_pair, names):
+    """Products of two basis labels of the named strata that leave their
+    span, in basis order.  pos(p, h) is in it iff classify_basis's
+    by_pair[p] names one at src(h) == tgt(g), g the morphism of p.  Each
+    product xy of B#KG is read once: pos(x, st) pos(y, t) = xy # r_t for
+    the (t, st) in after[s], s the morphism of y, all with src(t) == tgt(s),
+    so x is tested once per src(st).  Only an escaping xy is expanded."""
+    bsm, names, M = dsm.meta["bsm"], set(names), dsm.meta["positions"].M
+    ends = [(m.src, m.tgt) for m in dsm.meta["groupoid"].morphisms]
+
+    def inside(p, o):  # whether pos(p, h) is in the span when src(h) == o
+        t, strata = by_pair[p]
+        return strata[o == t] in names
+    by_src = [{} for _ in ends]  # [s]: {src(st): [(t, st)]}
+    for pairs, out in zip(dsm.meta["after"], by_src):
+        for t, n in pairs:
+            out.setdefault(ends[n][0], []).append((t, n))
+    found = []
+    for x, row in bsm.right.items() if names else ():
+        for y, prod in row.items():
+            o = ends[y % M][1]
+            if inside(y, o) and (bad := [k for k in prod if not inside(k, o)]):
+                found += [(x * M + n, y * M + t, bad, t) for src, pairs in by_src[y % M].items()
+                          if inside(x, src) for t, n in pairs]
+    name = dsm.label
+    return [{"product_escapes": [label_str(name(p)), label_str(name(q))],
+             "offending": [label_str(name(k * M + t)) for k in bad]}
+            for p, q, bad, t in sorted(found)]
 
 
 CLAIM_IDS = ("thm2.2", "prop2.3", "prop2.4", "prop2.5", "thm2.6", "rem2.7", "thm2.9")
@@ -475,6 +499,17 @@ class VerificationContext:
         """The printed label of the double-smash position q."""
         return label_str(self.dsm.label(q))
 
+    def in_strata(self, names):
+        """The test whether a double-smash position lies in the named strata,
+        read off classify_basis's table."""
+        M, by_pair, names = self.bsm.meta["positions"].M, self.classes[1], set(names)
+        src = [m.src for m in self.groupoid.morphisms]
+
+        def inside(q):
+            t, strata = by_pair[q // M]
+            return strata[src[q % M] == t] in names
+        return inside
+
     def phi_rank(self, labels):
         """(rank of the phi columns of labels, the labels whose column
         lies in the span of the columns of the labels before them: the
@@ -540,13 +575,7 @@ class VerificationContext:
         # is zero; a zero label is supported on itself.  A label of an image
         # stratum lies in the kernel plus the span of the stratum's earlier
         # labels iff its phi column lies in the span of theirs.
-        F, ki, by_pair = self.field, self.ki, self.classes[1]
-        src, split = [m.src for m in self.groupoid.morphisms], self.dsm.meta["positions"].split
-
-        def supported(q):  # in a kernel stratum, read off classify_basis's table
-            x, h = split(q)
-            t, names = by_pair[x]
-            return names[src[h] == t] in KERNEL_STRATA
+        F, ki, supported = self.field, self.ki, self.in_strata(KERNEL_STRATA)
         outside = [(q, self.name(q)) for q in ki.zero if not supported(q)]
         outside += [(f, element_str(F, v, self.dsm.label)) for f, v in ki.eliminated
                     if not all(map(supported, v))]
@@ -568,7 +597,7 @@ class VerificationContext:
         """closure_witnesses of the named strata, once per set of nonempty strata."""
         key = tuple(name for name in names if self.strata[name])
         if key not in self._closures:
-            self._closures[key] = closure_witnesses(self.dsm, self.stratum_labels(key))
+            self._closures[key] = closure_witnesses(self.dsm, self.classes[1], key)
         return self._closures[key]
 
     def _verify_prop2_3(self) -> ClaimResult:
@@ -582,21 +611,19 @@ class VerificationContext:
 
     def _verify_prop2_4(self) -> ClaimResult:
         corner = self.stratum_labels(UNITAL_STRATA)
-        corner_set = set(corner)
-        right = self.dsm.right
         witnesses = []
         passing = []
         notes = []
         for name, y in self._candidates():
-            not_fixed = self.dsm.not_fixed(y, corner)
+            if self.groupoid_report.ok:
+                not_fixed, idem = self._corner_identity(y, corner)
+            else:  # yy is the sum of the c yb over the terms c b of y
+                F, products = self.field, self.dsm.products(y)
+                not_fixed = self.dsm.not_fixed(y, corner, products)
+                idem = el_sum(F, [(c, el_sum(F, products[0].get(b, ()))) for b, c in y.items()]) == y
             witnesses += [{"candidate": name, "not_fixed": self.name(z)} for z in not_fixed]
             ok = not not_fixed
-            in_span = all(lab in corner_set for lab in y)
-            yy = {}  # y y, over the pairs (a, b) of terms with ab != 0
-            for a, c in y.items():
-                for b in right.get(a, {}).keys() & y.keys():
-                    el_addto(self.field, yy, self.field.mul(c, y[b]), right[a][b])
-            idem = yy == y
+            in_span = all(map(self.in_strata(UNITAL_STRATA), y))
             notes.append(f"candidate {name}: identity on the corner: {ok}; "
                          f"supported inside the corner: {in_span}; idempotent: {idem}")
             if ok:
@@ -604,6 +631,24 @@ class VerificationContext:
         dims = {"corner_dim": len(corner),
                 "candidate_terms": {n: len(y) for n, y in self._candidates()}}
         return self._result("prop2.4", bool(passing), dims, witnesses, notes)
+
+    def _corner_identity(self, y, corner):
+        """On a valid groupoid, the corner labels that the candidate y does
+        not fix, and whether yy == y, off B#KG.  y is the sum over the
+        objects e of Y_e # (the sum of the r_n leaving e), Y_e in B#u_e, so
+        for X = b#u_s and t after s, y (X#r_t) = (Y_src(s) X) # r_t and
+        (X#r_t) y = (X Y_tgt(s)) # r_t; and yy == y iff each Y_e Y_e == Y_e."""
+        M, ends = self.bsm.meta["positions"].M, [(m.src, m.tgt) for m in self.groupoid.morphisms]
+        parts, by_end = {}, {}  # e -> Y_e; e -> the X of the corner with an end e
+        for q, c in y.items():
+            parts.setdefault(ends[q // M % M][0], {})[q // M] = c
+        for x in dict.fromkeys(q // M for q in corner):
+            for e in set(ends[x % M]):
+                by_end.setdefault(e, []).append(x)
+        moved = {x for e, xs in by_end.items() for side, x in self.bsm.moved(parts.get(e, {}), xs)
+                 if ends[x % M][side == "right"] == e}
+        idem = all(self.bsm.multiply(part, part) == part for part in parts.values())
+        return [q for q in corner if q // M in moved], idem
 
     def _verify_prop2_5(self) -> ClaimResult:
         F = self.field
@@ -614,12 +659,13 @@ class VerificationContext:
         notes = []
         for name, y in self._candidates():
             ok = True
+            yz, zy = self.dsm.products(y) if a2 or right else ({}, {})
             for z in a2:
-                if self.dsm.multiply(y, {z: F.one}):
+                if el_sum(F, yz.get(z, ())):
                     ok = False
                     witnesses.append({"candidate": name, "left_survivor": self.name(z)})
             for z in right:
-                if self.dsm.multiply({z: F.one}, y):
+                if el_sum(F, zy.get(z, ())):
                     ok = False
                     witnesses.append({"candidate": name, "right_survivor": self.name(z)})
             if ok:
@@ -663,27 +709,21 @@ class VerificationContext:
 
     def kernel_ideal_witnesses(self):
         """Per kernel vector v and basis label z, z once for each of vz and
-        zv (in that order) that phi does not send to zero.  Only the z that
-        some label of v multiplies to a nonzero product are visited; for any
-        other z both products are zero.  A zero label v, one without a phi
-        column, is a kernel vector; vz and zv are read off right[v] and
-        left[v], so only the zero labels with a nonzero product are visited."""
+        zv (in that order) that phi does not send to zero, over the z with a
+        nonzero product (dsm.products(v)); a zero label is visited only if
+        it has one.  None when B#KG's associativity makes phi multiplicative
+        (phi_is_homomorphism), as then phi(vz) = phi(v) phi(z) = 0."""
         F, dsm, phi = self.field, self.dsm, self.phi
-        right, left = dsm.right, dsm.left
+        if multiplicative_by_associativity(phi, dsm, self.validated):
+            return []
+        vectors = [(z0, {z0: F.one}) for z0 in dsm.right.keys() | dsm.left.keys()
+                   if not phi.columns.get(z0)]
+        vectors += [(f, dsm.from_vector(v)) for f, v in self.ki.eliminated]
         found = []  # (free position, witnesses)
-        for z0 in right.keys() | left.keys():
-            if not phi.columns.get(z0):
-                row, col = right.get(z0, {}), left.get(z0, {})
-                found.append((z0, [
-                    z for z in sorted(row.keys() | col.keys())
-                    for prod in (row.get(z), col.get(z)) if prod and phi.apply(prod)]))
-        for f, v in self.ki.eliminated:
-            dv = dsm.from_vector(v)
-            zs = {z for lab in dv for z in (*right.get(lab, ()), *left.get(lab, ()))}
-            found.append((f, [z for z in sorted(zs)
-                              for prod in (dsm.multiply(dv, {z: F.one}),
-                                           dsm.multiply({z: F.one}, dv))
-                              if phi.apply(prod)]))
+        for f, v in vectors:
+            vz, zv = dsm.products(v)
+            found.append((f, [z for z in sorted(vz.keys() | zv.keys()) for terms in
+                              (vz.get(z), zv.get(z)) if terms and phi.apply(el_sum(F, terms))]))
         return [z for _, zs in sorted(found) for z in zs]
 
     def _verify_rem2_7(self) -> ClaimResult:

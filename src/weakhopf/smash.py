@@ -6,14 +6,15 @@ the index of b in B's basis and ig, ih those of g, h among the morphism
 ids.  Positions order the labels lexicographically; alg.label(i) names
 one where it is printed.
 smash_product is the only place the smash formula a(s.b) # u_{st} is
-computed: the double smash, the skew groupoid ring and phi are read off
-the nonzero products of the B#KG it returns.  Neither product is assumed
-unital; find_unit reports one if it exists, in three exact steps: a label
-test that rejects every algebra in which some basis label is missing from
-its own products (a unit u needs x = ux = xu), a two-sided check of a
-caller's candidate (a two-sided unit is unique, so a confirmed candidate
-is the unit), and an exact linear solve when neither settles it.
+computed, and B#KG the only table of products: the double smash is a view
+that computes its products off B#KG's when read, and phi and the skew
+groupoid ring are read off the nonzero products of B#KG.  Neither product
+is assumed unital; find_unit reports one if it exists, in three exact
+steps: a two-sided check of a caller's candidate, a label test, and an
+exact linear solve when neither settles it.
 """
+
+from collections.abc import Mapping
 
 from . import exactmath
 from .walg import FinAlgebra
@@ -66,60 +67,97 @@ def smash_product(B: FinAlgebra, kg: FinAlgebra, action) -> FinAlgebra:
                             "positions": P, "after": after})
 
 
+class Lines(Mapping):
+    """The rows or the columns of a double smash: the line at q is line(q),
+    computed when read and absent when empty; walk() gives the keys."""
+
+    def __init__(self, line, walk):
+        self.line, self.walk = line, walk
+
+    def __getitem__(self, q):
+        if line := self.line(q):
+            return line
+        raise KeyError(q)
+
+    def __iter__(self):
+        return self.walk()
+
+    def __len__(self):
+        return sum(1 for _ in self)
+
+
 def double_smash(bsm: FinAlgebra) -> FinAlgebra:
-    """B#KG#KG*, read off the nonzero products of B#KG and the groupoid's
-    composition index:
+    """B#KG#KG*, a view on bsm that stores no product:
 
         (a # u_m # r_n)(b # u_s # r_t) = a(m.b) # u_{ms} # r_t
 
     for each t with st defined and equal to n, and zero otherwise.  This
     is the product through the legs r_{n1} (x) r_{n2} of KG*'s coproduct
     (the factorizations n1 n2 = n) with n1 == s, as r_{n2} r_t =
-    [n2 = t] r_t.  KG* enters only through that rule.
-
-    The keys come out in basis order: the rows of B#KG and their keys are
-    in basis order, t in after[s] is too, and each row's n are sorted.
-    Its meta records bsm.
-    """
+    [n2 = t] r_t.  KG* enters only through that rule: the product is
+    xy # r_t, xy the product in B#KG of x = a#u_m and y = b#u_s.  Its
+    right and left are Lines read off B#KG's row of x or column of y and
+    after[s], keyed and walked in basis order.  Its meta records bsm."""
     P, after = bsm.meta["positions"], bsm.meta["after"]
     M = P.M
-    right = {}
-    for x, row in bsm.right.items():
-        by_n = {}  # n -> the row of pos(x, n)
-        for y, prod in row.items():
-            for t, n in after[y % M]:
-                by_n.setdefault(n, {})[y * M + t] = {k * M + t: c for k, c in prod.items()}
-        for n in sorted(by_n):
-            right[x * M + n] = by_n[n]
+    ending = [dict(pairs) for pairs in after]  # [s]: {t: st}
+    into = [{} for _ in after]                 # [s]: {n: the t with st = n}
+    for pairs, out in zip(after, into):
+        for t, n in pairs:
+            out.setdefault(n, []).append(t)
+
+    def row(q):
+        x, n = divmod(q, M)
+        return {y * M + t: {k * M + t: c for k, c in prod.items()}
+                for y, prod in bsm.right.get(x, {}).items() for t in into[y % M].get(n, ())}
+
+    def rows():
+        for x, products in bsm.right.items():
+            yield from (x * M + n for n in sorted({n for y in products for n in into[y % M]}))
+
+    def column(q):
+        y, t = divmod(q, M)
+        n = ending[y % M].get(t)
+        return {} if n is None else {x * M + n: {k * M + t: c for k, c in prod.items()}
+                                     for x, prod in bsm.left.get(y, {}).items()}
+
+    def columns():
+        return (y * M + t for y in sorted(bsm.left) for t in ending[y % M])
 
     def label(q):
         x, n = P.split(q)
         return (*bsm.label(x), P.ids[n])
-    return FinAlgebra(bsm.field, range(bsm.dim * M), right, None, name="B#KG#KG*",
-                      meta={**bsm.meta, "bsm": bsm}, label=label)
+    dsm = FinAlgebra(bsm.field, range(bsm.dim * M), Lines(row, rows), None, name="B#KG#KG*",
+                     meta={**bsm.meta, "bsm": bsm}, label=label)
+    dsm.left = Lines(column, columns)
+    return dsm
 
 
 def find_unit(alg: FinAlgebra, candidate=None):
     """Two-sided unit of a structure-constant algebra, or None.
 
-    1. If a unit u exists, then x = ux = xu for every basis label x, so x
+    1. A two-sided unit is unique, so a candidate that fixes every basis
+       label on both sides is the unit.  The test stops at the first label
+       the candidate does not fix.
+    2. If a unit u exists, then x = ux = xu for every basis label x, so x
        occurs in some product ax and in some product xb.  If a label fails
-       either test there is no unit; no field operation is needed.
-    2. A two-sided unit is unique, so a candidate that fixes every basis
-       label on both sides is the unit.
+       either test there is no unit, and no field operation is needed.  A
+       confirmed candidate passes this test, so step 1 changes no answer.
     3. Otherwise solve 'u x = x = x u for all basis x' exactly.  The
        equation for (x, side, i) says that the coefficient of basis label i
        in sum_b u_b (b x), or in sum_b u_b (x b), is 1 when i == x and 0
        otherwise; it is read off the nonzero structure constants.  The
        solution is confirmed on both sides.
     """
+    def fixes_all(y):
+        return next(alg.moved(y, alg.basis), None) is None
+    if candidate is not None and fixes_all(candidate):
+        return alg.from_vector(alg.to_vector(candidate))
     right, left = alg.right, alg.left
     for x in alg.basis:
         if not any(x in prod for prod in left.get(x, {}).values()) \
                 or not any(x in prod for prod in right.get(x, {}).values()):
             return None
-    if candidate is not None and not alg.not_fixed(candidate, alg.basis):
-        return alg.from_vector(alg.to_vector(candidate))
     F = alg.field
     n = alg.dim
     eqs = {}
@@ -136,4 +174,4 @@ def find_unit(alg: FinAlgebra, candidate=None):
     if n in pivots:
         return None
     unit = alg.from_vector({p: row[n] for p, row in zip(pivots, rows) if n in row})
-    return None if alg.not_fixed(unit, alg.basis) else unit
+    return unit if fixes_all(unit) else None

@@ -211,25 +211,31 @@ class FinAlgebra:
 
     def unit_violations(self):
         """("left", b) when ub != b and ("right", b) when bu != b, in basis order."""
-        return [] if self.unit is None else self.moved(self.unit, self.basis)
+        return [] if self.unit is None else list(self.moved(self.unit, self.basis))
 
-    def moved(self, y: dict, labels) -> list:
-        """(side, z) for the labels z, in the order given, with yz != z
-        (side "left") or zy != z ("right").  The terms of yz and zy are
-        gathered for every z in one pass over right[a] and left[a] for the
-        labels a of y, so each product with a factor in y is read once."""
-        F, y = self.field, self.element(y)
-        yz, zy = {}, {}  # z -> the terms (c, product) of yz, of zy
-        for a, c in y.items():
+    def products(self, y: dict):
+        """({z: the terms (c, product) of yz}, {z: those of zy}) over the z
+        with a nonzero product, gathered in one pass over right[a] and
+        left[a] for the labels a of y, so each product with a factor in y
+        is read once; el_sum of the terms of z is yz, or zy."""
+        yz, zy = {}, {}
+        for a, c in self.element(y).items():
             for terms, row in ((yz, self.right.get(a, {})), (zy, self.left.get(a, {}))):
                 for z, prod in row.items():
                     terms.setdefault(z, []).append((c, prod))
-        return [(side, z) for z in labels for side, terms in (("left", yz), ("right", zy))
-                if el_sum(F, terms.get(z, ())) != {z: F.one}]
+        return yz, zy
 
-    def not_fixed(self, y: dict, labels) -> list:
+    def moved(self, y: dict, labels, products=None):
+        """(side, z) for the labels z, in the order given, with yz != z
+        (side "left") or zy != z ("right"), generated as the labels are
+        tested, off products(y) or the products given."""
+        F, (yz, zy) = self.field, products or self.products(y)
+        return ((side, z) for z in labels for side, terms in (("left", yz), ("right", zy))
+                if el_sum(F, terms.get(z, ())) != {z: F.one})
+
+    def not_fixed(self, y: dict, labels, products=None) -> list:
         """The labels z, in the order given, with yz != z or zy != z."""
-        return list(dict.fromkeys(z for _, z in self.moved(y, labels)))
+        return list(dict.fromkeys(z for _, z in self.moved(y, labels, products)))
 
 
 class GroupoidRecord:

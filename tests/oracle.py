@@ -1125,11 +1125,23 @@ def skew_groupoid_ring(B: FinAlgebra, action: ModuleAction, dfap: DfapAction) ->
                          meta={"B": B, "action": action})
 
 
+def double_smash_of(ctx) -> FinAlgebra:
+    """The all-pairs double smash of a VerificationContext, as a full
+    table: double_smash fed the oracle's own KG* and its coproduct tables,
+    built over all pairs from KG's coalgebra, and the context's B, KG and
+    action, so that build_phi accepts it next to the context's B#KG."""
+    kg, g = groupoid_algebra(ctx.field, ctx.groupoid), ctx.groupoid
+    kgstar, kgstar_co = dual_weak_hopf(kg, groupoid_coalgebra(ctx.field, g))
+    return double_smash(ctx.B, ctx.kg, kgstar, kgstar_co, ctx.action)
+
+
 # -- the engine's positional tables, read back as labels ----------------------
 #
 # B#KG, B#KG#KG* and phi are keyed by basis position inside the engine; the
 # all-pairs forms above and below work on labels.  Each comparison turns
-# the engine's positions into labels first, key order included.
+# the engine's positions into labels first, key order included.  The
+# engine's double smash is a view that stores no product; its reference
+# is the full table double_smash_of builds.
 
 
 def labelled(alg):
@@ -1157,7 +1169,9 @@ class LabelView:
     """A VerificationContext whose smash products, phi, strata, kernel,
     identity candidates and skew ring are read back as labels, each built
     when first read from what the context then holds; any other attribute
-    is the context's own."""
+    is the context's own.  Its dsm is the all-pairs table double_smash_of,
+    not the engine's view read back, so that every all-pairs form run on a
+    LabelView multiplies in a table the engine's rule did not build."""
 
     def __init__(self, ctx):
         self.ctx = ctx
@@ -1171,7 +1185,7 @@ class LabelView:
 
     @cached_property
     def dsm(self):
-        return labelled(self.ctx.dsm)
+        return double_smash_of(self.ctx)
 
     @cached_property
     def phi(self):
@@ -1192,13 +1206,17 @@ class LabelView:
         ki = self.ctx.ki
         return KernelImage(self.labels(ki.zero), ki.eliminated, ki.dims)
 
+    def named(self, element):
+        """A double-smash element over positions, over labels; None stays None."""
+        return None if element is None else {self.ctx.dsm.label(q): c for q, c in element.items()}
+
     @property
     def y_morph(self):
-        return {self.ctx.dsm.label(q): c for q, c in self.ctx.y_morph.items()}
+        return self.named(self.ctx.y_morph)
 
     @property
     def y_obj(self):
-        return {self.ctx.dsm.label(q): c for q, c in self.ctx.y_obj.items()}
+        return self.named(self.ctx.y_obj)
 
     @property
     def skew(self):
@@ -1345,6 +1363,46 @@ def closure_witnesses(ctx, names):
                 witnesses.append({"product_escapes": [label_str(x), label_str(y)],
                                   "offending": [label_str(b) for b in bad]})
     return witnesses
+
+
+def _candidates(ctx):
+    return (("all-morphism-sum", ctx.y_morph), ("object-sum", ctx.y_obj))
+
+
+def verify_prop2_4(ctx):
+    """prop2.4 with each candidate y multiplied by every corner label on
+    both sides, and y y formed by multiply, in the full table."""
+    corner = ctx.stratum_labels(UNITAL_STRATA)
+    corner_set, witnesses, passing, notes = set(corner), [], [], []
+    for name, y in _candidates(ctx):
+        bad = not_fixed(ctx.dsm, y, corner)
+        witnesses += [{"candidate": name, "not_fixed": label_str(z)} for z in bad]
+        notes.append(f"candidate {name}: identity on the corner: {not bad}; "
+                     f"supported inside the corner: {corner_set.issuperset(y)}; "
+                     f"idempotent: {ctx.dsm.multiply(y, y) == y}")
+        if not bad:
+            passing.append(name)
+    dims = {"corner_dim": len(corner),
+            "candidate_terms": {name: len(y) for name, y in _candidates(ctx)}}
+    return ctx._result("prop2.4", bool(passing), dims, witnesses, notes)
+
+
+def verify_prop2_5(ctx):
+    """prop2.5 with each candidate y multiplied by every label of A2 on the
+    left and of A8 and A9 on the right, in the full table."""
+    a2, right = ctx.stratum_labels(["A2"]), ctx.stratum_labels(["A8", "A9"])
+    witnesses, passing = [], []
+    for name, y in _candidates(ctx):
+        bad = [{"candidate": name, "left_survivor": label_str(z)} for z in a2
+               if ctx.dsm.multiply(y, ctx.dsm.basis_element(z))]
+        bad += [{"candidate": name, "right_survivor": label_str(z)} for z in right
+                if ctx.dsm.multiply(ctx.dsm.basis_element(z), y)]
+        witnesses += bad
+        if not bad:
+            passing.append(name)
+    notes = [] if a2 or right else ["A2, A8 and A9 are empty here, so annihilation is vacuous"]
+    return ctx._result("prop2.5", bool(passing), {"A2": len(a2), "A8+A9": len(right)},
+                       witnesses, notes)
 
 
 # -- the subspace forms of thm2.2, thm2.6, rem2.7 and thm2.9 -------------------

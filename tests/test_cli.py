@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -261,6 +262,35 @@ def test_unwritable_report_path_fails_before_verification(tmp_path, capsys, monk
     path = tmp_path / "no-such-dir" / "r.json"
     assert main(["verify", "z2-trivial", "--json", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: cannot write {path}: No such file or directory\n")
+
+
+def test_report_replaces_a_longer_file_byte_for_byte(tmp_path, capsys):
+    # the report is written through the handle that tested the path, which
+    # is emptied first when it holds a file: a longer file already at the
+    # path, or an earlier report, is replaced by the report alone
+    fresh, stale = tmp_path / "fresh.json", tmp_path / "stale.json"
+    assert main(["verify", "i2-swap", "--json", str(fresh)]) == 0
+    report = fresh.read_bytes()
+    stale.write_bytes(b"x" * (3 * len(report)) + b"\n")
+    for _ in range(2):
+        assert main(["verify", "i2-swap", "--json", str(stale)]) == 0
+        assert stale.read_bytes() == report
+    out = capsys.readouterr().out
+    assert out.count(f"report written to {stale}") == 2
+
+
+def test_report_goes_to_a_fifo_as_it_is(tmp_path):
+    # a FIFO is written, not truncated: the reader gets the whole report
+    import threading
+    fresh, fifo = tmp_path / "fresh.json", tmp_path / "fifo"
+    assert main(["verify", "z2-trivial", "--json", str(fresh)]) == 0
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()))
+    reader.start()
+    assert main(["verify", "z2-trivial", "--json", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert got == [fresh.read_bytes()]
 
 
 def _schema_breaks():

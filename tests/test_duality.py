@@ -385,9 +385,9 @@ def _findings(rep):
 
 
 def assert_duality_matches_oracle(ctx):
-    """phi's two checks, the closure test and the thm2.2, thm2.6, rem2.7 and
-    thm2.9 verdicts equal the all-pairs, kernel-echelon and subspace_equal
-    forms."""
+    """phi's two checks, the closure test and the verdicts of the claims
+    equal the all-pairs, kernel-echelon and subspace_equal forms; prop2.4
+    and prop2.5 multiply in the oracle's full double-smash table."""
     import oracle
     phi, view = ctx.phi, LabelView(ctx)
     assert _findings(phi_is_homomorphism(phi, ctx.dsm, ctx.validated)) \
@@ -396,7 +396,8 @@ def assert_duality_matches_oracle(ctx):
         == _findings(oracle.right_linearity(view.phi, view.bsm, ctx.B))
     for names in (UNITAL_STRATA, IMAGE_STRATA, COMPLEMENT_STRATA):
         assert ctx._closure_check(names) == oracle.closure_witnesses(view, names)
-    for cid, ref in (("thm2.2", oracle.verify_thm2_2), ("thm2.6", oracle.verify_thm2_6),
+    for cid, ref in (("thm2.2", oracle.verify_thm2_2), ("prop2.4", oracle.verify_prop2_4),
+                     ("prop2.5", oracle.verify_prop2_5), ("thm2.6", oracle.verify_thm2_6),
                      ("rem2.7", oracle.verify_rem2_7), ("thm2.9", oracle.verify_thm2_9)):
         got, want = ctx.verify(cid), ref(view)
         assert got.to_json() == want.to_json()
@@ -429,9 +430,9 @@ def test_closure_walk_runs_once_per_label_set(monkeypatch):
     ctx = _fresh(z4_regular_doc())
     walks, walk = [], duality.closure_witnesses
 
-    def counted(dsm, labels):
-        walks.append(tuple(labels))
-        return walk(dsm, labels)
+    def counted(dsm, by_pair, names):
+        walks.append(tuple(names))
+        return walk(dsm, by_pair, names)
     monkeypatch.setattr(duality, "closure_witnesses", counted)
     ctx.verify_all()
     assert len(walks) == len(set(walks)) == 2
@@ -458,16 +459,22 @@ def test_closure_and_claims_equal_oracle_on_broken_composition():
 
 
 def test_closure_witnesses_do_not_depend_on_row_order():
-    # the double smash emits each row in basis order; the witnesses of a
-    # table with every row reversed must still come in basis order
+    # the closure test reads B#KG's rows in the order they are stored; on a
+    # B#KG with every row and the row order reversed, the witnesses, read
+    # through the view on it, must still come in basis order
+    import oracle
     from weakhopf.duality import closure_witnesses
+    from weakhopf.smash import double_smash
     from weakhopf.walg import FinAlgebra
     ctx = _fresh(_wrong_twice_doc())
-    dsm, labels = ctx.dsm, ctx.stratum_labels(UNITAL_STRATA)
-    flipped = FinAlgebra(dsm.field, dsm.basis,
-                         {x: dict(reversed(row.items())) for x, row in dsm.right.items()},
-                         label=dsm.label)
-    assert closure_witnesses(flipped, labels) == closure_witnesses(dsm, labels)
+    bsm, by_pair = ctx.bsm, ctx.classes[1]
+    flipped = FinAlgebra(bsm.field, bsm.basis,
+                         {x: dict(reversed(row.items())) for x, row in reversed(bsm.right.items())},
+                         label=bsm.label, meta=bsm.meta)
+    want = oracle.closure_witnesses(LabelView(ctx), UNITAL_STRATA)
+    assert len(want) > 1
+    assert closure_witnesses(double_smash(flipped), by_pair, UNITAL_STRATA) == want
+    assert closure_witnesses(ctx.dsm, by_pair, UNITAL_STRATA) == want
 
 
 GENERATED = ([pair_groupoid(n) for n in (1, 2, 3)] + [cyclic_group(n) for n in (2, 3, 4, 5)]
@@ -516,14 +523,15 @@ BROKEN = ("ex2.8", "ex2.8-gf2", "spurious-i2", "twin-identity", "wrong-compositi
           "right-zero-z2", "right-zero-z3")
 
 
-def assert_report_phi_sections_equal_oracle(ctx):
+def assert_report_phi_sections_equal_oracle(ctx, dsm=None):
     """build_report_doc's phi-multiplicative and phi-image-right-linear
-    sections are the oracle's all-pairs reports; returns the sections."""
+    sections are the oracle's all-pairs reports, on the double smash dsm
+    over labels (LabelView's table unless given); returns the sections."""
     import oracle
     from weakhopf.cli import build_report_doc
     validation, view = build_report_doc(ctx, [])["validation"], LabelView(ctx)
     assert validation["phi-multiplicative"] \
-        == oracle.phi_is_homomorphism(view.phi, view.dsm).to_json()
+        == oracle.phi_is_homomorphism(view.phi, dsm or view.dsm).to_json()
     assert validation["phi-image-right-linear"] \
         == oracle.right_linearity(view.phi, view.bsm, ctx.B).to_json()
     return validation
@@ -547,7 +555,10 @@ def test_report_phi_sections_equal_oracle(name):
 def test_report_phi_sections_walk_when_bsm_is_not_associative(monkeypatch, name):
     # one product of B#KG scaled by 2 before the double smash and phi are
     # read off it: the instance still validates, Light's test fails, and
-    # the walks give the oracle's findings, in order
+    # the walks give the oracle's findings, in order.  The oracle's table
+    # is built from B and would miss the scaled product, so the reference
+    # is the view on the scaled B#KG, read back as a table
+    from oracle import labelled
     ctx = _fresh(_report_docs()[name])
     F, bsm = ctx.field, ctx.bsm
     a = next(a for a in bsm.basis if bsm.right.get(a))
@@ -555,7 +566,7 @@ def test_report_phi_sections_walk_when_bsm_is_not_associative(monkeypatch, name)
     scaled = {lab: F.mul(c, F.parse("2")) for lab, c in prod.items()}
     monkeypatch.setitem(bsm.right, a, {**bsm.right[a], b: scaled})
     assert ctx.validated and not bsm.associative
-    validation = assert_report_phi_sections_equal_oracle(ctx)
+    validation = assert_report_phi_sections_equal_oracle(ctx, labelled(ctx.dsm))
     assert not validation["phi-multiplicative"]["ok"]
 
 
@@ -941,7 +952,7 @@ def test_classify_basis_tests_each_pair_once_and_classifies_each_class_once(monk
     spans = ctx.action.image_spans()
     inside = {(b, m): spans[m].contains(B.to_vector({b: ctx.field.one}))
               for b in B.basis for m in g.morphism_ids()}
-    labels = LabelView(ctx).dsm.basis
+    labels = LabelView(ctx).labels(ctx.dsm.basis)
     classes = {(comp.get(b), g.src(m), g.tgt(m), g.composable(m, h), inside[(b, m)])
                for b, m, h in labels}
     tests, classified = [], []

@@ -13,6 +13,7 @@ from weakhopf.exactmath import QQ
 from weakhopf.groupoid import builtin_i2, cyclic_group
 from weakhopf.instances import parse_instance
 from weakhopf.smash import find_unit
+from weakhopf.walg import el_addto
 
 one = Fraction(1)
 
@@ -135,16 +136,22 @@ def smash_unit_candidate(ctx):
 def assert_find_unit_matches_oracle(ctx, name):
     """find_unit equals the dense oracle on B, KG, KG*, B#KG and B#KG#KG*,
     with no candidate and with the closed-form candidates; the identity
-    test equals its multiply form on the prop2.4 corner."""
+    test equals its multiply form on the prop2.4 corner.  The double smash
+    is the engine's view, and the oracle's reference its all-pairs table
+    (LabelView.dsm), read back as labels."""
     import oracle
-    for alg, candidate in ((ctx.B, ctx.B.unit), (ctx.kg, None), (ctx.kgstar, None),
-                           (ctx.bsm, smash_unit_candidate(ctx)), (ctx.dsm, ctx.y_obj)):
-        want = oracle.find_unit(alg)
-        assert find_unit(alg) == want, (name, alg.name)
-        assert find_unit(alg, candidate) == want, (name, alg.name)
+    view = LabelView(ctx)
+    for alg, candidate, ref in ((ctx.B, ctx.B.unit, ctx.B), (ctx.kg, None, ctx.kg),
+                                (ctx.kgstar, None, ctx.kgstar),
+                                (ctx.bsm, smash_unit_candidate(ctx), ctx.bsm),
+                                (ctx.dsm, ctx.y_obj, view.dsm)):
+        want, named = oracle.find_unit(ref), (lambda u: u) if ref is alg else view.named
+        assert named(find_unit(alg)) == want, (name, alg.name)
+        assert named(find_unit(alg, candidate)) == want, (name, alg.name)
     corner = ctx.stratum_labels(("A1", "A7", "A10"))
     for y in (ctx.y_morph, ctx.y_obj):
-        assert ctx.dsm.not_fixed(y, corner) == oracle.not_fixed(ctx.dsm, y, corner), name
+        assert view.labels(ctx.dsm.not_fixed(y, corner)) \
+            == oracle.not_fixed(view.dsm, view.named(y), view.labels(corner)), name
 
 
 def test_find_unit_equals_dense_oracle_on_builtins():
@@ -332,15 +339,6 @@ def skew_outcome(build, bsm):
     return skew.basis
 
 
-def oracle_double_smash(ctx):
-    """The all-pairs double smash of ctx, fed the oracle's own KG and KG*,
-    built over all pairs from KG's coalgebra tables."""
-    import oracle
-    kg, g = oracle.groupoid_algebra(ctx.field, ctx.groupoid), ctx.groupoid
-    kgstar, kgstar_co = oracle.dual_weak_hopf(kg, oracle.groupoid_coalgebra(ctx.field, g))
-    return oracle.double_smash(ctx.B, ctx.kg, kgstar, kgstar_co, ctx.action)
-
-
 def assert_read_offs_match_oracle(ctx, dfap=None):
     """B#KG, and the double smash, phi and the skew ring read off it, equal
     the constructions that compute the smash formula over all label pairs,
@@ -356,7 +354,7 @@ def assert_read_offs_match_oracle(ctx, dfap=None):
     assert view.bsm.basis == ref_bsm.basis
     assert ordered(view.bsm.mul) == ordered(ref_bsm.mul)
     assert ordered(view.strata) == ordered(oracle.strata(view))
-    dsm, ref = double_smash(ctx.bsm), oracle_double_smash(ctx)
+    dsm, ref = double_smash(ctx.bsm), view.dsm
     assert labelled(dsm).basis == ref.basis
     assert ordered(labelled(dsm).mul) == ordered(ref.mul)
     phi, ref_phi = build_phi(dsm, ctx.bsm), oracle.build_phi(ref, view.bsm)
@@ -366,9 +364,56 @@ def assert_read_offs_match_oracle(ctx, dfap=None):
     # a label has no engine column exactly when the oracle's is empty
     assert {lab: ordered(col) for lab, col in phi.columns.items()} \
         == {lab: ordered(col) for lab, col in ref_phi.columns.items() if col}
+    if dfap is None:
+        assert_view_matches_oracle(ctx)
     dfap = dfap or ctx.dfap[0]
     assert (skew_outcome(lambda: skew_groupoid_ring(ctx.bsm, dfap), ctx.bsm)
             == skew_outcome(lambda: oracle.skew_groupoid_ring(ctx.B, ctx.action, dfap), ctx.bsm))
+
+
+def assert_view_matches_oracle(ctx, units=False):
+    """Every read of the engine's double smash, a view that stores no
+    product, equals the all-pairs table LabelView.dsm once positions are
+    read as labels, key order included: each row and column, the keys
+    either walk, basis_product at every pair, multiply, moved and
+    not_fixed, the closure witnesses of the three unions of strata, the
+    kernel-ideal witnesses and, with units, find_unit."""
+    import oracle
+    from weakhopf.duality import COMPLEMENT_STRATA, IMAGE_STRATA, UNITAL_STRATA, closure_witnesses
+    view = LabelView(ctx)
+    dsm, ref = ctx.dsm, view.dsm
+    L = [dsm.label(q) for q in dsm.basis]
+    assert L == ref.basis
+
+    def named(x):
+        return {L[k]: c for k, c in x.items()}
+    for q, lab in enumerate(L):
+        for line, want in ((dsm.right.get(q, {}), ref.right.get(lab, {})),
+                           (dsm.left.get(q, {}), ref.left.get(lab, {}))):
+            assert [(L[p], ordered(named(prod))) for p, prod in line.items()] == ordered(want)
+    assert [L[q] for q in dsm.right] == list(ref.right)
+    assert [L[q] for q in dsm.left] == sorted(ref.left, key=ref.index.get)
+    for p in dsm.basis:
+        for q in dsm.basis:
+            assert ordered(named(dsm.basis_product(p, q))) == ordered(ref.basis_product(L[p], L[q]))
+    F = ctx.field
+    mixed = {q: F.add(F.one, F.one) if q % 3 else F.one for q in dsm.basis[::5]}
+    elements = [ctx.y_morph, ctx.y_obj, mixed]
+    for x in elements:
+        for y in elements:
+            assert ordered(named(dsm.multiply(x, y))) == ordered(ref.multiply(named(x), named(y)))
+        assert [(side, L[z]) for side, z in dsm.moved(x, dsm.basis)] \
+            == list(ref.moved(named(x), ref.basis))
+        assert [L[z] for z in dsm.not_fixed(x, dsm.basis)] \
+            == oracle.not_fixed(ref, named(x), ref.basis)
+    for names in (UNITAL_STRATA, IMAGE_STRATA, COMPLEMENT_STRATA):
+        want = oracle.closure_witnesses(view, names)
+        assert closure_witnesses(dsm, ctx.classes[1], names) == want
+        assert ctx._closure_check(names) == want
+    assert [L[z] for z in ctx.kernel_ideal_witnesses()] == oracle.kernel_ideal_witnesses(view)
+    if units:
+        want = oracle.find_unit(ref)
+        assert view.named(find_unit(dsm)) == want == view.named(find_unit(dsm, ctx.y_obj))
 
 
 def test_read_offs_equal_oracle_on_builtins():
@@ -416,7 +461,7 @@ def assert_constructions_well_formed(ctx):
     assert_rows_well_formed(ctx.kgstar, oracle.dual_weak_hopf(
         ctx.kg, oracle.groupoid_coalgebra(ctx.field, ctx.groupoid))[0])
     assert_rows_well_formed(ctx.bsm, oracle.smash_product(ctx.B, ctx.kg, ctx.action))
-    assert_rows_well_formed(ctx.dsm, oracle_double_smash(ctx))
+    assert_rows_well_formed(ctx.dsm, LabelView(ctx).dsm)
     if ctx.skew[0] is not None:
         skew_ring(ctx)
 
@@ -506,6 +551,103 @@ def test_smash_product_satisfies_its_defining_identities():
         assert ctx.validated
         assert smash_identity_failures(ctx) == ([], []), ctx.instance.name
     assert len(smash_identity_failures(context("ex2.8"))[0]) == 2
+
+
+def double_smash_identity_failures(ctx):
+    """Where the double smash breaks two identities of Nikshych's
+    construction, read off its multiply and B#KG's, with KG*'s coproduct
+    legs r_n1 (x) r_n2 of r_n taken from the oracle's coalgebra tables:
+
+    - iota(x) iota(y) == iota(xy) for x, y in B#KG, iota(b#u_g) the sum of
+      b#u_g#r_n over the n leaving tgt(g).  The n that do not leave tgt(g)
+      give the labels of A3, which no product reaches, so with them iota
+      would not be multiplicative on a groupoid with two objects;
+    - (1#1#r_n)(b#u_s#r_t) is the sum over the legs of r_n of
+      [n1 = s][n2 = t] ((1#1)(b#u_s)) # r_t, and (b#u_s#r_t)(1#1#r_n) the
+      sum over the legs of r_t and the objects e of
+      [t1 = e][t2 = n] ((b#u_s)(1#u_e)) # r_n, 1#1 the sum of 1_B#u_e.
+
+    Returns the failing pairs (x, y), then the failing (n, z, side)."""
+    import oracle
+    F, g, dsm, bsm = ctx.field, ctx.groupoid, ctx.dsm, labelled(ctx.bsm)
+    legs = oracle.dual_weak_hopf(ctx.kg, oracle.groupoid_coalgebra(F, g))[1].delta
+    L = [dsm.label(q) for q in dsm.basis]
+    at = {lab: q for q, lab in enumerate(L)}
+
+    def mul(x, y):  # the view's product, over labels
+        return {L[k]: c for k, c in dsm.multiply({at[a]: c for a, c in x.items()},
+                                                 {at[b]: c for b, c in y.items()}).items()}
+
+    def tag(x, n):  # x # r_n
+        return {(b, m, n): c for (b, m), c in x.items()}
+
+    def iota(x):
+        return {(b, m, n): c for (b, m), c in x.items() for n in g.leaving[g.tgt(m)]}
+    failures = [(x, y) for x in bsm.basis for y in bsm.basis
+                if mul(iota({x: F.one}), iota({y: F.one})) != iota(bsm.basis_product(x, y))]
+
+    def at_object(e):  # 1_B # u_e
+        return {(b, e): c for b, c in ctx.B.unit.items()}
+    unit = {lab: c for e in g.objects for lab, c in at_object(e).items()}
+    for n in g.morphism_ids():
+        for (b, s, t) in L:
+            z = {(b, s, t): F.one}
+            left, right = {}, {}
+            for n1, n2, c in legs.get(n, ()):
+                if (n1, n2) == (s, t):
+                    el_addto(F, left, c, tag(bsm.multiply(unit, {(b, s): F.one}), t))
+            for t1, t2, c in legs.get(t, ()):
+                if t1 in g.objects and t2 == n:
+                    el_addto(F, right, c, tag(bsm.multiply({(b, s): F.one}, at_object(t1)), n))
+            failures += [(n, (b, s, t), side) for side, got, want
+                         in (("left", mul(tag(unit, n), z), left),
+                             ("right", mul(z, tag(unit, n)), right)) if got != want]
+    return failures
+
+
+def test_double_smash_satisfies_its_defining_identities():
+    # the view is compared with the all-pairs table elsewhere, and both
+    # compute one formula; these identities are read off KG*'s coproduct
+    # and B#KG instead.  They hold on the valid builtins, on M_3 blocks
+    # over pair(2), whose B#KG products have up to three terms, and on the
+    # broken ex2.8, whose groupoid is valid
+    from conftest import context, mk_doc
+    from weakhopf.instances import BUILTIN_NAMES
+    ctxs = [context(name) for name in BUILTIN_NAMES if context(name).validated]
+    ctxs += [VerificationContext(parse_instance(mk_doc(2, 3))), context("ex2.8")]
+    assert len(ctxs) == 5 and not ctxs[-1].validated and ctxs[-1].groupoid_report.ok
+    for ctx in ctxs:
+        assert double_smash_identity_failures(ctx) == [], ctx.instance.name
+
+
+def test_validated_verify_never_walks_the_double_smash(tmp_path, monkeypatch, capsys):
+    # on a validated instance every reader of the double smash works per
+    # product of B#KG: with a walk over all its rows or all its columns made
+    # to raise, wh verify --claim all prints, exits and reports the same on
+    # the valid builtins, Z/8 and M_3 blocks on pair(2).  The broken ex2.8
+    # walks it, in thm2.6's kernel-ideal test, and then fails
+    import json
+    from conftest import context, groupoid_doc, mk_doc
+    from weakhopf import smash
+    from weakhopf.cli import main
+    from weakhopf.instances import BUILTIN_NAMES
+    targets = [name for name in BUILTIN_NAMES if context(name).validated]
+    for name, doc in (("z8", groupoid_doc(cyclic_group(8), "z8-trivial")), ("m3", mk_doc(2, 3))):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+        targets.append(str(tmp_path / f"{name}.json"))
+    report = tmp_path / "report.json"
+
+    def run(target):
+        code = main(["verify", target, "--claim", "all", "--json", str(report)])
+        return code, capsys.readouterr(), report.read_bytes()
+    before = [run(target) for target in targets]
+
+    def walk(self):
+        raise AssertionError("the double smash was walked")
+    monkeypatch.setattr(smash.Lines, "__iter__", walk)
+    assert [run(target) for target in targets] == before
+    assert main(["verify", "ex2.8", "--claim", "all"]) == 3
+    assert "the double smash was walked" in capsys.readouterr().err
 
 
 def test_smash_product_forms_each_coefficient_once(monkeypatch):
@@ -630,9 +772,10 @@ def test_module_check_and_double_smash_equal_oracle_on_broken_groupoids(g, kinds
     from weakhopf.smash import double_smash
     doc = groupoid_doc(sabotaged_groupoid(g, kinds, data), "broken", field, k)
     ctx = VerificationContext(parse_instance(doc))
-    dsm, ref = labelled(double_smash(ctx.bsm)), oracle_double_smash(ctx)
+    dsm, ref = labelled(double_smash(ctx.bsm)), LabelView(ctx).dsm
     assert dsm.basis == ref.basis
     assert ordered(dsm.mul) == ordered(ref.mul)
+    assert_view_matches_oracle(ctx, units=True)
     kg_co = oracle.groupoid_coalgebra(ctx.field, ctx.groupoid)
     assert (check_module_algebra(ctx.B, ctx.kg, ctx.action)
             == oracle.check_module_algebra(ctx.B, ctx.kg, kg_co, ctx.action))
