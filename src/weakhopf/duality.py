@@ -372,9 +372,9 @@ def closure_witnesses(dsm, by_pair, names):
     bsm, names, M = dsm.meta["bsm"], set(names), dsm.meta["positions"].M
     ends = [(m.src, m.tgt) for m in dsm.meta["groupoid"].morphisms]
 
-    def inside(p, o):  # whether pos(p, h) is in the span when src(h) == o
-        t, strata = by_pair[p]
-        return strata[o == t] in names
+    def inside(p, o):  # whether pos(p, h) is in the span when src(h) == o;
+        t, strata = by_pair[p]  # no stratum when no h has src(h) == o
+        return strata.get(o == t) in names
     by_src = [{} for _ in ends]  # [s]: {src(st): [(t, st)]}
     for pairs, out in zip(dsm.meta["after"], by_src):
         for t, n in pairs:

@@ -779,3 +779,18 @@ def test_module_check_and_double_smash_equal_oracle_on_broken_groupoids(g, kinds
     kg_co = oracle.groupoid_coalgebra(ctx.field, ctx.groupoid)
     assert (check_module_algebra(ctx.B, ctx.kg, ctx.action)
             == oracle.check_module_algebra(ctx.B, ctx.kg, kg_co, ctx.action))
+
+
+def test_closure_reads_equal_oracle_when_no_morphism_leaves_an_object():
+    # i2 with y and gi moved to start at x: no morphism leaves y, so the
+    # strata of (b, g) with tgt g == y have no composable kind
+    from dataclasses import replace
+
+    from conftest import groupoid_doc
+    from weakhopf.groupoid import Groupoid
+    g = builtin_i2()
+    morphs = [replace(m, src="x") if m.id in ("y", "gi") else m for m in g.morphisms]
+    doc = groupoid_doc(Groupoid(g.objects, morphs, dict(g.comp)), "nothing-leaves-y")
+    ctx = VerificationContext(parse_instance(doc))
+    assert not ctx.groupoid_report.ok
+    assert_view_matches_oracle(ctx, units=True)
